@@ -1,0 +1,205 @@
+"""Golden pins for the RL search methods: writes ``tests/golden/rl.json``.
+
+    PYTHONPATH=src python tests/golden/generate_rl.py          # rewrite
+    PYTHONPATH=src python tests/golden/generate_rl.py --check  # diff only
+
+Every case runs a small, seeded search and records absolute outputs --
+best cost, best assignments, evaluation and episode counts, and a SHA-256
+of the best-so-far history -- so a change that shifts a result shows up
+even when every relative parity test (path A == path B) still passes.
+Direct ``Reinforce`` and off-policy agent runs also pin a SHA-256 of the
+final network parameter bytes, which covers the optimizer step exactly.
+
+Regenerating the file is a reviewed act: the script prints every value
+that changed, and a change that moves a pin must say why in CHANGES.md.
+``tests/test_golden_rl.py`` compares a fresh run of every case with the
+file, exactly.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+from typing import Dict, List
+
+import numpy as np
+
+GOLDEN = Path(__file__).resolve().parent / "rl.json"
+SEEDS = (0, 1)
+MODEL = "mobilenet_v2"
+SLICE = 8
+
+#: (method, budget, finetune) run through SearchSession on the 8-layer
+#: slice: every episodic and two-stage registered method.
+SLICE_SESSIONS = (
+    ("reinforce", 6, None), ("reinforce-mlp", 6, None), ("a2c", 6, None),
+    ("acktr", 6, None), ("ppo2", 6, None), ("ddpg", 6, None),
+    ("td3", 6, None), ("sac", 6, None), ("confuciux", 6, 2),
+    ("confuciux-mlp", 6, 2),
+)
+
+#: (name, method, mix, budget, finetune) on full MobileNet-V2, on the
+#: cloud tier: at these budgets the IoT tier finds nothing feasible, and
+#: an all-infeasible run pins little.
+FULL_PLATFORM = "cloud"
+FULL_SESSIONS = (
+    ("reinforce", "reinforce", False, 3, None),
+    ("confuciux", "confuciux", False, 3, 2),
+    ("confuciux-mix", "confuciux", True, 3, 2),
+)
+
+#: Direct agent runs on the 8-layer slice, pinning the final parameters:
+#: name -> (agent class name, constructor options, task options, epochs).
+AGENTS = {
+    "reinforce-rnn": ("Reinforce", {"policy": "rnn"}, {}, 8),
+    "reinforce-rnn-mix": ("Reinforce", {"policy": "rnn"}, {"mix": True}, 8),
+    "reinforce-rnn-power": ("Reinforce", {"policy": "rnn"},
+                            {"constraint_kind": "power",
+                             "platform": "cloud"}, 8),
+    "reinforce-mlp": ("Reinforce", {"policy": "mlp"}, {}, 8),
+    "ddpg": ("DDPG", {"warmup_steps": 16, "batch_size": 8}, {}, 5),
+    "td3": ("TD3", {"warmup_steps": 16, "batch_size": 8}, {}, 5),
+    "sac": ("SAC", {"warmup_steps": 16, "batch_size": 8}, {}, 5),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _history_sha(history) -> str:
+    return _sha256(np.asarray(history, dtype=np.float64).tobytes())
+
+
+def _assignments(assignments):
+    if assignments is None:
+        return None
+    return [list(row) for row in assignments]
+
+
+def summarize(result) -> dict:
+    """The pinned fields of one :class:`~repro.rl.common.SearchResult`."""
+    return {
+        "best_cost": result.best_cost,
+        "best_assignments": _assignments(result.best_assignments),
+        "evaluations": result.evaluations,
+        "episodes": result.episodes,
+        "cache_hits": result.cache_hits,
+        "history_sha256": _history_sha(result.history),
+    }
+
+
+def parameters_sha(modules) -> str:
+    digest = hashlib.sha256()
+    for module in modules:
+        for parameter in module.parameters():
+            digest.update(parameter.data.tobytes())
+    return digest.hexdigest()
+
+
+def _session_case(method: str, seed: int, budget: int, finetune,
+                  **options) -> dict:
+    from repro.search import SearchSession, SearchSpec
+
+    spec = SearchSpec(model=MODEL, method=method, budget=budget, seed=seed,
+                      finetune=finetune, **options)
+    return summarize(SearchSession(spec).run().result)
+
+
+def _agent_case(name: str, seed: int) -> dict:
+    from repro import rl
+    from repro.costmodel import CostModel
+    from repro.experiments.tasks import TaskSpec
+    from repro.nn.modules import Module
+
+    cls_name, options, task_options, epochs = AGENTS[name]
+    task = TaskSpec(model=MODEL, layer_slice=SLICE, **task_options)
+    cost_model = CostModel()
+    env = task.make_env(cost_model, task.constraint(cost_model))
+    agent = getattr(rl, cls_name)(seed=seed, **options)
+    pinned = summarize(agent.search(env, epochs))
+    # Every network the agent owns (policy, actor, critics, targets).
+    networks = [value for _, value in sorted(vars(agent).items())
+                if isinstance(value, Module)]
+    pinned["parameters_sha256"] = parameters_sha(networks)
+    return pinned
+
+
+def case_names() -> List[str]:
+    names = []
+    for seed in SEEDS:
+        names += [f"slice8/{method}/seed{seed}"
+                  for method, _, _ in SLICE_SESSIONS]
+        names += [f"full/{name}/seed{seed}"
+                  for name, _, _, _, _ in FULL_SESSIONS]
+        names += [f"agent/{name}/seed{seed}" for name in AGENTS]
+    return names
+
+
+def run_case(key: str) -> dict:
+    """Compute the pins of one case named as in :func:`case_names`."""
+    group, name, seed_text = key.split("/")
+    seed = int(seed_text[len("seed"):])
+    if group == "slice8":
+        _, budget, finetune = next(case for case in SLICE_SESSIONS
+                                   if case[0] == name)
+        return _session_case(name, seed, budget, finetune,
+                             layer_slice=SLICE)
+    if group == "full":
+        _, method, mix, budget, finetune = next(
+            case for case in FULL_SESSIONS if case[0] == name)
+        return _session_case(method, seed, budget, finetune, mix=mix,
+                             platform=FULL_PLATFORM)
+    if group == "agent":
+        return _agent_case(name, seed)
+    raise KeyError(key)
+
+
+def load() -> Dict[str, dict]:
+    return json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+
+
+def render(pins: Dict[str, dict]) -> str:
+    return json.dumps(pins, indent=1, sort_keys=True) + "\n"
+
+
+def diff(old: Dict[str, dict], new: Dict[str, dict]) -> List[str]:
+    lines = []
+    for key in sorted(set(old) | set(new)):
+        if key not in new:
+            lines.append(f"- {key}")
+        elif key not in old:
+            lines.append(f"+ {key}")
+        else:
+            for field in sorted(set(old[key]) | set(new[key])):
+                before, after = old[key].get(field), new[key].get(field)
+                if before != after:
+                    lines.append(f"~ {key} {field}: {before!r} -> {after!r}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="print the diff and exit 1 on any change, "
+                             "without writing the file")
+    args = parser.parse_args(argv)
+    new = {key: run_case(key) for key in case_names()}
+    changes = diff(load(), new)
+    for line in changes:
+        print(line)
+    if args.check:
+        return 1 if changes else 0
+    if changes:
+        GOLDEN.write_text(render(new))
+        print(f"wrote {GOLDEN} ({len(changes)} change(s))")
+    else:
+        print("no change")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
