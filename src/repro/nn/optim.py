@@ -66,22 +66,40 @@ class Adam(Optimizer):
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
+        # Two scratch buffers per parameter, so a step allocates nothing.
+        self._scratch = [(np.empty_like(p.data), np.empty_like(p.data))
+                         for p in self.parameters]
 
     def step(self) -> None:
+        """One Adam step, in place.
+
+        Every ``out=`` operation below is the same IEEE operation, on the
+        same operands, as the textbook expression
+        ``data -= lr * (m / bias1) / (sqrt(v / bias2) + eps)``, so the
+        update is bit-identical to it.
+        """
         self._step_count += 1
         bias1 = 1.0 - self.beta1 ** self._step_count
         bias2 = 1.0 - self.beta2 ** self._step_count
-        for parameter, m, v in zip(self.parameters, self._m, self._v):
-            if parameter.grad is None:
-                continue
+        for parameter, m, v, (update, denom) in zip(
+                self.parameters, self._m, self._v, self._scratch):
             grad = parameter.grad
+            if grad is None:
+                continue
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            np.multiply(grad, 1.0 - self.beta1, out=update)
+            m += update
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            parameter.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(grad, 1.0 - self.beta2, out=update)
+            update *= grad
+            v += update
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.divide(m, bias1, out=update)
+            update *= self.lr
+            update /= denom
+            parameter.data -= update
 
 
 def clip_grad_norm(parameters: Sequence[Parameter],
