@@ -19,8 +19,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import norm
 
 from repro.optim.base import GenomeOptimizer
 
@@ -91,6 +89,11 @@ class BayesianOptimization(GenomeOptimizer):
     def _expected_improvement(self, candidates: np.ndarray,
                               features: np.ndarray,
                               targets: np.ndarray) -> np.ndarray:
+        # Imported here: scipy.stats costs about a second and ~60 MB at
+        # import, which ``import repro`` should not pay for one method.
+        from scipy.linalg import cho_factor, cho_solve
+        from scipy.stats import norm
+
         mean_target = targets.mean()
         std_target = targets.std() + 1e-12
         normalized = (targets - mean_target) / std_target
