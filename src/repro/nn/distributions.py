@@ -19,17 +19,33 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 class Categorical:
-    """Categorical distribution parameterized by logits (batch, classes)."""
+    """Categorical distribution parameterized by logits (batch, classes).
 
-    def __init__(self, logits: Tensor) -> None:
+    ``Tensor`` logits build the autograd graph.  ``ndarray`` logits give
+    values only, with the tape's arithmetic: ``log_prob`` and
+    ``entropy`` return arrays bit-identical to the tape's values, and
+    :meth:`logits_grad` is the matching backward.
+    """
+
+    def __init__(self, logits) -> None:
         if logits.ndim != 2:
             raise ValueError("logits must be 2-D (batch, classes)")
         self.logits = logits
-        self._log_probs = log_softmax(logits, axis=-1)
+        if isinstance(logits, Tensor):
+            self._log_probs = log_softmax(logits, axis=-1)
+            return
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        #: exp(shifted logits) and its row sums, kept for the backward.
+        self.exp = np.exp(shifted)
+        self.exp_sum = self.exp.sum(axis=-1, keepdims=True)
+        self._log_probs = shifted - np.log(self.exp_sum)
+        self._probs = self.exp / self.exp_sum
 
     @property
     def probs(self) -> np.ndarray:
-        return softmax(self.logits, axis=-1).numpy()
+        if isinstance(self.logits, Tensor):
+            return softmax(self.logits, axis=-1).numpy()
+        return self._probs.copy()
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Sample one class index per batch row (no gradient)."""
@@ -43,15 +59,49 @@ class Categorical:
     def mode(self) -> np.ndarray:
         return self.probs.argmax(axis=-1)
 
-    def log_prob(self, actions: Sequence[int]) -> Tensor:
-        """Log-probability of ``actions`` with gradients to the logits."""
+    def log_prob(self, actions: Sequence[int]):
+        """Log-probability of ``actions`` (with gradients to ``Tensor``
+        logits)."""
         actions = np.asarray(actions, dtype=np.int64)
         rows = np.arange(actions.shape[0])
         return self._log_probs[rows, actions]
 
-    def entropy(self) -> Tensor:
-        probs = softmax(self.logits, axis=-1)
+    def entropy(self):
+        if isinstance(self.logits, Tensor):
+            probs = softmax(self.logits, axis=-1)
+        else:
+            probs = self._probs
         return -(probs * self._log_probs).sum(axis=-1)
+
+    @staticmethod
+    def logits_grad(actions: np.ndarray, log_probs: np.ndarray,
+                    probs: np.ndarray, exp: np.ndarray,
+                    exp_sum: np.ndarray, d_log_prob: np.ndarray,
+                    d_entropy: np.ndarray) -> np.ndarray:
+        """Gradient with respect to the logits of ``log_prob(actions)``
+        and ``entropy()``, for ``T`` rows at once.
+
+        The ``(T, k)`` arrays are the forward values (``_log_probs``,
+        ``probs``, ``exp``, and ``exp_sum`` of shape ``(T, 1)``);
+        ``d_log_prob`` and ``d_entropy`` have shape ``(T,)``.  Each line
+        is the tape's backward for one node, in the tape's operand order,
+        so the result is bit-identical to it row by row.
+        """
+        rows = np.arange(actions.shape[0])
+        # entropy = -(probs * log_probs).sum(-1), probs = exp / exp_sum
+        d_prod = np.broadcast_to(-d_entropy[:, None], probs.shape)
+        d_probs = d_prod * log_probs
+        d_exp = (d_probs / exp_sum
+                 + (-d_probs * exp / exp_sum ** 2).sum(axis=-1,
+                                                       keepdims=True))
+        d_logits = d_exp * exp
+        # log_probs = shifted - log(exp(shifted).sum(-1)); the log-probs
+        # feed log_prob's gather and the entropy's product.
+        d_log_probs = d_prod * probs
+        d_log_probs[rows, actions] += d_log_prob
+        d_log_sum = -d_log_probs.sum(axis=-1, keepdims=True)
+        d_shifted = d_log_probs + d_log_sum / exp_sum * exp
+        return d_shifted + d_logits
 
 
 class DiagGaussian:

@@ -6,6 +6,11 @@ Per episode the agent samples one action pair per layer, the rewards are
 turned into discounted (d = 0.9) returns, standardized, and the policy is
 updated once -- the paper's "policy network gets updated at the end of each
 epoch".
+
+Single-env episodes of the LSTM policy run without the autograd tape: an
+array rollout into a :class:`RecurrentTrace` and the hand-derived
+:meth:`RecurrentPolicy.bptt`, bit-identical to the tape.  The MLP policy
+and lockstep waves keep the tape.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from repro.rl.common import (
     drive_wave_sets,
     normalize_rewards_for_training,
 )
-from repro.rl.policies import build_policy
+from repro.rl.policies import RecurrentPolicy, RecurrentTrace, build_policy
 
 
 class Reinforce(SearchAlgorithm):
@@ -70,45 +75,64 @@ class Reinforce(SearchAlgorithm):
             rng=self.rng, hidden_size=self.hidden_size)
         self.optimizer = Adam(self.policy.parameters(), lr=self.lr)
 
-    def _sample_step(self, observation, state):
-        """Sample one action tuple from the policy.
+    def _begin(self, env: HWAssignmentEnv):
+        """A fresh per-episode rollout record and the initial state.
+
+        A recurrent policy runs tape-free: the record is a
+        :class:`RecurrentTrace` sized to the episode's longest length.
+        Any other policy records ``(log-prob, entropy)`` tensor lists
+        for the autograd tape.
+        """
+        if isinstance(self.policy, RecurrentPolicy):
+            trace = RecurrentTrace(self.policy, env.num_steps)
+            return trace, trace.initial_state()
+        return ([], []), self.policy.initial_state()
+
+    def _sample_step(self, observation, state, rollout):
+        """Sample one action tuple from the policy and record the step.
 
         The single sampling implementation for both episode drivers: the
         planned path's bit-identical-RNG guarantee rests on the scalar
         and deferred loops consuming randomness through exactly this
-        code.  Returns (action, summed log-prob, summed entropy, state).
+        code.  Returns (action, state).
         """
-        obs_tensor = Tensor(observation.reshape(1, -1))
-        dists, state = self.policy(obs_tensor, state)
+        tape_free = isinstance(rollout, RecurrentTrace)
+        if tape_free:
+            dists, state = self.policy(observation.reshape(1, -1), state,
+                                       rollout)
+        else:
+            dists, state = self.policy(Tensor(observation.reshape(1, -1)),
+                                       state)
         action = [int(d.sample(self.rng)[0]) for d in dists]
         step_logp = dists[0].log_prob([action[0]])
         step_entropy = dists[0].entropy()
         for head, dist in enumerate(dists[1:], start=1):
             step_logp = step_logp + dist.log_prob([action[head]])
             step_entropy = step_entropy + dist.entropy()
-        return action, step_logp, step_entropy, state
+        if tape_free:
+            rollout.record(action, step_logp, step_entropy)
+        else:
+            rollout[0].append(step_logp)
+            rollout[1].append(step_entropy)
+        return action, state
 
     def run_episode(self, env: HWAssignmentEnv):
-        """Roll out one episode keeping the autograd graph alive.
+        """Roll out one episode, recording what :meth:`update` needs.
 
-        Returns (log_prob tensors, entropy tensors, rewards, episode info).
+        Returns (rollout, rewards, episode info); the rollout is what
+        :meth:`_begin` made, filled in.
         """
         observation = env.reset()
-        state = self.policy.initial_state()
-        log_probs: List[Tensor] = []
-        entropies: List[Tensor] = []
+        rollout, state = self._begin(env)
         rewards: List[float] = []
         episode = None
         done = False
         while not done:
-            action, step_logp, step_entropy, state = self._sample_step(
-                observation, state)
+            action, state = self._sample_step(observation, state, rollout)
             observation, reward, done, info = env.step(action)
-            log_probs.append(step_logp)
-            entropies.append(step_entropy)
             rewards.append(reward)
             episode = info["episode"]
-        return log_probs, entropies, rewards, episode
+        return rollout, rewards, episode
 
     def run_episode_planned(self, env: HWAssignmentEnv):
         """Roll out one episode with deferred batched scoring.
@@ -122,18 +146,13 @@ class Reinforce(SearchAlgorithm):
         """
         observation = env.reset()
         plan = env.begin_plan()
-        state = self.policy.initial_state()
-        log_probs: List[Tensor] = []
-        entropies: List[Tensor] = []
+        rollout, state = self._begin(env)
         done = False
         while not done:
-            action, step_logp, step_entropy, state = self._sample_step(
-                observation, state)
+            action, state = self._sample_step(observation, state, rollout)
             observation, done = plan.step(action)
-            log_probs.append(step_logp)
-            entropies.append(step_entropy)
         rewards, episode = plan.commit()
-        return log_probs, entropies, rewards, episode
+        return rollout, rewards, episode
 
     def run_wave(self, venv, episodes: int):
         """Roll ``episodes`` lockstep episodes through a vector env.
@@ -211,6 +230,31 @@ class Reinforce(SearchAlgorithm):
             loss = term if loss is None else loss + term
         return -loss.sum() * (1.0 / max(len(rewards), 1))
 
+    def _trace_loss(self, trace: RecurrentTrace,
+                    rewards: List[float]) -> Tensor:
+        """:meth:`_episode_loss` for a traced episode, as one tape node
+        over the policy parameters whose backward is
+        :meth:`RecurrentPolicy.bptt`; value and gradients are
+        bit-identical to the tape's."""
+        returns = normalize_rewards_for_training(rewards, self.discount)
+        steps = trace.length
+        terms = (trace.log_prob[:steps] * returns
+                 + trace.entropy[:steps] * self.entropy_coef)
+        scale = 1.0 / max(len(rewards), 1)
+        # The tape adds the per-step terms left to right.
+        value = -np.add.accumulate(terms)[-1] * scale
+        parameters = self.policy.parameters()
+
+        def backward(grad: np.ndarray) -> None:
+            d_term = -(grad * scale)
+            grads = self.policy.bptt(
+                trace, d_term * returns,
+                np.full(steps, d_term * self.entropy_coef))
+            for parameter, parameter_grad in zip(parameters, grads):
+                parameter._accumulate(parameter_grad)
+
+        return Tensor._make(np.asarray(value), parameters, backward)
+
     def _apply_loss(self, loss: Tensor) -> float:
         self.optimizer.zero_grad()
         loss.backward()
@@ -218,11 +262,12 @@ class Reinforce(SearchAlgorithm):
         self.optimizer.step()
         return loss.item()
 
-    def update(self, log_probs: List[Tensor], entropies: List[Tensor],
-               rewards: List[float]) -> float:
-        """One policy-gradient step; returns the scalar loss."""
-        return self._apply_loss(
-            self._episode_loss(log_probs, entropies, rewards))
+    def update(self, rollout, rewards: List[float]) -> float:
+        """One policy-gradient step on a rollout from :meth:`run_episode`
+        or :meth:`run_episode_planned`; returns the scalar loss."""
+        if isinstance(rollout, RecurrentTrace):
+            return self._apply_loss(self._trace_loss(rollout, rewards))
+        return self._apply_loss(self._episode_loss(*rollout, rewards))
 
     def update_wave(self, per_episode) -> float:
         """One policy-gradient step over a wave of episodes.
@@ -259,8 +304,8 @@ class Reinforce(SearchAlgorithm):
             episode_fn = (self.run_episode_planned if planned
                           else self.run_episode)
             for _ in range(epochs):
-                log_probs, entropies, rewards, _ = episode_fn(env)
-                self.update(log_probs, entropies, rewards)
+                rollout, rewards, _ = episode_fn(env)
+                self.update(rollout, rewards)
                 result.record(env.best.cost if env.best else None)
         self._finalize(result, env, started)
         result.memory_bytes = 8 * self.policy.num_parameters()

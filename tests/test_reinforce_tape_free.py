@@ -1,0 +1,189 @@
+"""Tape-free REINFORCE parity: the array rollout and hand-derived BPTT of
+:class:`RecurrentPolicy` against the autograd tape built from
+``LSTMCell``, ``Linear`` and ``Categorical``.
+
+Every comparison is exact (``np.array_equal`` / ``==``): the tape-free
+path mirrors the tape's arithmetic and summation order, so any ulp of
+drift is a bug, not noise.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.costmodel import CostModel
+from repro.experiments.tasks import TaskSpec
+from repro.nn import Tensor
+from repro.nn.distributions import Categorical
+from repro.nn.optim import Adam
+from repro.rl import Reinforce
+from repro.rl.policies import RecurrentPolicy, RecurrentTrace
+
+
+@pytest.fixture(scope="module")
+def cost_model():
+    return CostModel()
+
+
+def make_env(cost_model, layers, **task_options):
+    task = TaskSpec(model="mobilenet_v2", layer_slice=layers, **task_options)
+    return task.make_env(cost_model, task.constraint(cost_model))
+
+
+def twin_agents(env, seed, **options):
+    """Two agents with identical policies: one to run tape-free, one to
+    serve as the tape oracle."""
+    agents = []
+    for _ in range(2):
+        agent = Reinforce(seed=seed, **options)
+        agent._build(env)
+        agents.append(agent)
+    return agents
+
+
+def synthetic_twins(seed, head_sizes, hidden, obs_dim=10):
+    agents = []
+    for _ in range(2):
+        agent = Reinforce(seed=seed, hidden_size=hidden)
+        agent.policy = RecurrentPolicy(obs_dim, head_sizes,
+                                       hidden_size=hidden, rng=agent.rng)
+        agent.optimizer = Adam(agent.policy.parameters(), lr=agent.lr)
+        agents.append(agent)
+    return agents
+
+
+def tape_rollout(agent, trace):
+    """Replay the traced observations and actions through the tape."""
+    policy = agent.policy
+    state = policy.initial_state()
+    log_probs, entropies = [], []
+    for t in range(trace.length):
+        dists, state = policy(Tensor(trace.obs[t:t + 1]), state)
+        actions = trace.actions[t]
+        log_prob = dists[0].log_prob([actions[0]])
+        entropy = dists[0].entropy()
+        for head, dist in enumerate(dists[1:], start=1):
+            log_prob = log_prob + dist.log_prob([actions[head]])
+            entropy = entropy + dist.entropy()
+        log_probs.append(log_prob)
+        entropies.append(entropy)
+    return log_probs, entropies
+
+
+def gradients(agent, loss):
+    agent.optimizer.zero_grad()
+    loss.backward()
+    return [p.grad.copy() for p in agent.policy.parameters()]
+
+
+def assert_parity(agent, oracle, trace, rewards):
+    """Forward values, loss, raw gradients, and one full update of
+    ``agent`` (tape-free) against ``oracle`` (tape), all exact."""
+    log_probs, entropies = tape_rollout(oracle, trace)
+    steps = trace.length
+    assert np.array_equal(trace.log_prob[:steps],
+                          [lp.item() for lp in log_probs])
+    assert np.array_equal(trace.entropy[:steps],
+                          [e.item() for e in entropies])
+
+    fused = agent._trace_loss(trace, rewards)
+    tape = oracle._episode_loss(log_probs, entropies, rewards)
+    assert fused.item() == tape.item()
+    for got, want in zip(gradients(agent, fused), gradients(oracle, tape)):
+        assert np.array_equal(got, want)
+
+    loss = agent.update(trace, rewards)
+    log_probs, entropies = tape_rollout(oracle, trace)
+    assert loss == oracle._apply_loss(
+        oracle._episode_loss(log_probs, entropies, rewards))
+    for got, want in zip(agent.policy.parameters(),
+                         oracle.policy.parameters()):
+        assert np.array_equal(got.grad, want.grad)
+        assert np.array_equal(got.data, want.data)
+
+
+class TestEpisodeParity:
+    @pytest.mark.parametrize("layers", [1, 2, 16, 52])
+    def test_planned_episodes(self, cost_model, layers):
+        env = make_env(cost_model, layers, platform="cloud")
+        agent, oracle = twin_agents(env, seed=layers)
+        for _ in range(3):
+            trace, rewards, episode = agent.run_episode_planned(env)
+            assert isinstance(trace, RecurrentTrace)
+            assert trace.length == len(rewards) == episode.steps
+            assert_parity(agent, oracle, trace, rewards)
+
+    def test_scalar_episodes_under_a_power_budget(self, cost_model):
+        env = make_env(cost_model, 8, constraint_kind="power",
+                       platform="cloud")
+        assert not env.plan_supported()
+        agent, oracle = twin_agents(env, seed=0)
+        for _ in range(3):
+            trace, rewards, _ = agent.run_episode(env)
+            assert_parity(agent, oracle, trace, rewards)
+
+    def test_three_heads_under_mix(self, cost_model):
+        env = make_env(cost_model, 16, mix=True, platform="cloud")
+        agent, oracle = twin_agents(env, seed=2)
+        assert len(agent.policy.heads) == 3
+        for _ in range(3):
+            trace, rewards, _ = agent.run_episode_planned(env)
+            assert_parity(agent, oracle, trace, rewards)
+
+    def test_episode_ended_by_a_violation(self, cost_model):
+        env = make_env(cost_model, 52, platform="iotx")
+        agent, oracle = twin_agents(env, seed=0)
+        trace, rewards, episode = agent.run_episode_planned(env)
+        assert not episode.feasible
+        assert trace.length < env.num_steps
+        assert_parity(agent, oracle, trace, rewards)
+
+    def test_zero_variance_returns(self, cost_model):
+        env = make_env(cost_model, 16, platform="cloud")
+        agent, oracle = twin_agents(env, seed=3)
+        trace, rewards, _ = agent.run_episode_planned(env)
+        assert_parity(agent, oracle, trace, [0.0] * len(rewards))
+
+    def test_zero_entropy_coefficient(self, cost_model):
+        env = make_env(cost_model, 8, platform="cloud")
+        agent, oracle = twin_agents(env, seed=4, entropy_coef=0.0)
+        trace, rewards, _ = agent.run_episode_planned(env)
+        assert_parity(agent, oracle, trace, rewards)
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=st.integers(1, 24), seed=st.integers(0, 2**16),
+       head_sizes=st.lists(st.integers(2, 12), min_size=2, max_size=3),
+       hidden=st.sampled_from([4, 8, 16]))
+def test_parity_property(steps, seed, head_sizes, hidden):
+    agent, oracle = synthetic_twins(seed, head_sizes, hidden)
+    data = np.random.default_rng(seed)
+    trace = RecurrentTrace(agent.policy, steps)
+    state = trace.initial_state()
+    for _ in range(steps):
+        _, state = agent._sample_step(data.standard_normal(10), state, trace)
+    rewards = data.standard_normal(steps).tolist()
+    assert_parity(agent, oracle, trace, rewards)
+
+
+def test_array_categorical_matches_tape_values():
+    logits = np.random.default_rng(0).standard_normal((1, 7))
+    tape, array = Categorical(Tensor(logits)), Categorical(logits)
+    assert np.array_equal(tape.probs, array.probs)
+    assert np.array_equal(tape.log_prob([3]).numpy(), array.log_prob([3]))
+    assert np.array_equal(tape.entropy().numpy(), array.entropy())
+    assert np.array_equal(tape.sample(np.random.default_rng(5)),
+                          array.sample(np.random.default_rng(5)))
+
+
+def test_tape_paths_stay_on_the_tape(cost_model):
+    """The MLP policy keeps recording tensors for the tape."""
+    env = make_env(cost_model, 4, platform="cloud")
+    agent = Reinforce(policy="mlp", seed=0)
+    agent._build(env)
+    (log_probs, entropies), rewards, _ = agent.run_episode_planned(env)
+    assert all(isinstance(t, Tensor) for t in log_probs + entropies)
+    assert np.isfinite(agent.update((log_probs, entropies), rewards))

@@ -24,8 +24,8 @@ class TestReinforceUpdate:
         agent = Reinforce(seed=0)
         agent._build(loose_env)
         before = [p.data.copy() for p in agent.policy.parameters()]
-        log_probs, entropies, rewards, _ = agent.run_episode(loose_env)
-        agent.update(log_probs, entropies, rewards)
+        rollout, rewards, _ = agent.run_episode(loose_env)
+        agent.update(rollout, rewards)
         after = agent.policy.parameters()
         assert any(not np.allclose(b, a.data)
                    for b, a in zip(before, after))
@@ -48,8 +48,8 @@ class TestReinforceUpdate:
             return dists[0].probs[0]
 
         for _ in range(10):
-            log_probs, entropies, rewards, _ = agent.run_episode(loose_env)
-            agent.update(log_probs, entropies, rewards)
+            rollout, rewards, _ = agent.run_episode(loose_env)
+            agent.update(rollout, rewards)
         probs = first_action_probs()
         assert probs.sum() == pytest.approx(1.0)
         # The policy has sharpened away from uniform.
