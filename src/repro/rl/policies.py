@@ -183,11 +183,8 @@ class RecurrentPolicy(Module):
                            dz.sum(axis=0)]
 
         w_h_t = cell.weight_h.data.swapaxes(-1, -2)
-        grads = [np.empty_like(p.data)
+        grads = [np.zeros_like(p.data)
                  for p in (cell.weight_x, cell.weight_h, cell.bias)]
-        # Per-step parts of the gradients above; the last step's parts
-        # are written straight into them, as the tape's first ``+=`` is
-        # a copy.
         parts = [np.empty_like(grad) for grad in grads]
         dgates = np.empty((1, 4 * hs))
         obs_columns, h_columns = trace.obs[:, :, None], trace.h[:, :, None]
@@ -212,13 +209,11 @@ class RecurrentPolicy(Module):
             dgates[0, 2 * hs:3 * hs] = dc * i_gate * (1.0 - g_gate ** 2)
             dgates[0, 3 * hs:] = dh * tanh_c * o_gate * (1.0 - o_gate)
             dc_next = dc * f_gate
-            out = grads if t == steps - 1 else parts
-            np.multiply(obs_columns[t], dgates, out=out[0])
-            np.multiply(h_columns[t], dgates, out=out[1])
-            out[2][...] = dgates[0]
-            if out is parts:
-                for grad, part in zip(grads, parts):
-                    grad += part
+            np.multiply(obs_columns[t], dgates, out=parts[0])
+            np.multiply(h_columns[t], dgates, out=parts[1])
+            parts[2][...] = dgates[0]
+            for grad, part in zip(grads, parts):
+                grad += part
             dh_next = dgates @ w_h_t
         return [*grads, *head_grads]
 
