@@ -1,0 +1,81 @@
+"""Golden pins for the genome-space search methods: writes
+``tests/golden/genome.json``.
+
+    PYTHONPATH=src python tests/golden/generate_genome.py          # rewrite
+    PYTHONPATH=src python tests/golden/generate_genome.py --check  # diff only
+
+Every ``kind == "genome"`` method (grid, random, sa, ga, bayesian,
+pareto-ga, local-ga) runs a small seeded search on an 8-layer slice of
+MobileNet-V2 and on the full model (cloud tier), and the file records the
+best cost, best genome and assignments, the evaluation and cache-hit
+counts, and a SHA-256 of the best-so-far history.  Hashing, the diff and
+the ``--check`` mode are ``generate_rl.py``'s; a change that moves a pin
+must say why in CHANGES.md.  ``tests/test_golden_genome.py`` compares a
+fresh run of every case with the file, exactly.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+from typing import Dict, List
+
+_HERE = Path(__file__).resolve().parent
+_SPEC = importlib.util.spec_from_file_location("golden_rl",
+                                               _HERE / "generate_rl.py")
+harness = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(harness)
+
+GOLDEN = _HERE / "genome.json"
+SEEDS = harness.SEEDS
+MODEL = harness.MODEL
+SLICE = harness.SLICE
+FULL_PLATFORM = harness.FULL_PLATFORM
+
+#: method -> budget in design-point evaluations: a few generations of
+#: each population method, and enough annealing steps for SA to reach a
+#: feasible point on the IoT slice with both seeds.
+BUDGETS = {"grid": 300, "random": 300, "sa": 400, "ga": 300,
+           "bayesian": 30, "pareto-ga": 150, "local-ga": 60}
+
+#: Per-method spec options: the Pareto search runs on its intended
+#: two-objective spec.
+OPTIONS = {"pareto-ga": {"objective": "multi:latency,energy"}}
+
+#: group -> spec options for that group's task.
+GROUPS = {"slice8": {"layer_slice": SLICE},
+          "full": {"platform": FULL_PLATFORM}}
+
+
+def case_names() -> List[str]:
+    return [f"{group}/{method}/seed{seed}"
+            for seed in SEEDS for group in GROUPS for method in BUDGETS]
+
+
+def run_case(key: str) -> dict:
+    """Compute the pins of one case named as in :func:`case_names`."""
+    from repro.search import SearchSession, SearchSpec
+
+    group, method, seed_text = key.split("/")
+    spec = SearchSpec(model=MODEL, method=method, budget=BUDGETS[method],
+                      seed=int(seed_text[len("seed"):]), **GROUPS[group],
+                      **OPTIONS.get(method, {}))
+    result = SearchSession(spec).run().result
+    pinned = harness.summarize(result)
+    pinned["best_genome"] = (None if result.best_genome is None
+                             else [int(gene) for gene in result.best_genome])
+    return pinned
+
+
+def load() -> Dict[str, dict]:
+    return harness.load(GOLDEN)
+
+
+def main(argv=None) -> int:
+    return harness.regenerate(GOLDEN, case_names(), run_case,
+                              __doc__.splitlines()[0], argv)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -158,8 +158,8 @@ def run_case(key: str) -> dict:
     raise KeyError(key)
 
 
-def load() -> Dict[str, dict]:
-    return json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+def load(golden: Path = GOLDEN) -> Dict[str, dict]:
+    return json.loads(golden.read_text()) if golden.exists() else {}
 
 
 def render(pins: Dict[str, dict]) -> str:
@@ -181,24 +181,33 @@ def diff(old: Dict[str, dict], new: Dict[str, dict]) -> List[str]:
     return lines
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def regenerate(golden: Path, names: List[str], run, description: str,
+               argv=None) -> int:
+    """The generator command line shared by every golden file: run each
+    case, print the diff against ``golden``, and rewrite it (or, with
+    ``--check``, exit 1 on any change)."""
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--check", action="store_true",
                         help="print the diff and exit 1 on any change, "
                              "without writing the file")
     args = parser.parse_args(argv)
-    new = {key: run_case(key) for key in case_names()}
-    changes = diff(load(), new)
+    new = {key: run(key) for key in names}
+    changes = diff(load(golden), new)
     for line in changes:
         print(line)
     if args.check:
         return 1 if changes else 0
     if changes:
-        GOLDEN.write_text(render(new))
-        print(f"wrote {GOLDEN} ({len(changes)} change(s))")
+        golden.write_text(render(new))
+        print(f"wrote {golden} ({len(changes)} change(s))")
     else:
         print("no change")
     return 0
+
+
+def main(argv=None) -> int:
+    return regenerate(GOLDEN, case_names(), run_case,
+                      __doc__.splitlines()[0], argv)
 
 
 if __name__ == "__main__":
