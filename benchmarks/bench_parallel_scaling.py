@@ -2,26 +2,16 @@
 
 Takes the ``BENCH_costmodel.json`` workload (20 MobileNet-V2 layers x a
 random design-point population) and times one big
-``evaluate_population`` batch through every execution backend at 1 / 2 /
-4 workers (node-fleet sizes, for the distributed backend), verifying
-bit-identical results against the serial kernel.
+``evaluate_population`` batch through the process backend at 1 / 2 / 4
+workers, verifying bit-identical results against the serial kernel.
 Writes ``BENCH_parallel.json`` at the repo root::
 
     {"serial_s": ..., "cpu_count": ...,
-     "thread": {"1": ..., "2": ..., "4": ...},
      "process": {"1": ..., "2": ..., "4": ...},
-     "distributed": {"1": ..., "2": ..., "4": ...},
-     "speedup_process_4": ..., "speedup_distributed_4": ...,
+     "speedup_process_4": ...,
      "break_even": {"sizes": {batch: {"serial_s": ..., "process_s": ...}},
                     "batch": ..., "per_worker": ...,
-                    "default_min_batch_per_worker": ...,
-                    "per_transport": {"thread": ..., "process": ...,
-                                      "distributed": ...}},
-     "stealing": {"stealing": {...}, "static": {...},
-                  "static_over_stealing_x": ...},
-     "hetero": {"static": {...}, "adaptive": {...},
-                "hetero_speedup_x": ...},
-     "hetero_speedup_x": ...,
+                    "default_min_batch_per_worker": ...},
      "fault_tolerance": {"crash_free": {...}, "faulted": {...},
                          "recovery_overhead_x": ...}}
 
@@ -44,28 +34,10 @@ recorded -- the supervision loop touching the hot path would show up
 here first), and a session recovering from an injected worker kill is
 timed against it so the recovery overhead stays a number, not folklore.
 
-The ``stealing`` section pits pull-based work stealing against static
-round-robin dispatch on a 2-node distributed fleet whose node 0 is
-slowed by an injected delay fault: with stealing, the healthy node
-drains the slow node's queued shards, so the delay costs one shard
-instead of half the batch.  Both numbers are recorded (never asserted
--- a 1-CPU host serializes the fleet anyway) along with the
-``stolen_shards`` counters.
-
-The ``hetero`` section measures profile-guided adaptive shard planning
-(``SearchSpec.autotune`` / ``$REPRO_AUTOTUNE``): a 4-worker process
-pool whose worker 0 is throttled per-row (a persistent straggler)
-evaluates the population with static round-robin shards versus
-throughput-proportional shards.  ``hetero_speedup_x`` (static time /
-adaptive time) is asserted >= 1.2 -- the straggler's sleep dominates
-wall clock, so the bar holds even on a 1-CPU host -- and gated against
-the baseline by the trend gate.
-
-Process or node sharding only buys wall-clock when there are cores to
-shard onto: the acceptance bars (>= 2x at 4 process workers, >= 2x at 4
-distributed localhost nodes) are asserted when the machine has >= 4
-CPUs and recorded either way, so the perf trajectory stays comparable
-across hosts.  The population is larger than the cost
+Process sharding only buys wall-clock when there are cores to shard
+onto: the acceptance bar (>= 2x at 4 process workers) is asserted when
+the machine has >= 4 CPUs and recorded either way, so the perf
+trajectory stays comparable across hosts.  The population is larger than the cost
 model bench's 512 (sharding has per-batch IPC overhead that the paper's
 population sizes would hide in noise) -- the *workload definition*
 (model, layers, genome distribution) is identical.
@@ -135,20 +107,18 @@ def test_parallel_scaling(save_report):
 
     serial_s, reference = _time_population(make_evaluator(), genomes)
 
-    timings = {"thread": {}, "process": {}, "distributed": {}}
-    for executor in ("thread", "process", "distributed"):
-        for workers in WORKER_COUNTS:
-            with make_backend(executor, workers) as backend:
-                evaluator = make_evaluator(backend)
-                # Warm-up spawns the pool (or node fleet) and ships the
-                # layer table so the measurement sees steady-state
-                # generations.
-                evaluator.evaluate_population(genomes[:32])
-                seconds, outcomes = _time_population(evaluator, genomes)
-            timings[executor][str(workers)] = seconds
-            for want, got in zip(reference, outcomes):
-                assert want.cost == got.cost
-                assert want.feasible == got.feasible
+    timings = {}
+    for workers in WORKER_COUNTS:
+        with make_backend("process", workers) as backend:
+            evaluator = make_evaluator(backend)
+            # Warm-up spawns the pool and ships the layer table so the
+            # measurement sees steady-state generations.
+            evaluator.evaluate_population(genomes[:32])
+            seconds, outcomes = _time_population(evaluator, genomes)
+        timings[str(workers)] = seconds
+        for want, got in zip(reference, outcomes):
+            assert want.cost == got.cost
+            assert want.feasible == got.feasible
 
     # ---- adaptive-dispatch break-even: small-batch crossover ----------
     break_even_sizes = {}
@@ -169,95 +139,8 @@ def test_parallel_scaling(save_report):
             if break_even_batch is None and process_s <= small_serial_s:
                 break_even_batch = batch_elements
 
-    # ---- work stealing vs static dispatch under a slow node -----------
-    from repro.parallel import DistributedBackend, FaultPlan
-
-    STEAL_DELAY_S = 0.25
-    stealing = {}
-    for mode, steal in (("stealing", True), ("static", False)):
-        # Batch 0 is the warm-up below; the delay fault slows node 0 on
-        # the measured batch 1, once.
-        plan = FaultPlan(delay_s=((1, 0, STEAL_DELAY_S),))
-        backend = DistributedBackend(nodes=2, shards_per_node=4,
-                                     steal=steal, fault_plan=plan)
-        try:
-            evaluator = make_evaluator(backend)
-            evaluator.evaluate_population(genomes[:32])
-            gc.collect()
-            started = time.perf_counter()
-            outcomes = evaluator.evaluate_population(genomes)
-            stealing[mode] = {
-                "seconds": time.perf_counter() - started,
-                "stolen_shards": backend.stolen_shards,
-                "delay_s": STEAL_DELAY_S,
-            }
-        finally:
-            backend.shutdown()
-        for want, got in zip(reference, outcomes):
-            assert want.cost == got.cost
-            assert want.feasible == got.feasible
-    assert stealing["static"]["stolen_shards"] == 0
-    stealing["static_over_stealing_x"] = (
-        stealing["static"]["seconds"] / stealing["stealing"]["seconds"])
-
-    # ---- heterogeneous fleet: adaptive shard planning vs static -------
-    # A 4-worker pool whose worker 0 is throttled (sleeps proportional
-    # to every row it is handed) models the heterogeneous fleets the
-    # throughput-aware planner exists for: static round-robin keeps
-    # handing the straggler a quarter of every batch, while the adaptive
-    # plan learns its measured rate from the first batch's timing echoes
-    # and shifts rows onto the healthy workers.  Stealing is off on the
-    # process pool, so the ratio isolates planning.
-    from repro.parallel import TuningState
-
-    HETERO_WORKERS = 4
-    HETERO_THROTTLE_S = 3e-5  # per row: ~0.6 s/batch for the straggler
-    HETERO_BATCHES = 3
-    hetero = {}
-    for mode in ("static", "adaptive"):
-        tuner = TuningState(plan_shards=True) if mode == "adaptive" \
-            else None
-        plan = FaultPlan(throttle_s=((0, HETERO_THROTTLE_S),))
-        backend = make_backend("process", HETERO_WORKERS,
-                               fault_plan=plan, tuner=tuner)
-        try:
-            evaluator = make_evaluator(backend)
-            # Warm-up spawns the pool AND (adaptive) seeds the
-            # throughput model with one full-size batch of echoes.
-            evaluator.evaluate_population(genomes)
-            gc.collect()
-            started = time.perf_counter()
-            for _ in range(HETERO_BATCHES):
-                outcomes = evaluator.evaluate_population(genomes)
-            hetero[mode] = {
-                "seconds": (time.perf_counter() - started)
-                / HETERO_BATCHES,
-            }
-            if tuner is not None:
-                snapshot = tuner.snapshot()
-                hetero[mode]["adaptive_plans"] = \
-                    snapshot["adaptive_plans"]
-                hetero[mode]["rates"] = snapshot["rates"]["process"]
-                assert snapshot["adaptive_plans"] >= HETERO_BATCHES
-        finally:
-            backend.shutdown()
-        for want, got in zip(reference, outcomes):
-            assert want.cost == got.cost
-            assert want.feasible == got.feasible
-    hetero["hetero_speedup_x"] = (hetero["static"]["seconds"]
-                                  / hetero["adaptive"]["seconds"])
-    hetero["throttle_s_per_row"] = HETERO_THROTTLE_S
-    hetero["workers"] = HETERO_WORKERS
-    # The straggler's sleep dominates both modes' wall clock, so the
-    # ratio holds even on a 1-CPU host: this is the bench's perf claim
-    # and the trend gate protects it.
-    assert hetero["hetero_speedup_x"] >= 1.2, (
-        f"adaptive planning should beat static round-robin by >= 1.2x "
-        f"with a throttled straggler, got "
-        f"{hetero['hetero_speedup_x']:.2f}x")
-
     # ---- fault tolerance: supervision overhead and recovery cost ------
-    from repro.parallel import ParallelCoordinator
+    from repro.parallel import FaultPlan, ParallelCoordinator
     from repro.search import SearchSession, SearchSpec
 
     def _timed_session(fault_plan=None):
@@ -275,7 +158,7 @@ def test_parallel_scaling(save_report):
         return seconds, outcome.best_cost, execution
 
     # The explicit empty plan pins a fault-free pool even when the
-    # environment carries a $REPRO_FAULTS chaos plan.
+    # environment carries a $REPRO_FAULTS plan.
     crash_free_s, crash_free_cost, crash_free_exec = _timed_session(
         FaultPlan())
     faulted_s, faulted_cost, faulted_exec = _timed_session(
@@ -297,17 +180,15 @@ def test_parallel_scaling(save_report):
         "recovery_overhead_x": faulted_s / crash_free_s,
     }
 
-    from repro.parallel import DEFAULT_DISPATCH_MIN_BATCH, TRANSPORT_MIN_BATCH
+    from repro.parallel import DEFAULT_DISPATCH_MIN_BATCH
 
     cpu_count = os.cpu_count() or 1
-    speedup_process_4 = serial_s / timings["process"]["4"]
-    speedup_distributed_4 = serial_s / timings["distributed"]["4"]
+    speedup_process_4 = serial_s / timings["4"]
     rows = [["serial", "-", f"{serial_s * 1e3:.2f} ms", "1.00x"]]
-    for executor in ("thread", "process", "distributed"):
-        for workers in WORKER_COUNTS:
-            seconds = timings[executor][str(workers)]
-            rows.append([executor, str(workers), f"{seconds * 1e3:.2f} ms",
-                         f"{serial_s / seconds:.2f}x"])
+    for workers in WORKER_COUNTS:
+        seconds = timings[str(workers)]
+        rows.append(["process", str(workers), f"{seconds * 1e3:.2f} ms",
+                     f"{serial_s / seconds:.2f}x"])
     # The measured crossover, or an explicit sentinel when sharding never
     # won -- the JSON must always say which, not degrade to null.
     NO_CROSSOVER = "no_crossover"
@@ -333,24 +214,6 @@ def test_parallel_scaling(save_report):
               f"{break_even_batch}, shipped default: "
               f"{DEFAULT_DISPATCH_MIN_BATCH}/worker)")
         + "\n\n" + format_table(
-        ["dispatch", "batch time", "stolen shards"],
-        [["stealing", f"{stealing['stealing']['seconds'] * 1e3:.2f} ms",
-          str(stealing["stealing"]["stolen_shards"])],
-         ["static", f"{stealing['static']['seconds'] * 1e3:.2f} ms",
-          str(stealing["static"]["stolen_shards"])]],
-        title=f"2-node fleet, node 0 delayed {STEAL_DELAY_S}s (static "
-              f"is {stealing['static_over_stealing_x']:.2f}x the "
-              f"stealing time)")
-        + "\n\n" + format_table(
-        ["planning", "batch time"],
-        [["static round-robin",
-          f"{hetero['static']['seconds'] * 1e3:.2f} ms"],
-         ["adaptive (throughput-aware)",
-          f"{hetero['adaptive']['seconds'] * 1e3:.2f} ms"]],
-        title=f"{HETERO_WORKERS}-worker pool, worker 0 throttled "
-              f"{HETERO_THROTTLE_S * 1e6:.0f} us/row (adaptive is "
-              f"{hetero['hetero_speedup_x']:.2f}x faster)")
-        + "\n\n" + format_table(
         ["run", "session time", "retries", "respawns"],
         [["crash-free", f"{crash_free_s:.3f} s",
           str(crash_free_exec["retries"]),
@@ -366,19 +229,14 @@ def test_parallel_scaling(save_report):
         "cpu_count": cpu_count,
         "population": POPULATION,
         "num_layers": NUM_LAYERS,
-        **timings,
+        "process": timings,
         "speedup_process_4": speedup_process_4,
-        "speedup_distributed_4": speedup_distributed_4,
         "break_even": {
             "sizes": break_even_sizes,
             "batch": break_even_batch,
             "per_worker": break_even_per_worker,
             "default_min_batch_per_worker": DEFAULT_DISPATCH_MIN_BATCH,
-            "per_transport": dict(TRANSPORT_MIN_BATCH),
         },
-        "stealing": stealing,
-        "hetero": hetero,
-        "hetero_speedup_x": hetero["hetero_speedup_x"],
         "fault_tolerance": fault_tolerance,
     }
 
@@ -397,19 +255,12 @@ def test_parallel_scaling(save_report):
         assert break_even["per_worker"] \
             == break_even["batch"] // BREAK_EVEN_WORKERS
     assert isinstance(break_even["default_min_batch_per_worker"], int)
-    assert set(break_even["per_transport"]) >= {"thread", "process",
-                                                "distributed"}
-    assert all(isinstance(v, int)
-               for v in break_even["per_transport"].values())
 
     (REPO_ROOT / "BENCH_parallel.json").write_text(
         json.dumps(payload, indent=2) + "\n")
 
-    # The scaling bars only mean something with cores to scale onto.
+    # The scaling bar only means something with cores to scale onto.
     if cpu_count >= 4:
         assert speedup_process_4 >= 2.0, (
             f"expected >= 2x at 4 workers on {cpu_count} CPUs, got "
             f"{speedup_process_4:.2f}x")
-        assert speedup_distributed_4 >= 2.0, (
-            f"expected >= 2x at 4 distributed localhost nodes on "
-            f"{cpu_count} CPUs, got {speedup_distributed_4:.2f}x")

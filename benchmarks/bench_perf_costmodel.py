@@ -12,9 +12,8 @@ so the perf trajectory is tracked across future PRs.  The batched engine
 must beat the scalar loop by >= 10x on this workload (the acceptance bar
 of the PR that introduced it), and the fused tensor program must beat
 the batched kernel by >= 1.5x on the kernel-level population batch
-(the bar of the PR that introduced the fused kernels; ``fused32`` --
-and ``fused_jit`` when numba is importable -- are recorded but not
-gated).  Bit parity of every returned cost is asserted while we are at
+(the bar of the PR that introduced the fused kernels; ``fused32`` is
+recorded but not gated).  Bit parity of every returned cost is asserted while we are at
 it.
 """
 
@@ -37,7 +36,6 @@ from repro.costmodel import (
     STYLE_INDEX,
     compile_program,
     evaluate_with_kernel,
-    numba_available,
 )
 from repro.env.spaces import ActionSpace
 from repro.models import get_model
@@ -125,15 +123,12 @@ def test_perf_costmodel(save_report):
 
     kernel_rows = [["batched kernel", f"{kernel_batched_s * 1e3:.3f}", ""]]
     kernel_speedups = {}
-    kinds = ["fused", "fused32"] + (["fused-jit"] if numba_available()
-                                    else [])
-    for kind in kinds:
+    for kind in ("fused", "fused32"):
         program = compile_program(DEFAULT_HW, table, kind)
         seconds = _time_kernel(lambda: program.evaluate(
             layer_idx, style_idx, pes, l1))
-        key = kind.replace("-", "_")
-        kernel_speedups[f"{key}_s"] = seconds
-        kernel_speedups[f"{key}_speedup_x"] = kernel_batched_s / seconds
+        kernel_speedups[f"{kind}_s"] = seconds
+        kernel_speedups[f"{kind}_speedup_x"] = kernel_batched_s / seconds
         kernel_rows.append([f"{kind} kernel", f"{seconds * 1e3:.3f}",
                             f"{kernel_batched_s / seconds:.2f}x"])
 

@@ -42,11 +42,7 @@ GATED_METRICS = [
     ("BENCH_costmodel.json", "mix_speedup_x"),
     ("BENCH_rl.json", "speedup_envs_8"),
     ("BENCH_parallel.json", "speedup_process_4"),
-    ("BENCH_parallel.json", "speedup_distributed_4"),
     ("BENCH_parallel.json", "break_even.batch"),
-    # Adaptive shard planning vs static round-robin with a throttled
-    # straggler; higher is better, so NOT in LOWER_IS_BETTER.
-    ("BENCH_parallel.json", "hetero_speedup_x"),
     ("BENCH_parallel.json", "fault_tolerance.recovery_overhead_x"),
     ("BENCH_service.json", "submit_overhead_x"),
 ]

@@ -40,7 +40,7 @@ Subpackages:
                    cache, ND-JSON transport + client).
     objectives  -- pluggable objectives (weighted/penalty/multi specs)
                    and the Pareto (non-dominated) utilities.
-    parallel    -- serial/thread/process execution backends with
+    parallel    -- serial/process execution backends with
                    shared-memory batch handoff (bit-identical results).
     models      -- DNN workload zoo (layer shapes).
     costmodel   -- the analytical MAESTRO-substitute estimator.
@@ -101,7 +101,7 @@ from repro.parallel import (
     make_backend,
 )
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Layer",

@@ -9,8 +9,6 @@ Commands:
                          the results.
     serve                Run the search service (job scheduler + result
                          cache) behind a local TCP port.
-    worker               Run a distributed-execution node agent that
-                         joins a coordinator's fleet.
     submit               Submit one search to a running service.
     jobs                 List (or cancel) a running service's jobs.
     cache                Inspect or clear the content-addressed result
@@ -30,7 +28,6 @@ Examples::
     python -m repro compare --model mobilenet_v2 \
         --methods random,ga,ppo2,reinforce --budget 150
     python -m repro serve --port 7661 --executor process --workers 4
-    python -m repro worker --connect 127.0.0.1:7662
     python -m repro submit --model mnasnet --method sa --budget 200
     python -m repro jobs
     python -m repro cache --stats
@@ -43,8 +40,10 @@ import sys
 
 from repro.core.reporting import format_table
 from repro.costmodel import CostModel
+from repro.costmodel.fused import KERNELS
 from repro.models import get_model, list_models
 from repro.models.layers import summarize
+from repro.parallel.backend import EXECUTORS
 from repro.search import (
     ProgressReporter,
     SearchSession,
@@ -127,18 +126,6 @@ def _objective_from_args(args: argparse.Namespace) -> str:
     return objective or "latency"
 
 
-def _dispatch_min_batch_arg(value: str):
-    """``--dispatch-min-batch`` accepts an int or the literal "auto"
-    (runtime break-even calibration)."""
-    if value.strip().lower() == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {value!r}") from None
-
-
 def _spec_from_args(args: argparse.Namespace, method: str) -> SearchSpec:
     try:
         return SearchSpec(
@@ -155,12 +142,10 @@ def _spec_from_args(args: argparse.Namespace, method: str) -> SearchSpec:
             finetune=args.finetune,
             executor=args.executor,
             workers=args.workers,
-            nodes=args.nodes,
             dispatch_min_batch=args.dispatch_min_batch,
             envs=args.envs,
             task_timeout_s=args.task_timeout_s,
             kernel=args.kernel,
-            autotune=args.autotune,
         )
     except ValueError as error:
         # Free-form spec fields (--objective most of all) are validated
@@ -267,13 +252,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         # $REPRO_DISPATCH_MIN / the measured default).
         callbacks = [ParallelCoordinator(
             first.resolved_executor(), first.resolved_workers(),
-            nodes=first.resolved_nodes(),
             keep_alive=True,
             min_batch_per_worker=first.resolved_dispatch_min_batch(),
             task_timeout_s=first.resolved_task_timeout_s(),
-            kernel=first.resolved_kernel(),
-            autotune=first.resolved_autotune(),
-            auto_dispatch=first.dispatch_is_auto())]
+            kernel=first.resolved_kernel())]
     try:
         for method in methods:
             spec = _spec_from_args(args, method)
@@ -309,7 +291,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_concurrent=args.max_concurrent,
         executor=args.executor,
         workers=args.workers,
-        nodes=args.nodes,
         kernel=args.kernel,
         progress_every=args.progress_every,
     )
@@ -329,14 +310,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         transport.server_close()
         server.close()
     return 0
-
-
-def cmd_worker(args: argparse.Namespace) -> int:
-    from repro.parallel import run_worker_agent
-
-    print(f"repro worker connecting to {args.connect} "
-          f"(supervised; Ctrl-C to stop)", flush=True)
-    return run_worker_agent(args.connect, name=args.name)
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
@@ -484,34 +457,22 @@ def _add_task_arguments(parser: argparse.ArgumentParser) -> None:
                         help="restrict to the first N layers (0 = all)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--executor", default=None,
-                        choices=["serial", "thread", "process", "chaos",
-                                 "distributed"],
+                        choices=list(EXECUTORS),
                         help="population-evaluation backend (default: "
                              "$REPRO_EXECUTOR or serial; results are "
-                             "bit-identical across backends; chaos is "
-                             "process with deterministic fault injection "
-                             "from $REPRO_FAULTS or a seeded default; "
-                             "distributed shards over repro worker node "
-                             "agents)")
+                             "bit-identical across backends; "
+                             "$REPRO_FAULTS injects deterministic worker "
+                             "faults into the process pool)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker count for parallel executors "
+                        help="worker count for the process executor "
                              "(default: $REPRO_WORKERS, else available "
                              "cores capped at 8)")
-    parser.add_argument("--nodes", type=int, default=None,
-                        help="node-fleet size for --executor distributed "
-                             "(default: $REPRO_NODES or 2; self-spawns "
-                             "localhost agents unless $REPRO_BIND names "
-                             "a listen address for external repro "
-                             "worker agents)")
-    parser.add_argument("--dispatch-min-batch",
-                        type=_dispatch_min_batch_arg, default=None,
+    parser.add_argument("--dispatch-min-batch", type=int, default=None,
                         dest="dispatch_min_batch",
                         help="adaptive dispatch: batches below this many "
                              "elements per worker run in-process "
                              "(default: $REPRO_DISPATCH_MIN or the "
-                             "measured break-even; 0 always shards; "
-                             "'auto' calibrates the crossover at "
-                             "runtime by timing the first batches)")
+                             "measured break-even; 0 always shards)")
     parser.add_argument("--task-timeout", type=float, default=None,
                         dest="task_timeout_s",
                         help="per-batch deadline in seconds for the "
@@ -525,23 +486,12 @@ def _add_task_arguments(parser: argparse.ArgumentParser) -> None:
                              "bit-identical to scalar stepping, >1 is a "
                              "faster, reproducible scenario -- see "
                              "BENCH_rl.json)")
-    parser.add_argument("--kernel", default=None,
-                        choices=["batched", "fused", "fused32",
-                                 "fused-jit", "auto"],
+    parser.add_argument("--kernel", default=None, choices=list(KERNELS),
                         help="cost-model compute kernel (default: "
                              "$REPRO_KERNEL or batched; fused is "
                              "bit-identical and faster, fused32 trades "
-                             "~1e-7 relative error for more speed, "
-                             "fused-jit needs numba installed, auto "
-                             "micro-probes batched vs fused at session "
-                             "start -- see PERFORMANCE.md)")
-    parser.add_argument("--autotune", action="store_true", default=None,
-                        help="profile-guided shard planning: size "
-                             "initial shards to each worker/node's "
-                             "measured rows/sec instead of uniform "
-                             "round-robin (default: $REPRO_AUTOTUNE or "
-                             "off; scheduling only -- results stay "
-                             "bit-identical)")
+                             "~1e-7 relative error for more speed -- see "
+                             "PERFORMANCE.md)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -596,21 +546,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-concurrent", type=int, default=2,
                        dest="max_concurrent",
                        help="sessions in flight at once (default: 2)")
-    serve.add_argument("--executor", default=None,
-                       choices=["serial", "thread", "process", "chaos",
-                                "distributed"],
+    serve.add_argument("--executor", default=None, choices=list(EXECUTORS),
                        help="shared pool backend for every job (default: "
-                            "$REPRO_EXECUTOR or serial); non-serial pools "
-                            "stay warm across jobs")
+                            "$REPRO_EXECUTOR or serial); a process pool "
+                            "stays warm across jobs")
     serve.add_argument("--workers", type=int, default=None,
                        help="pool worker count (default: $REPRO_WORKERS "
                             "or auto)")
-    serve.add_argument("--nodes", type=int, default=None,
-                       help="node-fleet size for --executor distributed "
-                            "(default: $REPRO_NODES or 2)")
-    serve.add_argument("--kernel", default=None,
-                       choices=["batched", "fused", "fused32",
-                                "fused-jit"],
+    serve.add_argument("--kernel", default=None, choices=list(KERNELS),
                        help="cost-model compute kernel for the shared "
                             "pool (default: $REPRO_KERNEL or batched)")
     serve.add_argument("--cache-dir", default=None, dest="cache_dir",
@@ -621,17 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--progress-every", type=int, default=10,
                        dest="progress_every",
                        help="emit a job step event every N steps")
-
-    worker = sub.add_parser(
-        "worker",
-        help="run a distributed-execution node agent")
-    worker.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="coordinator address to join (a session or "
-                             "service running with --executor "
-                             "distributed and $REPRO_BIND set)")
-    worker.add_argument("--name", default=None,
-                        help="agent name used in logs and crash "
-                             "diagnostics (default: repro-node-ext-<pid>)")
 
     submit = sub.add_parser("submit",
                             help="submit one search to a running service")
@@ -682,7 +614,6 @@ def main(argv=None) -> int:
         "search": cmd_search,
         "compare": cmd_compare,
         "serve": cmd_serve,
-        "worker": cmd_worker,
         "submit": cmd_submit,
         "jobs": cmd_jobs,
         "cache": cmd_cache,

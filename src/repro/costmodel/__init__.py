@@ -29,7 +29,6 @@ from repro.costmodel.fused import (
     KERNELS,
     FusedProgram,
     compile_program,
-    numba_available,
     resolve_kernel,
 )
 from repro.costmodel.batched import (
@@ -48,7 +47,6 @@ __all__ = [
     "FusedProgram",
     "compile_program",
     "evaluate_with_kernel",
-    "numba_available",
     "resolve_kernel",
     "HardwareConfig",
     "DEFAULT_HW",

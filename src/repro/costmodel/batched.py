@@ -347,7 +347,7 @@ class BatchedCostModel:
         #: runs the kernel in-process.
         self.executor = executor
         #: Which compute kernel in-process batches run (``"batched"``,
-        #: ``"fused"``, ``"fused32"``, ``"fused-jit"``); ``None``
+        #: ``"fused"``, ``"fused32"``); ``None``
         #: resolves ``$REPRO_KERNEL`` then the batched default.  An
         #: attached executor applies its own (identically resolved)
         #: kernel setting worker-side.

@@ -73,7 +73,7 @@ class CostModel:
                  cache_size: int = 200_000, kernel: str = None) -> None:
         self.hw = hw
         #: Compute kernel for the batched engine ("batched" default,
-        #: "fused" / "fused32" / "fused-jit"); ``None`` resolves
+        #: "fused" / "fused32"); ``None`` resolves
         #: ``$REPRO_KERNEL``.  The scalar per-call path is unaffected.
         self.kernel = kernel
         self._evaluate_cached = lru_cache(maxsize=cache_size)(

@@ -24,7 +24,7 @@ of that **once per (model, platform)** into a :class:`FusedProgram`:
   are reused across calls (report arrays are always freshly allocated:
   callers hold on to them).
 
-Three compiled kinds share the interface behind the
+Two compiled kinds share the interface behind the
 ``SearchSpec.kernel`` / ``$REPRO_KERNEL`` knob:
 
 * ``"fused"`` -- float64, **bit-identical** to the batched engine (and
@@ -32,9 +32,6 @@ Three compiled kinds share the interface behind the
 * ``"fused32"`` -- the float epilogue in float32: faster and half the
   memory traffic, at ~1e-7 relative error on the float outputs (integer
   outputs -- ``pes_used``, ``l2_bytes``, ``tile_k`` -- stay exact).
-* ``"fused-jit"`` -- a numba ``@njit`` element loop compiled on first
-  use; requires numba to be installed (opt-in, never imported
-  otherwise) and raises a clear error when it is missing.
 
 Like :func:`~repro.costmodel.batched.evaluate_batch_kernel`, a compiled
 program is elementwise over the batch axis and therefore
@@ -45,7 +42,6 @@ shard.  See PERFORMANCE.md ("Fused tensor programs") for measurements.
 
 from __future__ import annotations
 
-import importlib.util
 import os
 import threading
 from collections import OrderedDict
@@ -66,12 +62,11 @@ __all__ = [
     "FusedProgram",
     "LRUCache",
     "compile_program",
-    "numba_available",
     "resolve_kernel",
 ]
 
 #: Kernel names accepted by ``SearchSpec.kernel`` / ``$REPRO_KERNEL``.
-KERNELS: Tuple[str, ...] = ("batched", "fused", "fused32", "fused-jit")
+KERNELS: Tuple[str, ...] = ("batched", "fused", "fused32")
 
 #: The reference engine (``evaluate_batch_kernel``) runs when no kernel
 #: is requested.
@@ -93,11 +88,6 @@ def resolve_kernel(kernel: Optional[str] = None) -> str:
         raise ValueError(
             f"kernel must be one of {KERNELS}, got {kernel!r}")
     return kernel
-
-
-def numba_available() -> bool:
-    """Whether the opt-in ``fused-jit`` kernel can compile here."""
-    return importlib.util.find_spec("numba") is not None
 
 
 class LRUCache:
@@ -211,18 +201,14 @@ class FusedProgram:
     same validated arrays :func:`~repro.costmodel.batched
     .evaluate_batch_kernel` takes.  Instances are immutable after
     construction apart from thread-local scratch, so one program may be
-    shared by concurrent threads (the thread backend does).
+    shared by concurrent threads (the service's scheduler threads do).
     """
 
     def __init__(self, hw: HardwareConfig, table, kind: str = "fused") -> None:
-        if kind not in ("fused", "fused32", "fused-jit"):
+        if kind not in ("fused", "fused32"):
             raise ValueError(
-                f"compiled kernel must be one of ('fused', 'fused32', "
-                f"'fused-jit'), got {kind!r}")
-        if kind == "fused-jit" and not numba_available():
-            raise RuntimeError(
-                "kernel 'fused-jit' requires numba, which is not "
-                "installed; use 'fused' (bit-identical) or 'fused32'")
+                f"compiled kernel must be one of ('fused', 'fused32'), "
+                f"got {kind!r}")
         from repro.costmodel.batched import BATCH_STYLES
 
         assert tuple(BATCH_STYLES) == ("dla", "shi", "eye"), BATCH_STYLES
@@ -272,9 +258,6 @@ class FusedProgram:
         self._l2_sp = ft(hw.l2_static_power_mw_per_byte)
         self._clock = ft(hw.clock_ghz)
         self._thousand = ft(1000.0)
-
-        if kind == "fused-jit":
-            self._jit = _get_jit_kernel()
 
     # ------------------------------------------------------------------
     def _scratch(self) -> _Scratch:
@@ -471,8 +454,6 @@ class FusedProgram:
                  pes: np.ndarray, l1_bytes: np.ndarray) -> BatchCostReport:
         """Evaluate one validated batch (see ``evaluate_batch_kernel``:
         same contract, same shard-invariance)."""
-        if self.kind == "fused-jit":
-            return self._evaluate_jit(layer_idx, style_idx, pes, l1_bytes)
         return self._run(layer_idx, style_idx, pes, l1_bytes)[0]
 
     # ------------------------------------------------------------------
@@ -488,13 +469,9 @@ class FusedProgram:
         rows, ``"ls"`` takes the row max for area/power), the platform
         constraint ``kind`` (``"area"`` or ``"power"``) and its
         ``budget``.  Returns ``(report, fold)``; ``fold`` is ``None``
-        when the batch is not in the tiled population layout (or under
-        ``fused-jit``, which has no epilogue views) -- callers then run
-        their usual post-pass over the report.
+        when the batch is not in the tiled population layout -- callers
+        then run their usual post-pass over the report.
         """
-        if self.kind == "fused-jit":
-            return (self._evaluate_jit(layer_idx, style_idx, pes,
-                                       l1_bytes), None)
         report, shape = self._run(layer_idx, style_idx, pes, l1_bytes)
         if len(shape) != 2:
             return report, None
@@ -683,227 +660,17 @@ class FusedProgram:
             noc_area_um2=noc_area,
         )
 
-    # ------------------------------------------------------------------
-    def _evaluate_jit(self, layer_idx, style_idx, pes,
-                      l1_bytes) -> BatchCostReport:
-        n = layer_idx.size
-        t, hw = self.table, self.hw
-        f64, i64 = np.float64, np.int64
-        outs = {
-            "latency_cycles": np.empty(n, f64),
-            "energy_nj": np.empty(n, f64),
-            "area_um2": np.empty(n, f64),
-            "power_mw": np.empty(n, f64),
-            "pes_used": np.empty(n, i64),
-            "pe_utilization": np.empty(n, f64),
-            "l2_bytes": np.empty(n, i64),
-            "tile_k": np.empty(n, i64),
-            "macs": np.empty(n, i64),
-            "dram_bytes": np.empty(n, f64),
-            "l2_traffic_bytes": np.empty(n, f64),
-            "compute_cycles": np.empty(n, f64),
-            "memory_cycles": np.empty(n, f64),
-            "pe_area_um2": np.empty(n, f64),
-            "l1_area_um2": np.empty(n, f64),
-            "l2_area_um2": np.empty(n, f64),
-            "noc_area_um2": np.empty(n, f64),
-        }
-        self._jit(
-            layer_idx, style_idx, pes, l1_bytes,
-            t.K, t.C, t.out_y, t.out_x, t.R, t.S, t.is_dw, t.macs,
-            t.weight_elements, t.input_elements, t.output_elements,
-            t.dram_bytes,
-            hw.dram_bandwidth_bytes_per_cycle, hw.pipeline_fill_cycles,
-            hw.l2_double_sizing, hw.mac_area_um2, hw.l1_area_per_byte_um2,
-            hw.l2_area_per_byte_um2, hw.noc_area_per_pe_um2,
-            hw.mac_energy_pj, hw.l1_accesses_per_mac,
-            hw.l1_energy_per_byte_pj, hw.l2_energy_per_byte_pj,
-            hw.dram_energy_per_byte_pj, hw.pe_static_power_mw,
-            hw.l1_static_power_mw_per_byte, hw.l2_static_power_mw_per_byte,
-            hw.clock_ghz,
-            outs["latency_cycles"], outs["energy_nj"], outs["area_um2"],
-            outs["power_mw"], outs["pes_used"], outs["pe_utilization"],
-            outs["l2_bytes"], outs["tile_k"], outs["macs"],
-            outs["dram_bytes"], outs["l2_traffic_bytes"],
-            outs["compute_cycles"], outs["memory_cycles"],
-            outs["pe_area_um2"], outs["l1_area_um2"], outs["l2_area_um2"],
-            outs["noc_area_um2"])
-        return BatchCostReport(l1_bytes_per_pe=l1_bytes, **outs)
-
-
-_JIT_KERNEL = None
-
-
-def _get_jit_kernel():
-    """Compile (once per process) the numba element-loop kernel.
-
-    The loop is a scalar transcription of the batched engine's
-    elementwise operations in the same expression order, so its float64
-    results match bit for bit.  Imported lazily: numba is strictly
-    opt-in for this repository.
-    """
-    global _JIT_KERNEL
-    if _JIT_KERNEL is not None:
-        return _JIT_KERNEL
-    import numba
-
-    @numba.njit(cache=False)
-    def kern(layer_idx, style_idx, pes_a, l1_a,
-             K, C, OY, OX, R, S, DW, MACS, WE, IE, OE, DRAM,
-             bw, fill, l2sz, mac_area, l1_area_pb, l2_area_pb, noc_pp,
-             mac_e, l1a, l1e, l2e, dram_e, pe_sp, l1_sp, l2_sp, clock,
-             lat_o, en_o, ar_o, pw_o, pu_o, util_o, l2b_o, tk_o, macs_o,
-             dram_o, l2t_o, cc_o, mc_o, pa_o, la_o, l2a_o, no_o):
-        for i in range(layer_idx.size):
-            li = layer_idx[i]
-            style = style_idx[i]
-            pes = pes_a[i]
-            l1 = l1_a[i]
-            k_cap = K[li]
-            c_ = C[li]
-            oy = OY[li]
-            ox = OX[li]
-            r_ = R[li]
-            s_ = S[li]
-            dw = DW[li]
-            window = r_ * s_
-            out = oy * ox
-            if style == 0:  # dla
-                if dw:
-                    units = c_
-                    um = out * window
-                    wf = 1.0
-                    inf = 1.0
-                    outf = 1.0
-                    tk = np.int64(1)
-                else:
-                    k = (l1 - window) // (window + 1)
-                    if k < 1:
-                        k = np.int64(1)
-                    if k > k_cap:
-                        k = k_cap
-                    if k < 1:
-                        k = np.int64(1)
-                    kt = -(-k_cap // k)
-                    units = kt * c_
-                    um = k * out * window
-                    cm = c_ if c_ > 1 else np.int64(1)
-                    co = pes // cm
-                    if co > kt:
-                        co = kt
-                    if co < 1:
-                        co = np.int64(1)
-                    inf = float(-(-kt // co))
-                    cs = pes // kt if pes >= kt else np.int64(1)
-                    if cs > c_:
-                        cs = c_
-                    if cs < 1:
-                        cs = np.int64(1)
-                    outf = float(-(-c_ // cs))
-                    wf = 1.0
-                    tk = k
-            elif style == 1:  # shi
-                k = (l1 - (window + s_)) // 2
-                if k < 1:
-                    k = np.int64(1)
-                cap = c_ if dw else k_cap
-                if k > cap:
-                    k = cap
-                if k < 1:
-                    k = np.int64(1)
-                ct = -(-cap // k)
-                um = k * window if dw else k * c_ * window
-                units = out * ct
-                mn = pes if pes < units else units
-                if mn < 1:
-                    mn = np.int64(1)
-                passes_s = -(-units // mn)
-                wf = float(passes_s)
-                inf = 1.0 + 0.25 * (passes_s - 1)
-                outf = 1.0
-                tk = k
-            else:  # eye
-                k = (l1 - s_) // (s_ + 1)
-                if k < 1:
-                    k = np.int64(1)
-                cap = c_ if dw else k_cap
-                if k > cap:
-                    k = cap
-                if k < 1:
-                    k = np.int64(1)
-                ct = -(-cap // k)
-                um = k * ox * s_ if dw else k * c_ * ox * s_
-                units = oy * r_ * ct
-                rm = r_ if r_ > 1 else np.int64(1)
-                co = pes // rm
-                if co > oy:
-                    co = oy
-                if co < 1:
-                    co = np.int64(1)
-                wf = float(-(-oy // co))
-                rp = oy * r_
-                if rp < 1:
-                    rp = np.int64(1)
-                cok = pes // rp
-                if cok > ct:
-                    cok = ct
-                if cok < 1:
-                    cok = np.int64(1)
-                inf = float(-(-ct // cok))
-                outf = 1.0 if pes >= r_ else float(r_)
-                tk = k
-            # ---- estimator epilogue ----------------------------------
-            pu = pes if pes < units else units
-            passes = -(-units // pu)
-            cc = float(passes * um)
-            util = units / (passes * pu)
-            l2t = WE[li] * wf + IE[li] * inf + OE[li] * outf
-            db = DRAM[li]
-            mc = db / bw
-            lat = (cc if cc > mc else mc) + fill
-            l2b = np.int64(np.ceil(l2sz * pes * l1))
-            pa = mac_area * pes
-            la = l1_area_pb * l1 * pes
-            l2a = l2_area_pb * l2b
-            no = noc_pp * pes
-            m = MACS[li]
-            dyn = (m * mac_e + m * l1a * l1e + l2t * l2e + db * dram_e)
-            sm = pes * pe_sp + pes * l1 * l1_sp + l2b * l2_sp
-            sp = sm * lat / clock
-            en = dyn + sp
-            lat_o[i] = lat
-            en_o[i] = en / 1000.0
-            ar_o[i] = pa + la + l2a + no
-            pw_o[i] = en / lat * clock
-            pu_o[i] = pu
-            util_o[i] = util
-            l2b_o[i] = l2b
-            tk_o[i] = tk
-            macs_o[i] = m
-            dram_o[i] = db
-            l2t_o[i] = l2t
-            cc_o[i] = cc
-            mc_o[i] = mc
-            pa_o[i] = pa
-            la_o[i] = la
-            l2a_o[i] = l2a
-            no_o[i] = no
-
-    _JIT_KERNEL = kern
-    return kern
-
 
 def compile_program(hw: HardwareConfig, table,
                     kind: str = "fused") -> FusedProgram:
     """Compile one fused tensor program for ``(hw, table)``.
 
     ``kind`` is one of ``"fused"`` (float64, bit-identical to the
-    batched engine), ``"fused32"`` (float32 epilogue), or ``"fused-jit"``
-    (numba element loop; raises :class:`RuntimeError` when numba is not
-    installed).  Compilation folds the per-layer constants once --
-    microseconds for typical models -- and is cached by the owners
-    (``BatchedCostModel``, the execution backends, worker processes) in
-    small :class:`LRUCache` instances keyed on the table's
-    never-recycled generation token (``table_token(table), kind``).
+    batched engine) or ``"fused32"`` (float32 epilogue).  Compilation
+    folds the per-layer constants once -- microseconds for typical
+    models -- and is cached by the owners (``BatchedCostModel``, the
+    execution backends, worker processes) in small :class:`LRUCache`
+    instances keyed on the table's never-recycled generation token
+    (``table_token(table), kind``).
     """
     return FusedProgram(hw, table, kind)

@@ -84,7 +84,7 @@ def compare_methods(
     ``confuciux`` pipeline.
 
     ``executor`` / ``workers`` optionally shard every batched evaluation
-    of the grid through one parallel backend ("thread" / "process");
+    of the grid through the process backend (``executor="process"``);
     the worker pool is shared across all methods and shut down before
     returning.  Results are bit-identical to the serial grid.
     ``dispatch_min_batch`` tunes the adaptive in-process fallback for

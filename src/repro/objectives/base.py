@@ -173,6 +173,8 @@ class WeightedObjective(Objective):
             raise KeyError(
                 f"unknown objective component(s) {sorted(unknown)}; "
                 f"available: {', '.join(COMPONENT_ORDER)}")
+        if any(weight != weight for weight in ordered.values()):
+            raise ValueError("objective weights must not be NaN")
         self.weights = ordered
         self.name = "weighted(" + ",".join(
             f"{c}={w:g}" for c, w in ordered.items()) + ")"
@@ -217,9 +219,10 @@ class PenaltyObjective(Objective):
             raise ValueError(
                 "penalty objectives do not wrap multi objectives; "
                 "build a multi of penalty-augmented components instead")
-        if limit < 0:
+        # Written so NaN fails too: a NaN spec never equals itself.
+        if not limit >= 0:
             raise ValueError("penalty limit must be >= 0")
-        if weight < 0:
+        if not weight >= 0:
             raise ValueError("penalty weight must be >= 0")
         self.base = base
         self.limit_on = limit_on

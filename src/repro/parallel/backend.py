@@ -5,17 +5,15 @@ exactly the :class:`~repro.costmodel.report.BatchCostReport` the in-process
 kernel would have produced.  Because
 :func:`~repro.costmodel.batched.evaluate_batch_kernel` is elementwise over
 the batch axis, a backend may split the batch at any boundaries, evaluate
-the shards anywhere (threads, worker processes), and write the shard
-outputs back at their offsets: the gathered report is bit-identical to a
-single serial call, which is the invariant the parity suite in
+the shards in worker processes, and write the shard outputs back at
+their offsets: the gathered report is bit-identical to a single serial
+call, which is the invariant the parity suite in
 ``tests/test_parallel_parity.py`` locks down.
 
-Four backends ship:
+Two backends ship:
 
 * :class:`SerialBackend` -- the in-process kernel (the do-nothing
-  reference implementation every other backend must match bit for bit).
-* :class:`ThreadBackend` -- shards across a persistent thread pool; NumPy
-  releases the GIL inside its inner loops, so large batches overlap.
+  reference implementation the process backend must match bit for bit).
 * :class:`ProcessBackend` -- shards across persistent worker processes
   with zero-copy array handoff via :mod:`repro.parallel.shm`.  Workers
   are spawned once, reused for every batch of a session, and shut down
@@ -24,18 +22,17 @@ Four backends ship:
   mid-batch is respawned, its cached tables re-shipped, and only the
   lost shards re-dispatched -- bounded by a retry budget with
   exponential backoff -- so the recovered batch is bit-identical to a
-  crash-free run (the kernel is pure and shard-invariant).
-* ``chaos`` -- the process backend with a deterministic
-  :class:`~repro.parallel.faults.FaultPlan` always attached
-  (``$REPRO_FAULTS`` or a default seeded plan), so every recovery path
+  crash-free run (the kernel is pure and shard-invariant).  A
+  :class:`~repro.parallel.faults.FaultPlan` (``$REPRO_FAULTS``) scripts
+  worker kills, injected exceptions and delays, so every recovery path
   is exercised by ordinary test runs.
 
-:class:`ResilientBackend` wraps any parallel backend in the degradation
-ladder: when a pool fails outright (retry budget exhausted -- an
+:class:`ResilientBackend` wraps the process backend in the degradation
+ladder: when the pool fails outright (retry budget exhausted -- an
 :class:`~repro.parallel.errors.ExecutionError`), it downshifts
-process -> thread -> serial via :func:`make_backend`, re-runs the failed
-batch on the new rung, and records ``degraded_to`` -- the session
-completes instead of dying.
+process -> serial via :func:`make_backend`, re-runs the failed batch in
+process, and records ``degraded_to`` -- the session completes instead
+of dying.
 
 Pick one by name with :func:`make_backend`.
 """
@@ -45,15 +42,12 @@ from __future__ import annotations
 import os
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.costmodel.batched import (
     LayerTable,
-    evaluate_batch_kernel,
     evaluate_with_kernel,
     table_token,
 )
@@ -78,8 +72,6 @@ __all__ = [
     "ProcessBackend",
     "ResilientBackend",
     "SerialBackend",
-    "ThreadBackend",
-    "TRANSPORT_MIN_BATCH",
     "default_dispatch_min_batch",
     "default_max_retries",
     "default_task_timeout",
@@ -89,12 +81,7 @@ __all__ = [
 ]
 
 #: Names accepted by :func:`make_backend` and ``SearchSpec.executor``.
-#: ``chaos`` is the process backend with a deterministic fault plan
-#: attached -- same results, injected failures.  ``distributed`` shards
-#: over socket-connected node agents (see
-#: :mod:`repro.parallel.distributed`).
-EXECUTORS: Tuple[str, ...] = ("serial", "thread", "process", "chaos",
-                              "distributed")
+EXECUTORS: Tuple[str, ...] = ("serial", "process")
 
 #: Per-batch recovery budget: how many crash/timeout/fault recoveries a
 #: single ``evaluate`` call may spend before raising (override with
@@ -103,11 +90,8 @@ DEFAULT_MAX_RETRIES = 3
 
 #: The downshift order :class:`ResilientBackend` walks after a pool
 #: failure.  ``serial`` has no entry: it cannot fail for infrastructure
-#: reasons, so an error there propagates.  A distributed fleet that
-#: fails outright falls back to this host's process pool.
-DEGRADATION_LADDER: Dict[str, str] = {"distributed": "process",
-                                      "process": "thread",
-                                      "thread": "serial"}
+#: reasons, so an error there propagates.
+DEGRADATION_LADDER: Dict[str, str] = {"process": "serial"}
 
 #: Default adaptive-dispatch threshold: batches smaller than this many
 #: elements *per worker* run in-process instead of being sharded -- the
@@ -115,22 +99,6 @@ DEGRADATION_LADDER: Dict[str, str] = {"distributed": "process",
 #: itself below roughly this size (see the ``break_even`` section of
 #: BENCH_parallel.json, written by ``bench_parallel_scaling.py``).
 DEFAULT_DISPATCH_MIN_BATCH = 256
-
-#: Measured per-transport break-even thresholds (elements per worker
-#: below which the in-process kernel beats sharding): each hop up the
-#: transport ladder adds per-batch cost -- thread wakeup < queue hop +
-#: shared-memory map < socket round-trip + pickled arrays -- so each
-#: needs a bigger batch to amortize it.  Calibrated by the
-#: ``break_even.per_transport`` section of BENCH_parallel.json
-#: (``bench_parallel_scaling.py``); resolved per executor by
-#: ``SearchSpec.resolved_dispatch_min_batch``.
-TRANSPORT_MIN_BATCH: Dict[str, int] = {
-    "serial": 0,           # no dispatch cost to amortize
-    "thread": 128,
-    "process": DEFAULT_DISPATCH_MIN_BATCH,
-    "chaos": DEFAULT_DISPATCH_MIN_BATCH,
-    "distributed": 1024,
-}
 
 
 def default_workers() -> int:
@@ -146,22 +114,22 @@ def default_workers() -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
-def default_dispatch_min_batch(executor: Optional[str] = None) -> int:
+def default_dispatch_min_batch() -> int:
     """Adaptive-dispatch threshold when none is requested:
-    ``$REPRO_DISPATCH_MIN`` if set (0 disables the fallback), else the
-    transport's measured break-even from :data:`TRANSPORT_MIN_BATCH`
-    (:data:`DEFAULT_DISPATCH_MIN_BATCH` when ``executor`` is ``None``
-    or unknown -- the pre-calibration behavior)."""
+    ``$REPRO_DISPATCH_MIN`` if set (0 disables the fallback), else
+    :data:`DEFAULT_DISPATCH_MIN_BATCH`."""
     env = os.environ.get("REPRO_DISPATCH_MIN")
-    if env is not None:
-        threshold = int(env)
-        if threshold < 0:
-            raise ValueError(
-                f"REPRO_DISPATCH_MIN must be >= 0, got {env!r}")
-        return threshold
-    if executor is None:
+    if env is None:
         return DEFAULT_DISPATCH_MIN_BATCH
-    return TRANSPORT_MIN_BATCH.get(executor, DEFAULT_DISPATCH_MIN_BATCH)
+    try:
+        threshold = int(env)
+    except ValueError:
+        raise ValueError(
+            f"REPRO_DISPATCH_MIN must be an integer >= 0 (unset: "
+            f"{DEFAULT_DISPATCH_MIN_BATCH}), got {env!r}") from None
+    if threshold < 0:
+        raise ValueError(f"REPRO_DISPATCH_MIN must be >= 0, got {env!r}")
+    return threshold
 
 
 def default_max_retries() -> int:
@@ -216,7 +184,7 @@ class ExecutionBackend:
         min_batch_per_worker: Adaptive-dispatch threshold -- batches with
             fewer than ``min_batch_per_worker * workers`` elements run
             through the in-process kernel instead of the workers (the
-            IPC/wakeup cost exceeds the kernel below the break-even; see
+            IPC cost exceeds the kernel below the break-even; see
             :func:`default_dispatch_min_batch`).  Directly constructed
             backends default to ``0`` (always shard, the legacy
             behavior); the spec-level surfaces (``SearchSpec`` sessions,
@@ -224,25 +192,18 @@ class ExecutionBackend:
             Sharding never changes results, so neither does the
             fallback.
         kernel: Cost-model compute kernel ("batched" | "fused" |
-            "fused32" | "fused-jit"); ``None`` resolves
-            ``$REPRO_KERNEL`` then the batched default.  Every shard --
-            in-process fallback, thread shard, worker process -- runs
-            the same kernel, and the fused kinds are shard-invariant
-            like the batched engine, so sharding still never changes
-            results.
-        tuner: Optional :class:`~repro.parallel.tuning.TuningState`.
-            When set, completed shards feed its throughput model, its
-            planner sizes initial shards, and (``auto_dispatch``) its
-            calibrator replaces the static break-even table.  All of
-            that only moves work between equally bit-identical
-            execution paths, so a tuner never changes results either.
+            "fused32"); ``None`` resolves ``$REPRO_KERNEL`` then the
+            batched default.  Every shard -- in-process fallback or
+            worker process -- runs the same kernel, and the fused kinds
+            are shard-invariant like the batched engine, so sharding
+            still never changes results.
     """
 
     name = "base"
 
     def __init__(self, workers: int = 1,
                  min_batch_per_worker: int = 0,
-                 kernel: str = None, tuner=None) -> None:
+                 kernel: str = None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if min_batch_per_worker < 0:
@@ -250,12 +211,11 @@ class ExecutionBackend:
         self.workers = workers
         self.min_batch_per_worker = min_batch_per_worker
         self.kernel = resolve_kernel(kernel)
-        self.tuner = tuner
         # Compiled fused programs for in-process evaluation (the serial
-        # backend, the thread shards, and the parallel backends'
-        # below-break-even fallback).  Keyed (table_token(table),
-        # kernel); bounded, and safe to share across threads (the LRU
-        # locks, the programs keep per-thread scratch).
+        # backend and the process backend's below-break-even fallback).
+        # Keyed (table_token(table), kernel); bounded, and safe to share
+        # across threads (the LRU locks, the programs keep per-thread
+        # scratch).
         self._programs = LRUCache(8)
         #: Dispatch counters: how many batches ran in-process vs sharded
         #: (observability for the adaptive fallback; never affects
@@ -266,38 +226,6 @@ class ExecutionBackend:
     def _below_break_even(self, batch: int) -> bool:
         """Whether ``batch`` is too small to be worth sharding."""
         return batch < self.min_batch_per_worker * self.workers
-
-    def _route_inline(self, batch: int) -> bool:
-        """Inline-vs-shard decision: the tuner's calibrated crossover
-        when one is attached and calibrating, else the static
-        threshold.  Both routes are bit-identical, so this only ever
-        moves wall clock."""
-        if self.tuner is not None and self.tuner.auto_dispatch:
-            return self.tuner.route_inline(
-                self.name, batch,
-                self.min_batch_per_worker * self.workers)
-        return self._below_break_even(batch)
-
-    def _observe_route(self, batch: int, inline: bool,
-                       elapsed_s: float) -> None:
-        """Feed one timed batch back into the break-even calibrator."""
-        if self.tuner is not None:
-            self.tuner.observe_route(self.name, inline, batch, elapsed_s)
-
-    def _plan_shards(self, batch: int, chunks_per_key: int = 1):
-        """``(bounds, owners)`` for one batch: throughput-proportional
-        when the tuner plans shards, else the static uniform
-        round-robin (identical to the tuner's own fallback)."""
-        keys = list(range(self.workers))
-        if self.tuner is not None and self.tuner.plan_shards:
-            return self.tuner.plan(batch, self.name, keys, chunks_per_key)
-        bounds = shard_bounds(batch, self.workers * chunks_per_key)
-        return bounds, [keys[i % len(keys)] for i in range(len(bounds))]
-
-    def _observe_shard(self, key, rows: int, elapsed_s: float) -> None:
-        """Feed one completed shard's timing into the throughput model."""
-        if self.tuner is not None:
-            self.tuner.observe(self.name, key, rows, elapsed_s)
 
     def _run_kernel(self, hw, table, layer_idx, style_idx, pes,
                     l1_bytes) -> BatchCostReport:
@@ -316,7 +244,7 @@ class ExecutionBackend:
 
     @property
     def alive_workers(self) -> int:
-        """Live worker processes/threads (0 for in-process backends)."""
+        """Live worker processes (0 for in-process backends)."""
         return 0
 
     def __enter__(self) -> "ExecutionBackend":
@@ -340,101 +268,6 @@ class SerialBackend(ExecutionBackend):
                                 l1_bytes)
 
 
-def _concat_reports(parts: Sequence[BatchCostReport]) -> BatchCostReport:
-    """Stitch in-order shard reports back into one batch report."""
-    if len(parts) == 1:
-        return parts[0]
-    return BatchCostReport(**{
-        f.name: np.concatenate([getattr(part, f.name) for part in parts])
-        for f in fields(BatchCostReport)
-    })
-
-
-class ThreadBackend(ExecutionBackend):
-    """Shard across a persistent thread pool in this process.
-
-    Threads cannot be killed or respawned, so of the fault kinds only
-    ``raise_in_kernel`` applies here, keyed ``(batch_idx, shard_idx)``
-    and checked at dispatch time: it raises
-    :class:`~repro.parallel.errors.FaultInjected` out of ``evaluate``
-    (fire-once), which is how a chaos run exercises the degradation
-    ladder's middle rung.
-    """
-
-    name = "thread"
-
-    def __init__(self, workers: int = 1,
-                 min_batch_per_worker: int = 0,
-                 fault_plan: Optional[FaultPlan] = None,
-                 kernel: str = None, tuner=None) -> None:
-        super().__init__(workers, min_batch_per_worker, kernel=kernel,
-                         tuner=tuner)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self.fault_plan = fault_plan
-        self._fired_faults: set = set()
-        self._next_task = 0
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-batch")
-        return self._pool
-
-    def _check_faults(self, task_id: int, shards: int) -> None:
-        if self.fault_plan is None:
-            return
-        for batch_idx, shard_idx in self.fault_plan.raise_in_kernel:
-            key = (batch_idx, shard_idx)
-            if (batch_idx == task_id and shard_idx < shards
-                    and key not in self._fired_faults):
-                self._fired_faults.add(key)
-                raise FaultInjected(
-                    f"injected fault in thread shard {shard_idx} at "
-                    f"batch {task_id}")
-
-    def _run_shard(self, owner, hw, table, layer_idx, style_idx, pes,
-                   l1_bytes) -> BatchCostReport:
-        start = time.perf_counter()
-        report = self._run_kernel(hw, table, layer_idx, style_idx, pes,
-                                  l1_bytes)
-        self._observe_shard(owner, layer_idx.size,
-                            time.perf_counter() - start)
-        return report
-
-    def evaluate(self, hw, table, layer_idx, style_idx, pes,
-                 l1_bytes) -> BatchCostReport:
-        batch = layer_idx.size
-        if self.workers == 1 or batch < 2 or self._route_inline(batch):
-            self.inline_batches += 1
-            start = time.perf_counter()
-            report = self._run_kernel(hw, table, layer_idx, style_idx,
-                                      pes, l1_bytes)
-            self._observe_route(batch, True, time.perf_counter() - start)
-            return report
-        bounds, owners = self._plan_shards(batch)
-        self.sharded_batches += 1
-        task_id = self._next_task
-        self._next_task += 1
-        self._check_faults(task_id, len(bounds))
-        pool = self._ensure_pool()
-        start = time.perf_counter()
-        futures = [
-            pool.submit(self._run_shard, owner, hw, table,
-                        layer_idx[lo:hi], style_idx[lo:hi], pes[lo:hi],
-                        l1_bytes[lo:hi])
-            for (lo, hi), owner in zip(bounds, owners)
-        ]
-        report = _concat_reports([future.result() for future in futures])
-        self._observe_route(batch, False, time.perf_counter() - start)
-        return report
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 # ----------------------------------------------------------------------
 # Process backend
 # ----------------------------------------------------------------------
@@ -448,19 +281,15 @@ def _worker_main(worker_id: int, task_queue, result_queue,
 
     ``faults`` is this worker's slice of a
     :class:`~repro.parallel.faults.FaultPlan` (``{"kill": [batch...],
-    "raise": [batch...], "delay": [[batch, seconds]...],
-    "throttle": seconds_per_row}``), shipped at spawn time; respawned
-    workers receive a pruned copy so a consumed fault never re-fires.
-    Kills exit before the segment is touched, raises fire once each and
-    are reported with the dedicated ``"fault"`` status (retryable),
-    delays sleep before evaluating, and a throttle sleeps proportional
-    to shard rows on *every* shard (a persistent straggler, charged to
-    the timing echo).
+    "raise": [batch...], "delay": [[batch, seconds]...]}``), shipped at
+    spawn time; respawned workers receive a pruned copy so a consumed
+    fault never re-fires.  Kills exit before the segment is touched,
+    raises fire once each and are reported with the dedicated
+    ``"fault"`` status (retryable), and delays sleep before evaluating.
     """
     mute_resource_tracker()
     kill_at = list(faults["kill"]) if faults else []
     raise_at = list(faults["raise"]) if faults else []
-    throttle = float(faults.get("throttle", 0.0)) if faults else 0.0
     delay_at: Dict[int, float] = {}
     if faults:
         for batch_idx, seconds in faults["delay"]:
@@ -484,11 +313,9 @@ def _worker_main(worker_id: int, task_queue, result_queue,
         if task_id in kill_at:
             os._exit(1)
         delay = delay_at.pop(task_id, 0.0)
-        if throttle:
-            delay += throttle * (hi - lo)
         if delay:
             time.sleep(delay)
-        status, detail, elapsed = "ok", None, 0.0
+        status, detail = "ok", None
         try:
             if task_id in raise_at:
                 raise_at.remove(task_id)
@@ -498,7 +325,6 @@ def _worker_main(worker_id: int, task_queue, result_queue,
             hw, table, kernel = tables[table_id]
             block = BatchBlock.attach(segment_name, batch)
             try:
-                start = time.perf_counter()
                 report = evaluate_with_kernel(
                     kernel, hw, table,
                     block.inputs["layer_idx"][lo:hi],
@@ -506,13 +332,6 @@ def _worker_main(worker_id: int, task_queue, result_queue,
                     block.inputs["pes"][lo:hi],
                     block.inputs["l1_bytes"][lo:hi],
                     programs=programs)
-                # The kernel time alone is the timing echo: queue wait
-                # and segment mapping are coordinator-side costs, and
-                # including them would make a busy worker look slow and
-                # starve it further.  Injected delays emulate a
-                # straggler, so they ARE charged: the throughput model
-                # must see the slow worker the plan routes around.
-                elapsed = time.perf_counter() - start + delay
                 block.write_report(report, lo, hi)
             finally:
                 block.close()
@@ -522,8 +341,7 @@ def _worker_main(worker_id: int, task_queue, result_queue,
             import traceback
 
             status, detail = "error", f"{error!r}\n{traceback.format_exc()}"
-        result_queue.put((task_id, worker_id, lo, hi, status, detail,
-                          elapsed))
+        result_queue.put((task_id, worker_id, lo, hi, status, detail))
 
 
 class ProcessBackend(ExecutionBackend):
@@ -588,9 +406,8 @@ class ProcessBackend(ExecutionBackend):
                  backoff_base_s: float = 0.05,
                  task_timeout_s: Optional[float] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 kernel: str = None, tuner=None) -> None:
-        super().__init__(workers, min_batch_per_worker, kernel=kernel,
-                         tuner=tuner)
+                 kernel: str = None) -> None:
+        super().__init__(workers, min_batch_per_worker, kernel=kernel)
         import multiprocessing
 
         if start_method is None:
@@ -652,9 +469,6 @@ class ProcessBackend(ExecutionBackend):
             "raise": self.fault_plan.raises_for(worker_id),
             "delay": [[batch, seconds] for batch, seconds
                       in self._delays.get(worker_id, ())],
-            # Persistent straggler emulation: never pruned, a respawned
-            # worker stays slow.
-            "throttle": self.fault_plan.throttle_for(worker_id),
         }
 
     def _spawn(self, worker_id: int) -> None:
@@ -747,41 +561,33 @@ class ProcessBackend(ExecutionBackend):
     def evaluate(self, hw, table, layer_idx, style_idx, pes,
                  l1_bytes) -> BatchCostReport:
         batch = layer_idx.size
-        if self._route_inline(batch):
+        if self._below_break_even(batch):
             # Too small to amortize the queue hop + segment map; the
             # in-process kernel is bit-identical, so only latency
             # changes.  An idle pool stays warm for the next big batch.
             self.inline_batches += 1
-            start = time.perf_counter()
-            report = self._run_kernel(hw, table, layer_idx, style_idx,
-                                      pes, l1_bytes)
-            self._observe_route(batch, True, time.perf_counter() - start)
-            return report
+            return self._run_kernel(hw, table, layer_idx, style_idx, pes,
+                                    l1_bytes)
         self.sharded_batches += 1
         self._ensure_started()
-        bounds, owners = self._plan_shards(batch)
         task_id = self._next_task
         self._next_task += 1
-        start = time.perf_counter()
         with BatchBlock.allocate(layer_idx, style_idx, pes,
                                  l1_bytes) as block:
-            self._run_task(task_id, block, bounds, hw, table,
-                           owners=owners)
-            report = block.gather_report()
-        self._observe_route(batch, False, time.perf_counter() - start)
-        return report
+            self._run_task(task_id, block, shard_bounds(batch, self.workers),
+                           hw, table)
+            return block.gather_report()
 
     # ------------------------------------------------------------------
     def _run_task(self, task_id: int, block: BatchBlock, bounds, hw,
-                  table, owners=None) -> None:
+                  table) -> None:
         """Dispatch one batch's shards and supervise them to completion.
 
-        ``owners`` names the worker for each shard (the shard planner's
-        assignment); without one the shards round-robin over the pool.
-        The loop waits for shard acks while polling worker liveness and
-        the batch deadline; lost shards (dead or hung worker, injected
-        fault) are re-dispatched after recovery, bounded by
-        ``max_retries`` recoveries per batch.  Stale acks -- from a
+        Shard ``i`` goes to worker ``i % workers``.  The loop waits for
+        shard acks while polling worker liveness and the batch deadline;
+        lost shards (dead or hung worker, injected fault) are
+        re-dispatched after recovery, bounded by ``max_retries``
+        recoveries per batch.  Stale acks -- from a
         worker terminated after it finished, or an earlier attempt of a
         recovered shard -- are recognized by (task, shard) bookkeeping
         and ignored; duplicate writes are idempotent because every
@@ -791,8 +597,7 @@ class ProcessBackend(ExecutionBackend):
 
         pending: Dict[Tuple[int, int], int] = {}
         for shard, (lo, hi) in enumerate(bounds):
-            worker_id = (owners[shard] if owners is not None
-                         else shard % self.workers)
+            worker_id = shard % self.workers
             self._dispatch(worker_id, task_id, block, lo, hi, hw, table)
             pending[(lo, hi)] = worker_id
         attempts = 0
@@ -810,13 +615,11 @@ class ProcessBackend(ExecutionBackend):
             except queue_module.Empty:
                 pass
             if message is not None:
-                done_id, worker_id, lo, hi, status, detail, elapsed = \
-                    message
+                done_id, worker_id, lo, hi, status, detail = message
                 if done_id != task_id or (lo, hi) not in pending:
                     continue  # stale ack from a recovered attempt
                 if status == "ok":
                     del pending[(lo, hi)]
-                    self._observe_shard(worker_id, hi - lo, elapsed)
                 elif status == "fault":
                     # Injected and explicitly retryable; the worker is
                     # alive and will not re-fire, so re-dispatch the
@@ -954,12 +757,12 @@ def _shutdown_workers(processes, task_queues) -> None:
 # Degradation ladder
 # ----------------------------------------------------------------------
 class ResilientBackend(ExecutionBackend):
-    """Graceful-degradation wrapper around a parallel backend.
+    """Graceful-degradation wrapper around the process backend.
 
     Delegates every batch to the wrapped backend; when that backend
     fails outright -- its per-batch retry budget exhausted, surfacing an
     :class:`~repro.parallel.errors.ExecutionError` -- the wrapper walks
-    :data:`DEGRADATION_LADDER` (process -> thread -> serial) via
+    :data:`DEGRADATION_LADDER` (process -> serial) via
     :func:`make_backend`, re-runs the failed batch on the new rung
     (bit-identical: the kernel is pure), and keeps going.  The session
     completes; ``degraded_to`` records where it landed.  Genuine kernel
@@ -984,8 +787,7 @@ class ResilientBackend(ExecutionBackend):
     def __init__(self, inner: ExecutionBackend, degrade_after: int = 1,
                  on_degrade=None) -> None:
         super().__init__(inner.workers, inner.min_batch_per_worker,
-                         kernel=inner.kernel,
-                         tuner=getattr(inner, "tuner", None))
+                         kernel=inner.kernel)
         if degrade_after < 1:
             raise ValueError("degrade_after must be >= 1")
         self.inner = inner
@@ -995,33 +797,20 @@ class ResilientBackend(ExecutionBackend):
         self.degraded_to: Optional[str] = None
         self._failures_at_rung = 0
         # Counters of retired rungs, folded into stats() alongside the
-        # live inner backend's.  The distributed-only keys read 0 for
-        # every other backend (getattr default), so the stats schema is
-        # uniform across executors.
+        # live inner backend's.  The serial rung has no recovery
+        # counters (getattr default 0), so the stats schema is uniform.
         self._absorbed = {"retries": 0, "respawns": 0, "timeouts": 0,
-                          "inline_batches": 0, "sharded_batches": 0,
-                          "stolen_shards": 0, "reships": 0, "nodes": 0}
-
-    #: stats()/absorbed key -> backend attribute, where they differ
-    #: ("nodes" reports the *peak connected fleet*, not the request).
-    _STAT_ATTRS = {"nodes": "fleet_nodes"}
+                          "inline_batches": 0, "sharded_batches": 0}
 
     # ------------------------------------------------------------------
     @property
     def alive_workers(self) -> int:
         return self.inner.alive_workers
 
-    def _absorb(self, backend: ExecutionBackend) -> None:
-        for key in self._absorbed:
-            self._absorbed[key] += getattr(
-                backend, self._STAT_ATTRS.get(key, key), 0)
-
     def stats(self) -> Dict[str, object]:
         """Aggregated fault-tolerance counters across every rung used."""
-        data = dict(self._absorbed)
-        for key in list(data):
-            data[key] += getattr(self.inner,
-                                 self._STAT_ATTRS.get(key, key), 0)
+        data = {key: value + getattr(self.inner, key, 0)
+                for key, value in self._absorbed.items()}
         data["pool_failures"] = self.pool_failures
         data["degraded_to"] = self.degraded_to
         data["executor"] = self.inner.name
@@ -1044,16 +833,11 @@ class ResilientBackend(ExecutionBackend):
                     # its pool down, so the re-run respawns it fresh.
                     continue
                 previous = self.inner.name
-                self._absorb(self.inner)
+                for key in self._absorbed:
+                    self._absorbed[key] += getattr(self.inner, key, 0)
                 self.inner.shutdown()
-                # The tuner rides down the ladder: rates measured on
-                # the failed rung are keyed by (transport, slot), so
-                # the new rung starts fresh while the calibrated
-                # crossovers and kernel record survive.
-                self.inner = make_backend(
-                    next_name, self.workers, self.min_batch_per_worker,
-                    fault_plan=getattr(self.inner, "fault_plan", None),
-                    kernel=self.kernel, tuner=self.tuner)
+                self.inner = make_backend(next_name, self.workers,
+                                          kernel=self.kernel)
                 self.degraded_to = next_name
                 self._failures_at_rung = 0
                 if self.on_degrade is not None:
@@ -1067,63 +851,30 @@ class ResilientBackend(ExecutionBackend):
                 f"degraded_to={self.degraded_to!r})")
 
 
-_BACKENDS = {
-    "serial": SerialBackend,
-    "thread": ThreadBackend,
-    "process": ProcessBackend,
-    "chaos": ProcessBackend,
-}
-
-
 def make_backend(executor: str, workers: Optional[int] = None,
                  min_batch_per_worker: int = 0,
                  task_timeout_s: Optional[float] = None,
                  max_retries: Optional[int] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 kernel: Optional[str] = None,
-                 tuner=None) -> ExecutionBackend:
-    """Build a backend by name ("serial" | "thread" | "process" |
-    "chaos").
+                 kernel: Optional[str] = None) -> ExecutionBackend:
+    """Build a backend by name ("serial" | "process").
 
-    ``min_batch_per_worker`` enables adaptive dispatch on the parallel
-    backends (0, the default, always shards -- see
+    ``min_batch_per_worker`` enables adaptive dispatch on the process
+    backend (0, the default, always shards -- see
     :class:`ExecutionBackend`); the serial backend ignores it, as it
-    does the fault-tolerance knobs.  ``chaos`` is the process backend
-    with a :class:`~repro.parallel.faults.FaultPlan` always attached:
-    ``fault_plan``, else ``$REPRO_FAULTS``, else a default seeded plan.
-    ``kernel`` picks the cost-model compute kernel everywhere the
-    backend evaluates (``None``: ``$REPRO_KERNEL`` or "batched").
-    ``tuner`` is an optional shared
-    :class:`~repro.parallel.tuning.TuningState`; the coordinator passes
-    one instance through every backend it builds (downshifts included)
-    so measurements accumulate across pool rebuilds.
-    For ``distributed``, ``workers`` is the node-fleet size (``None``:
-    ``$REPRO_NODES`` or the built-in default) and the listen address
-    comes from ``$REPRO_BIND`` (unset: a self-spawned localhost fleet).
+    does the fault-tolerance knobs.  ``kernel`` picks the cost-model
+    compute kernel everywhere the backend evaluates (``None``:
+    ``$REPRO_KERNEL`` or "batched").
     """
-    if executor == "distributed":
-        # Imported lazily: distributed.py imports this module.
-        from repro.parallel.distributed import DistributedBackend
-
-        return DistributedBackend(
-            nodes=workers, min_batch_per_worker=min_batch_per_worker,
-            task_timeout_s=task_timeout_s, max_retries=max_retries,
-            fault_plan=fault_plan, kernel=kernel, tuner=tuner)
-    try:
-        cls = _BACKENDS[executor]
-    except KeyError:
+    if executor not in EXECUTORS:
         raise ValueError(
             f"unknown executor {executor!r}; available: "
-            f"{', '.join(EXECUTORS)}") from None
+            f"{', '.join(EXECUTORS)}")
     workers = default_workers() if workers is None else workers
-    if cls is SerialBackend:
-        return cls(workers=workers, kernel=kernel)
-    if cls is ThreadBackend:
-        return cls(workers=workers,
-                   min_batch_per_worker=min_batch_per_worker,
-                   fault_plan=fault_plan, kernel=kernel, tuner=tuner)
-    if executor == "chaos" and fault_plan is None:
-        fault_plan = FaultPlan.from_env() or FaultPlan.seeded(0)
-    return cls(workers=workers, min_batch_per_worker=min_batch_per_worker,
-               task_timeout_s=task_timeout_s, max_retries=max_retries,
-               fault_plan=fault_plan, kernel=kernel, tuner=tuner)
+    if executor == "serial":
+        return SerialBackend(workers=workers, kernel=kernel)
+    return ProcessBackend(workers=workers,
+                          min_batch_per_worker=min_batch_per_worker,
+                          task_timeout_s=task_timeout_s,
+                          max_retries=max_retries, fault_plan=fault_plan,
+                          kernel=kernel)

@@ -68,7 +68,6 @@ from repro.parallel.backend import (
     make_backend,
 )
 from repro.parallel.faults import FaultPlan
-from repro.parallel.tuning import TuningState
 from repro.search.callbacks import SearchObserver
 
 __all__ = ["ParallelCoordinator", "PoolLease"]
@@ -134,22 +133,15 @@ class PoolLease(SearchObserver):
         stats = self.coordinator.execution_stats()
         if stats is not None:
             result.provenance["execution"] = dict(stats)
-        if self.coordinator.tuner is not None:
-            result.provenance["tuning"] = self.coordinator.tuner.snapshot()
 
 
 class ParallelCoordinator(SearchObserver):
     """Observer that owns worker lifecycle for one or many sessions.
 
     Args:
-        executor: "serial" | "thread" | "process" | "chaos" |
-            "distributed".
+        executor: "serial" | "process".
         workers: Worker count (``None``: ``$REPRO_WORKERS`` or the core
             count).
-        nodes: Node-fleet size for the "distributed" executor
-            (``None``: ``$REPRO_NODES`` or the built-in default); it
-            takes the place of ``workers`` there, since each node is
-            the unit of sharding.  Ignored by other executors.
         keep_alive: Keep workers running after ``on_teardown`` so the
             next run reuses them; call :meth:`close` (or use the
             coordinator as a context manager) when done.  Fault-tolerance
@@ -165,39 +157,26 @@ class ParallelCoordinator(SearchObserver):
             ``$REPRO_MAX_RETRIES`` or the default).
         fault_plan: Deterministic fault-injection script (``None``:
             ``$REPRO_FAULTS``, or none).
-        degrade: Wrap the backend in the process -> thread -> serial
-            degradation ladder (on by default; turn off to let retry
-            exhaustion raise instead -- what the parity tests do).
+        degrade: Wrap the backend in the process -> serial degradation
+            ladder (on by default; turn off to let retry exhaustion
+            raise instead -- what the parity tests do).
         kernel: Cost-model compute kernel forwarded to the backend --
             and by it to every worker (``None``: ``$REPRO_KERNEL`` or
             "batched"; see :mod:`repro.costmodel.fused`).
-        autotune: Adaptive shard planning -- shard spans sized to each
-            worker/node's measured rows/sec (EWMA over shard timing
-            echoes).  Scheduling only; results stay bit-identical (the
-            kernel is shard-invariant).  See
-            :mod:`repro.parallel.tuning`.
-        auto_dispatch: Runtime break-even calibration -- the first
-            batches probe inline vs sharded and freeze a measured
-            per-transport crossover in place of the static
-            ``TRANSPORT_MIN_BATCH`` threshold.
     """
 
     def __init__(self, executor: str = "process",
                  workers: Optional[int] = None,
-                 nodes: Optional[int] = None,
                  keep_alive: bool = False,
                  min_batch_per_worker: int = 0,
                  task_timeout_s: Optional[float] = None,
                  max_retries: Optional[int] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  degrade: bool = True,
-                 kernel: Optional[str] = None,
-                 autotune: bool = False,
-                 auto_dispatch: bool = False) -> None:
+                 kernel: Optional[str] = None) -> None:
         super().__init__()
         self.executor = executor
         self.workers = workers
-        self.nodes = nodes
         self.keep_alive = keep_alive
         self.min_batch_per_worker = min_batch_per_worker
         self.task_timeout_s = task_timeout_s
@@ -205,12 +184,6 @@ class ParallelCoordinator(SearchObserver):
         self.fault_plan = fault_plan
         self.degrade = degrade
         self.kernel = kernel
-        #: One tuning state for the coordinator's whole lifetime: rates
-        #: are keyed (transport, slot), so they survive ladder
-        #: downshifts, worker respawns, and keep-alive session reuse.
-        self.tuner: Optional[TuningState] = (
-            TuningState(plan_shards=autotune, auto_dispatch=auto_dispatch)
-            if (autotune or auto_dispatch) else None)
         self.backend: Optional[ExecutionBackend] = None
         #: Counter snapshot from the most recent teardown (what
         #: ``on_finish`` writes into provenance after the pool is gone).
@@ -239,17 +212,12 @@ class ParallelCoordinator(SearchObserver):
     def _ensure_backend(self) -> _SerializedBackend:
         with self._lock:
             if self.backend is None:
-                # The distributed backend shards per *node*; its fleet
-                # size rides make_backend's workers parameter.
-                width = (self.nodes if self.executor == "distributed"
-                         else self.workers)
                 inner = make_backend(
-                    self.executor, width, self.min_batch_per_worker,
+                    self.executor, self.workers, self.min_batch_per_worker,
                     task_timeout_s=self.task_timeout_s,
                     max_retries=self.max_retries,
                     fault_plan=self.fault_plan,
-                    kernel=self.kernel,
-                    tuner=self.tuner)
+                    kernel=self.kernel)
                 if self.degrade and inner.name != "serial":
                     self.backend = ResilientBackend(
                         inner, on_degrade=self._on_degrade)
@@ -321,9 +289,6 @@ class ParallelCoordinator(SearchObserver):
             "timeouts": getattr(backend, "timeouts", 0),
             "inline_batches": backend.inline_batches,
             "sharded_batches": backend.sharded_batches,
-            "stolen_shards": getattr(backend, "stolen_shards", 0),
-            "reships": getattr(backend, "reships", 0),
-            "nodes": getattr(backend, "fleet_nodes", 0),
             "pool_failures": 0,
             "degraded_to": None,
         }
@@ -349,8 +314,6 @@ class ParallelCoordinator(SearchObserver):
         stats = self.execution_stats()
         if stats is not None:
             result.provenance["execution"] = dict(stats)
-        if self.tuner is not None:
-            result.provenance["tuning"] = self.tuner.snapshot()
 
     def close(self) -> None:
         """Shut the workers down now (idempotent)."""

@@ -2,7 +2,7 @@
 
 Every *infrastructure* failure the execution backends can recover from
 -- a worker process dying mid-batch, a batch blowing its deadline, an
-injected chaos fault -- derives from :class:`ExecutionError`, so callers
+injected fault -- derives from :class:`ExecutionError`, so callers
 (most importantly the degradation ladder in
 :class:`~repro.parallel.backend.ResilientBackend`) can catch the whole
 family with one ``except`` and know the failed batch is *retryable*: the

@@ -7,8 +7,8 @@ artificial delays -- keyed by ``(batch_idx, worker_id)``, where
 (``ProcessBackend._next_task``; inline small-batch evaluations do not
 advance it).  Because the script, not luck, decides when a worker dies,
 every recovery path in :class:`~repro.parallel.backend.ProcessBackend`
-is exercised by ordinary pytest cases, and a chaos run is exactly
-reproducible from its plan.
+is exercised by ordinary pytest cases, and a fault-injected run is
+exactly reproducible from its plan.
 
 Fault kinds:
 
@@ -20,25 +20,15 @@ Fault kinds:
 * ``raise_in_kernel`` -- the worker raises
   :class:`~repro.parallel.errors.FaultInjected` instead of running the
   kernel, exactly once per entry (the worker remembers what it fired),
-  so the coordinator's re-dispatch succeeds.  On the thread backend the
-  entry fires per ``(batch_idx, shard_idx)`` at dispatch time -- the
-  hook that lets chaos reach the degradation ladder's middle rung.
+  so the coordinator's re-dispatch succeeds.
 * ``delay_s`` -- ``[batch_idx, worker_id, seconds]``: the worker sleeps
   before evaluating, the lever for deadline/timeout tests.  Pruned like
   kills when a hung worker is terminated.
-* ``throttle_s`` -- ``[worker_id, seconds_per_row]``: the worker sleeps
-  ``seconds_per_row * shard_rows`` on **every** shard it evaluates -- a
-  persistent straggler whose slowness scales with the work it is given,
-  the lever for heterogeneous-fleet tests and benches (work stealing
-  and the adaptive shard planner both exist to route around exactly
-  this).  Charged to the worker's timing echo so the throughput model
-  sees it.
 
 Plans reach workers through ``$REPRO_FAULTS`` (see :func:`from_env`:
 an inline JSON document, a ``seed:N`` generator shorthand, or a file
 path) or explicitly via ``ProcessBackend(fault_plan=...)`` /
-``ParallelCoordinator(fault_plan=...)``; the ``chaos`` executor is the
-process backend with a plan always attached.
+``ParallelCoordinator(fault_plan=...)``.
 """
 
 from __future__ import annotations
@@ -82,9 +72,6 @@ class FaultPlan:
             raises :class:`~repro.parallel.errors.FaultInjected` once.
         delay_s: ``(batch_idx, worker_id, seconds)`` -- worker sleeps
             before evaluating.
-        throttle_s: ``(worker_id, seconds_per_row)`` -- worker sleeps
-            proportionally to every shard it runs (a persistent
-            straggler).
         seed: The seed :meth:`seeded` generated this plan from (``None``
             for hand-written plans); carried for provenance only.
     """
@@ -92,7 +79,6 @@ class FaultPlan:
     kill_worker: Tuple[Tuple[int, int], ...] = ()
     raise_in_kernel: Tuple[Tuple[int, int], ...] = ()
     delay_s: Tuple[Tuple[int, int, float], ...] = ()
-    throttle_s: Tuple[Tuple[int, float], ...] = ()
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -115,25 +101,12 @@ class FaultPlan:
                     f"delay_s entries must be non-negative, got {entry!r}")
             delays.append((batch_idx, worker_id, seconds))
         object.__setattr__(self, "delay_s", tuple(delays))
-        throttles = []
-        for entry in self.throttle_s:
-            if len(entry) != 2:
-                raise ValueError(
-                    "throttle_s entries must be [worker_id, "
-                    f"seconds_per_row] pairs, got {entry!r}")
-            worker_id, per_row = int(entry[0]), float(entry[1])
-            if worker_id < 0 or per_row < 0:
-                raise ValueError(
-                    f"throttle_s entries must be non-negative, got "
-                    f"{entry!r}")
-            throttles.append((worker_id, per_row))
-        object.__setattr__(self, "throttle_s", tuple(throttles))
 
     # ------------------------------------------------------------------
     @property
     def empty(self) -> bool:
         return not (self.kill_worker or self.raise_in_kernel
-                    or self.delay_s or self.throttle_s)
+                    or self.delay_s)
 
     def kills_for(self, worker_id: int) -> List[int]:
         """Batch indices (with multiplicity) at which ``worker_id``
@@ -150,12 +123,6 @@ class FaultPlan:
                 for batch, worker, seconds in self.delay_s
                 if worker == worker_id]
 
-    def throttle_for(self, worker_id: int) -> float:
-        """Seconds of sleep per shard row for ``worker_id`` (0.0 for a
-        healthy worker; multiple entries stack)."""
-        return sum(per_row for worker, per_row in self.throttle_s
-                   if worker == worker_id)
-
     # ------------------------------------------------------------------
     @classmethod
     def seeded(cls, seed: int, workers: int = 2,
@@ -165,8 +132,8 @@ class FaultPlan:
         """A reproducible random plan: ``kills`` worker deaths,
         ``raises`` injected exceptions, and ``delays`` sleeps scattered
         over the first ``horizon`` sharded batches of ``workers``
-        workers.  Same arguments, same plan -- the CI chaos leg runs one
-        of these (``$REPRO_FAULTS=seed:N``)."""
+        workers.  Same arguments, same plan -- the CI fault-injection
+        legs run one of these (``$REPRO_FAULTS=seed:N``)."""
         rng = random.Random(seed)
 
         def scatter(count):
@@ -189,14 +156,12 @@ class FaultPlan:
             "raise_in_kernel": [list(entry)
                                 for entry in self.raise_in_kernel],
             "delay_s": [list(entry) for entry in self.delay_s],
-            "throttle_s": [list(entry) for entry in self.throttle_s],
             "seed": self.seed,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        known = {"kill_worker", "raise_in_kernel", "delay_s",
-                 "throttle_s", "seed"}
+        known = {"kill_worker", "raise_in_kernel", "delay_s", "seed"}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown FaultPlan fields: {sorted(unknown)}")
@@ -205,8 +170,6 @@ class FaultPlan:
             raise_in_kernel=tuple(
                 tuple(e) for e in data.get("raise_in_kernel", ())),
             delay_s=tuple(tuple(e) for e in data.get("delay_s", ())),
-            throttle_s=tuple(tuple(e)
-                             for e in data.get("throttle_s", ())),
             seed=data.get("seed"),
         )
 

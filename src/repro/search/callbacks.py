@@ -78,7 +78,7 @@ class SearchObserver:
 
         Today's only producer is the fault-tolerance layer:
         ``kind="backend-degraded"`` with ``detail`` naming the rungs
-        (``{"from": "process", "to": "thread", "error": ...,
+        (``{"from": "process", "to": "serial", "error": ...,
         "message": ...}``) when the degradation ladder downshifts.
         Results are unaffected (the batched kernel is pure), so the
         default is to ignore it.

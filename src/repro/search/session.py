@@ -616,34 +616,11 @@ class SearchSession:
         self.spec = spec
         self.info = get_method(spec.method)
         # A session-built cost model honors the spec's kernel choice; a
-        # caller-shared model keeps whatever kernel it was built with
-        # (except under kernel="auto", where the spec explicitly asks
-        # the session to pick).
+        # caller-shared model keeps whatever kernel it was built with.
         self.cost_model = cost_model if cost_model is not None \
             else CostModel(kernel=spec.resolved_kernel())
         self.result: Optional[SessionResult] = None
         self._observers: Tuple[SearchObserver, ...] = ()
-
-    def _probe_kernel(self) -> Optional[dict]:
-        """Resolve ``kernel="auto"``: one micro-probe (cached per
-        (model, platform) identity) picks the faster of the
-        bit-identical batched/fused kernels and installs it on the
-        session's cost model before anything evaluates."""
-        if not self.spec.kernel_is_auto():
-            return None
-        from repro.costmodel.batched import LayerTable
-        from repro.parallel.tuning import select_kernel
-
-        spec = self.spec
-        table = LayerTable.build(spec.task().layers())
-        selected, timings = select_kernel(
-            self.cost_model.hw, table,
-            cache_key=(spec.model, spec.platform, spec.dataflow,
-                       spec.layer_slice))
-        self.cost_model.kernel = selected
-        if self.cost_model._batched is not None:
-            self.cost_model._batched.kernel = selected
-        return {"selected": selected, "timings": timings}
 
     def _notify_warning(self, kind: str, detail: dict) -> None:
         """Fan a structured mid-run warning out to this run's observers
@@ -670,9 +647,7 @@ class SearchSession:
 
         observers = list(callbacks)
         executor = self.spec.resolved_executor()
-        kernel_probe = self._probe_kernel()
-        kernel = (kernel_probe["selected"] if kernel_probe is not None
-                  else self.spec.resolved_kernel())
+        kernel = self.spec.resolved_kernel()
         if (executor != "serial"
                 and self.cost_model.executor is None
                 and not any(isinstance(observer,
@@ -684,17 +659,10 @@ class SearchSession:
             # by a passed coordinator) is the caller's to manage.
             coordinator = ParallelCoordinator(
                 executor=executor, workers=self.spec.resolved_workers(),
-                nodes=self.spec.resolved_nodes(),
                 min_batch_per_worker=(
                     self.spec.resolved_dispatch_min_batch()),
                 task_timeout_s=self.spec.resolved_task_timeout_s(),
-                kernel=kernel,
-                autotune=self.spec.resolved_autotune(),
-                auto_dispatch=self.spec.dispatch_is_auto())
-            if kernel_probe is not None and coordinator.tuner is not None:
-                # The probe result rides the tuner so one snapshot
-                # carries the whole tuning story into provenance.
-                coordinator.tuner.kernel = kernel_probe
+                kernel=kernel)
             observers.append(coordinator)
         self._observers = tuple(observers)
         tracker = _Tracker(callbacks)
@@ -721,18 +689,12 @@ class SearchSession:
                 "method_kind": self.info.kind,
                 "executor": executor,
                 "kernel": kernel,
-                "autotune": self.spec.resolved_autotune(),
                 "envs": context.envs,
                 "started_at": started_at,
                 "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
             },
             detail=context.detail,
         )
-        if kernel_probe is not None:
-            # A coordinator with a tuner overwrites this with its full
-            # snapshot in on_finish below (tuner.kernel carries the
-            # probe); the serial / no-tuner paths keep this record.
-            outcome.provenance["tuning"] = {"kernel": kernel_probe}
         for observer in observers:
             observer.on_finish(outcome)
         self.result = outcome

@@ -10,6 +10,7 @@ equal specs produce bit-identical results.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
@@ -26,6 +27,21 @@ DATAFLOWS = ("dla", "eye", "shi")
 CONSTRAINT_KINDS = ("area", "power", "resource")
 PLATFORMS = ("unlimited", "cloud", "iot", "iotx")
 DEPLOYMENTS = ("lp", "ls")
+
+#: Integer fields, mapped to their lower bound (``None`` allowed where
+#: the field is optional).
+_INT_FIELDS = {"budget": 1, "num_levels": 2, "max_pes": 1,
+               "max_total_pes": 1, "max_total_l1": 1}
+_OPTIONAL_INT_FIELDS = {"seed": 0, "layer_slice": 1, "finetune": 0,
+                        "workers": 1, "dispatch_min_batch": 0, "envs": 1}
+
+#: Fields removed in 2.0 -> why.  Documents written by 1.8 carry them
+#: as ``null``; :meth:`SearchSpec.from_dict` drops those and rejects any
+#: other value.
+_REMOVED_FIELDS = {
+    "nodes": "the distributed executor is gone",
+    "autotune": "adaptive shard planning is gone",
+}
 
 
 def _executors():
@@ -81,34 +97,20 @@ class SearchSpec:
         finetune: Stage-2 budget for two-stage methods; ``None`` means
             ``budget // 4``.  Ignored by single-stage methods.
         executor: Execution backend for population-level evaluation --
-            "serial" | "thread" | "process" | "distributed" -- or
-            ``None`` to defer to ``$REPRO_EXECUTOR`` (default
-            "serial").  Results are bit-identical across backends; only
-            wall-clock changes.
-        workers: Worker count for parallel executors; ``None`` defers to
-            ``$REPRO_WORKERS``, else the available cores capped at 8
+            "serial" | "process" -- or ``None`` to defer to
+            ``$REPRO_EXECUTOR`` (default "serial").  Results are
+            bit-identical across backends; only wall-clock changes.
+        workers: Worker count for the process executor; ``None`` defers
+            to ``$REPRO_WORKERS``, else the available cores capped at 8
             (see :func:`repro.parallel.default_workers`).  Never affects
             results, only sharding.
-        nodes: Node-fleet size for the "distributed" executor; ``None``
-            defers to ``$REPRO_NODES``, else the built-in default (see
-            :func:`repro.parallel.default_nodes`).  With ``$REPRO_BIND``
-            unset the session self-spawns that many localhost
-            ``repro worker`` agents; with it set, externally started
-            agents join the fleet.  Ignored by other executors; never
-            affects results, only sharding.
-        dispatch_min_batch: Adaptive-dispatch threshold: parallel
-            backends fall back to the in-process kernel for batches
+        dispatch_min_batch: Adaptive-dispatch threshold: the process
+            backend falls back to the in-process kernel for batches
             smaller than ``dispatch_min_batch * workers`` (the measured
             IPC break-even; see BENCH_parallel.json).  ``None`` defers to
-            ``$REPRO_DISPATCH_MIN``, else the executor's calibrated
-            per-transport default (see
-            :data:`repro.parallel.backend.TRANSPORT_MIN_BATCH`); ``0``
-            disables the fallback.  ``"auto"`` (spec or env) calibrates
-            the crossover at runtime instead: the first batches time
-            inline vs sharded execution and freeze a measured
-            per-transport threshold (see
-            :class:`repro.parallel.tuning.BreakEvenCalibrator`).  Never
-            affects results.
+            ``$REPRO_DISPATCH_MIN``, else
+            :data:`repro.parallel.backend.DEFAULT_DISPATCH_MIN_BATCH`;
+            ``0`` disables the fallback.  Never affects results.
         envs: Lockstep episode count for episodic-RL methods: the agent
             rolls ``envs`` episodes per wave through a
             :class:`~repro.env.vector.VectorHWAssignmentEnv`, paying one
@@ -124,13 +126,8 @@ class SearchSpec:
             evaluation -- "batched" (the reference engine) | "fused"
             (precompiled per-(model, platform) tensor programs,
             float64 bit-identical) | "fused32" (float32 epilogue,
-            ~1e-7 relative error on float outputs) | "fused-jit"
-            (numba element loop, requires numba installed) | "auto"
-            (a one-shot micro-probe at session start picks the faster
-            of the bit-identical "batched"/"fused" pair for this
-            (model, platform); the choice lands in
-            ``provenance["tuning"]["kernel"]``) -- or ``None`` to defer
-            to ``$REPRO_KERNEL`` (default "batched").  Except for
+            ~1e-7 relative error on float outputs) -- or ``None`` to
+            defer to ``$REPRO_KERNEL`` (default "batched").  Except for
             "fused32", never affects results, only wall-clock (see
             PERFORMANCE.md).
         task_timeout_s: Per-batch deadline (seconds) for the process
@@ -139,14 +136,11 @@ class SearchSpec:
             :class:`repro.parallel.ProcessBackend`).  ``None`` defers to
             ``$REPRO_TASK_TIMEOUT``; ``0`` explicitly disables the
             deadline.  Recovery never affects results, only wall-clock.
-        autotune: Profile-guided adaptive shard planning: parallel
-            backends size initial shards proportional to each
-            worker/node's measured rows/sec (EWMA over per-shard timing
-            echoes; see :mod:`repro.parallel.tuning`), instead of the
-            static uniform round-robin.  ``None`` defers to
-            ``$REPRO_AUTOTUNE`` (default off).  Scheduling only -- the
-            kernel is shard-invariant, so results are bit-identical
-            with autotune on or off (the parity suite locks this).
+
+    Every field is validated at construction (a spec may arrive over the
+    service wire): integer fields must be ``int`` (not ``bool``) within
+    range, ``mix`` must be a ``bool``, and a violation raises
+    :class:`ValueError`.
     """
 
     model: str
@@ -167,12 +161,10 @@ class SearchSpec:
     finetune: Optional[int] = None
     executor: Optional[str] = None
     workers: Optional[int] = None
-    nodes: Optional[int] = None
-    dispatch_min_batch: Optional[object] = None  # int >= 0 or "auto"
+    dispatch_min_batch: Optional[int] = None
     envs: Optional[int] = None
     task_timeout_s: Optional[float] = None
     kernel: Optional[str] = None
-    autotune: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.model, str):
@@ -201,45 +193,46 @@ class SearchSpec:
             if value not in allowed:
                 raise ValueError(
                     f"{attribute} must be one of {allowed}, got {value!r}")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if self.finetune is not None and self.finetune < 0:
-            raise ValueError("finetune must be >= 0 (0 skips stage 2)")
-        if self.num_levels < 2:
-            raise ValueError("num_levels must be >= 2")
+        for attribute, low in _INT_FIELDS.items():
+            self._check_int(attribute, low, optional=False)
+        for attribute, low in _OPTIONAL_INT_FIELDS.items():
+            self._check_int(attribute, low, optional=True)
+        if not isinstance(self.mix, bool):
+            raise ValueError(f"mix must be a bool, got {self.mix!r}")
         if self.executor is not None and self.executor not in _executors():
             raise ValueError(
                 f"executor must be one of {_executors()} (or None), "
                 f"got {self.executor!r}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1 (or None for auto)")
-        if self.nodes is not None and self.nodes < 1:
-            raise ValueError("nodes must be >= 1 (or None for auto)")
-        if self.dispatch_min_batch is not None \
-                and self.dispatch_min_batch != "auto" \
-                and (not isinstance(self.dispatch_min_batch, int)
-                     or self.dispatch_min_batch < 0):
+        timeout = self.task_timeout_s
+        if timeout is not None and (
+                isinstance(timeout, bool)
+                or not isinstance(timeout, numbers.Real)
+                or not timeout >= 0):
             raise ValueError(
-                "dispatch_min_batch must be an int >= 0 (0 disables the "
-                "adaptive fallback), \"auto\" (runtime break-even "
-                "calibration), or None (defer to $REPRO_DISPATCH_MIN)")
-        if self.envs is not None and self.envs < 1:
+                "task_timeout_s must be a number >= 0 (0 disables the "
+                "deadline, None defers to $REPRO_TASK_TIMEOUT), got "
+                f"{timeout!r}")
+        if self.kernel is not None and self.kernel not in _kernels():
             raise ValueError(
-                "envs must be >= 1 (or None to defer to $REPRO_ENVS)")
-        if self.task_timeout_s is not None and self.task_timeout_s < 0:
+                f"kernel must be one of {_kernels()}, or None (defer to "
+                f"$REPRO_KERNEL), got {self.kernel!r}")
+
+    def _check_int(self, attribute: str, low: int, optional: bool) -> None:
+        """Require ``attribute`` to be an integer ``>= low`` (or
+        ``None`` when ``optional``); ``bool`` is not an integer here."""
+        value = getattr(self, attribute)
+        if value is None and optional:
+            return
+        if isinstance(value, bool) or not isinstance(value,
+                                                     numbers.Integral):
             raise ValueError(
-                "task_timeout_s must be >= 0 (0 disables the deadline, "
-                "None defers to $REPRO_TASK_TIMEOUT)")
-        if self.kernel is not None and self.kernel != "auto" \
-                and self.kernel not in _kernels():
-            raise ValueError(
-                f"kernel must be one of {_kernels()}, \"auto\", or None "
-                f"(defer to $REPRO_KERNEL), got {self.kernel!r}")
-        if self.autotune is not None \
-                and not isinstance(self.autotune, bool):
-            raise ValueError(
-                "autotune must be True, False, or None (defer to "
-                "$REPRO_AUTOTUNE)")
+                f"{attribute} must be an int"
+                f"{' or None' if optional else ''}, got {value!r}")
+        if value < low:
+            raise ValueError(f"{attribute} must be >= {low}, got {value!r}")
+        # NumPy integers are accepted but stored as int so the spec
+        # stays JSON-serializable.
+        object.__setattr__(self, attribute, int(value))
 
     # ------------------------------------------------------------------
     def resolved_executor(self) -> str:
@@ -263,15 +256,6 @@ class SearchSpec:
         from repro.parallel.backend import default_workers
 
         return default_workers()
-
-    def resolved_nodes(self) -> int:
-        """The effective distributed-fleet size (spec, ``$REPRO_NODES``,
-        built-in default).  Only the "distributed" executor consumes it."""
-        if self.nodes is not None:
-            return self.nodes
-        from repro.parallel.distributed import default_nodes
-
-        return default_nodes()
 
     def resolved_objective(self) -> Objective:
         """The spec's objective as a resolved
@@ -306,61 +290,19 @@ class SearchSpec:
         """The effective cost-model kernel (spec, ``$REPRO_KERNEL``,
         "batched").  Every kernel except "fused32" is bit-identical to
         the reference engine (the fused parity suite holds them so), so
-        the env-var override is a safe deploy-time knob.  ``"auto"``
-        resolves to "batched" here -- the session's micro-probe
-        (:func:`repro.parallel.tuning.select_kernel`) replaces it
-        before the first evaluation."""
+        the env-var override is a safe deploy-time knob."""
         from repro.costmodel.fused import resolve_kernel
 
-        if self.kernel_is_auto():
-            return "batched"
         return resolve_kernel(self.kernel)
-
-    def kernel_is_auto(self) -> bool:
-        """Whether the kernel should be micro-probed at session start
-        (spec or ``$REPRO_KERNEL`` says "auto")."""
-        kernel = self.kernel
-        if kernel is None:
-            kernel = os.environ.get("REPRO_KERNEL")
-        return kernel == "auto"
 
     def resolved_dispatch_min_batch(self) -> int:
         """The effective adaptive-dispatch threshold (spec,
-        ``$REPRO_DISPATCH_MIN``, the executor's calibrated per-transport
-        break-even).  Under ``"auto"`` this is the *fallback* the
-        runtime calibrator freezes to when probing stays inconclusive."""
-        if self.dispatch_is_auto():
-            from repro.parallel.backend import (
-                DEFAULT_DISPATCH_MIN_BATCH,
-                TRANSPORT_MIN_BATCH,
-            )
-
-            return TRANSPORT_MIN_BATCH.get(self.resolved_executor(),
-                                           DEFAULT_DISPATCH_MIN_BATCH)
+        ``$REPRO_DISPATCH_MIN``, the measured default)."""
         if self.dispatch_min_batch is not None:
             return self.dispatch_min_batch
         from repro.parallel.backend import default_dispatch_min_batch
 
-        return default_dispatch_min_batch(self.resolved_executor())
-
-    def dispatch_is_auto(self) -> bool:
-        """Whether the inline-vs-shard crossover should be calibrated
-        at runtime (spec or ``$REPRO_DISPATCH_MIN`` says "auto")."""
-        if self.dispatch_min_batch == "auto":
-            return True
-        if self.dispatch_min_batch is None:
-            env = os.environ.get("REPRO_DISPATCH_MIN", "")
-            return env.strip().lower() == "auto"
-        return False
-
-    def resolved_autotune(self) -> bool:
-        """Whether adaptive shard planning is on (spec,
-        ``$REPRO_AUTOTUNE``, off)."""
-        if self.autotune is not None:
-            return self.autotune
-        from repro.parallel.tuning import default_autotune
-
-        return default_autotune()
+        return default_dispatch_min_batch()
 
     # ------------------------------------------------------------------
     @property
@@ -397,7 +339,22 @@ class SearchSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SearchSpec":
-        """Inverse of :meth:`to_dict`; rejects unknown keys."""
+        """Inverse of :meth:`to_dict`; rejects unknown keys.
+
+        Documents written before 2.0 carry ``"nodes": null`` and
+        ``"autotune": null``; those two keys are dropped when ``null``
+        and rejected, naming the replacement, otherwise.
+        """
+        if not isinstance(data, dict):
+            raise TypeError(
+                f"a SearchSpec document must be a JSON object, got "
+                f"{type(data).__name__}")
+        data = dict(data)
+        for name, why in _REMOVED_FIELDS.items():
+            if name in data and data.pop(name) is not None:
+                raise ValueError(
+                    f"SearchSpec.{name} was removed in 2.0 ({why}); use "
+                    f"executor=\"process\" with workers=N instead")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -218,17 +218,11 @@ class SearchServer:
             caching; submissions always run).
         max_concurrent: Scheduler threads = maximum sessions in flight.
         executor: Pool backend shared by every job -- "serial" (each
-            session computes in-process), "thread", "process",
-            "chaos", or "distributed"; ``None`` resolves
-            ``$REPRO_EXECUTOR``.  Non-serial pools are held
+            session computes in-process) or "process"; ``None``
+            resolves ``$REPRO_EXECUTOR``.  A process pool is held
             ``keep_alive`` across jobs and leased per session, so
-            workers warm up once and serve all traffic (a distributed
-            fleet connects once and serves every job).
+            workers warm up once and serve all traffic.
         workers: Pool worker count (``None``: ``$REPRO_WORKERS`` / auto).
-        nodes: Node-fleet size for the "distributed" executor
-            (``None``: ``$REPRO_NODES`` / auto; see
-            :class:`~repro.parallel.DistributedBackend` for the
-            self-spawned vs ``$REPRO_BIND`` external modes).
         kernel: Cost-model compute kernel for the shared pool
             (``None``: ``$REPRO_KERNEL`` or "batched").  Serial jobs
             resolve their own kernel per spec/env inside the session.
@@ -244,7 +238,6 @@ class SearchServer:
                  max_concurrent: int = 2,
                  executor: Optional[str] = None,
                  workers: Optional[int] = None,
-                 nodes: Optional[int] = None,
                  kernel: Optional[str] = None,
                  progress_every: int = 10,
                  fault_plan=None) -> None:
@@ -263,7 +256,7 @@ class SearchServer:
         self.coordinator = None
         if executor != "serial":
             self.coordinator = ParallelCoordinator(
-                executor=executor, workers=workers, nodes=nodes,
+                executor=executor, workers=workers,
                 keep_alive=True, fault_plan=fault_plan, kernel=kernel)
         self._lock = threading.Lock()
         self._jobs: "Dict[str, Job]" = {}

@@ -11,7 +11,7 @@ all of them:
   cleanly shut down.
 * **Degradation ladder** (:class:`repro.parallel.ResilientBackend` via
   :class:`repro.parallel.ParallelCoordinator`): a pool failing outright
-  downshifts process -> thread -> serial, the session completes, and
+  downshifts process -> serial, the session completes, and
   ``degraded_to`` lands in ``SessionResult.provenance`` alongside a
   structured ``on_warning`` notification.
 * **Crash-safe sessions**: checkpoints are written atomically and carry
@@ -42,7 +42,6 @@ from repro.costmodel.constants import HardwareConfig
 from repro.costmodel.report import BatchCostReport
 from repro.models import get_model
 from repro.parallel import (
-    EXECUTORS,
     ExecutionError,
     FaultInjected,
     FaultPlan,
@@ -50,7 +49,6 @@ from repro.parallel import (
     ProcessBackend,
     ResilientBackend,
     TaskTimeoutError,
-    ThreadBackend,
     WorkerCrashError,
     make_backend,
 )
@@ -252,9 +250,9 @@ class TestSupervision:
         """A deterministic kernel bug must surface immediately as a
         plain RuntimeError -- retries would only replay it -- and leave
         the recovery counters untouched."""
-        # Pin a fault-free pool even under the CI chaos leg, which
-        # exports $REPRO_FAULTS globally: this test is about counters
-        # staying at zero.
+        # Pin a fault-free pool even under the CI fault-injection leg,
+        # which exports $REPRO_FAULTS globally: this test is about
+        # counters staying at zero.
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         hw, table, inputs, reference = batch_case
         with ProcessBackend(workers=2) as backend:
@@ -284,13 +282,11 @@ class TestSupervision:
 # Degradation ladder
 # ----------------------------------------------------------------------
 class TestDegradation:
-    def test_process_degrades_to_thread_then_serial(self, batch_case):
-        """Exhaustion on the process rung, an injected thread fault on
-        the next: the wrapper walks the whole ladder and the batch still
-        matches serial bit for bit."""
+    def test_process_degrades_to_serial(self, batch_case):
+        """Exhaustion on the process rung: the wrapper steps down to
+        serial and the batch still matches serial bit for bit."""
         hw, table, inputs, reference = batch_case
-        plan = FaultPlan(kill_worker=[(0, 0)] * 3,
-                         raise_in_kernel=[(0, 0)])
+        plan = FaultPlan(kill_worker=[(0, 0)] * 3)
         downshifts = []
         inner = ProcessBackend(workers=2, fault_plan=plan, max_retries=1,
                                backoff_base_s=0.0)
@@ -299,23 +295,14 @@ class TestDegradation:
         _assert_reports_equal(reference,
                               resilient.evaluate(hw, table, *inputs))
         assert resilient.degraded_to == "serial"
-        assert downshifts == [("process", "thread"), ("thread", "serial")]
+        assert downshifts == [("process", "serial")]
         stats = resilient.stats()
-        assert stats["pool_failures"] == 2
+        assert stats["pool_failures"] == 1
         assert stats["degraded_to"] == "serial"
+        assert stats["executor"] == "serial"
         assert stats["retries"] >= 2
         resilient.shutdown()
         assert not _orphan_workers()
-
-    def test_thread_fault_degrades_to_serial(self, batch_case):
-        hw, table, inputs, reference = batch_case
-        plan = FaultPlan(raise_in_kernel=[(0, 0)])
-        resilient = ResilientBackend(
-            ThreadBackend(workers=2, fault_plan=plan))
-        _assert_reports_equal(reference,
-                              resilient.evaluate(hw, table, *inputs))
-        assert resilient.degraded_to == "serial"
-        resilient.shutdown()
 
     def test_degrade_after_allows_same_rung_restarts(self, batch_case):
         """degrade_after=2: the first pool failure re-runs the batch on
@@ -353,12 +340,10 @@ class _WarningRecorder(SearchObserver):
 class TestSessionFaultTolerance:
     def test_retry_exhaustion_degrades_to_serial_and_completes(self):
         """The acceptance path: repeated kills exhaust the process rung,
-        an injected thread fault fails the thread rung, the session
-        finishes on serial with the identical result and the whole story
-        recorded in provenance + warnings."""
+        the session finishes on serial with the identical result and the
+        whole story recorded in provenance + warnings."""
         reference = SearchSession(_spec(executor="serial")).run()
-        plan = FaultPlan(kill_worker=[(0, 0)] * 4,
-                         raise_in_kernel=[(0, 0)])
+        plan = FaultPlan(kill_worker=[(0, 0)] * 4)
         recorder = _WarningRecorder()
         coordinator = ParallelCoordinator("process", workers=2,
                                           fault_plan=plan, max_retries=1)
@@ -370,18 +355,19 @@ class TestSessionFaultTolerance:
         assert _comparable(outcome) == _comparable(reference)
         execution = outcome.provenance["execution"]
         assert execution["degraded_to"] == "serial"
-        assert execution["pool_failures"] == 2
+        assert execution["pool_failures"] == 1
         kinds = [kind for kind, _ in recorder.warnings]
-        assert kinds == ["backend-degraded", "backend-degraded"]
+        assert kinds == ["backend-degraded"]
         assert recorder.warnings[0][1]["from"] == "process"
-        assert recorder.warnings[1][1]["to"] == "serial"
+        assert recorder.warnings[0][1]["to"] == "serial"
         assert any(issubclass(w.category, RuntimeWarning) for w in caught)
         assert recorder.teardowns == 1
         assert not _orphan_workers()
 
     def test_crash_free_run_reports_zero_retries(self, monkeypatch):
-        # The CI chaos leg exports $REPRO_FAULTS globally; this test is
-        # specifically about the crash-free counters staying at zero.
+        # The CI fault-injection leg exports $REPRO_FAULTS globally; this
+        # test is specifically about the crash-free counters staying at
+        # zero.
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         coordinator = ParallelCoordinator("process", workers=2)
         outcome = SearchSession(
@@ -424,22 +410,6 @@ class TestSessionFaultTolerance:
             assert first.best_cost == second.best_cost
             assert pool.execution_stats()["respawns"] == 1
         assert pool.alive_workers == 0
-        assert not _orphan_workers()
-
-    def test_chaos_executor_is_registered_and_deterministic(self,
-                                                            monkeypatch):
-        """`chaos` is a first-class executor: spec-valid, defaulting to
-        a seeded plan, and -- like every backend -- bit-identical."""
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        assert "chaos" in EXECUTORS
-        backend = make_backend("chaos", workers=2)
-        assert isinstance(backend, ProcessBackend)
-        assert backend.fault_plan == FaultPlan.seeded(0)
-        backend.shutdown()
-        reference = SearchSession(_spec(executor="serial")).run()
-        chaotic = SearchSession(
-            _spec(executor="chaos", workers=2)).run()
-        assert _comparable(chaotic) == _comparable(reference)
         assert not _orphan_workers()
 
 
@@ -519,6 +489,27 @@ class TestSerializationHardening:
         assert json.loads(json.dumps(document)) == document
         assert SearchSpec.from_dict(document["spec"]) \
             == _spec(executor="serial")
+
+    def test_documents_written_by_1_8_load_and_resume(self, tmp_path):
+        """1.8 wrote ``"nodes": null, "autotune": null`` into every
+        spec; results and checkpoints carrying them still load and
+        resume, and a non-null value names the replacement."""
+        path = tmp_path / "best.json"
+        outcome = SearchSession(_spec(executor="serial")).run(
+            callbacks=[CheckpointHook(path)])
+        legacy = outcome.to_dict()
+        legacy["spec"].update(nodes=None, autotune=None)
+        restored = repro.SessionResult.from_json(json.dumps(legacy))
+        assert restored.spec == outcome.spec
+        checkpoint = json.loads(path.read_text())
+        checkpoint["spec"].update(nodes=None, autotune=None)
+        path.write_text(json.dumps(checkpoint))
+        assert _comparable(CheckpointHook.resume(path)) \
+            == _comparable(outcome)
+        for field, value in (("nodes", 4), ("autotune", True)):
+            stale = dict(legacy, spec=dict(legacy["spec"], **{field: value}))
+            with pytest.raises(ValueError, match='executor="process"'):
+                repro.SessionResult.from_dict(stale)
 
     def test_fault_plan_survives_env_round_trip(self, monkeypatch):
         plan = FaultPlan(kill_worker=[(0, 1)], delay_s=[(2, 0, 0.1)],

@@ -30,7 +30,6 @@ from repro.costmodel import (
     STYLE_INDEX,
     compile_program,
     evaluate_with_kernel,
-    numba_available,
     resolve_kernel,
 )
 from repro.costmodel.batched import ordered_row_sum, table_token
@@ -44,9 +43,8 @@ from repro.search.spec import SearchSpec
 REPORT_FIELDS = [f.name for f in dataclasses.fields(BatchCostReport)]
 INT_FIELDS = ("pes_used", "l1_bytes_per_pe", "l2_bytes", "tile_k", "macs")
 
-# Kernels that must be bit-identical to the batched reference.  fused-jit
-# joins when numba is importable (the container may not ship it).
-EXACT_KERNELS = ["fused"] + (["fused-jit"] if numba_available() else [])
+# Kernels that must be bit-identical to the batched reference.
+EXACT_KERNELS = ["fused"]
 
 
 def assert_bit_identical(reference: BatchCostReport,
@@ -151,7 +149,7 @@ class TestLRUCache:
 
 
 # ----------------------------------------------------------------------
-# Bit parity: fused (and fused-jit when available) vs the batched kernel
+# Bit parity: fused vs the batched kernel
 # ----------------------------------------------------------------------
 class TestFusedParity:
     @pytest.mark.parametrize("kernel", EXACT_KERNELS)
@@ -221,13 +219,6 @@ class TestFused32:
             b = np.asarray(getattr(report, name), dtype=np.float64)
             rel = np.abs(b - a) / np.maximum(np.abs(a), 1e-30)
             assert rel.max() < 1e-5, f"{name}: rel err {rel.max():.3g}"
-
-
-@pytest.mark.skipif(numba_available(), reason="numba is installed here")
-def test_jit_kernel_requires_numba():
-    table = LayerTable.build(get_model("mnasnet")[:2])
-    with pytest.raises(RuntimeError, match="numba"):
-        compile_program(DEFAULT_HW, table, "fused-jit")
 
 
 # ----------------------------------------------------------------------
@@ -389,7 +380,7 @@ class TestSingleTableCache:
 # Kernel forwarding through the execution backends
 # ----------------------------------------------------------------------
 class TestBackendKernel:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_backend_fused_matches_batched(self, executor, table):
         batch = tiled_batch(table, pop=11, seed=41)
         reference = evaluate_with_kernel("batched", DEFAULT_HW, table,
@@ -411,7 +402,7 @@ class TestBackendKernel:
         assert CostModel().batched.kernel == resolve_kernel(None)
 
     def test_kernels_tuple_is_public_contract(self):
-        assert KERNELS == ("batched", "fused", "fused32", "fused-jit")
+        assert KERNELS == ("batched", "fused", "fused32")
 
 
 # ----------------------------------------------------------------------
@@ -479,7 +470,7 @@ class TestConstraintFold:
             deployment="lp", kind="area", budget=1e9)
         assert fold is None
 
-        backend = make_backend("thread", workers=2, kernel="fused")
+        backend = make_backend("process", workers=2, kernel="fused")
         sharded = BatchedCostModel(kernel="fused", executor=backend)
         try:
             report, fold = sharded.evaluate_constrained(

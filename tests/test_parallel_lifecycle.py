@@ -96,7 +96,7 @@ class TestWorkerTeardown:
 
         monkeypatch.setenv("REPRO_EXECUTOR", "process")
         model = CostModel()
-        with make_backend("thread", 2) as backend:
+        with make_backend("process", 2) as backend:
             model.set_executor(backend)
             SearchSession(_spec(executor=None, workers=None),
                           cost_model=model).run()

@@ -3,9 +3,8 @@
 The contract of :mod:`repro.parallel` is that an execution backend may
 change *where* a batch is evaluated but never *what* comes back: for a
 fixed seed, a session's :class:`SessionResult` must be bit-identical
-across ``executor`` in {serial, thread, process, distributed} and
-``workers`` (node count, for distributed) in {1, 2, 4} for every
-registered method that routes through the batched population
+across ``executor`` in {serial, process} and ``workers`` in {1, 2, 4}
+for every registered method that routes through the batched population
 evaluator.  This file is the lockdown: it runs the full
 matrix per batchable method, plus property-style randomized round-trips
 of the shared-memory path itself (including empty, size-1, and
@@ -35,10 +34,7 @@ from repro.parallel import (
 from repro.search import SearchSession, SearchSpec, list_methods
 
 EXECUTOR_MATRIX = [("serial", 1), ("serial", 2), ("serial", 4),
-                   ("thread", 1), ("thread", 2), ("thread", 4),
-                   ("process", 1), ("process", 2), ("process", 4),
-                   ("distributed", 1), ("distributed", 2),
-                   ("distributed", 4)]
+                   ("process", 1), ("process", 2), ("process", 4)]
 
 #: Small-but-real budgets per method kind so the matrix stays fast while
 #: every method still exercises batched population evaluation.
@@ -57,12 +53,10 @@ def _spec(method: str, executor: str, workers: int) -> SearchSpec:
         budget, finetune = _BUDGETS["genome"], None
     # dispatch_min_batch=0 forces sharding: the matrix must exercise the
     # workers even for the small test batches the adaptive fallback
-    # would otherwise keep in-process.  The distributed executor sizes
-    # its fleet from ``nodes``.
+    # would otherwise keep in-process.
     return SearchSpec(model="mobilenet_v2", method=method, budget=budget,
                       finetune=finetune, seed=11, layer_slice=4,
                       executor=executor, workers=workers,
-                      nodes=workers if executor == "distributed" else None,
                       dispatch_min_batch=0)
 
 
@@ -76,7 +70,7 @@ def _comparable(session_result) -> dict:
 
 @pytest.mark.parametrize("method", _batchable_names())
 def test_session_results_bit_identical_across_backends(method):
-    """Every batchable method: 3 executors x 3 worker counts, one
+    """Every batchable method: 2 executors x 3 worker counts, one
     answer."""
     reference = None
     for executor, workers in EXECUTOR_MATRIX:
@@ -93,31 +87,29 @@ def test_session_results_bit_identical_across_backends(method):
 # Kill-a-worker-mid-batch parity: recovery is invisible in the results
 # ----------------------------------------------------------------------
 #: (method, envs, executor) cells of the crash-recovery matrix -- one GA
-#: and one episodic-RL method, scalar and vectorized stepping, over both
-#: fault-injectable transports (process workers and distributed node
-#: agents).  Kill batches are kept low so they land inside even the GA's
-#: short sharded-batch run.
+#: and one episodic-RL method, scalar and vectorized stepping.  Kill
+#: batches are kept low so they land inside even the GA's short
+#: sharded-batch run.
 CRASH_MATRIX = [("ga", 1, "process"), ("reinforce", 1, "process"),
-                ("reinforce", 8, "process"),
-                ("ga", 1, "distributed"), ("reinforce", 8, "distributed")]
+                ("reinforce", 8, "process")]
 
 
 @pytest.mark.parametrize("method,envs,executor", CRASH_MATRIX)
 def test_session_identical_after_workers_killed_mid_batch(method, envs,
                                                           executor):
-    """A fault plan killing two workers (process workers or distributed
-    node agents) mid-search changes nothing in the SessionResult -- best
-    cost, assignments, full RNG-driven history, cache hits -- versus the
-    crash-free serial run; only the recovery counters in provenance
-    betray that anything happened."""
+    """A fault plan killing two worker processes mid-search changes
+    nothing in the SessionResult -- best cost, assignments, full
+    RNG-driven history, cache hits -- versus the crash-free serial run;
+    only the recovery counters in provenance betray that anything
+    happened."""
     base = dict(model="mobilenet_v2", method=method, budget=24, seed=7,
                 layer_slice=4, envs=envs, dispatch_min_batch=0)
     reference = SearchSession(SearchSpec(executor="serial", **base)).run()
     plan = FaultPlan(kill_worker=[(0, 0), (1, 1)])
-    coordinator = ParallelCoordinator(executor, workers=2, nodes=2,
+    coordinator = ParallelCoordinator(executor, workers=2,
                                       fault_plan=plan, degrade=False)
     recovered = SearchSession(
-        SearchSpec(executor=executor, workers=2, nodes=2, **base)
+        SearchSpec(executor=executor, workers=2, **base)
     ).run(callbacks=[coordinator])
     assert _comparable(recovered) == _comparable(reference)
     assert recovered.result.cache_hits == reference.result.cache_hits

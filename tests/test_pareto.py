@@ -368,19 +368,22 @@ class TestAdaptiveDispatch:
 
     def test_threshold_zero_always_shards(self):
         from repro.costmodel.batched import LayerTable
-        from repro.parallel import ThreadBackend
+        from repro.parallel import ProcessBackend
 
         layers = repro.get_model("mobilenet_v2")[:2]
         table = LayerTable.build(layers)
         model = repro.CostModel()
-        backend = ThreadBackend(workers=2, min_batch_per_worker=0)
+        backend = ProcessBackend(workers=2, min_batch_per_worker=0)
         model.set_executor(backend)
-        report = model.batched.evaluate(
-            table, np.zeros(4, dtype=np.int64), 0,
-            np.full(4, 8, dtype=np.int64), np.full(4, 32, dtype=np.int64))
-        assert len(report) == 4
-        assert backend.sharded_batches == 1
-        backend.shutdown()
+        try:
+            report = model.batched.evaluate(
+                table, np.zeros(4, dtype=np.int64), 0,
+                np.full(4, 8, dtype=np.int64),
+                np.full(4, 32, dtype=np.int64))
+            assert len(report) == 4
+            assert backend.sharded_batches == 1
+        finally:
+            backend.shutdown()
 
     def test_spec_exposes_and_resolves_threshold(self, monkeypatch):
         spec = SearchSpec(model="mobilenet_v2", dispatch_min_batch=17)
@@ -388,17 +391,19 @@ class TestAdaptiveDispatch:
         spec = SearchSpec(model="mobilenet_v2")
         monkeypatch.setenv("REPRO_DISPATCH_MIN", "33")
         assert spec.resolved_dispatch_min_batch() == 33
+        # The runtime-calibrated "auto" threshold is gone: the variable
+        # must name an integer, and says so.
+        monkeypatch.setenv("REPRO_DISPATCH_MIN", "auto")
+        with pytest.raises(ValueError, match="must be an integer"):
+            spec.resolved_dispatch_min_batch()
         monkeypatch.delenv("REPRO_DISPATCH_MIN")
-        # Unset, the threshold resolves per transport: each executor
-        # gets its calibrated break-even, not one global constant.
-        from repro.parallel import TRANSPORT_MIN_BATCH
+        from repro.parallel import DEFAULT_DISPATCH_MIN_BATCH
 
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        for executor, want in TRANSPORT_MIN_BATCH.items():
-            spec = SearchSpec(model="mobilenet_v2", executor=executor)
-            assert spec.resolved_dispatch_min_batch() == want
-        with pytest.raises(ValueError, match="dispatch_min_batch"):
-            SearchSpec(model="mobilenet_v2", dispatch_min_batch=-1)
+        assert spec.resolved_dispatch_min_batch() \
+            == DEFAULT_DISPATCH_MIN_BATCH
+        for bad in (-1, "auto", 2.5, True):
+            with pytest.raises(ValueError, match="dispatch_min_batch"):
+                SearchSpec(model="mobilenet_v2", dispatch_min_batch=bad)
 
     def test_adaptive_session_bit_identical_to_forced_sharding(self):
         """The whole point: dispatch is a latency knob, never a results

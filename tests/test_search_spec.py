@@ -1,11 +1,21 @@
 """Tests for the frozen, serializable SearchSpec."""
 
 import dataclasses
+import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.tasks import TaskSpec
-from repro.search import SearchSpec
+from repro.search import SearchSpec, method_names
+from repro.search.spec import (
+    CONSTRAINT_KINDS,
+    DATAFLOWS,
+    DEPLOYMENTS,
+    PLATFORMS,
+)
 
 
 class TestValidation:
@@ -38,6 +48,34 @@ class TestValidation:
             SearchSpec(model="ncf", budget=0)
         with pytest.raises(ValueError, match="finetune"):
             SearchSpec(model="ncf", finetune=-1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("layer_slice", -3),
+        ("layer_slice", 0),
+        ("mix", "false"),
+        ("budget", 5.5),
+        ("seed", "x"),
+        ("seed", -1),
+        ("workers", True),
+        ("envs", 2.0),
+        ("max_pes", 0),
+        ("task_timeout_s", "soon"),
+        ("task_timeout_s", float("nan")),
+        ("objective", {"kind": "weighted",
+                       "weights": {"latency": float("nan")}}),
+        ("objective", {"kind": "penalty", "base": "latency",
+                       "limit_on": "area", "limit": float("nan")}),
+    ])
+    def test_rejects_malformed_values(self, field, value):
+        """Values a JSON document can carry but the run cannot use fail
+        at construction, not inside the job."""
+        with pytest.raises(ValueError, match=field):
+            SearchSpec(model="ncf", **{field: value})
+
+    def test_numpy_integers_are_stored_as_int(self):
+        spec = SearchSpec(model="ncf", seed=np.int64(3), budget=np.int32(9))
+        assert type(spec.seed) is int and type(spec.budget) is int
+        assert SearchSpec.from_json(spec.to_json()) == spec
 
     def test_frozen(self):
         spec = SearchSpec(model="ncf")
@@ -74,8 +112,10 @@ class TestDerived:
 
 class TestExecutorFields:
     def test_rejects_unknown_executor(self):
-        with pytest.raises(ValueError, match="executor"):
-            SearchSpec(model="ncf", executor="gpu")
+        # thread, chaos and distributed were removed in 2.0.
+        for executor in ("gpu", "thread", "chaos", "distributed"):
+            with pytest.raises(ValueError, match="executor"):
+                SearchSpec(model="ncf", executor=executor)
 
     def test_rejects_non_positive_workers(self):
         with pytest.raises(ValueError, match="workers"):
@@ -85,8 +125,8 @@ class TestExecutorFields:
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         spec = SearchSpec(model="ncf")
         assert spec.resolved_executor() == "serial"
-        assert SearchSpec(model="ncf", executor="thread") \
-            .resolved_executor() == "thread"
+        assert SearchSpec(model="ncf", executor="process") \
+            .resolved_executor() == "process"
 
     def test_env_var_fills_unset_fields_only(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "process")
@@ -133,3 +173,65 @@ class TestSerialization:
         c = SearchSpec(model="ncf", budget=11)
         assert a == b
         assert a != c
+
+
+# ----------------------------------------------------------------------
+# Untrusted input: SearchSpec.from_json is the service wire's parser
+# ----------------------------------------------------------------------
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats()
+    | st.text(max_size=6),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=4), children,
+                                        max_size=3)),
+    max_leaves=6)
+
+#: Per field, values a well-meaning client might send (most valid).
+_PLAUSIBLE = {
+    "model": st.sampled_from(["ncf", "mobilenet_v2", "alexnet9000"]),
+    "method": st.sampled_from(method_names() + ["nope"]),
+    "objective": st.sampled_from(["latency", "energy", "edp", "bogus",
+                                  "weighted:latency=0.5,energy=0.5",
+                                  "multi:latency,energy"]),
+    "dataflow": st.sampled_from(DATAFLOWS + ("tpu",)),
+    "constraint_kind": st.sampled_from(CONSTRAINT_KINDS),
+    "platform": st.sampled_from(PLATFORMS),
+    "deployment": st.sampled_from(DEPLOYMENTS),
+    "mix": st.booleans(),
+    "executor": st.sampled_from(["serial", "process", "thread", None]),
+    "kernel": st.sampled_from(["batched", "fused", "fused32", "auto",
+                               None]),
+    "nodes": st.none(),
+    "autotune": st.none(),
+}
+_KEYS = [field.name for field in dataclasses.fields(SearchSpec)] \
+    + ["nodes", "autotune", "colour"]
+
+
+@st.composite
+def _spec_documents(draw):
+    document = {"model": draw(_PLAUSIBLE["model"])}
+    for key in draw(st.sets(st.sampled_from(_KEYS), max_size=8)):
+        numbers = st.integers(-3, 600) | st.none()
+        document[key] = draw(_PLAUSIBLE.get(key, numbers) | _JSON_VALUES)
+    return document
+
+
+class TestWireInput:
+    @settings(max_examples=300, deadline=None)
+    @given(document=_spec_documents())
+    def test_from_json_builds_a_round_tripping_spec_or_raises(self,
+                                                              document):
+        """Every document either builds a spec that survives
+        to_json -> from_json unchanged, or raises a typed error."""
+        try:
+            spec = SearchSpec.from_json(json.dumps(document))
+        except (ValueError, TypeError):
+            return
+        assert SearchSpec.from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize("text", ["", "[1, 2]", "null", "7",
+                                      '{"model": "ncf"', '{"model": 1}'])
+    def test_malformed_documents_raise_typed_errors(self, text):
+        with pytest.raises((ValueError, TypeError)):
+            SearchSpec.from_json(text)

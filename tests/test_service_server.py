@@ -142,7 +142,7 @@ class TestCacheSemantics:
     def test_execution_knobs_share_one_entry(self, tmp_path):
         with _server(tmp_path) as server:
             server.submit(_spec()).wait(timeout=60)
-            hit = server.submit(_spec(executor="thread", workers=2))
+            hit = server.submit(_spec(executor="process", workers=2))
             hit.wait(timeout=60)
             assert hit.cached
             assert server.executions == 1
@@ -345,8 +345,7 @@ class TestSharedPool:
                         == reference.result.best_genome)
                 # The run's provenance names the shared pool.
                 execution = job.result.provenance["execution"]
-                assert execution["executor"] in ("process", "serial",
-                                                 "thread")
+                assert execution["executor"] in ("process", "serial")
 
     def test_pool_stays_warm_across_jobs(self, tmp_path):
         with _server(tmp_path, executor="process", workers=2,

@@ -54,7 +54,7 @@ class TestResultKey:
     def test_execution_knobs_do_not_change_the_key(self):
         base = result_key(_spec())
         assert result_key(_spec(executor="process", workers=4)) == base
-        assert result_key(_spec(executor="thread",
+        assert result_key(_spec(executor="serial",
                                 dispatch_min_batch=0)) == base
         assert result_key(_spec(task_timeout_s=30.0)) == base
         for field in EXECUTION_ONLY_FIELDS:
@@ -77,6 +77,16 @@ class TestResultKey:
         monkeypatch.setenv("REPRO_ENVS", "4")
         assert result_key(_spec()) != base
         assert result_key(_spec()) == result_key(_spec(envs=4))
+
+    def test_kernel_resolved_from_environment(self, monkeypatch):
+        """fused32 results differ from the exact kernels', so a server
+        started under $REPRO_KERNEL=fused32 must not share their keys."""
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        base = result_key(_spec())
+        assert result_key(_spec(kernel="batched")) == base
+        monkeypatch.setenv("REPRO_KERNEL", "fused32")
+        assert result_key(_spec()) != base
+        assert result_key(_spec()) == result_key(_spec(kernel="fused32"))
 
     def test_scenario_fields_change_the_key(self):
         base = result_key(_spec())
