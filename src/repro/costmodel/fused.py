@@ -201,7 +201,7 @@ class FusedProgram:
     same validated arrays :func:`~repro.costmodel.batched
     .evaluate_batch_kernel` takes.  Instances are immutable after
     construction apart from thread-local scratch, so one program may be
-    shared by concurrent threads (the service's scheduler threads do).
+    shared by concurrent threads.
     """
 
     def __init__(self, hw: HardwareConfig, table, kind: str = "fused") -> None:
