@@ -101,7 +101,7 @@ from repro.parallel import (
     make_backend,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Layer",

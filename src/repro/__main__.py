@@ -40,7 +40,6 @@ import sys
 
 from repro.core.reporting import format_table
 from repro.costmodel import CostModel
-from repro.costmodel.fused import KERNELS
 from repro.models import get_model, list_models
 from repro.models.layers import summarize
 from repro.parallel.backend import EXECUTORS
@@ -145,7 +144,6 @@ def _spec_from_args(args: argparse.Namespace, method: str) -> SearchSpec:
             dispatch_min_batch=args.dispatch_min_batch,
             envs=args.envs,
             task_timeout_s=args.task_timeout_s,
-            kernel=args.kernel,
         )
     except ValueError as error:
         # Free-form spec fields (--objective most of all) are validated
@@ -254,8 +252,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             first.resolved_executor(), first.resolved_workers(),
             keep_alive=True,
             min_batch_per_worker=first.resolved_dispatch_min_batch(),
-            task_timeout_s=first.resolved_task_timeout_s(),
-            kernel=first.resolved_kernel())]
+            task_timeout_s=first.resolved_task_timeout_s())]
     try:
         for method in methods:
             spec = _spec_from_args(args, method)
@@ -291,7 +288,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_concurrent=args.max_concurrent,
         executor=args.executor,
         workers=args.workers,
-        kernel=args.kernel,
         progress_every=args.progress_every,
     )
     transport = start_transport(server, host=args.host, port=args.port,
@@ -486,12 +482,6 @@ def _add_task_arguments(parser: argparse.ArgumentParser) -> None:
                              "bit-identical to scalar stepping, >1 is a "
                              "faster, reproducible scenario -- see "
                              "BENCH_rl.json)")
-    parser.add_argument("--kernel", default=None, choices=list(KERNELS),
-                        help="cost-model compute kernel (default: "
-                             "$REPRO_KERNEL or batched; fused is "
-                             "bit-identical and faster, fused32 trades "
-                             "~1e-7 relative error for more speed -- see "
-                             "PERFORMANCE.md)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -553,9 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=None,
                        help="pool worker count (default: $REPRO_WORKERS "
                             "or auto)")
-    serve.add_argument("--kernel", default=None, choices=list(KERNELS),
-                       help="cost-model compute kernel for the shared "
-                            "pool (default: $REPRO_KERNEL or batched)")
     serve.add_argument("--cache-dir", default=None, dest="cache_dir",
                        help="result-cache root (default: $REPRO_CACHE_DIR "
                             "or ~/.cache/repro/results)")

@@ -23,31 +23,15 @@ from repro.costmodel.dataflow import (
     get_dataflow,
 )
 from repro.costmodel.report import BatchCostReport, CostReport, ModelCostReport
-from repro.costmodel.fused import (
-    DEFAULT_KERNEL,
-    KERNEL_ENV,
-    KERNELS,
-    FusedProgram,
-    compile_program,
-    resolve_kernel,
-)
 from repro.costmodel.batched import (
     BATCH_STYLES,
     STYLE_INDEX,
     BatchedCostModel,
     LayerTable,
-    evaluate_with_kernel,
 )
 from repro.costmodel.estimator import CostModel
 
 __all__ = [
-    "DEFAULT_KERNEL",
-    "KERNEL_ENV",
-    "KERNELS",
-    "FusedProgram",
-    "compile_program",
-    "evaluate_with_kernel",
-    "resolve_kernel",
     "HardwareConfig",
     "DEFAULT_HW",
     "Dataflow",

@@ -20,10 +20,11 @@ PERFORMANCE.md for the architecture and the measured speedup.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -33,12 +34,6 @@ from repro.costmodel.dataflow import (
     DATAFLOWS,
     BatchDims,
     get_dataflow,
-)
-from repro.costmodel.fused import (
-    ConstraintFold,
-    LRUCache,
-    compile_program,
-    resolve_kernel,
 )
 from repro.costmodel.report import BatchCostReport, objective_totals
 from repro.models.layers import Layer, LayerType
@@ -50,10 +45,9 @@ __all__ = [
     "ConstraintFold",
     "LayerTable",
     "evaluate_batch_kernel",
-    "evaluate_with_kernel",
-    "fused_program",
     "objective_totals",
     "ordered_row_sum",
+    "population_totals",
     "table_token",
 ]
 
@@ -76,12 +70,51 @@ def ordered_row_sum(values: np.ndarray) -> np.ndarray:
     return total
 
 
+def population_totals(
+    report: BatchCostReport, num_layers: int, deployment: str
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-design ``(latency, energy, area, power)`` totals of a
+    population batch in the tiled ``(population, num_layers)`` layout.
+
+    Latency and energy sum over the layers (left to right, see
+    :func:`ordered_row_sum`); area and power sum too under the ``"lp"``
+    deployment (the per-layer partitions coexist on chip) and take the
+    row max under ``"ls"`` (one shared design point), exactly as
+    ``CostModel.evaluate_model`` / ``evaluate_model_ls`` aggregate.
+    """
+    shape = (-1, num_layers)
+    latency = ordered_row_sum(report.latency_cycles.reshape(shape))
+    energy = ordered_row_sum(report.energy_nj.reshape(shape))
+    area = report.area_um2.reshape(shape)
+    power = report.power_mw.reshape(shape)
+    if deployment == "ls":
+        return latency, energy, area.max(axis=1), power.max(axis=1)
+    return latency, energy, ordered_row_sum(area), ordered_row_sum(power)
+
+
+class ConstraintFold(NamedTuple):
+    """A population batch reduced under a platform (area/power) budget.
+
+    Returned by :meth:`BatchedCostModel.evaluate_constrained`: the four
+    :func:`population_totals` plus the budget check, so population
+    consumers never touch the per-layer report arrays.
+    """
+
+    latency_total: np.ndarray
+    energy_total: np.ndarray
+    area_total: np.ndarray
+    power_total: np.ndarray
+    #: The budgeted quantity (``area_total`` or ``power_total``).
+    used: np.ndarray
+    #: ``used <= budget`` per population row.
+    feasible: np.ndarray
 
 
 # Monotonic table identity.  ``id(table)`` is recycled by the allocator
-# the moment a table is garbage-collected, so a cache keyed on it could
-# serve a *stale* compiled program to an unrelated new table at the same
-# address.  Tokens are assigned once per table, never reused.
+# the moment a table is garbage-collected, so anything keyed on it (the
+# process backend's worker-side table ids) could confuse an unrelated
+# new table at the same address with a dead one.  Tokens are assigned
+# once per table, never reused.
 _TABLE_TOKENS = itertools.count(1)
 _TABLE_TOKEN_LOCK = threading.Lock()
 
@@ -90,8 +123,8 @@ def table_token(table: "LayerTable") -> int:
     """A process-unique, never-recycled identity for ``table``.
 
     Lazily stamped on first use (``LayerTable`` is frozen, so the stamp
-    goes through ``object.__setattr__``); all program caches key on this
-    instead of ``id(table)``.
+    goes through ``object.__setattr__``); the process backend keys its
+    shipped tables on this instead of ``id(table)``.
     """
     token = getattr(table, "_token", None)
     if token is None:
@@ -276,55 +309,12 @@ def evaluate_batch_kernel(
     )
 
 
-def evaluate_with_kernel(
-    kernel: str,
-    hw: HardwareConfig,
-    table: LayerTable,
-    layer_idx: np.ndarray,
-    style_idx: np.ndarray,
-    pes: np.ndarray,
-    l1_bytes: np.ndarray,
-    programs: LRUCache = None,
-) -> BatchCostReport:
-    """Dispatch one validated batch to the requested kernel.
-
-    ``"batched"`` runs :func:`evaluate_batch_kernel` directly; the fused
-    kinds look up (or compile) the per-``(table, kernel)``
-    :class:`~repro.costmodel.fused.FusedProgram` in ``programs`` and run
-    it.  The cache key is ``(table_token(table), kernel)`` -- a
-    monotonically assigned identity that, unlike ``id(table)``, is never
-    recycled when a table is garbage-collected, so a new table can never
-    inherit a stale program.  The identity staleness check stays as a
-    belt-and-braces guard for hand-built cache entries.
-
-    Every kernel shares :func:`evaluate_batch_kernel`'s shard
-    invariance, which is what lets the execution backends cache one
-    compiled program per worker and reuse it for every shard.
-    """
-    if kernel == "batched":
-        return evaluate_batch_kernel(hw, table, layer_idx, style_idx,
-                                     pes, l1_bytes)
-    program = fused_program(kernel, hw, table, programs)
-    return program.evaluate(layer_idx, style_idx, pes, l1_bytes)
-
-
-def fused_program(kernel: str, hw: HardwareConfig, table: LayerTable,
-                  programs: LRUCache = None):
-    """The compiled :class:`~repro.costmodel.fused.FusedProgram` for
-    ``(hw, table, kernel)``, looked up in (or compiled into) the
-    ``programs`` cache keyed ``(table_token(table), kernel)``."""
-    program = None
-    key = (table_token(table), kernel)
-    if programs is not None:
-        program = programs.get(key)
-        if program is not None and (program.table is not table
-                                    or program.hw is not hw):
-            program = None
-    if program is None:
-        program = compile_program(hw, table, kernel)
-        if programs is not None:
-            programs.put(key, program)
-    return program
+@functools.lru_cache(maxsize=16)
+def _single_layer_table(layer: Layer) -> LayerTable:
+    """The one-row :class:`LayerTable` behind ``evaluate_layer_batch``
+    sweeps, built once per layer.  Bounded, so a long-lived ``repro
+    serve`` process sweeping many models never grows it without limit."""
+    return LayerTable.build([layer])
 
 
 class BatchedCostModel:
@@ -336,30 +326,16 @@ class BatchedCostModel:
 
     When ``executor`` is set (an :class:`repro.parallel.ExecutionBackend`),
     validated batches are handed to it instead of the in-process kernel;
-    the backends shard the batch across threads or worker processes and
-    gather a bit-identical :class:`BatchCostReport`.
+    the process backend shards the batch across worker processes and
+    gathers a bit-identical :class:`BatchCostReport`.
     """
 
     def __init__(self, hw: HardwareConfig = DEFAULT_HW,
-                 executor=None, kernel: str = None) -> None:
+                 executor=None) -> None:
         self.hw = hw
         #: Optional :class:`~repro.parallel.ExecutionBackend`; ``None``
         #: runs the kernel in-process.
         self.executor = executor
-        #: Which compute kernel in-process batches run (``"batched"``,
-        #: ``"fused"``, ``"fused32"``); ``None``
-        #: resolves ``$REPRO_KERNEL`` then the batched default.  An
-        #: attached executor applies its own (identically resolved)
-        #: kernel setting worker-side.
-        self.kernel = resolve_kernel(kernel)
-        # Compiled fused programs, keyed (table_token(table), kernel).
-        # Bounded: a long-lived model may see many tables over its
-        # lifetime.
-        self._programs = LRUCache(8)
-        # Single-layer tables for evaluate_layer_batch sweeps.  Also
-        # bounded: serve processes sweeping many models would otherwise
-        # grow this per distinct Layer forever.
-        self._single_tables = LRUCache(16)
 
     # ------------------------------------------------------------------
     def evaluate(
@@ -384,45 +360,47 @@ class BatchedCostModel:
             A :class:`BatchCostReport` of arrays, element ``i`` matching
             ``CostModel.evaluate_layer`` on point ``i`` exactly.
         """
-        layer_idx, style_idx, pes, l1_bytes = self._validate(
-            table, layer_idx, style_idx, pes, l1_bytes)
-        if self.executor is not None:
-            return self.executor.evaluate(self.hw, table, layer_idx,
-                                          style_idx, pes, l1_bytes)
-        return evaluate_with_kernel(self.kernel, self.hw, table, layer_idx,
-                                    style_idx, pes, l1_bytes,
-                                    programs=self._programs)
+        return self._dispatch(table, *self._validate(
+            table, layer_idx, style_idx, pes, l1_bytes))
 
     # ------------------------------------------------------------------
     def evaluate_constrained(self, table: LayerTable, layer_idx, style_idx,
                              pes, l1_bytes, deployment: str, kind: str,
-                             budget: float):
-        """Evaluate a batch, folding the platform budget check into the
-        fused epilogue when possible.
+                             budget: float) -> ConstraintFold:
+        """Evaluate a population batch and reduce it under a platform
+        budget.
 
-        Returns ``(report, fold)``.  ``report`` is always bit-identical
-        to :meth:`evaluate` on the same batch.  ``fold`` is a
-        :class:`~repro.costmodel.fused.ConstraintFold` carrying the
-        population totals plus ``used``/``feasible`` -- or ``None``
-        whenever the fold is unavailable (an executor shards the batch
-        across workers, the kernel has no fused epilogue, or the batch
-        is not in the tiled population layout), in which case callers
-        run their usual reduction post-pass over the report.
+        The batch must be in the tiled population layout every
+        population consumer emits: ``layer_idx == tile(arange(len(table)),
+        population)``, one row of ``len(table)`` layers per design.
+        ``deployment`` picks the aggregation (see
+        :func:`population_totals`), and the platform constraint ``kind``
+        (``"area"`` or ``"power"``) and its ``budget`` give
+        ``used``/``feasible``.  Returns a :class:`ConstraintFold`, with or
+        without an executor attached.
         """
-        layer_idx, style_idx, pes, l1_bytes = self._validate(
-            table, layer_idx, style_idx, pes, l1_bytes)
+        batch = self._validate(table, layer_idx, style_idx, pes, l1_bytes)
+        num_layers = len(table)
+        if batch[0].size % num_layers or not bool(
+                (batch[0].reshape(-1, num_layers)
+                 == np.arange(num_layers)).all()):
+            raise ValueError(
+                "evaluate_constrained needs the tiled population layout "
+                "(layer_idx == tile(arange(len(table)), population))")
+        latency, energy, area, power = population_totals(
+            self._dispatch(table, *batch), num_layers, deployment)
+        used = area if kind == "area" else power
+        return ConstraintFold(latency, energy, area, power, used,
+                              used <= budget)
+
+    def _dispatch(self, table: LayerTable, layer_idx, style_idx, pes,
+                  l1_bytes) -> BatchCostReport:
+        """Run one validated batch on the executor, else in-process."""
         if self.executor is not None:
-            return (self.executor.evaluate(self.hw, table, layer_idx,
-                                           style_idx, pes, l1_bytes), None)
-        if self.kernel not in ("fused", "fused32"):
-            return (evaluate_with_kernel(self.kernel, self.hw, table,
-                                         layer_idx, style_idx, pes,
-                                         l1_bytes,
-                                         programs=self._programs), None)
-        program = fused_program(self.kernel, self.hw, table, self._programs)
-        return program.evaluate_constrained(layer_idx, style_idx, pes,
-                                            l1_bytes, deployment, kind,
-                                            budget)
+            return self.executor.evaluate(self.hw, table, layer_idx,
+                                          style_idx, pes, l1_bytes)
+        return evaluate_batch_kernel(self.hw, table, layer_idx, style_idx,
+                                     pes, l1_bytes)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -463,10 +441,7 @@ class BatchedCostModel:
         length-1 report.
         """
         style = get_dataflow(dataflow).style
-        table = self._single_tables.get(layer)
-        if table is None:
-            table = LayerTable.build([layer])
-            self._single_tables.put(layer, table)
+        table = _single_layer_table(layer)
         pes = np.atleast_1d(np.asarray(pes, dtype=np.int64))
         l1_bytes = np.atleast_1d(np.asarray(l1_bytes, dtype=np.int64))
         if pes.shape != l1_bytes.shape:

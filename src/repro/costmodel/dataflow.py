@@ -389,38 +389,6 @@ class ShiDianNaoStyle(Dataflow):
         )
 
 
-def fold_layer_rows(K: np.ndarray, C: np.ndarray, out_y: np.ndarray,
-                    out_x: np.ndarray, R: np.ndarray, S: np.ndarray,
-                    is_dw: np.ndarray) -> Dict[str, np.ndarray]:
-    """Fold the per-layer constants every ``plan_batch`` recomputes.
-
-    This is the compile-time half of the fused tensor programs
-    (:mod:`repro.costmodel.fused`): for ``(L,)`` dimension rows it
-    returns every layer-only subexpression of the three styles' batch
-    plans -- window sizes, folded MAC products, clamped divisors, and
-    the *negated* numerators that let ceiling division
-    (``-(-a // b)``) run in place without an extra negation pass.
-    Integer folding is exact, so programs built on these rows stay
-    bit-identical to :meth:`Dataflow.plan_batch`.
-    """
-    window = R * S
-    out = out_y * out_x
-    oyR = out_y * R
-    cap = np.where(is_dw, C, K)
-    return {
-        "K": K, "C": C, "out_y": out_y, "R": R, "S": S, "dw": is_dw,
-        "window": window, "wplus1": window + 1,
-        "out": out, "outwin": out * window,
-        "negK": -K, "negC": -C, "neg_outy": -out_y,
-        "Cmax1": np.maximum(1, C), "Rmax1": np.maximum(1, R),
-        "Splus1": S + 1, "winpS": window + S,
-        "oyR": oyR, "oyRmax1": np.maximum(1, oyR),
-        "cap": cap, "neg_cap": -cap,
-        "um_eye": np.where(is_dw, out_x * S, C * out_x * S),
-        "um_shi": np.where(is_dw, window, C * window),
-    }
-
-
 DATAFLOWS: Dict[str, Dataflow] = {
     df.style: df for df in (NVDLAStyle(), EyerissStyle(), ShiDianNaoStyle())
 }

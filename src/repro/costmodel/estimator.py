@@ -70,12 +70,8 @@ class CostModel:
     """
 
     def __init__(self, hw: HardwareConfig = DEFAULT_HW,
-                 cache_size: int = 200_000, kernel: str = None) -> None:
+                 cache_size: int = 200_000) -> None:
         self.hw = hw
-        #: Compute kernel for the batched engine ("batched" default,
-        #: "fused" / "fused32"); ``None`` resolves
-        #: ``$REPRO_KERNEL``.  The scalar per-call path is unaffected.
-        self.kernel = kernel
         self._evaluate_cached = lru_cache(maxsize=cache_size)(
             self._evaluate_uncached
         )
@@ -90,7 +86,7 @@ class CostModel:
         through this instead of the scalar per-call path.
         """
         if self._batched is None:
-            self._batched = BatchedCostModel(self.hw, kernel=self.kernel)
+            self._batched = BatchedCostModel(self.hw)
         return self._batched
 
     def set_executor(self, backend) -> None:

@@ -42,17 +42,17 @@ from __future__ import annotations
 import os
 import time
 import weakref
+from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.costmodel.batched import (
     LayerTable,
-    evaluate_with_kernel,
+    evaluate_batch_kernel,
     table_token,
 )
 from repro.costmodel.constants import HardwareConfig
-from repro.costmodel.fused import LRUCache, resolve_kernel
 from repro.costmodel.report import BatchCostReport
 from repro.parallel.errors import (
     ExecutionError,
@@ -99,6 +99,14 @@ DEGRADATION_LADDER: Dict[str, str] = {"process": "serial"}
 #: itself below roughly this size (see the ``break_even`` section of
 #: BENCH_parallel.json, written by ``bench_parallel_scaling.py``).
 DEFAULT_DISPATCH_MIN_BATCH = 256
+
+#: Layer tables one process worker holds at most.  The coordinator
+#: tracks each worker's shipped tables in least-recently-used order and
+#: sends a ``drop`` for the oldest before shipping one more, so a
+#: keep-alive pool (``repro serve --executor process``) stays bounded no
+#: matter how many searches it serves; a dropped table that is needed
+#: again is simply re-shipped.
+WORKER_TABLE_CAP = 8
 
 
 def default_workers() -> int:
@@ -191,32 +199,18 @@ class ExecutionBackend:
             ``compare_methods``, the CLI) resolve the adaptive default.
             Sharding never changes results, so neither does the
             fallback.
-        kernel: Cost-model compute kernel ("batched" | "fused" |
-            "fused32"); ``None`` resolves ``$REPRO_KERNEL`` then the
-            batched default.  Every shard -- in-process fallback or
-            worker process -- runs the same kernel, and the fused kinds
-            are shard-invariant like the batched engine, so sharding
-            still never changes results.
     """
 
     name = "base"
 
     def __init__(self, workers: int = 1,
-                 min_batch_per_worker: int = 0,
-                 kernel: str = None) -> None:
+                 min_batch_per_worker: int = 0) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if min_batch_per_worker < 0:
             raise ValueError("min_batch_per_worker must be >= 0")
         self.workers = workers
         self.min_batch_per_worker = min_batch_per_worker
-        self.kernel = resolve_kernel(kernel)
-        # Compiled fused programs for in-process evaluation (the serial
-        # backend and the process backend's below-break-even fallback).
-        # Keyed (table_token(table), kernel); bounded, and safe to share
-        # across threads (the LRU locks, the programs keep per-thread
-        # scratch).
-        self._programs = LRUCache(8)
         #: Dispatch counters: how many batches ran in-process vs sharded
         #: (observability for the adaptive fallback; never affects
         #: results).
@@ -226,13 +220,6 @@ class ExecutionBackend:
     def _below_break_even(self, batch: int) -> bool:
         """Whether ``batch`` is too small to be worth sharding."""
         return batch < self.min_batch_per_worker * self.workers
-
-    def _run_kernel(self, hw, table, layer_idx, style_idx, pes,
-                    l1_bytes) -> BatchCostReport:
-        """Run one (sub-)batch in-process through this backend's kernel."""
-        return evaluate_with_kernel(self.kernel, hw, table, layer_idx,
-                                    style_idx, pes, l1_bytes,
-                                    programs=self._programs)
 
     def evaluate(self, hw: HardwareConfig, table: LayerTable,
                  layer_idx: np.ndarray, style_idx: np.ndarray,
@@ -264,8 +251,8 @@ class SerialBackend(ExecutionBackend):
 
     def evaluate(self, hw, table, layer_idx, style_idx, pes,
                  l1_bytes) -> BatchCostReport:
-        return self._run_kernel(hw, table, layer_idx, style_idx, pes,
-                                l1_bytes)
+        return evaluate_batch_kernel(hw, table, layer_idx, style_idx, pes,
+                                     l1_bytes)
 
 
 # ----------------------------------------------------------------------
@@ -275,9 +262,11 @@ def _worker_main(worker_id: int, task_queue, result_queue,
                  faults: Optional[dict] = None) -> None:
     """Worker loop: evaluate shards of shared-memory batches until told
     to exit.  Tables and hardware constants arrive once per search
-    (``load`` messages) and are cached by id; per-batch messages carry
-    only the segment descriptor, so the arrays themselves never cross
-    the queue.
+    (``load`` messages) and are cached by id until a ``drop`` message
+    evicts them (the coordinator keeps at most
+    :data:`WORKER_TABLE_CAP` per worker); per-batch messages carry only
+    the segment descriptor, so the arrays themselves never cross the
+    queue.
 
     ``faults`` is this worker's slice of a
     :class:`~repro.parallel.faults.FaultPlan` (``{"kill": [batch...],
@@ -294,20 +283,18 @@ def _worker_main(worker_id: int, task_queue, result_queue,
     if faults:
         for batch_idx, seconds in faults["delay"]:
             delay_at[batch_idx] = delay_at.get(batch_idx, 0.0) + seconds
-    tables: Dict[int, Tuple[HardwareConfig, LayerTable, str]] = {}
-    # Compiled fused programs, one per shipped (table, kernel): compiled
-    # on the first shard that needs them, reused for every later shard
-    # of the session (the kernels are shard-invariant, so reuse can
-    # never change results).
-    programs = LRUCache(8)
+    tables: Dict[int, Tuple[HardwareConfig, LayerTable]] = {}
     while True:
         message = task_queue.get()
         if message is None:
             break
         kind = message[0]
         if kind == "load":
-            _, table_id, hw, layers, kernel = message
-            tables[table_id] = (hw, LayerTable.build(layers), kernel)
+            _, table_id, hw, layers = message
+            tables[table_id] = (hw, LayerTable.build(layers))
+            continue
+        if kind == "drop":
+            tables.pop(message[1], None)
             continue
         _, task_id, segment_name, batch, lo, hi, table_id = message
         if task_id in kill_at:
@@ -322,16 +309,15 @@ def _worker_main(worker_id: int, task_queue, result_queue,
                 raise FaultInjected(
                     f"injected fault in worker {worker_id} at batch "
                     f"{task_id}")
-            hw, table, kernel = tables[table_id]
+            hw, table = tables[table_id]
             block = BatchBlock.attach(segment_name, batch)
             try:
-                report = evaluate_with_kernel(
-                    kernel, hw, table,
+                report = evaluate_batch_kernel(
+                    hw, table,
                     block.inputs["layer_idx"][lo:hi],
                     block.inputs["style_idx"][lo:hi],
                     block.inputs["pes"][lo:hi],
-                    block.inputs["l1_bytes"][lo:hi],
-                    programs=programs)
+                    block.inputs["l1_bytes"][lo:hi])
                 block.write_report(report, lo, hi)
             finally:
                 block.close()
@@ -405,9 +391,8 @@ class ProcessBackend(ExecutionBackend):
                  max_retries: Optional[int] = None,
                  backoff_base_s: float = 0.05,
                  task_timeout_s: Optional[float] = None,
-                 fault_plan: Optional[FaultPlan] = None,
-                 kernel: str = None) -> None:
-        super().__init__(workers, min_batch_per_worker, kernel=kernel)
+                 fault_plan: Optional[FaultPlan] = None) -> None:
+        super().__init__(workers, min_batch_per_worker)
         import multiprocessing
 
         if start_method is None:
@@ -448,8 +433,8 @@ class ProcessBackend(ExecutionBackend):
         self._processes: List = []
         self._task_queues: List = []
         self._result_queue = None
-        self._tables: Dict[int, LayerTable] = {}
-        self._shipped: List[set] = []
+        # Per worker: the table ids it holds, least recently used first.
+        self._shipped: List[OrderedDict] = []
         self._generations: List[int] = []
         self._next_task = 0
         self._finalizer: Optional[weakref.finalize] = None
@@ -490,7 +475,7 @@ class ProcessBackend(ExecutionBackend):
         self._task_queues = [self._context.Queue()
                              for _ in range(self.workers)]
         self._processes = [None] * self.workers
-        self._shipped = [set() for _ in range(self.workers)]
+        self._shipped = [OrderedDict() for _ in range(self.workers)]
         self._generations = [0] * self.workers
         for worker_id in range(self.workers):
             self._spawn(worker_id)
@@ -527,7 +512,7 @@ class ProcessBackend(ExecutionBackend):
                     delays.remove(entry)
                     break
         self._task_queues[worker_id] = self._context.Queue()
-        self._shipped[worker_id] = set()
+        self._shipped[worker_id] = OrderedDict()
         self._generations[worker_id] += 1
         self._spawn(worker_id)
         self.respawns += 1
@@ -536,20 +521,22 @@ class ProcessBackend(ExecutionBackend):
                     table: LayerTable) -> int:
         """Make ``table`` available in a worker; returns its wire id.
 
-        The wire id is the table's never-recycled generation token (the
-        backend also pins every shipped table in ``self._tables``), so a
-        collected table can never alias a later one worker-side.
+        The wire id is the table's never-recycled generation token, so a
+        collected table can never alias a later one worker-side.  A
+        worker holding :data:`WORKER_TABLE_CAP` tables is first told to
+        drop its least recently used one.
         """
         table_id = table_token(table)
-        self._tables[table_id] = table
-        if table_id not in self._shipped[worker_id]:
-            # The kernel rides the load message: the worker compiles its
-            # fused program once per (table, kernel) and reuses it for
-            # every shard (respawned workers are re-shipped on demand
-            # and recompile -- programs are derived state, never lost).
-            self._task_queues[worker_id].put(
-                ("load", table_id, hw, table.layers, self.kernel))
-            self._shipped[worker_id].add(table_id)
+        shipped = self._shipped[worker_id]
+        if table_id in shipped:
+            shipped.move_to_end(table_id)
+            return table_id
+        task_queue = self._task_queues[worker_id]
+        if len(shipped) >= WORKER_TABLE_CAP:
+            oldest, _ = shipped.popitem(last=False)
+            task_queue.put(("drop", oldest))
+        task_queue.put(("load", table_id, hw, table.layers))
+        shipped[table_id] = None
         return table_id
 
     def _dispatch(self, worker_id: int, task_id: int, block: BatchBlock,
@@ -566,8 +553,8 @@ class ProcessBackend(ExecutionBackend):
             # in-process kernel is bit-identical, so only latency
             # changes.  An idle pool stays warm for the next big batch.
             self.inline_batches += 1
-            return self._run_kernel(hw, table, layer_idx, style_idx, pes,
-                                    l1_bytes)
+            return evaluate_batch_kernel(hw, table, layer_idx, style_idx,
+                                         pes, l1_bytes)
         self.sharded_batches += 1
         self._ensure_started()
         task_id = self._next_task
@@ -724,7 +711,6 @@ class ProcessBackend(ExecutionBackend):
         self._result_queue = None
         self._shipped = []
         self._generations = []
-        self._tables = {}
 
 
 def _shutdown_workers(processes, task_queues) -> None:
@@ -786,8 +772,7 @@ class ResilientBackend(ExecutionBackend):
 
     def __init__(self, inner: ExecutionBackend, degrade_after: int = 1,
                  on_degrade=None) -> None:
-        super().__init__(inner.workers, inner.min_batch_per_worker,
-                         kernel=inner.kernel)
+        super().__init__(inner.workers, inner.min_batch_per_worker)
         if degrade_after < 1:
             raise ValueError("degrade_after must be >= 1")
         self.inner = inner
@@ -836,8 +821,7 @@ class ResilientBackend(ExecutionBackend):
                 for key in self._absorbed:
                     self._absorbed[key] += getattr(self.inner, key, 0)
                 self.inner.shutdown()
-                self.inner = make_backend(next_name, self.workers,
-                                          kernel=self.kernel)
+                self.inner = make_backend(next_name, self.workers)
                 self.degraded_to = next_name
                 self._failures_at_rung = 0
                 if self.on_degrade is not None:
@@ -855,16 +839,13 @@ def make_backend(executor: str, workers: Optional[int] = None,
                  min_batch_per_worker: int = 0,
                  task_timeout_s: Optional[float] = None,
                  max_retries: Optional[int] = None,
-                 fault_plan: Optional[FaultPlan] = None,
-                 kernel: Optional[str] = None) -> ExecutionBackend:
+                 fault_plan: Optional[FaultPlan] = None) -> ExecutionBackend:
     """Build a backend by name ("serial" | "process").
 
     ``min_batch_per_worker`` enables adaptive dispatch on the process
     backend (0, the default, always shards -- see
     :class:`ExecutionBackend`); the serial backend ignores it, as it
-    does the fault-tolerance knobs.  ``kernel`` picks the cost-model
-    compute kernel everywhere the backend evaluates (``None``:
-    ``$REPRO_KERNEL`` or "batched").
+    does the fault-tolerance knobs.
     """
     if executor not in EXECUTORS:
         raise ValueError(
@@ -872,9 +853,8 @@ def make_backend(executor: str, workers: Optional[int] = None,
             f"{', '.join(EXECUTORS)}")
     workers = default_workers() if workers is None else workers
     if executor == "serial":
-        return SerialBackend(workers=workers, kernel=kernel)
+        return SerialBackend(workers=workers)
     return ProcessBackend(workers=workers,
                           min_batch_per_worker=min_batch_per_worker,
                           task_timeout_s=task_timeout_s,
-                          max_retries=max_retries, fault_plan=fault_plan,
-                          kernel=kernel)
+                          max_retries=max_retries, fault_plan=fault_plan)

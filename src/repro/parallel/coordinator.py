@@ -160,9 +160,6 @@ class ParallelCoordinator(SearchObserver):
         degrade: Wrap the backend in the process -> serial degradation
             ladder (on by default; turn off to let retry exhaustion
             raise instead -- what the parity tests do).
-        kernel: Cost-model compute kernel forwarded to the backend --
-            and by it to every worker (``None``: ``$REPRO_KERNEL`` or
-            "batched"; see :mod:`repro.costmodel.fused`).
     """
 
     def __init__(self, executor: str = "process",
@@ -172,8 +169,7 @@ class ParallelCoordinator(SearchObserver):
                  task_timeout_s: Optional[float] = None,
                  max_retries: Optional[int] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 degrade: bool = True,
-                 kernel: Optional[str] = None) -> None:
+                 degrade: bool = True) -> None:
         super().__init__()
         self.executor = executor
         self.workers = workers
@@ -183,7 +179,6 @@ class ParallelCoordinator(SearchObserver):
         self.max_retries = max_retries
         self.fault_plan = fault_plan
         self.degrade = degrade
-        self.kernel = kernel
         self.backend: Optional[ExecutionBackend] = None
         #: Counter snapshot from the most recent teardown (what
         #: ``on_finish`` writes into provenance after the pool is gone).
@@ -216,8 +211,7 @@ class ParallelCoordinator(SearchObserver):
                     self.executor, self.workers, self.min_batch_per_worker,
                     task_timeout_s=self.task_timeout_s,
                     max_retries=self.max_retries,
-                    fault_plan=self.fault_plan,
-                    kernel=self.kernel)
+                    fault_plan=self.fault_plan)
                 if self.degrade and inner.name != "serial":
                     self.backend = ResilientBackend(
                         inner, on_degrade=self._on_degrade)

@@ -615,10 +615,7 @@ class SearchSession:
                  cost_model: Optional[CostModel] = None) -> None:
         self.spec = spec
         self.info = get_method(spec.method)
-        # A session-built cost model honors the spec's kernel choice; a
-        # caller-shared model keeps whatever kernel it was built with.
-        self.cost_model = cost_model if cost_model is not None \
-            else CostModel(kernel=spec.resolved_kernel())
+        self.cost_model = cost_model if cost_model is not None else CostModel()
         self.result: Optional[SessionResult] = None
         self._observers: Tuple[SearchObserver, ...] = ()
 
@@ -647,7 +644,6 @@ class SearchSession:
 
         observers = list(callbacks)
         executor = self.spec.resolved_executor()
-        kernel = self.spec.resolved_kernel()
         if (executor != "serial"
                 and self.cost_model.executor is None
                 and not any(isinstance(observer,
@@ -661,8 +657,7 @@ class SearchSession:
                 executor=executor, workers=self.spec.resolved_workers(),
                 min_batch_per_worker=(
                     self.spec.resolved_dispatch_min_batch()),
-                task_timeout_s=self.spec.resolved_task_timeout_s(),
-                kernel=kernel)
+                task_timeout_s=self.spec.resolved_task_timeout_s())
             observers.append(coordinator)
         self._observers = tuple(observers)
         tracker = _Tracker(callbacks)
@@ -688,7 +683,6 @@ class SearchSession:
                 "repro_version": repro.__version__,
                 "method_kind": self.info.kind,
                 "executor": executor,
-                "kernel": kernel,
                 "envs": context.envs,
                 "started_at": started_at,
                 "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S"),

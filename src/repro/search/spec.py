@@ -35,12 +35,24 @@ _INT_FIELDS = {"budget": 1, "num_levels": 2, "max_pes": 1,
 _OPTIONAL_INT_FIELDS = {"seed": 0, "layer_slice": 1, "finetune": 0,
                         "workers": 1, "dispatch_min_batch": 0, "envs": 1}
 
-#: Fields removed in 2.0 -> why.  Documents written by 1.8 carry them
-#: as ``null``; :meth:`SearchSpec.from_dict` drops those and rejects any
-#: other value.
+_PROCESS_HINT = 'use executor="process" with workers=N instead'
+
+#: Removed fields -> (the values older documents carry, which
+#: :meth:`SearchSpec.from_dict` drops; the error for any other value).
+#: Documents written by 1.8 carry ``"nodes": null, "autotune": null``;
+#: every 2.x document carries ``"kernel"``, and all of its exact
+#: settings produced the batched engine's numbers.
 _REMOVED_FIELDS = {
-    "nodes": "the distributed executor is gone",
-    "autotune": "adaptive shard planning is gone",
+    "nodes": ((None,), "SearchSpec.nodes was removed in 2.0 (the "
+                       f"distributed executor is gone); {_PROCESS_HINT}"),
+    "autotune": ((None,), "SearchSpec.autotune was removed in 2.0 "
+                          "(adaptive shard planning is gone); "
+                          f"{_PROCESS_HINT}"),
+    "kernel": ((None, "batched", "fused"),
+               "SearchSpec.kernel was removed in 3.0 and only its exact "
+               'settings (null, "batched", "fused") still load; float32 '
+               '("fused32") results cannot be reproduced, so re-run the '
+               "spec without the field"),
 }
 
 
@@ -51,14 +63,6 @@ def _executors():
     from repro.parallel.backend import EXECUTORS
 
     return EXECUTORS
-
-
-def _kernels():
-    """The canonical cost-model kernel names, owned by
-    :mod:`repro.costmodel.fused` (lazy for the same reason)."""
-    from repro.costmodel.fused import KERNELS
-
-    return KERNELS
 
 
 @dataclass(frozen=True)
@@ -122,14 +126,6 @@ class SearchSpec:
             ``envs`` is part of the scenario identity, like ``seed``.
             Two-stage methods apply it to their global RL stage;
             genome-space methods ignore it.
-        kernel: Cost-model compute kernel for population-level
-            evaluation -- "batched" (the reference engine) | "fused"
-            (precompiled per-(model, platform) tensor programs,
-            float64 bit-identical) | "fused32" (float32 epilogue,
-            ~1e-7 relative error on float outputs) -- or ``None`` to
-            defer to ``$REPRO_KERNEL`` (default "batched").  Except for
-            "fused32", never affects results, only wall-clock (see
-            PERFORMANCE.md).
         task_timeout_s: Per-batch deadline (seconds) for the process
             backend's supervision: a batch missing it has its hung
             workers terminated and its lost shards re-dispatched (see
@@ -164,7 +160,6 @@ class SearchSpec:
     dispatch_min_batch: Optional[int] = None
     envs: Optional[int] = None
     task_timeout_s: Optional[float] = None
-    kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.model, str):
@@ -212,10 +207,6 @@ class SearchSpec:
                 "task_timeout_s must be a number >= 0 (0 disables the "
                 "deadline, None defers to $REPRO_TASK_TIMEOUT), got "
                 f"{timeout!r}")
-        if self.kernel is not None and self.kernel not in _kernels():
-            raise ValueError(
-                f"kernel must be one of {_kernels()}, or None (defer to "
-                f"$REPRO_KERNEL), got {self.kernel!r}")
 
     def _check_int(self, attribute: str, low: int, optional: bool) -> None:
         """Require ``attribute`` to be an integer ``>= low`` (or
@@ -286,15 +277,6 @@ class SearchSpec:
 
         return default_task_timeout()
 
-    def resolved_kernel(self) -> str:
-        """The effective cost-model kernel (spec, ``$REPRO_KERNEL``,
-        "batched").  Every kernel except "fused32" is bit-identical to
-        the reference engine (the fused parity suite holds them so), so
-        the env-var override is a safe deploy-time knob."""
-        from repro.costmodel.fused import resolve_kernel
-
-        return resolve_kernel(self.kernel)
-
     def resolved_dispatch_min_batch(self) -> int:
         """The effective adaptive-dispatch threshold (spec,
         ``$REPRO_DISPATCH_MIN``, the measured default)."""
@@ -341,20 +323,20 @@ class SearchSpec:
     def from_dict(cls, data: dict) -> "SearchSpec":
         """Inverse of :meth:`to_dict`; rejects unknown keys.
 
-        Documents written before 2.0 carry ``"nodes": null`` and
-        ``"autotune": null``; those two keys are dropped when ``null``
-        and rejected, naming the replacement, otherwise.
+        Older documents carry removed fields: ``"nodes"`` and
+        ``"autotune"`` (``null`` before 2.0) and ``"kernel"`` (2.x).
+        Each is dropped when it holds a value the current engine
+        reproduces exactly, and rejected with a field-specific
+        ``ValueError`` otherwise.
         """
         if not isinstance(data, dict):
             raise TypeError(
                 f"a SearchSpec document must be a JSON object, got "
                 f"{type(data).__name__}")
         data = dict(data)
-        for name, why in _REMOVED_FIELDS.items():
-            if name in data and data.pop(name) is not None:
-                raise ValueError(
-                    f"SearchSpec.{name} was removed in 2.0 ({why}); use "
-                    f"executor=\"process\" with workers=N instead")
+        for name, (accepted, message) in _REMOVED_FIELDS.items():
+            if name in data and data.pop(name) not in accepted:
+                raise ValueError(message)
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -223,9 +223,6 @@ class SearchServer:
             ``keep_alive`` across jobs and leased per session, so
             workers warm up once and serve all traffic.
         workers: Pool worker count (``None``: ``$REPRO_WORKERS`` / auto).
-        kernel: Cost-model compute kernel for the shared pool
-            (``None``: ``$REPRO_KERNEL`` or "batched").  Serial jobs
-            resolve their own kernel per spec/env inside the session.
         progress_every: Throttle for per-step job events.
         fault_plan: Deterministic fault-injection plan forwarded to the
             pool (testing; ``None`` defers to ``$REPRO_FAULTS``).
@@ -238,7 +235,6 @@ class SearchServer:
                  max_concurrent: int = 2,
                  executor: Optional[str] = None,
                  workers: Optional[int] = None,
-                 kernel: Optional[str] = None,
                  progress_every: int = 10,
                  fault_plan=None) -> None:
         if max_concurrent < 1:
@@ -257,7 +253,7 @@ class SearchServer:
         if executor != "serial":
             self.coordinator = ParallelCoordinator(
                 executor=executor, workers=workers,
-                keep_alive=True, fault_plan=fault_plan, kernel=kernel)
+                keep_alive=True, fault_plan=fault_plan)
         self._lock = threading.Lock()
         self._jobs: "Dict[str, Job]" = {}
         self._inflight: Dict[str, Job] = {}

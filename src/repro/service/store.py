@@ -14,9 +14,7 @@ with
   ``"latency"`` and the equivalent spec dict or
   :class:`~repro.objectives.Objective` instance dedup to one entry),
 * ``envs`` resolved (``None`` / ``$REPRO_ENVS`` / explicit ``1`` all
-  mean the same scalar-stepping scenario),
-* ``kernel`` resolved (``None`` means whatever ``$REPRO_KERNEL`` names,
-  and ``fused32`` results differ from the exact kernels'), and
+  mean the same scalar-stepping scenario), and
 * the execution-only knobs (``executor`` / ``workers`` /
   ``dispatch_min_batch`` / ``task_timeout_s``) dropped -- the parity
   suites hold results bit-identical across backends, so a result
@@ -91,7 +89,6 @@ def canonical_identity(spec: SearchSpec) -> dict:
         identity.pop(field, None)
     identity["objective"] = objective_spec(spec.objective)
     identity["envs"] = spec.resolved_envs()
-    identity["kernel"] = spec.resolved_kernel()
     return identity
 
 

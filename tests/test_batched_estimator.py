@@ -4,12 +4,14 @@ The batched engine is engineered to be *bit-identical* to the scalar path
 (same expression order, same integer semantics), so these tests assert
 exact equality -- far stronger than the 1e-9 tolerance the engine
 guarantees publicly.  Coverage spans all three dataflow styles, DWCONV
-layers, MIX assignments, LP and LS deployments, both constraint kinds,
-and seeded end-to-end equivalence of every search method that routes
-through the batch API.
+layers, MIX assignments, extreme layer geometries, LP and LS
+deployments, both constraint kinds, the shard invariance the process
+backend relies on, and seeded end-to-end equivalence of every search
+method that routes through the batch API.
 """
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -18,15 +20,29 @@ from repro.core.constraints import ResourceConstraint, platform_constraint
 from repro.core.evaluator import DesignPointEvaluator
 from repro.costmodel import (
     BATCH_STYLES,
+    DEFAULT_HW,
+    BatchedCostModel,
     CostModel,
     LayerTable,
     STYLE_INDEX,
 )
+from repro.costmodel.batched import (
+    _single_layer_table,
+    evaluate_batch_kernel,
+    ordered_row_sum,
+    table_token,
+)
+from repro.costmodel.report import BatchCostReport
 from repro.env.spaces import ActionSpace
 from repro.experiments import ls_study
 from repro.ga import LocalGA
 from repro.models import get_model
+from repro.models.layers import Layer, LayerType
 from repro.optim import BASELINE_OPTIMIZERS
+from repro.parallel.backend import make_backend
+
+REPORT_FIELDS = [f.name for f in dataclasses.fields(BatchCostReport)]
+INT_FIELDS = ("pes_used", "l1_bytes_per_pe", "l2_bytes", "tile_k", "macs")
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +56,24 @@ def assert_reports_equal(scalar, batched):
         a = getattr(scalar, field.name)
         b = getattr(batched, field.name)
         assert a == b, f"{field.name}: scalar {a!r} != batched {b!r}"
+
+
+def assert_batches_identical(want: BatchCostReport,
+                             got: BatchCostReport) -> None:
+    for name in REPORT_FIELDS:
+        a, b = getattr(want, name), getattr(got, name)
+        assert a.dtype == b.dtype, f"{name}: dtype {a.dtype} != {b.dtype}"
+        assert np.array_equal(a, b), f"{name}: values differ"
+
+
+def tiled_batch(table: LayerTable, pop: int, seed: int):
+    """A (pop x layers) lockstep MIX batch -- the layout searches emit."""
+    num_layers = len(table)
+    rng = np.random.default_rng(seed)
+    n = pop * num_layers
+    return (np.tile(np.arange(num_layers), pop),
+            rng.integers(0, len(BATCH_STYLES), size=n),
+            rng.integers(1, 600, size=n), rng.integers(1, 12_000, size=n))
 
 
 # ----------------------------------------------------------------------
@@ -107,6 +141,202 @@ class TestLayerParity:
                                             np.array([], dtype=int))
         with pytest.raises(ValueError, match="zero layers"):
             LayerTable.build([])
+
+
+# ----------------------------------------------------------------------
+# Extreme layer geometries
+# ----------------------------------------------------------------------
+EDGE_LAYERS = [
+    # L1 smaller than one R*S window.
+    Layer("tiny-l1", LayerType.CONV, K=8, C=4, Y=14, X=14, R=5, S=5),
+    # 1x1 kernel (R=S=1): window math degenerates.
+    Layer("one-by-one", LayerType.PWCONV, K=16, C=8, Y=7, X=7),
+    # Depthwise with a single channel.
+    Layer("dw-c1", LayerType.DWCONV, K=1, C=1, Y=14, X=14, R=3, S=3),
+    # Single output channel.
+    Layer("k1", LayerType.CONV, K=1, C=16, Y=7, X=7, R=3, S=3),
+    # Wide layer for the overflow probe.
+    Layer("wide", LayerType.CONV, K=512, C=512, Y=56, X=56, R=3, S=3),
+]
+
+EDGE_POINTS = [
+    (1, 1),                  # minimum everything
+    (1, 4),                  # l1 < R*S for the 5x5 layer
+    (7, 24),                 # l1 < window+S edge for shi
+    (2 ** 20, 2 ** 20),      # huge pes * l1: int64 headroom probe
+]
+
+
+class TestEdgeDims:
+    @pytest.mark.parametrize("style", BATCH_STYLES)
+    def test_scalar_and_batched_agree(self, style, cost_model):
+        """The scalar oracle and the batched engine agree exactly on
+        every edge geometry x design-point combination."""
+        table = LayerTable.build(EDGE_LAYERS)
+        points = np.array(EDGE_POINTS, dtype=np.int64)
+        n_layers, n_points = len(EDGE_LAYERS), len(points)
+        layer_idx = np.repeat(np.arange(n_layers), n_points)
+        pes = np.tile(points[:, 0], n_layers)
+        l1 = np.tile(points[:, 1], n_layers)
+        batch = BatchedCostModel().evaluate(table, layer_idx,
+                                            STYLE_INDEX[style], pes, l1)
+        for i in range(len(layer_idx)):
+            scalar = cost_model.evaluate_layer(
+                EDGE_LAYERS[layer_idx[i]], style, int(pes[i]), int(l1[i]))
+            for name in REPORT_FIELDS:
+                assert getattr(scalar, name) == getattr(batch, name)[i], \
+                    f"{name} @ {EDGE_LAYERS[layer_idx[i]].name} " \
+                    f"pes={pes[i]} l1={l1[i]}"
+
+    @pytest.mark.parametrize("style", BATCH_STYLES)
+    def test_huge_products_stay_positive(self, style, cost_model):
+        """pes * l1_bytes around 2**40 must not wrap int64 anywhere:
+        every integer report field stays non-negative, the floats stay
+        finite, and every row still equals the scalar oracle."""
+        table = LayerTable.build(EDGE_LAYERS)
+        n = len(EDGE_LAYERS)
+        report = BatchedCostModel().evaluate(
+            table, np.arange(n), STYLE_INDEX[style], np.full(n, 2 ** 20),
+            np.full(n, 2 ** 20))
+        for name in INT_FIELDS:
+            assert (getattr(report, name) >= 0).all(), \
+                f"{name} wrapped negative"
+        assert (report.l2_bytes > 0).all()
+        assert (report.macs > 0).all()
+        assert np.isfinite(report.latency_cycles).all()
+        assert np.isfinite(report.energy_nj).all()
+        for i, layer in enumerate(EDGE_LAYERS):
+            assert_reports_equal(
+                cost_model.evaluate_layer(layer, style, 2 ** 20, 2 ** 20),
+                report.report(i))
+
+
+# ----------------------------------------------------------------------
+# What the process backend and long-lived servers rely on
+# ----------------------------------------------------------------------
+class TestShardInvariance:
+    def test_worker_slice_matches_full_batch(self, model_layers):
+        """A worker-sized slice of a tiled batch (what the process
+        backend ships) evaluates identically to the same slice of the
+        full-batch result: the kernel is elementwise over the batch."""
+        table = LayerTable.build(model_layers)
+        batch = tiled_batch(table, pop=40, seed=11)
+        full = evaluate_batch_kernel(DEFAULT_HW, table, *batch)
+        lo, hi = 17, 391
+        shard = evaluate_batch_kernel(DEFAULT_HW, table,
+                                      *(a[lo:hi] for a in batch))
+        for name in REPORT_FIELDS:
+            assert np.array_equal(getattr(full, name)[lo:hi],
+                                  getattr(shard, name)), name
+
+
+class TestTableToken:
+    def test_table_tokens_never_recycled(self):
+        """``id()`` is recycled by the allocator the moment a table
+        dies, so worker-side table ids could alias a dead table.  Tokens
+        are monotonic, stable per table, and unique across tables no
+        matter how many die."""
+        first = LayerTable.build(get_model("ncf"))
+        token = table_token(first)
+        assert table_token(first) == token  # stable per table
+        seen = {token}
+        del first
+        for _ in range(5):
+            gc.collect()
+            fresh = LayerTable.build(get_model("ncf"))
+            fresh_token = table_token(fresh)
+            assert fresh_token not in seen
+            seen.add(fresh_token)
+            del fresh
+
+
+class TestSingleTableCache:
+    def test_single_layer_tables_bounded(self):
+        """Regression: the per-layer table cache used to grow without
+        bound under layer-sweep workloads."""
+        model = BatchedCostModel()
+        layers = [Layer(f"l{k}", LayerType.CONV, K=8 + k, C=8,
+                        Y=7, X=7, R=3, S=3) for k in range(40)]
+        for layer in layers:
+            model.evaluate_layer_batch(layer, "dla",
+                                       np.array([64]), np.array([512]))
+        assert _single_layer_table.cache_info().currsize <= 16
+
+    def test_scalar_inputs_promote_to_length_one(self, conv_layer):
+        """Regression: 0-d pes / l1_bytes used to fail batch validation."""
+        model = BatchedCostModel()
+        for pes, l1 in [(64, 512), (np.int64(64), np.int64(512)),
+                        (np.array(64), np.array(512))]:
+            report = model.evaluate_layer_batch(conv_layer, "dla", pes, l1)
+            assert len(report) == 1
+        vector = model.evaluate_layer_batch(conv_layer, "dla",
+                                            np.array([64]),
+                                            np.array([512]))
+        scalar = model.evaluate_layer_batch(conv_layer, "dla", 64, 512)
+        assert_batches_identical(vector, scalar)
+
+
+# ----------------------------------------------------------------------
+# evaluate_constrained: the population reduction under a platform budget
+# ----------------------------------------------------------------------
+class TestConstraintFold:
+    @pytest.mark.parametrize("deployment", ["lp", "ls"])
+    @pytest.mark.parametrize("kind", ["area", "power"])
+    def test_fold_matches_two_step_post_pass(self, model_layers,
+                                             deployment, kind):
+        """Every folded number equals reducing :meth:`evaluate`'s report
+        by hand, bit for bit."""
+        table = LayerTable.build(model_layers)
+        model = BatchedCostModel()
+        pop, num_layers = 17, len(table)
+        batch = tiled_batch(table, pop=pop, seed=43)
+        budget = 5e8 if kind == "area" else 5e3
+        fold = model.evaluate_constrained(table, *batch, deployment, kind,
+                                          budget)
+        report = model.evaluate(table, *batch)
+        area = report.area_um2.reshape(pop, num_layers)
+        power = report.power_mw.reshape(pop, num_layers)
+        if deployment == "ls":
+            area_total = area.max(axis=1)
+            power_total = power.max(axis=1)
+        else:
+            area_total = ordered_row_sum(area)
+            power_total = ordered_row_sum(power)
+        used = area_total if kind == "area" else power_total
+        for got, want in [
+                (fold.latency_total, ordered_row_sum(
+                    report.latency_cycles.reshape(pop, num_layers))),
+                (fold.energy_total, ordered_row_sum(
+                    report.energy_nj.reshape(pop, num_layers))),
+                (fold.area_total, area_total),
+                (fold.power_total, power_total),
+                (fold.used, used),
+                (fold.feasible, used <= budget)]:
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_fold_with_executor_and_layout_check(self, model_layers):
+        """A sharding executor yields the same fold, and a batch outside
+        the tiled population layout is refused, never mis-reduced."""
+        table = LayerTable.build(model_layers)
+        batch = tiled_batch(table, pop=5, seed=47)
+        serial = BatchedCostModel()
+        reference = serial.evaluate_constrained(table, *batch, "lp",
+                                                "area", 1e9)
+        backend = make_backend("process", workers=2)
+        try:
+            sharded = BatchedCostModel(executor=backend).evaluate_constrained(
+                table, *batch, "lp", "area", 1e9)
+            assert backend.sharded_batches == 1
+        finally:
+            backend.shutdown()
+        for got, want in zip(sharded, reference):
+            assert np.array_equal(got, want)
+        scrambled = batch[0].copy()
+        scrambled[0] = 1
+        with pytest.raises(ValueError, match="tiled population layout"):
+            serial.evaluate_constrained(table, scrambled, *batch[1:], "lp",
+                                        "area", 1e9)
 
 
 # ----------------------------------------------------------------------

@@ -511,6 +511,30 @@ class TestSerializationHardening:
             with pytest.raises(ValueError, match='executor="process"'):
                 repro.SessionResult.from_dict(stale)
 
+    def test_documents_written_by_2_x_load_and_resume(self, tmp_path):
+        """Every 2.x spec carries ``"kernel"``.  Its exact settings ran
+        the batched engine's numbers, so results and checkpoints carrying
+        them still load and resume bit-identically; float32 results
+        cannot be reproduced, so ``"fused32"`` is refused."""
+        path = tmp_path / "best.json"
+        outcome = SearchSession(_spec(executor="serial")).run(
+            callbacks=[CheckpointHook(path)])
+        legacy = outcome.to_dict()
+        legacy["spec"]["kernel"] = None
+        legacy["provenance"]["kernel"] = "batched"
+        restored = repro.SessionResult.from_json(json.dumps(legacy))
+        assert restored.spec == outcome.spec
+        assert _comparable(restored) == _comparable(outcome)
+        checkpoint = json.loads(path.read_text())
+        checkpoint["spec"]["kernel"] = "fused"
+        path.write_text(json.dumps(checkpoint))
+        assert _comparable(CheckpointHook.resume(path)) \
+            == _comparable(outcome)
+        stale = dict(legacy, spec=dict(legacy["spec"], kernel="fused32"))
+        with pytest.raises(ValueError,
+                           match="removed in 3.0.*fused32.*re-run"):
+            repro.SessionResult.from_dict(stale)
+
     def test_fault_plan_survives_env_round_trip(self, monkeypatch):
         plan = FaultPlan(kill_worker=[(0, 1)], delay_s=[(2, 0, 0.1)],
                          seed=None)
@@ -566,6 +590,48 @@ class TestResourceHygiene:
         assert not _orphan_workers()
         # Counters survive shutdown for provenance.
         assert backend.respawns == 1
+
+    def test_keep_alive_worker_tables_are_capped(self):
+        """One keep-alive pool serving 20 distinct tables: each worker
+        holds at most WORKER_TABLE_CAP of them, every batch matches
+        serial, and an evicted table is re-shipped when needed again."""
+        from repro.costmodel.batched import table_token
+        from repro.parallel.backend import WORKER_TABLE_CAP
+
+        hw = HardwareConfig()
+        layers = get_model("mobilenet_v2")
+        tables = [LayerTable.build(layers[i:i + 3]) for i in range(20)]
+        rng = np.random.default_rng(1)
+        inputs = (rng.integers(0, 3, 64), rng.integers(0, 3, 64),
+                  rng.integers(8, 128, 64), rng.integers(64, 4096, 64))
+        serial = make_backend("serial")
+        # An explicit empty plan: a respawn would swap out the recorded
+        # queues, so $REPRO_FAULTS must not inject kills here.
+        with ProcessBackend(workers=2, fault_plan=FaultPlan()) as backend:
+            backend._ensure_started()
+            # Record what each worker is told to load and drop.
+            sent = [[] for _ in backend._task_queues]
+            for log, task_queue in zip(sent, backend._task_queues):
+                def record(message, _put=task_queue.put, _log=log):
+                    if message is not None and message[0] != "eval":
+                        _log.append(message[:2])
+                    _put(message)
+                task_queue.put = record
+            for table in tables + tables[:1]:
+                _assert_reports_equal(serial.evaluate(hw, table, *inputs),
+                                      backend.evaluate(hw, table, *inputs))
+            for worker_id, log in enumerate(sent):
+                held = set()
+                for kind, table_id in log:
+                    if kind == "load":
+                        held.add(table_id)
+                    else:
+                        held.remove(table_id)
+                    assert len(held) <= WORKER_TABLE_CAP
+                assert held == set(backend._shipped[worker_id])
+                assert log.count(("load", table_token(tables[0]))) == 2
+            assert backend.respawns == 0
+        assert not _orphan_workers()
 
     def test_mid_batch_exception_releases_segment(self, batch_case):
         """The evaluate context manager guarantees close+unlink even

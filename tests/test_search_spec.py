@@ -199,13 +199,13 @@ _PLAUSIBLE = {
     "deployment": st.sampled_from(DEPLOYMENTS),
     "mix": st.booleans(),
     "executor": st.sampled_from(["serial", "process", "thread", None]),
-    "kernel": st.sampled_from(["batched", "fused", "fused32", "auto",
-                               None]),
+    # Removed fields, with the values older documents carry.
     "nodes": st.none(),
     "autotune": st.none(),
+    "kernel": st.sampled_from([None, "batched", "fused", "fused32"]),
 }
 _KEYS = [field.name for field in dataclasses.fields(SearchSpec)] \
-    + ["nodes", "autotune", "colour"]
+    + ["nodes", "autotune", "kernel", "colour"]
 
 
 @st.composite

@@ -78,16 +78,6 @@ class TestResultKey:
         assert result_key(_spec()) != base
         assert result_key(_spec()) == result_key(_spec(envs=4))
 
-    def test_kernel_resolved_from_environment(self, monkeypatch):
-        """fused32 results differ from the exact kernels', so a server
-        started under $REPRO_KERNEL=fused32 must not share their keys."""
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        base = result_key(_spec())
-        assert result_key(_spec(kernel="batched")) == base
-        monkeypatch.setenv("REPRO_KERNEL", "fused32")
-        assert result_key(_spec()) != base
-        assert result_key(_spec()) == result_key(_spec(kernel="fused32"))
-
     def test_scenario_fields_change_the_key(self):
         base = result_key(_spec())
         assert result_key(_spec(seed=1)) != base
