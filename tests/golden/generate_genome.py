@@ -6,9 +6,11 @@
 
 Every ``kind == "genome"`` method (grid, random, sa, ga, bayesian,
 pareto-ga, local-ga) runs a small seeded search on an 8-layer slice of
-MobileNet-V2 and on the full model (cloud tier), and the file records the
-best cost, best genome and assignments, the evaluation and cache-hit
-counts, and a SHA-256 of the best-so-far history.  Hashing, the diff and
+MobileNet-V2 with a fixed dataflow, on the same slice under MIX (a
+dataflow gene per layer, so the gene bounds are ``[L, L, 3]`` per layer)
+and on the full model (cloud tier), and the file records the best cost,
+best genome and assignments, the evaluation and cache-hit counts, and a
+SHA-256 of the best-so-far history.  Hashing, the diff and
 the ``--check`` mode are ``generate_rl.py``'s; a change that moves a pin
 must say why in CHANGES.md.  ``tests/test_golden_genome.py`` compares a
 fresh run of every case with the file, exactly.
@@ -45,6 +47,7 @@ OPTIONS = {"pareto-ga": {"objective": "multi:latency,energy"}}
 
 #: group -> spec options for that group's task.
 GROUPS = {"slice8": {"layer_slice": SLICE},
+          "mix8": {"layer_slice": SLICE, "mix": True},
           "full": {"platform": FULL_PLATFORM}}
 
 
