@@ -108,17 +108,12 @@ class DesignPointEvaluator:
 
     def decode_genome(self, genome: Sequence[int]) -> List[RawAssignment]:
         """Level-index genome -> raw per-layer assignments."""
-        per_step = self.space.actions_per_step
         if len(genome) != self.genome_length:
             raise ValueError(
                 f"genome length {len(genome)} != expected "
                 f"{self.genome_length}"
             )
-        assignments: List[RawAssignment] = []
-        for i in range(len(self.layers)):
-            chunk = genome[i * per_step:(i + 1) * per_step]
-            assignments.append(self.space.decode(chunk))
-        return assignments
+        return self.space.decode_genes(genome)
 
     # ------------------------------------------------------------------
     def evaluate_genome(self, genome: Sequence[int]) -> EvalResult:

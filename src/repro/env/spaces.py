@@ -120,17 +120,39 @@ class ActionSpace:
                 f"expected {self.actions_per_step} sub-actions, got "
                 f"{len(action)}"
             )
-        pe_idx, buf_idx = int(action[0]), int(action[1])
-        if not 0 <= pe_idx < self.num_levels:
-            raise ValueError(f"PE level index {pe_idx} out of range")
-        if not 0 <= buf_idx < self.num_levels:
-            raise ValueError(f"buffer level index {buf_idx} out of range")
-        decoded = (self.pe_levels[pe_idx], self.buf_levels[buf_idx])
-        if self.is_mix:
-            df_idx = int(action[2])
-            if not 0 <= df_idx < len(self.dataflows):
+        return self.decode_genes(action)[0]
+
+    def decode_genes(self, genes: Sequence[int]) -> List[Tuple]:
+        """A flat list of integer level indices, one action after another
+        (a genome) -> one (pes, l1_bytes[, style]) tuple per action.
+
+        Raises:
+            ValueError: if the genes do not make whole actions, or a gene
+                is outside its range (negative indices included).
+        """
+        per_step = self.actions_per_step
+        if len(genes) % per_step:
+            raise ValueError(
+                f"expected a multiple of {per_step} genes, got {len(genes)}")
+        levels = self.num_levels
+        pe_levels, buf_levels = self.pe_levels, self.buf_levels
+        dataflows = self.dataflows
+        decoded = []
+        for start in range(0, len(genes), per_step):
+            pe_idx, buf_idx = genes[start], genes[start + 1]
+            if not 0 <= pe_idx < levels:
+                raise ValueError(f"PE level index {pe_idx} out of range")
+            if not 0 <= buf_idx < levels:
+                raise ValueError(
+                    f"buffer level index {buf_idx} out of range")
+            if dataflows is None:
+                decoded.append((pe_levels[pe_idx], buf_levels[buf_idx]))
+                continue
+            df_idx = genes[start + 2]
+            if not 0 <= df_idx < len(dataflows):
                 raise ValueError(f"dataflow index {df_idx} out of range")
-            decoded = decoded + (self.dataflows[df_idx],)
+            decoded.append((pe_levels[pe_idx], buf_levels[buf_idx],
+                            dataflows[df_idx]))
         return decoded
 
     def max_action(self) -> Tuple[int, ...]:

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.evaluator import DesignPointEvaluator, EvalResult, \
     RawAssignment
+from repro.optim.base import masked_draws
 from repro.rl.common import SearchResult
 
 Genome = List[List]  # [[pes, buf(, style)], ...] mutable raw assignments
@@ -96,17 +97,19 @@ class LocalGA:
         return [list(assignment) for assignment in assignments]
 
     def _mutate(self, genome: Genome) -> Genome:
+        """Move each PE and buffer value (in that order, layer by layer)
+        by a uniform step in ``[-step, step]`` with probability
+        ``mutation_rate``, clamped to ``[1, max]``.  A move is drawn as
+        ``integers(2 * step + 1) - step``: the same stream as
+        ``integers(-step, step + 1)``."""
+        step = self.mutation_step
         child = [list(gene) for gene in genome]
-        for gene in child:
-            if self.rng.random() < self.mutation_rate:
-                delta = int(self.rng.integers(-self.mutation_step,
-                                              self.mutation_step + 1))
-                gene[0] = int(min(max(gene[0] + delta, 1), self.max_pes))
-            if self.rng.random() < self.mutation_rate:
-                delta = int(self.rng.integers(-self.mutation_step,
-                                              self.mutation_step + 1))
-                gene[1] = int(min(max(gene[1] + delta, 1),
-                                  self.max_l1_bytes))
+        moves = masked_draws(self.rng, self.mutation_rate,
+                             [2 * step + 1] * (2 * len(child)))
+        for index, draw in moves.items():
+            gene, slot = child[index // 2], index % 2
+            bound = self.max_l1_bytes if slot else self.max_pes
+            gene[slot] = int(min(max(gene[slot] + draw - step, 1), bound))
         return child
 
     def _local_crossover(self, genome: Genome) -> Genome:

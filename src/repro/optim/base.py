@@ -3,12 +3,90 @@
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.evaluator import DesignPointEvaluator, EvalResult
 from repro.rl.common import SearchResult
+
+_LOW_HALF = 0xFFFFFFFF
+
+
+def scalar_masked_draws(rng: np.random.Generator, rate: float,
+                        sizes: Sequence[int]) -> Dict[int, int]:
+    """``{i: rng.integers(sizes[i])}`` for each index whose
+    ``rng.random() < rate`` test hits, drawn one Generator call at a time.
+
+    The reference :func:`masked_draws` reproduces, and its fallback."""
+    draws: Dict[int, int] = {}
+    for i, size in enumerate(sizes):
+        if rng.random() < rate:
+            draws[i] = int(rng.integers(size))
+    return draws
+
+
+def masked_draws(rng: np.random.Generator, rate: float,
+                 sizes: Sequence[int]) -> Dict[int, int]:
+    """Per-index resampling draws: exactly :func:`scalar_masked_draws`'s
+    result *and* final generator state, without two Generator calls per
+    index.
+
+    The loop interleaves two kinds of draw, so no single numpy call
+    matches it.  ``random()`` turns one 64-bit PCG64 word ``w`` into
+    ``(w >> 11) * 2**-53``; ``integers(size)`` takes a 32-bit half word
+    ``x`` -- the half the generator carries (``has_uint32``/``uinteger``)
+    if there is one, else the low half of a fresh word, carrying the high
+    half -- and returns ``(x * size) >> 32`` (Lemire), rejecting ``x`` when
+    ``(x * size) & 0xFFFFFFFF < 2**32 % size``.  This replays that walk
+    over a block of raw words, then restores the state and advances it
+    past the words the walk used (``advance`` clears the carry, so the
+    carried half is set again).
+
+    A rejection, a size outside ``[2, 2**32]`` or a bit generator other
+    than PCG64 restores the state and runs the scalar loop instead.
+    """
+    count = len(sizes)
+    bit_generator = rng.bit_generator
+    if (count == 0 or type(bit_generator) is not np.random.PCG64
+            or min(sizes) < 2 or max(sizes) > 1 << 32):
+        return scalar_masked_draws(rng, rate, sizes)
+    saved = bit_generator.state
+    # Each index reads one double; at most every other hit reads a fresh
+    # word for its half, so 2 * count words always suffice.
+    words = bit_generator.random_raw(2 * count)
+    hits = np.flatnonzero((words >> 11) * 2.0 ** -53 < rate).tolist()
+    carry, half = saved["has_uint32"], saved["uinteger"]
+    draws: Dict[int, int] = {}
+    used = 0   # words read so far
+    extra = 0  # of those, words read by bounded draws, not doubles
+    for position in hits:
+        if position < used:
+            continue  # a word a bounded draw consumed, not a double
+        index = position - extra
+        if index >= count:
+            break
+        used = position + 1
+        if carry:
+            value, carry = half, 0
+        else:
+            word = int(words[used])
+            used += 1
+            extra += 1
+            value, half, carry = word & _LOW_HALF, word >> 32, 1
+        size = int(sizes[index])
+        scaled = value * size
+        if scaled & _LOW_HALF < (1 << 32) % size:
+            bit_generator.state = saved
+            return scalar_masked_draws(rng, rate, sizes)
+        draws[index] = scaled >> 32
+    bit_generator.state = saved
+    bit_generator.advance(count + extra)
+    if carry or half:
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = carry, half
+        bit_generator.state = state
+    return draws
 
 
 class GenomeOptimizer:
@@ -112,42 +190,42 @@ class GenomeOptimizer:
             result.record(result.best_cost)
         return outcomes
 
+    def _gene_bounds(self) -> List[int]:
+        """Per-gene level counts: ``[L, L]`` per layer, ``[L, L, D]``
+        under MIX (``D`` dataflows)."""
+        return (list(self._evaluator.space.head_sizes)
+                * len(self._evaluator.layers))
+
+    def random_genomes(self, count: int) -> List[List[int]]:
+        """``count`` uniformly random genomes from one vector draw.
+
+        numpy's vector ``integers`` draws element by element from the
+        stream, so these are the genomes -- and the generator state --
+        of ``count`` sequential gene-by-gene draws."""
+        bounds = self._gene_bounds()
+        return self.rng.integers(bounds, size=(count, len(bounds))).tolist()
+
     def random_genome(self) -> List[int]:
         """A uniformly random genome."""
-        space = self._evaluator.space
-        genome: List[int] = []
-        for _ in range(len(self._evaluator.layers)):
-            genome.append(int(self.rng.integers(space.num_levels)))
-            genome.append(int(self.rng.integers(space.num_levels)))
-            if space.is_mix:
-                genome.append(int(self.rng.integers(len(space.dataflows))))
-        return genome
+        return self.random_genomes(1)[0]
 
     # Shared breeding operators (the GA-family methods) ----------------
     def uniform_crossover(self, a: Sequence[int],
                           b: Sequence[int]) -> List[int]:
         """Uniform blending: each gene comes from either parent with
-        probability 1/2 (one RNG draw per gene)."""
-        child = list(a)
-        for i in range(len(child)):
-            if self.rng.random() < 0.5:
-                child[i] = b[i]
-        return child
+        probability 1/2 (one ``random()`` per gene, drawn as a vector)."""
+        take = (self.rng.random(len(a)) < 0.5).tolist()
+        return [y if t else x for x, y, t in zip(a, b, take)]
 
     def resample_mutation(self, genome: Sequence[int],
                           rate: float) -> List[int]:
         """Per-gene uniform resampling at ``rate``, respecting the gene
         layout: the two level genes draw from ``num_levels``, the MIX
         style gene from the dataflow list."""
-        space = self._evaluator.space
-        per_step = space.actions_per_step
         mutated = list(genome)
-        for i in range(len(mutated)):
-            if self.rng.random() < rate:
-                head = i % per_step
-                size = (space.num_levels if head < 2
-                        else len(space.dataflows))
-                mutated[i] = int(self.rng.integers(size))
+        for i, level in masked_draws(self.rng, rate,
+                                     self._gene_bounds()).items():
+            mutated[i] = level
         return mutated
 
     def _run(self) -> None:  # pragma: no cover - interface

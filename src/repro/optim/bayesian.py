@@ -45,15 +45,10 @@ class BayesianOptimization(GenomeOptimizer):
         self._targets: List[float] = []
 
     # ------------------------------------------------------------------
-    def _encode(self, genome: List[int]) -> np.ndarray:
-        space = self._evaluator.space
-        per_step = space.actions_per_step
-        scales = []
-        for i in range(len(genome)):
-            head = i % per_step
-            size = space.num_levels if head < 2 else len(space.dataflows)
-            scales.append(max(size - 1, 1))
-        return np.asarray(genome, dtype=np.float64) / np.asarray(scales)
+    def _encode(self, genomes) -> np.ndarray:
+        """Genome(s) -> features: each gene over its top level index."""
+        scales = np.maximum(np.asarray(self._gene_bounds()) - 1, 1)
+        return np.asarray(genomes, dtype=np.float64) / scales
 
     def _observe(self, genome: List[int]) -> None:
         self._record(genome, self.evaluate(genome))
@@ -116,13 +111,12 @@ class BayesianOptimization(GenomeOptimizer):
         # The seed set is independent draws, so it is scored as one batch;
         # the EI loop below is inherently sequential (each choice depends
         # on the surrogate fitted to everything before it).
-        seeds = [self.random_genome()
-                 for _ in range(min(self.initial_samples, self._budget))]
+        seeds = self.random_genomes(min(self.initial_samples, self._budget))
         for genome, outcome in zip(seeds, self.evaluate_batch(seeds)):
             self._record(genome, outcome)
         while not self.exhausted:
             features, targets = self._fit_subset()
-            pool = [self.random_genome() for _ in range(self.candidate_pool)]
-            encoded = np.asarray([self._encode(g) for g in pool])
+            pool = self.random_genomes(self.candidate_pool)
+            encoded = self._encode(pool)
             scores = self._expected_improvement(encoded, features, targets)
             self._observe(pool[int(np.argmax(scores))])

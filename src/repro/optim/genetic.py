@@ -64,8 +64,7 @@ class GeneticAlgorithm(GenomeOptimizer):
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
-        population = [self.random_genome()
-                      for _ in range(self.population_size)]
+        population = self.random_genomes(self.population_size)
         scored = self._score(population)
         if scored is None:
             return

@@ -166,8 +166,7 @@ class ParetoGA(GenomeOptimizer):
         # budgets still complete a (smaller) generation and report a
         # front instead of abandoning a truncated one.
         population_size = max(2, min(self.population_size, self._budget))
-        population = [self.random_genome()
-                      for _ in range(population_size)]
+        population = self.random_genomes(population_size)
         values = self._score(population)
         if values is None:
             self._finalize()

@@ -24,5 +24,4 @@ class RandomSearch(GenomeOptimizer):
     def _run(self) -> None:
         while not self.exhausted:
             chunk = min(self.batch_size, self._budget - self._spent)
-            self.evaluate_batch(
-                [self.random_genome() for _ in range(chunk)])
+            self.evaluate_batch(self.random_genomes(chunk))

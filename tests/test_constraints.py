@@ -108,6 +108,13 @@ class TestDesignPointEvaluator:
         with pytest.raises(ValueError, match="genome length"):
             evaluator.decode_genome([0, 0])
 
+    def test_decode_rejects_negative_and_out_of_range_genes(self,
+                                                           evaluator):
+        with pytest.raises(ValueError, match="PE level index -1"):
+            evaluator.decode_genome([0, 0, -1, 0, 0, 0, 0, 0])
+        with pytest.raises(ValueError, match="buffer level index 12"):
+            evaluator.decode_genome([0, 0, 0, 0, 0, 0, 0, 12])
+
     def test_feasibility_boundary(self, evaluator):
         # The max pair must violate a 50% budget; the min pair must fit.
         top = evaluator.evaluate_genome([11, 11] * 4)

@@ -66,6 +66,37 @@ class TestActionSpace:
         with pytest.raises(ValueError):
             space_dla.decode((0, -1))
 
+    @pytest.mark.parametrize("mix", [False, True])
+    def test_decode_genes_is_decode_per_action(self, space_dla, space_mix,
+                                               mix):
+        space = space_mix if mix else space_dla
+        per_step = space.actions_per_step
+        genes = np.random.default_rng(0).integers(
+            space.head_sizes, size=(6, per_step)).ravel().tolist()
+        expected = [space.decode(genes[i:i + per_step])
+                    for i in range(0, len(genes), per_step)]
+        assert space.decode_genes(genes) == expected
+        assert space.decode_genes(np.asarray(genes)) == expected
+        assert space.decode_genes([]) == []
+        with pytest.raises(ValueError, match="multiple of"):
+            space.decode_genes(genes[:-1])
+
+    @pytest.mark.parametrize("mix", [False, True])
+    def test_decode_genes_rejects_out_of_range_and_negative_genes(
+            self, space_dla, space_mix, mix):
+        space = space_mix if mix else space_dla
+        names = ("PE level", "buffer level", "dataflow")
+        for head, size in enumerate(space.head_sizes):
+            for bad in (size, -1, -size):
+                genes = [0] * (3 * space.actions_per_step)
+                genes[space.actions_per_step + head] = bad
+                message = f"{names[head]} index {bad} out of range"
+                with pytest.raises(ValueError, match=message):
+                    space.decode_genes(genes)
+                with pytest.raises(ValueError, match=message):
+                    space.decode(genes[space.actions_per_step:
+                                       2 * space.actions_per_step])
+
     def test_max_action(self, space_dla, space_mix):
         assert space_dla.max_action() == (11, 11)
         assert space_mix.max_action() == (11, 11, 0)
