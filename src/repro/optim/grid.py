@@ -29,17 +29,13 @@ class GridSearch(GenomeOptimizer):
             raise ValueError("stride must be >= 1")
         self.stride = stride
 
-    def _gene_size(self, gene: int) -> int:
-        space = self._evaluator.space
-        head = gene % space.actions_per_step
-        return space.num_levels if head < 2 else len(space.dataflows)
-
     def _advance(self, genome: List[int]) -> bool:
         """Base-L counter increment by ``stride``, least-significant gene
         last; returns False once the whole space has been enumerated."""
+        bounds = self._gene_bounds()
         for gene in range(len(genome) - 1, -1, -1):
             genome[gene] += self.stride
-            if genome[gene] < self._gene_size(gene):
+            if genome[gene] < bounds[gene]:
                 return True
             genome[gene] = 0
         return False
