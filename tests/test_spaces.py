@@ -67,15 +67,18 @@ class TestActionSpace:
             space_dla.decode((0, -1))
 
     @pytest.mark.parametrize("mix", [False, True])
-    def test_decode_genes_is_decode_per_action(self, space_dla, space_mix,
-                                               mix):
+    def test_decode_genes_indexes_the_ladders(self, space_dla, space_mix,
+                                              mix):
         space = space_mix if mix else space_dla
         per_step = space.actions_per_step
-        genes = np.random.default_rng(0).integers(
-            space.head_sizes, size=(6, per_step)).ravel().tolist()
-        expected = [space.decode(genes[i:i + per_step])
-                    for i in range(0, len(genes), per_step)]
+        actions = np.random.default_rng(0).integers(
+            space.head_sizes, size=(6, per_step)).tolist()
+        expected = [(space.pe_levels[action[0]], space.buf_levels[action[1]])
+                    + ((space.dataflows[action[2]],) if mix else ())
+                    for action in actions]
+        genes = [gene for action in actions for gene in action]
         assert space.decode_genes(genes) == expected
+        assert [space.decode(action) for action in actions] == expected
         assert space.decode_genes(np.asarray(genes)) == expected
         assert space.decode_genes([]) == []
         with pytest.raises(ValueError, match="multiple of"):
