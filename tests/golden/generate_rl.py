@@ -41,6 +41,11 @@ SLICE_SESSIONS = (
     ("confuciux-mlp", 6, 2),
 )
 
+#: Lockstep waves: every SLICE_SESSIONS method on the 8-layer slice at
+#: ``envs=4`` and a budget of two full waves (finetunes as above).
+ENVS = 4
+ENVS_BUDGET = 8
+
 #: (name, method, mix, budget, finetune) on full MobileNet-V2, on the
 #: cloud tier: at these budgets the IoT tier finds nothing feasible, and
 #: an all-infeasible run pins little.
@@ -133,6 +138,8 @@ def case_names() -> List[str]:
     for seed in SEEDS:
         names += [f"slice8/{method}/seed{seed}"
                   for method, _, _ in SLICE_SESSIONS]
+        names += [f"envs{ENVS}/{method}/seed{seed}"
+                  for method, _, _ in SLICE_SESSIONS]
         names += [f"full/{name}/seed{seed}"
                   for name, _, _, _, _ in FULL_SESSIONS]
         names += [f"agent/{name}/seed{seed}" for name in AGENTS]
@@ -148,6 +155,11 @@ def run_case(key: str) -> dict:
                                    if case[0] == name)
         return _session_case(name, seed, budget, finetune,
                              layer_slice=SLICE)
+    if group == f"envs{ENVS}":
+        _, _, finetune = next(case for case in SLICE_SESSIONS
+                              if case[0] == name)
+        return _session_case(name, seed, ENVS_BUDGET, finetune,
+                             layer_slice=SLICE, envs=ENVS)
     if group == "full":
         _, method, mix, budget, finetune = next(
             case for case in FULL_SESSIONS if case[0] == name)

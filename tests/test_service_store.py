@@ -78,6 +78,24 @@ class TestResultKey:
         assert result_key(_spec()) != base
         assert result_key(_spec()) == result_key(_spec(envs=4))
 
+    @pytest.mark.parametrize("spec,key", [
+        (dict(model="mobilenet_v2"),
+         "6237c969c86ec742494e68f7a478b2efeb28795e316c5a08411880fe6e77319c"),
+        (dict(model="mobilenet_v2", method="ga", mix=True, deployment="ls",
+              objective="weighted:latency=0.5,energy=0.5", budget=200,
+              seed=3),
+         "9aaea1cd39730a8899fd835802da2ab9f8845b47290c2412815a79a3745f6a4d"),
+        (dict(model="mobilenet_v2", method="reinforce", envs=4, budget=8,
+              layer_slice=8),
+         "c71b37341cee621090c7832d1aa1e347fb9c3382e2d94ca91cfcfe689b33021b"),
+    ], ids=["default", "mix-ls-weighted", "envs4"])
+    def test_pinned_absolute_keys(self, monkeypatch, spec, key):
+        """Absolute digests: a change to the identity layout (a field
+        added to or dropped from ``canonical_identity``) moves every
+        store key, and existing entries would silently read as misses."""
+        monkeypatch.delenv("REPRO_ENVS", raising=False)
+        assert result_key(SearchSpec(**spec)) == key
+
     def test_scenario_fields_change_the_key(self):
         base = result_key(_spec())
         assert result_key(_spec(seed=1)) != base
