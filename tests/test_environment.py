@@ -226,3 +226,18 @@ class TestObjectives:
         while not done:
             _, _, done, info = env.step((3, 3))
         assert info["episode"].cost > 0
+
+
+class TestEpisodePlans:
+    def test_power_constrained_env_stays_on_scalar_path(self, cost_model):
+        """Power budgets need full per-layer reports to detect
+        violations, so planned episodes must refuse rather than silently
+        diverge."""
+        from repro.search import SearchSpec
+
+        task = SearchSpec(model="mobilenet_v2", constraint_kind="power",
+                          layer_slice=4).task()
+        env = task.make_env(cost_model, task.constraint(cost_model))
+        assert not env.plan_supported()
+        with pytest.raises(RuntimeError, match="power"):
+            env.begin_plan()

@@ -156,3 +156,26 @@ class TestOffPolicyMachinery:
         result = agent.search(env, 10)
         assert agent._total_steps > 16
         assert result.feasible
+
+
+def test_reinforce_planned_episodes_match_scalar_stepping():
+    """The batched-epoch REINFORCE path (one cost call per episode at
+    commit) is bit-identical to per-step scalar calls, including RNG
+    consumption around mid-episode constraint violations."""
+    import repro
+    from repro.models import get_model
+
+    layers = get_model("mobilenet_v2")[:5]
+    results = {}
+    for flag in (False, True):
+        pipeline = repro.ConfuciuX(
+            layers, platform="iot", seed=13,
+            reinforce_kwargs={"batch_episodes": flag})
+        results[flag] = pipeline._run(global_epochs=12,
+                                      finetune_generations=0)
+    scalar, planned = results[False], results[True]
+    assert scalar.trace == planned.trace
+    assert scalar.best_cost == planned.best_cost
+    assert scalar.best_assignments == planned.best_assignments
+    assert (scalar.global_result.evaluations
+            == planned.global_result.evaluations)

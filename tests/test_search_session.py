@@ -11,6 +11,7 @@ import json
 import pytest
 
 import repro
+from repro.core.serialization import search_result_to_dict
 from repro.experiments.tasks import TaskSpec
 from repro.search import (
     CheckpointHook,
@@ -21,7 +22,10 @@ from repro.search import (
     SearchSpec,
     SessionResult,
     method_names,
+    register_method,
+    unregister_method,
 )
+from repro.service.store import result_key
 
 #: Tiny-budget spec kwargs shared by the whole-registry sweeps: the NCF
 #: workload has 4 layers, the cloud platform gives a roomy budget so every
@@ -290,3 +294,222 @@ class TestSessionResult:
     def test_session_validates_method_eagerly(self):
         with pytest.raises(KeyError, match="unknown method"):
             SearchSession(SearchSpec(model="ncf", method="alphago"))
+
+
+# ----------------------------------------------------------------------
+# Teardown, checkpoints and stored documents
+# ----------------------------------------------------------------------
+def _ga_spec(**overrides) -> SearchSpec:
+    base = dict(model="mobilenet_v2", method="ga", budget=40, seed=7,
+                layer_slice=4)
+    base.update(overrides)
+    return SearchSpec(**base)
+
+
+def _comparable(outcome) -> dict:
+    """The result as a dict, minus wall-clock noise."""
+    data = search_result_to_dict(outcome.result)
+    data.pop("wall_time_s", None)
+    data["stopped_early"] = outcome.stopped_early
+    return data
+
+
+class TestTeardownHook:
+    def test_on_teardown_fires_on_every_exit_path(self):
+        events = []
+
+        class Recorder(SearchObserver):
+            def on_finish(self, result):
+                events.append("finish")
+
+            def on_teardown(self):
+                events.append("teardown")
+
+        SearchSession(_ga_spec()).run(callbacks=[Recorder()])
+        assert events == ["teardown", "finish"]
+
+        class Crashing:
+            name = "crashing"
+
+            def __init__(self, seed=None):
+                pass
+
+            def search(self, evaluator, budget):
+                raise ValueError("no search today")
+
+        register_method("_test-crashing", Crashing, kind="genome",
+                        overwrite=True)
+        events.clear()
+        try:
+            with pytest.raises(ValueError):
+                SearchSession(_ga_spec(method="_test-crashing")).run(
+                    callbacks=[Recorder()])
+        finally:
+            unregister_method("_test-crashing")
+        # Teardown fired, on_finish (success-only) did not.
+        assert events == ["teardown"]
+
+
+class TestCheckpoints:
+    def test_checkpoint_write_is_atomic(self, tmp_path):
+        path = tmp_path / "best.json"
+        spec = _ga_spec()
+        SearchSession(spec).run(callbacks=[CheckpointHook(path)])
+        assert path.exists()
+        assert not (tmp_path / "best.json.tmp").exists()
+        document = json.loads(path.read_text())
+        assert {"step", "best_cost", "best_assignments",
+                "spec"} <= set(document)
+        assert document["spec"] == spec.to_dict()
+
+    def test_interrupted_run_resumes_to_identical_trajectory(self, tmp_path):
+        """CheckpointHook + early stop, then resume from the spec: the
+        resumed (fresh, deterministic) run reproduces the uninterrupted
+        trajectory exactly, and the interrupted history is its prefix."""
+        spec = _ga_spec(budget=60, seed=9)
+        uninterrupted = SearchSession(spec).run()
+
+        checkpoint = tmp_path / "best.json"
+        stopper = EarlyStopping(patience=8)
+        interrupted = SearchSession(spec).run(
+            callbacks=[CheckpointHook(checkpoint), stopper])
+        assert interrupted.stopped_early
+        stopped_at = stopper.stopped_at
+        assert stopped_at is not None
+
+        # The interrupted trajectory is a prefix of the full one ...
+        full = uninterrupted.result.history
+        partial = interrupted.result.history
+        assert partial == full[: len(partial)]
+        assert len(partial) == stopped_at
+
+        # ... the checkpoint holds the best seen up to the stop ...
+        document = json.loads(checkpoint.read_text())
+        assert document["best_cost"] == interrupted.best_cost
+        assert document["step"] <= stopped_at
+
+        # ... and "resume" -- rerunning the frozen spec -- lands on the
+        # uninterrupted result bit for bit.
+        resumed = SearchSession(spec).run()
+        assert resumed.best_cost == uninterrupted.best_cost
+        assert resumed.result.history == full
+        assert resumed.result.best_genome == uninterrupted.result.best_genome
+
+    def test_resume_replays_to_identical_result(self, tmp_path):
+        """Kill a run early; resume() from its checkpoint lands on the
+        bit-identical final result of the uninterrupted run."""
+        spec = _ga_spec(seed=9)
+        uninterrupted = SearchSession(spec).run()
+        path = tmp_path / "best.json"
+        interrupted = SearchSession(spec).run(
+            callbacks=[CheckpointHook(path), EarlyStopping(patience=8)])
+        assert interrupted.stopped_early
+        resumed = CheckpointHook.resume(path)
+        assert _comparable(resumed) == _comparable(uninterrupted)
+        assert resumed.best_cost is not None
+        assert resumed.best_cost <= interrupted.best_cost
+
+    def test_resume_without_spec_raises(self, tmp_path):
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps({"step": 3, "best_cost": 1.0,
+                                    "best_assignments": None}))
+        with pytest.raises(ValueError, match="no spec"):
+            CheckpointHook.resume(path)
+
+
+class TestDocuments:
+    """Specs, results and checkpoints survive serialize -> deserialize
+    -> serialize unchanged, and documents written by older versions
+    still load and resume."""
+
+    def test_search_spec_serialization_is_a_fixed_point(self):
+        spec = _ga_spec(envs=4)
+        once = spec.to_json()
+        again = SearchSpec.from_json(once)
+        assert again == spec
+        assert again.to_json() == once
+        assert hash(again) == hash(spec)
+
+    def test_session_result_round_trips_with_provenance(self):
+        outcome = SearchSession(_ga_spec()).run()
+        document = outcome.to_json()
+        restored = SessionResult.from_json(document)
+        assert restored.to_json() == document
+        assert restored.provenance == outcome.provenance
+        assert restored.spec == outcome.spec
+
+    def test_checkpoint_document_round_trips(self, tmp_path):
+        path = tmp_path / "best.json"
+        SearchSession(_ga_spec()).run(callbacks=[CheckpointHook(path)])
+        document = json.loads(path.read_text())
+        assert json.loads(json.dumps(document)) == document
+        assert SearchSpec.from_dict(document["spec"]) == _ga_spec()
+
+    def test_documents_written_by_1_8_load_and_resume(self, tmp_path):
+        """1.8 wrote ``"nodes": null, "autotune": null`` into every
+        spec; results and checkpoints carrying them still load and
+        resume, and a non-null value names the replacement."""
+        path = tmp_path / "best.json"
+        outcome = SearchSession(_ga_spec()).run(
+            callbacks=[CheckpointHook(path)])
+        legacy = outcome.to_dict()
+        legacy["spec"].update(nodes=None, autotune=None)
+        restored = SessionResult.from_json(json.dumps(legacy))
+        assert restored.spec == outcome.spec
+        checkpoint = json.loads(path.read_text())
+        checkpoint["spec"].update(nodes=None, autotune=None)
+        path.write_text(json.dumps(checkpoint))
+        assert _comparable(CheckpointHook.resume(path)) \
+            == _comparable(outcome)
+        for field, value in (("nodes", 4), ("autotune", True)):
+            stale = dict(legacy, spec=dict(legacy["spec"], **{field: value}))
+            with pytest.raises(ValueError, match='executor="process"'):
+                SessionResult.from_dict(stale)
+
+    def test_documents_written_by_2_x_load_and_resume(self, tmp_path):
+        """Every 2.x spec carries ``"kernel"``.  Its exact settings ran
+        the batched engine's numbers, so results and checkpoints carrying
+        them still load and resume bit-identically; float32 results
+        cannot be reproduced, so ``"fused32"`` is refused."""
+        path = tmp_path / "best.json"
+        outcome = SearchSession(_ga_spec()).run(
+            callbacks=[CheckpointHook(path)])
+        legacy = outcome.to_dict()
+        legacy["spec"]["kernel"] = None
+        legacy["provenance"]["kernel"] = "batched"
+        restored = SessionResult.from_json(json.dumps(legacy))
+        assert restored.spec == outcome.spec
+        assert _comparable(restored) == _comparable(outcome)
+        checkpoint = json.loads(path.read_text())
+        checkpoint["spec"]["kernel"] = "fused"
+        path.write_text(json.dumps(checkpoint))
+        assert _comparable(CheckpointHook.resume(path)) \
+            == _comparable(outcome)
+        stale = dict(legacy, spec=dict(legacy["spec"], kernel="fused32"))
+        with pytest.raises(ValueError,
+                           match="removed in 3.0.*fused32.*re-run"):
+            SessionResult.from_dict(stale)
+
+    def test_documents_written_by_3_x_load_and_resume(self, tmp_path,
+                                                      monkeypatch):
+        """Every 3.x spec carries the four execution knobs.  None of
+        them ever changed a result, so a result carrying them loads
+        under the pinned store key and a checkpoint carrying them
+        resumes bit-identically, whatever values they hold."""
+        monkeypatch.delenv("REPRO_ENVS", raising=False)
+        knobs = {"executor": "process", "workers": 2,
+                 "dispatch_min_batch": 0, "task_timeout_s": 30.0}
+        path = tmp_path / "best.json"
+        outcome = SearchSession(_ga_spec()).run(
+            callbacks=[CheckpointHook(path)])
+        legacy = outcome.to_dict()
+        legacy["spec"].update(knobs)
+        restored = SessionResult.from_json(json.dumps(legacy))
+        assert result_key(restored.spec) == (
+            "f58e5ec0cc5dc69e6678c5096fc216f3d6c83733db381bdda84b8b1fe0253775")
+        assert _comparable(restored) == _comparable(outcome)
+        checkpoint = json.loads(path.read_text())
+        checkpoint["spec"].update(knobs)
+        path.write_text(json.dumps(checkpoint))
+        assert _comparable(CheckpointHook.resume(path)) \
+            == _comparable(outcome)
