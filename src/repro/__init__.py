@@ -40,8 +40,6 @@ Subpackages:
                    cache, ND-JSON transport + client).
     objectives  -- pluggable objectives (weighted/penalty/multi specs)
                    and the Pareto (non-dominated) utilities.
-    parallel    -- serial/process execution backends with
-                   shared-memory batch handoff (bit-identical results).
     models      -- DNN workload zoo (layer shapes).
     costmodel   -- the analytical MAESTRO-substitute estimator.
     nn          -- numpy autograd + NN substrate.
@@ -91,17 +89,7 @@ from repro.search import (
     method_names,
     register_method,
 )
-from repro.parallel import (
-    ExecutionError,
-    FaultInjected,
-    FaultPlan,
-    ParallelCoordinator,
-    TaskTimeoutError,
-    WorkerCrashError,
-    make_backend,
-)
-
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "Layer",
@@ -146,14 +134,6 @@ __all__ = [
     "resolve_objective",
     "list_objectives",
     "objective_label",
-    # Parallel execution and fault tolerance.
-    "ParallelCoordinator",
-    "make_backend",
-    "FaultPlan",
-    "ExecutionError",
-    "WorkerCrashError",
-    "TaskTimeoutError",
-    "FaultInjected",
     # Search as a service (lazy; see __getattr__).
     "SearchServer",
     "ServiceClient",

@@ -27,7 +27,7 @@ Examples::
         --objective weighted:latency=0.5,energy=0.5
     python -m repro compare --model mobilenet_v2 \
         --methods random,ga,ppo2,reinforce --budget 150
-    python -m repro serve --port 7661 --executor process --workers 4
+    python -m repro serve --port 7661
     python -m repro submit --model mnasnet --method sa --budget 200
     python -m repro jobs
     python -m repro cache --stats
@@ -42,7 +42,6 @@ from repro.core.reporting import format_table
 from repro.costmodel import CostModel
 from repro.models import get_model, list_models
 from repro.models.layers import summarize
-from repro.parallel.backend import EXECUTORS
 from repro.search import (
     ProgressReporter,
     SearchSession,
@@ -139,11 +138,7 @@ def _spec_from_args(args: argparse.Namespace, method: str) -> SearchSpec:
             mix=args.mix,
             layer_slice=args.layers or None,
             finetune=args.finetune,
-            executor=args.executor,
-            workers=args.workers,
-            dispatch_min_batch=args.dispatch_min_batch,
             envs=args.envs,
-            task_timeout_s=args.task_timeout_s,
         )
     except ValueError as error:
         # Free-form spec fields (--objective most of all) are validated
@@ -236,37 +231,18 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from repro.parallel import ParallelCoordinator
-
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     cost_model = CostModel()
     rows = []
-    callbacks = []
-    first = _spec_from_args(args, methods[0]) if methods else None
-    if first is not None and first.resolved_executor() != "serial":
-        # One keep-alive coordinator: the worker pool spawns once and
-        # serves every method of the grid, with the spec-resolved
-        # adaptive-dispatch threshold (--dispatch-min-batch /
-        # $REPRO_DISPATCH_MIN / the measured default).
-        callbacks = [ParallelCoordinator(
-            first.resolved_executor(), first.resolved_workers(),
-            keep_alive=True,
-            min_batch_per_worker=first.resolved_dispatch_min_batch(),
-            task_timeout_s=first.resolved_task_timeout_s())]
-    try:
-        for method in methods:
-            spec = _spec_from_args(args, method)
-            result = SearchSession(spec, cost_model=cost_model).run(
-                callbacks=callbacks)
-            rows.append([
-                method,
-                result.result.format_cost(),
-                result.result.evaluations,
-                f"{result.result.wall_time_s:.2f}s",
-            ])
-    finally:
-        for callback in callbacks:
-            callback.close()
+    for method in methods:
+        spec = _spec_from_args(args, method)
+        result = SearchSession(spec, cost_model=cost_model).run()
+        rows.append([
+            method,
+            result.result.format_cost(),
+            result.result.evaluations,
+            f"{result.result.wall_time_s:.2f}s",
+        ])
     from repro.objectives import objective_cost_label, objective_label
 
     spec_string = _objective_from_args(args)
@@ -286,16 +262,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     server = SearchServer(
         store=store,
         max_concurrent=args.max_concurrent,
-        executor=args.executor,
-        workers=args.workers,
         progress_every=args.progress_every,
     )
     transport = start_transport(server, host=args.host, port=args.port,
                                 in_thread=False)
     host, port = transport.server_address[:2]
     print(f"repro service on {host}:{port} "
-          f"(executor={server.executor}, "
-          f"max_concurrent={args.max_concurrent}, "
+          f"(max_concurrent={args.max_concurrent}, "
           f"cache={'off' if store is None else store.root})",
           flush=True)
     try:
@@ -379,7 +352,7 @@ def cmd_jobs(args: argparse.Namespace) -> int:
         ["job", "state", "cache", "method", "model", "best cost", "key"],
         rows,
         title=f"{stats['jobs']} jobs, {stats['executions']} executed "
-              f"({args.host}:{args.port}, executor {stats['executor']})"))
+              f"({args.host}:{args.port})"))
     return 0
 
 
@@ -452,30 +425,6 @@ def _add_task_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--layers", type=int, default=0,
                         help="restrict to the first N layers (0 = all)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--executor", default=None,
-                        choices=list(EXECUTORS),
-                        help="population-evaluation backend (default: "
-                             "$REPRO_EXECUTOR or serial; results are "
-                             "bit-identical across backends; "
-                             "$REPRO_FAULTS injects deterministic worker "
-                             "faults into the process pool)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker count for the process executor "
-                             "(default: $REPRO_WORKERS, else available "
-                             "cores capped at 8)")
-    parser.add_argument("--dispatch-min-batch", type=int, default=None,
-                        dest="dispatch_min_batch",
-                        help="adaptive dispatch: batches below this many "
-                             "elements per worker run in-process "
-                             "(default: $REPRO_DISPATCH_MIN or the "
-                             "measured break-even; 0 always shards)")
-    parser.add_argument("--task-timeout", type=float, default=None,
-                        dest="task_timeout_s",
-                        help="per-batch deadline in seconds for the "
-                             "process backend: hung workers are "
-                             "terminated and their shards re-dispatched "
-                             "(default: $REPRO_TASK_TIMEOUT or disabled; "
-                             "0 disables; recovery never changes results)")
     parser.add_argument("--envs", type=int, default=None,
                         help="lockstep episodes per wave for episodic-RL "
                              "methods (default: $REPRO_ENVS or 1; 1 is "
@@ -536,13 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-concurrent", type=int, default=2,
                        dest="max_concurrent",
                        help="sessions in flight at once (default: 2)")
-    serve.add_argument("--executor", default=None, choices=list(EXECUTORS),
-                       help="shared pool backend for every job (default: "
-                            "$REPRO_EXECUTOR or serial); a process pool "
-                            "stays warm across jobs")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="pool worker count (default: $REPRO_WORKERS "
-                            "or auto)")
     serve.add_argument("--cache-dir", default=None, dest="cache_dir",
                        help="result-cache root (default: $REPRO_CACHE_DIR "
                             "or ~/.cache/repro/results)")

@@ -79,11 +79,10 @@ def measure_max_consumption(
 ) -> float:
     """C_max of Table II: whole-model consumption at the uniform max pair.
 
-    The whole sweep is one batched-estimator call (one row per layer), so
-    an installed parallel backend shards the calibration across workers
-    exactly like any population batch.  The per-layer figures are
-    bit-identical to the scalar ``evaluate_layer`` loop, and the total
-    accumulates in layer order, so the constraint budgets never moved.
+    The whole sweep is one batched-estimator call (one row per layer).
+    The per-layer figures are bit-identical to the scalar
+    ``evaluate_layer`` loop, and the total accumulates in layer order, so
+    the constraint budgets never moved.
     """
     import numpy as np
 

@@ -252,12 +252,12 @@ class DesignPointEvaluator:
         Identical design points -- common under elitism, low mutation
         rates, and two-stage re-probes -- are deduplicated before kernel
         dispatch (``np.unique`` over the decoded rows) and the unique
-        results scattered back, so duplicates never reach the estimator
-        or an installed parallel backend.  The kernel is elementwise per
-        row, so the returned costs, flags, and budgets are bit-identical
-        either way; served duplicates are counted on :attr:`cache_hits`
-        while :attr:`evaluations` keeps charging the full population
-        (the budget currency every method spends).
+        results scattered back, so duplicates never reach the estimator.
+        The kernel is elementwise per row, so the returned costs, flags,
+        and budgets are bit-identical either way; served duplicates are
+        counted on :attr:`cache_hits` while :attr:`evaluations` keeps
+        charging the full population (the budget currency every method
+        spends).
         """
         population, num_layers = pes.shape
         self.evaluations += population

@@ -21,8 +21,6 @@ PERFORMANCE.md for the architecture and the measured speedup.
 from __future__ import annotations
 
 import functools
-import itertools
-import threading
 from dataclasses import dataclass
 from typing import Dict, NamedTuple, Sequence, Tuple
 
@@ -48,7 +46,6 @@ __all__ = [
     "objective_totals",
     "ordered_row_sum",
     "population_totals",
-    "table_token",
 ]
 
 #: Canonical style order of the batched engine (the MIX action order), and
@@ -108,32 +105,6 @@ class ConstraintFold(NamedTuple):
     used: np.ndarray
     #: ``used <= budget`` per population row.
     feasible: np.ndarray
-
-
-# Monotonic table identity.  ``id(table)`` is recycled by the allocator
-# the moment a table is garbage-collected, so anything keyed on it (the
-# process backend's worker-side table ids) could confuse an unrelated
-# new table at the same address with a dead one.  Tokens are assigned
-# once per table, never reused.
-_TABLE_TOKENS = itertools.count(1)
-_TABLE_TOKEN_LOCK = threading.Lock()
-
-
-def table_token(table: "LayerTable") -> int:
-    """A process-unique, never-recycled identity for ``table``.
-
-    Lazily stamped on first use (``LayerTable`` is frozen, so the stamp
-    goes through ``object.__setattr__``); the process backend keys its
-    shipped tables on this instead of ``id(table)``.
-    """
-    token = getattr(table, "_token", None)
-    if token is None:
-        with _TABLE_TOKEN_LOCK:
-            token = getattr(table, "_token", None)
-            if token is None:
-                token = next(_TABLE_TOKENS)
-                object.__setattr__(table, "_token", token)
-    return token
 
 
 @dataclass(frozen=True)
@@ -216,15 +187,13 @@ def evaluate_batch_kernel(
 ) -> BatchCostReport:
     """The validated core of :meth:`BatchedCostModel.evaluate`.
 
-    Every operation is elementwise over the batch axis, so the kernel is
-    *shard-invariant*: evaluating any partition of the batch and
-    concatenating the shard outputs in order is bit-identical to one call
-    over the full batch.  The execution backends in :mod:`repro.parallel`
-    rely on this to fan one large batch out across worker processes.
+    Every operation is elementwise over the batch axis: row ``i`` of the
+    report depends only on row ``i`` of the inputs, so evaluating any
+    partition of the batch and concatenating the outputs in order is
+    bit-identical to one call over the full batch.
 
     Callers are expected to have validated the arrays (``BatchedCostModel
-    .evaluate`` does); the kernel itself runs no checks so worker shards
-    pay no redundant validation.
+    .evaluate`` does); the kernel itself runs no checks.
     """
     batch = layer_idx.size
     units = np.empty(batch, dtype=np.int64)
@@ -320,22 +289,14 @@ def _single_layer_table(layer: Layer) -> LayerTable:
 class BatchedCostModel:
     """Vectorized counterpart of :class:`~repro.costmodel.CostModel`.
 
-    Stateless apart from the hardware constants and an optional execution
-    backend: callers hold the :class:`LayerTable` (typically one per
-    search) and pass index/value arrays describing the batch.
-
-    When ``executor`` is set (an :class:`repro.parallel.ExecutionBackend`),
-    validated batches are handed to it instead of the in-process kernel;
-    the process backend shards the batch across worker processes and
-    gathers a bit-identical :class:`BatchCostReport`.
+    Stateless apart from the hardware constants: callers hold the
+    :class:`LayerTable` (typically one per search) and pass index/value
+    arrays describing the batch, which :func:`evaluate_batch_kernel`
+    scores in-process.
     """
 
-    def __init__(self, hw: HardwareConfig = DEFAULT_HW,
-                 executor=None) -> None:
+    def __init__(self, hw: HardwareConfig = DEFAULT_HW) -> None:
         self.hw = hw
-        #: Optional :class:`~repro.parallel.ExecutionBackend`; ``None``
-        #: runs the kernel in-process.
-        self.executor = executor
 
     # ------------------------------------------------------------------
     def evaluate(
@@ -360,7 +321,7 @@ class BatchedCostModel:
             A :class:`BatchCostReport` of arrays, element ``i`` matching
             ``CostModel.evaluate_layer`` on point ``i`` exactly.
         """
-        return self._dispatch(table, *self._validate(
+        return evaluate_batch_kernel(self.hw, table, *self._validate(
             table, layer_idx, style_idx, pes, l1_bytes))
 
     # ------------------------------------------------------------------
@@ -376,8 +337,7 @@ class BatchedCostModel:
         ``deployment`` picks the aggregation (see
         :func:`population_totals`), and the platform constraint ``kind``
         (``"area"`` or ``"power"``) and its ``budget`` give
-        ``used``/``feasible``.  Returns a :class:`ConstraintFold`, with or
-        without an executor attached.
+        ``used``/``feasible``.  Returns a :class:`ConstraintFold`.
         """
         batch = self._validate(table, layer_idx, style_idx, pes, l1_bytes)
         num_layers = len(table)
@@ -388,19 +348,11 @@ class BatchedCostModel:
                 "evaluate_constrained needs the tiled population layout "
                 "(layer_idx == tile(arange(len(table)), population))")
         latency, energy, area, power = population_totals(
-            self._dispatch(table, *batch), num_layers, deployment)
+            evaluate_batch_kernel(self.hw, table, *batch), num_layers,
+            deployment)
         used = area if kind == "area" else power
         return ConstraintFold(latency, energy, area, power, used,
                               used <= budget)
-
-    def _dispatch(self, table: LayerTable, layer_idx, style_idx, pes,
-                  l1_bytes) -> BatchCostReport:
-        """Run one validated batch on the executor, else in-process."""
-        if self.executor is not None:
-            return self.executor.evaluate(self.hw, table, layer_idx,
-                                          style_idx, pes, l1_bytes)
-        return evaluate_batch_kernel(self.hw, table, layer_idx, style_idx,
-                                     pes, l1_bytes)
 
     # ------------------------------------------------------------------
     @staticmethod

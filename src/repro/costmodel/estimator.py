@@ -89,23 +89,6 @@ class CostModel:
             self._batched = BatchedCostModel(self.hw)
         return self._batched
 
-    def set_executor(self, backend) -> None:
-        """Install (or, with ``None``, remove) an execution backend.
-
-        With a :class:`repro.parallel.ExecutionBackend` installed, every
-        batched evaluation through this model -- and therefore every
-        population-level consumer sharing it -- is sharded by the
-        backend.  Results are bit-identical either way; lifecycle is
-        owned by the caller (usually a
-        :class:`~repro.parallel.ParallelCoordinator`).
-        """
-        self.batched.executor = backend
-
-    @property
-    def executor(self):
-        """The installed execution backend, or ``None`` (serial)."""
-        return None if self._batched is None else self._batched.executor
-
     def evaluate_layer_batch(self, layer: Layer, dataflow, pes,
                              l1_bytes) -> BatchCostReport:
         """Vectorized sweep of one layer over (pes, l1_bytes) vectors.

@@ -267,8 +267,7 @@ class HWAssignmentEnv:
         The returned :class:`EpisodePlan` walks the layers exactly like
         :meth:`step` -- same observations, same termination -- but defers
         every cost-model evaluation to one batched call at
-        :meth:`EpisodePlan.commit`, which is where an installed parallel
-        backend shards the epoch across workers.
+        :meth:`EpisodePlan.commit`.
         """
         if not self.plan_supported():
             raise RuntimeError(

@@ -6,9 +6,8 @@ remaining unbatched hot path after the population engine (PERFORMANCE.md).
 :class:`VectorHWAssignmentEnv` steps **E episodes in lockstep waves**: all
 live episodes sit at the same layer ``t``, so one wave evaluates their E
 candidate assignments for that layer in a single
-:class:`~repro.costmodel.batched.BatchedCostModel` call (routed through
-``CostModel.batched``, so an installed parallel executor and the adaptive
-dispatch threshold apply unchanged).  Budget consumption, termination, the
+:class:`~repro.costmodel.batched.BatchedCostModel` call (through
+``CostModel.batched``).  Budget consumption, termination, the
 shared cross-episode ``p_min`` stream, and the per-episode
 :class:`~repro.env.environment.EpisodeResult` bookkeeping are all
 vectorized; episodes that violate early are masked out of later waves.
@@ -51,7 +50,6 @@ lives on the wrapped scalar env, so scalar and vector driving of the same
 
 from __future__ import annotations
 
-import threading
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -61,42 +59,6 @@ from repro.costmodel.batched import STYLE_INDEX
 from repro.env.environment import EpisodeResult, HWAssignmentEnv
 
 __all__ = ["VectorHWAssignmentEnv"]
-
-
-class _WaveHandle:
-    """An in-flight wave from :meth:`VectorHWAssignmentEnv.step_async`.
-
-    ``observations`` and ``dones`` are valid immediately (termination
-    under a :class:`ResourceConstraint` depends only on the decoded
-    assignments), so a driver can run the next policy forward while the
-    wave's batched cost call is still in flight; rewards and episode
-    results materialize in :meth:`VectorHWAssignmentEnv.step_wait`.
-    """
-
-    __slots__ = ("observations", "dones", "live", "step", "violated",
-                 "_batch", "_thread", "_box")
-
-    def __init__(self, live: np.ndarray, step: int,
-                 violated: np.ndarray) -> None:
-        self.live = live
-        self.step = step
-        self.violated = violated
-        self._batch = None
-        self._thread = None
-        self._box = None
-
-    def batch(self):
-        """The wave's cost report, joining the background evaluation if
-        one is in flight (executor errors re-raise here)."""
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-            outcome, payload = self._box[0]
-            self._box = None
-            if outcome == "error":
-                raise payload
-            self._batch = payload
-        return self._batch
 
 
 class VectorHWAssignmentEnv:
@@ -285,31 +247,22 @@ class VectorHWAssignmentEnv:
         return episode
 
     # ------------------------------------------------------------------
-    def _evaluate_wave(self, t: int, style_idx: np.ndarray,
-                       pes: np.ndarray, l1: np.ndarray, count: int):
-        """The wave's one batched cost call; an installed executor
-        shards it and adaptive dispatch applies unchanged."""
-        env = self.env
-        return env.cost_model.batched.evaluate(
-            env.plan_table,
-            np.full(count, t, dtype=np.int64),
-            style_idx, pes, l1)
+    def step(self, actions):
+        """Advance every live episode by one layer in a single wave.
 
-    def step_async(self, actions, background: bool = True) -> _WaveHandle:
-        """Advance the wave's env-side state and launch its cost batch.
+        Args:
+            actions: ``(len(live_indices), actions_per_step)`` level
+                indices, row ``r`` acting for episode ``live_indices[r]``.
 
-        Returns a :class:`_WaveHandle` whose ``observations`` / ``dones``
-        are valid immediately; pass it to :meth:`step_wait` -- in issue
-        order -- to join the cost call and obtain the wave's rewards.
-        Under a :class:`ResourceConstraint` (termination depends only on
-        the decoded PE / buffer charges) with a parallel executor
-        installed, the batched cost call runs on a background thread so
-        a driver can overlap the next policy forward with it
-        (double-buffered waves); otherwise the call runs inline and the
-        handle is already complete.  Results are bit-identical either
-        way: env mutations stay strictly ordered
-        ``async(t) -> wait(t) -> async(t+1)`` and no agent RNG is
-        consumed env-side.
+        Returns:
+            ``(observations, rewards, dones, info)`` -- all row-aligned
+            with the stepped episodes.  ``observations`` holds every
+            stepped episode's next observation (finished rows carry
+            their terminal observation; compact with ``~dones`` before
+            the next forward pass).  ``info["episodes"]`` carries one
+            :class:`EpisodeResult` per finishing row (``None``
+            elsewhere); ``info["batch"]`` is the wave's
+            :class:`~repro.costmodel.report.BatchCostReport`.
         """
         live = self._live
         if len(live) == 0:
@@ -328,66 +281,11 @@ class VectorHWAssignmentEnv:
         self._pes[live, t] = pes
         self._l1[live, t] = l1
 
-        if self._resource:
-            violated = self._consume(live, pes, l1, None)
-            handle = _WaveHandle(live, t, violated)
-            if background and env.cost_model.executor is not None:
-                box: list = []
-
-                def run(evaluate=self._evaluate_wave,
-                        args=(t, style_idx, pes, l1, len(live))) -> None:
-                    try:
-                        box.append(("ok", evaluate(*args)))
-                    except BaseException as error:  # joined in batch()
-                        box.append(("error", error))
-
-                handle._box = box
-                handle._thread = threading.Thread(
-                    target=run, name="repro-wave-cost", daemon=True)
-                handle._thread.start()
-            else:
-                handle._batch = self._evaluate_wave(
-                    t, style_idx, pes, l1, len(live))
-        else:
-            # Budget constraints consume the wave's cost report, so
-            # termination needs the batch: evaluate inline.
-            batch = self._evaluate_wave(t, style_idx, pes, l1, len(live))
-            violated = self._consume(live, pes, l1, batch)
-            handle = _WaveHandle(live, t, violated)
-            handle._batch = batch
-
-        completed = t + 1 >= env.num_steps
-        dones = violated | completed
-
-        # Next observations: the scalar encode semantics per row -- the
-        # next (layer, step) template for continuing and completed rows,
-        # the current one for violating rows -- as two batch fills.
-        next_step = min(t + 1, env.num_steps - 1)
-        observations = env.encoder.encode_batch(
-            env.layers[next_step], next_step, actions)
-        if violated.any() and next_step != t:
-            observations[violated] = env.encoder.encode_batch(
-                env.layers[t], t, actions[violated])
-
-        self._live = live[~dones]
-        self._step_index = t + 1
-        handle.observations = observations
-        handle.dones = dones
-        return handle
-
-    def step_wait(self, handle: _WaveHandle):
-        """Join a wave launched by :meth:`step_async`.
-
-        Returns the same ``(observations, rewards, dones, info)`` tuple
-        :meth:`step` returns.  Handles must be waited in issue order
-        (the shared ``p_min`` stream folds across waves sequentially);
-        the wave drivers keep at most one wave in flight.
-        """
-        env = self.env
-        live = handle.live
-        t = handle.step
-        violated = handle.violated
-        batch = handle.batch()
+        # The wave's one batched cost call.
+        batch = env.cost_model.batched.evaluate(
+            env.plan_table, np.full(len(live), t, dtype=np.int64),
+            style_idx, pes, l1)
+        violated = self._consume(live, pes, l1, batch)
         env.evaluations += len(live)
         costs = np.asarray(env.objective.evaluate(batch), dtype=np.float64)
         self._episode_cost[live] = self._episode_cost[live] + costs
@@ -413,7 +311,22 @@ class VectorHWAssignmentEnv:
         if not np.isinf(final_min):
             env.p_min = final_min
 
-        dones = handle.dones
+        completed = t + 1 >= env.num_steps
+        dones = violated | completed
+
+        # Next observations: the scalar encode semantics per row -- the
+        # next (layer, step) template for continuing and completed rows,
+        # the current one for violating rows -- as two batch fills.
+        next_step = min(t + 1, env.num_steps - 1)
+        observations = env.encoder.encode_batch(
+            env.layers[next_step], next_step, actions)
+        if violated.any() and next_step != t:
+            observations[violated] = env.encoder.encode_batch(
+                env.layers[t], t, actions[violated])
+
+        self._live = live[~dones]
+        self._step_index = t + 1
+
         episodes_info: List[Optional[EpisodeResult]] = [None] * len(live)
         if dones.any():
             violated_list = violated.tolist()
@@ -422,27 +335,8 @@ class VectorHWAssignmentEnv:
                     int(live[row]), t + 1,
                     feasible=not violated_list[row])
 
-        return handle.observations, rewards, dones, {
+        return observations, rewards, dones, {
             "episodes": episodes_info,
             "violated": violated,
             "batch": batch,
         }
-
-    def step(self, actions):
-        """Advance every live episode by one layer in a single wave.
-
-        Args:
-            actions: ``(len(live_indices), actions_per_step)`` level
-                indices, row ``r`` acting for episode ``live_indices[r]``.
-
-        Returns:
-            ``(observations, rewards, dones, info)`` -- all row-aligned
-            with the stepped episodes.  ``observations`` holds every
-            stepped episode's next observation (finished rows carry
-            their terminal observation; compact with ``~dones`` before
-            the next forward pass).  ``info["episodes"]`` carries one
-            :class:`EpisodeResult` per finishing row (``None``
-            elsewhere); ``info["batch"]`` is the wave's
-            :class:`~repro.costmodel.report.BatchCostReport`.
-        """
-        return self.step_wait(self.step_async(actions, background=False))

@@ -68,9 +68,6 @@ def compare_methods(
     epochs: int,
     seed: int = 0,
     cost_model: Optional[CostModel] = None,
-    executor: Optional[str] = None,
-    workers: Optional[int] = None,
-    dispatch_min_batch: Optional[int] = None,
     envs: int = 1,
     cache=None,
     force: bool = False,
@@ -83,16 +80,9 @@ def compare_methods(
     method name is accepted, including ``local-ga`` and the two-stage
     ``confuciux`` pipeline.
 
-    ``executor`` / ``workers`` optionally shard every batched evaluation
-    of the grid through the process backend (``executor="process"``);
-    the worker pool is shared across all methods and shut down before
-    returning.  Results are bit-identical to the serial grid.
-    ``dispatch_min_batch`` tunes the adaptive in-process fallback for
-    small batches (``None`` resolves ``$REPRO_DISPATCH_MIN`` / the
-    measured default; 0 always shards).  ``envs`` rolls the episodic-RL
-    methods as that many lockstep episodes per wave (one batched cost
-    call per layer step); unlike the executor knobs, ``envs > 1``
-    changes which episodes are sampled (reproducibly per seed).
+    ``envs`` rolls the episodic-RL methods as that many lockstep
+    episodes per wave (one batched cost call per layer step); ``envs >
+    1`` changes which episodes are sampled (reproducibly per seed).
 
     ``cache`` plugs the grid into the content-addressed result store
     shared with the search service: pass a
@@ -102,10 +92,7 @@ def compare_methods(
     before running and written back after -- so re-running a grid, or
     running a grid the service already served, is O(1) per hit.  Cells
     with explicit layer lists always run.  ``force=True`` re-runs every
-    cell and overwrites its entry.  Execution knobs (``executor`` /
-    ``workers`` / ``dispatch_min_batch``) are excluded from the identity:
-    results are bit-identical across backends, so one cached result
-    serves all of them.
+    cell and overwrites its entry.
     """
     from repro.search.session import (
         SessionContext,
@@ -126,39 +113,26 @@ def compare_methods(
 
     cost_model = cost_model or CostModel()
     constraint = task.constraint(cost_model)
-    backend = None
-    if executor is not None and executor != "serial":
-        from repro.parallel import default_dispatch_min_batch, make_backend
-
-        if dispatch_min_batch is None:
-            dispatch_min_batch = default_dispatch_min_batch()
-        backend = make_backend(executor, workers, dispatch_min_batch)
-        cost_model.set_executor(backend)
     results: Dict[str, SearchResult] = {}
-    try:
-        for name in methods:
-            info = get_method(name)
-            spec = (None if store is None
-                    else _grid_spec(task, name, epochs, seed, envs))
-            if spec is not None:
-                hit = store.get(spec, force=force)
-                if hit is not None:
-                    results[name] = hit.result
-                    continue
-            context = SessionContext(task=task, budget=epochs, seed=seed,
-                                     cost_model=cost_model,
-                                     constraint=constraint, envs=envs)
-            results[name] = run_method(info, context)
-            if spec is not None:
-                import repro
+    for name in methods:
+        info = get_method(name)
+        spec = (None if store is None
+                else _grid_spec(task, name, epochs, seed, envs))
+        if spec is not None:
+            hit = store.get(spec, force=force)
+            if hit is not None:
+                results[name] = hit.result
+                continue
+        context = SessionContext(task=task, budget=epochs, seed=seed,
+                                 cost_model=cost_model,
+                                 constraint=constraint, envs=envs)
+        results[name] = run_method(info, context)
+        if spec is not None:
+            import repro
 
-                store.put(spec, SessionResult(
-                    spec=spec, result=results[name],
-                    provenance={"repro_version": repro.__version__,
-                                "method_kind": info.kind,
-                                "source": "compare_methods"}))
-    finally:
-        if backend is not None:
-            cost_model.set_executor(None)
-            backend.shutdown()
+            store.put(spec, SessionResult(
+                spec=spec, result=results[name],
+                provenance={"repro_version": repro.__version__,
+                            "method_kind": info.kind,
+                            "source": "compare_methods"}))
     return results

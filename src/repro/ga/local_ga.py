@@ -49,8 +49,6 @@ class LocalGA:
         use_batch: Evaluate each generation's offspring as one batched
             population instead of per-individual calls (bit-identical
             results; ``False`` keeps the scalar path for parity tests).
-            Batched generations are the unit an installed parallel
-            backend (:mod:`repro.parallel`) shards across workers.
         memoize: Cache fitness by genome within one search so duplicate
             offspring -- common with elitism and low mutation rates --
             never re-hit the estimator.  The hit count is exposed on

@@ -152,9 +152,7 @@ class GenomeOptimizer:
     def evaluate_batch(
         self, genomes: Sequence[Sequence[int]]
     ) -> List[EvalResult]:
-        """Evaluate a candidate set as one batched estimator call (the
-        call a parallel backend shards across workers when one is
-        installed on the cost model -- never changing the results).
+        """Evaluate a candidate set as one batched estimator call.
 
         The set is truncated to the remaining budget (mirroring the scalar
         loop, which stopped evaluating mid-set when the budget ran out);

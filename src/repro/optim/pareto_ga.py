@@ -6,8 +6,7 @@ generational GA with the NSGA-II selection machinery -- vectorized
 non-dominated sorting plus crowding-distance diversity pressure (see
 :mod:`repro.objectives.pareto`) -- breeding level-index genomes with the
 same uniform-crossover / per-gene-resample operators as the baseline GA,
-and scoring every generation through the batched population evaluator
-(so an installed parallel backend shards it across workers).
+and scoring every generation through the batched population evaluator.
 
 The evaluator's objective decides the trade-off axes: a
 :class:`~repro.objectives.MultiObjective` spec (e.g.

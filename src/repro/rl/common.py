@@ -222,48 +222,18 @@ def rollout_waves(venv, episodes: int, act) -> List[WaveStep]:
     Randomness is consumed wave-major: one batched draw per action head
     per wave, row ``e`` belonging to episode ``live[e]`` -- the vector
     RNG contract (see API.md).
-
-    Waves are double-buffered when the env supports ``step_async``:
-    wave ``t``'s batched cost call (sharded across a parallel executor
-    when one is installed) stays in flight while wave ``t+1``'s policy
-    forward runs, and is joined before the next wave is issued.  Env
-    mutations stay strictly ordered and the agent RNG stream is
-    untouched, so the rollout is bit-identical to plain stepping.
     """
     observations = venv.reset(episodes)
     waves: List[WaveStep] = []
-    step_async = getattr(venv, "step_async", None)
-    if step_async is None:
-        while not venv.all_done:
-            live = venv.live_indices
-            actions, extras = act(observations)
-            next_observations, rewards, dones, _ = venv.step(actions)
-            waves.append(WaveStep(live=live, observations=observations,
-                                  actions=actions, rewards=rewards,
-                                  dones=dones, extras=extras))
-            observations = next_observations[~dones]
-        return waves
-    pending = None
     while not venv.all_done:
         live = venv.live_indices
-        actions, extras = act(observations)  # overlaps the in-flight wave
-        if pending is not None:
-            _collect_wave(venv, waves, pending)
-        handle = step_async(actions)
-        pending = (live, observations, actions, extras, handle)
-        observations = handle.observations[~handle.dones]
-    if pending is not None:
-        _collect_wave(venv, waves, pending)
+        actions, extras = act(observations)
+        next_observations, rewards, dones, _ = venv.step(actions)
+        waves.append(WaveStep(live=live, observations=observations,
+                              actions=actions, rewards=rewards,
+                              dones=dones, extras=extras))
+        observations = next_observations[~dones]
     return waves
-
-
-def _collect_wave(venv, waves: List[WaveStep], pending) -> None:
-    """Join one in-flight wave and append its :class:`WaveStep`."""
-    live, observations, actions, extras, handle = pending
-    _, rewards, dones, _ = venv.step_wait(handle)
-    waves.append(WaveStep(live=live, observations=observations,
-                          actions=actions, rewards=rewards,
-                          dones=dones, extras=extras))
 
 
 def waves_to_trajectories(waves: Sequence[WaveStep],

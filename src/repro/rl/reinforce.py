@@ -41,9 +41,8 @@ class Reinforce(SearchAlgorithm):
         entropy_coef: Exploration bonus weight.
         hidden_size: LSTM width.
         batch_episodes: Score each epoch's sampled episode through the
-            batched estimator in one call -- the call an installed
-            parallel backend shards across workers -- instead of one
-            scalar cost-model call per layer step.  Bit-identical to the
+            batched estimator in one call instead of one scalar
+            cost-model call per layer step.  Bit-identical to the
             scalar path (rewards, RNG stream, results) and therefore on
             by default; envs whose termination rule needs full per-layer
             reports (power budgets) fall back to scalar stepping.
@@ -140,8 +139,7 @@ class Reinforce(SearchAlgorithm):
         Sampling is step-by-step (the LSTM is sequential and termination
         must be exact -- see ``HWAssignmentEnv.plan_supported``), but no
         cost-model call happens until ``commit``, which scores the whole
-        epoch as one batched -- and, with a parallel backend installed,
-        sharded -- evaluation.  Observations, sampled actions, rewards,
+        epoch as one batched evaluation.  Observations, sampled actions, rewards,
         and the RNG stream are bit-identical to :meth:`run_episode`.
         """
         observation = env.reset()
@@ -164,29 +162,10 @@ class Reinforce(SearchAlgorithm):
         per episode, where the tensors are single-row views into the
         wave graph -- for one episode the values, rewards, and RNG
         stream are bit-identical to :meth:`run_episode`.
-
-        Waves are double-buffered when the env supports ``step_async``:
-        wave ``t``'s batched cost call stays in flight while wave
-        ``t+1``'s policy forward (and action sampling) runs, joined
-        before the next wave is issued -- bit-identical to plain
-        stepping (see ``rollout_waves``).
         """
         observations = venv.reset(episodes)
         state = self.policy.initial_state(batch=episodes)
         per_episode = [([], [], []) for _ in range(episodes)]
-        step_async = getattr(venv, "step_async", None)
-        pending = None
-
-        def flush(pending) -> None:
-            live, step_logp, step_entropy, handle = pending
-            _, rewards, _, _ = venv.step_wait(handle)
-            reward_list = rewards.tolist()
-            for row, episode in enumerate(live.tolist()):
-                log_probs, entropies, episode_rewards = per_episode[episode]
-                log_probs.append(step_logp[[row]])
-                entropies.append(step_entropy[[row]])
-                episode_rewards.append(reward_list[row])
-
         while not venv.all_done:
             live = venv.live_indices
             dists, state = self.policy(Tensor(observations), state)
@@ -196,27 +175,17 @@ class Reinforce(SearchAlgorithm):
             for head, dist in enumerate(dists[1:], start=1):
                 step_logp = step_logp + dist.log_prob(actions[:, head])
                 step_entropy = step_entropy + dist.entropy()
-            if step_async is None:
-                observations, rewards, dones, _ = venv.step(actions)
-                reward_list = rewards.tolist()
-                for row, episode in enumerate(live.tolist()):
-                    (log_probs, entropies,
-                     episode_rewards) = per_episode[episode]
-                    log_probs.append(step_logp[[row]])
-                    entropies.append(step_entropy[[row]])
-                    episode_rewards.append(reward_list[row])
-            else:
-                if pending is not None:
-                    flush(pending)
-                handle = step_async(actions)
-                pending = (live, step_logp, step_entropy, handle)
-                observations, dones = handle.observations, handle.dones
+            observations, rewards, dones, _ = venv.step(actions)
+            reward_list = rewards.tolist()
+            for row, episode in enumerate(live.tolist()):
+                log_probs, entropies, episode_rewards = per_episode[episode]
+                log_probs.append(step_logp[[row]])
+                entropies.append(step_entropy[[row]])
+                episode_rewards.append(reward_list[row])
             keep = ~dones
             observations = observations[keep]
             if state is not None and not keep.all():
                 state = (state[0][keep], state[1][keep])
-        if pending is not None:
-            flush(pending)
         return per_episode
 
     def _episode_loss(self, log_probs: List[Tensor],

@@ -7,8 +7,6 @@ observers::
     on_step(step, cost, best_cost)        per budget unit consumed
     on_improvement(step, best_cost, best_assignments)
                                           whenever the feasible best improves
-    on_warning(kind, detail)              structured mid-run warnings
-                                          (e.g. backend degradation)
     on_finish(result)                     once, with the SessionResult
     on_teardown()                         once, on *every* exit path
 
@@ -18,11 +16,6 @@ it covers the observable global stage.  Returning ``True`` from
 ``on_step`` (or calling :meth:`SearchObserver.request_stop`) asks the
 session to stop gracefully at the next step boundary: the best-so-far
 solution is kept and the result is flagged ``stopped_early``.
-
-This is the seam the process-parallel engine plugs into:
-:class:`repro.parallel.ParallelCoordinator` is an observer that installs
-an execution backend on the session's cost model in ``on_start`` and
-shuts its workers down in ``on_teardown``.
 """
 
 from __future__ import annotations
@@ -73,17 +66,6 @@ class SearchObserver:
                        best_assignments: Optional[Tuple]) -> None:
         """Called when a new best feasible design point is found."""
 
-    def on_warning(self, kind: str, detail: dict) -> None:
-        """Called on structured mid-run warnings the search survives.
-
-        Today's only producer is the fault-tolerance layer:
-        ``kind="backend-degraded"`` with ``detail`` naming the rungs
-        (``{"from": "process", "to": "serial", "error": ...,
-        "message": ...}``) when the degradation ladder downshifts.
-        Results are unaffected (the batched kernel is pure), so the
-        default is to ignore it.
-        """
-
     def on_finish(self, result) -> None:
         """Called once with the finished
         :class:`~repro.search.session.SessionResult`."""
@@ -91,8 +73,8 @@ class SearchObserver:
     def on_teardown(self) -> None:
         """Called once when the run ends -- *including* early stops and
         method exceptions (the session fires it from a ``finally``).
-        Observers owning external resources (worker pools, files)
-        release them here; ``on_finish`` only runs on success."""
+        Observers owning external resources (files, sockets) release
+        them here; ``on_finish`` only runs on success."""
 
 
 class ProgressReporter(SearchObserver):

@@ -54,10 +54,7 @@ class MethodInfo:
         kind: One of :data:`KINDS` -- decides which run protocol the
             session uses.
         batchable: The method scores candidate sets through the batched
-            population evaluator (PERFORMANCE.md fast path), which also
-            means an installed parallel backend shards its evaluations
-            across workers; the determinism suite
-            (``tests/test_parallel_parity.py``) keys on this flag.
+            population evaluator (PERFORMANCE.md fast path).
         supports_finetune: The method fine-tunes from a seed design point
             (stage-2 role) rather than searching from scratch.
         variant_of: Name of the base method this is an ablation/variant

@@ -173,7 +173,8 @@ class _ObservedVectorEnv:
         self._tracker.check_stop()
         return self._venv.reset(episodes)
 
-    def _record_wave(self, out):
+    def step(self, actions):
+        out = self._venv.step(actions)
         for episode in out[3]["episodes"]:
             if episode is not None:
                 self._tracker.record(
@@ -181,17 +182,6 @@ class _ObservedVectorEnv:
                     assignments_fn=lambda e=episode: e.assignments,
                     genome=episode.genome, defer_stop=True)
         return out
-
-    def step(self, actions):
-        return self._record_wave(self._venv.step(actions))
-
-    def step_async(self, actions, background: bool = True):
-        return self._venv.step_async(actions, background=background)
-
-    def step_wait(self, handle):
-        # Episode results materialize at wait time, so the observer
-        # fires here (the double-buffered drivers bypass step()).
-        return self._record_wave(self._venv.step_wait(handle))
 
 
 class _ObservedEvaluator:
@@ -617,50 +607,20 @@ class SearchSession:
         self.info = get_method(spec.method)
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.result: Optional[SessionResult] = None
-        self._observers: Tuple[SearchObserver, ...] = ()
-
-    def _notify_warning(self, kind: str, detail: dict) -> None:
-        """Fan a structured mid-run warning out to this run's observers
-        (the fault-tolerance layer calls this on backend degradation)."""
-        for observer in self._observers:
-            observer.on_warning(kind, detail)
 
     def run(self, callbacks: Sequence[SearchObserver] = ()) -> SessionResult:
         """Run the method to its budget (or an observer stop) and return
         the wrapped result.  Sessions are reusable: each ``run`` builds a
         fresh method/environment from the spec.
 
-        When the spec resolves to a parallel executor and no
-        :class:`~repro.parallel.ParallelCoordinator` was passed, the
-        session creates one for the run: workers spawn on the first
-        batch, are reused across generations, and are shut down on every
-        exit path (``on_teardown`` fires from a ``finally``).  Observer
-        hooks are only attached for caller-passed callbacks, so a bare
-        ``run()`` still drives exactly the legacy objects -- parallel or
-        not, results are bit-identical.
+        ``on_teardown`` fires from a ``finally``, so on every exit path.
+        Observer hooks are only attached for caller-passed callbacks, so
+        a bare ``run()`` still drives exactly the legacy objects.
         """
         import repro
-        from repro.parallel import ParallelCoordinator, PoolLease
 
         observers = list(callbacks)
-        executor = self.spec.resolved_executor()
-        if (executor != "serial"
-                and self.cost_model.executor is None
-                and not any(isinstance(observer,
-                                       (ParallelCoordinator, PoolLease))
-                            for observer in observers)):
-            # Session-owned coordinator: lifecycle only, not tracking --
-            # the tracker keeps observing just the user's callbacks.  A
-            # backend already installed on the cost model (directly or
-            # by a passed coordinator) is the caller's to manage.
-            coordinator = ParallelCoordinator(
-                executor=executor, workers=self.spec.resolved_workers(),
-                min_batch_per_worker=(
-                    self.spec.resolved_dispatch_min_batch()),
-                task_timeout_s=self.spec.resolved_task_timeout_s())
-            observers.append(coordinator)
-        self._observers = tuple(observers)
-        tracker = _Tracker(callbacks)
+        tracker = _Tracker(observers)
         context = SessionContext(
             task=self.spec.task(), budget=self.spec.budget,
             seed=self.spec.seed, finetune=self.spec.finetune,
@@ -682,7 +642,6 @@ class SearchSession:
             provenance={
                 "repro_version": repro.__version__,
                 "method_kind": self.info.kind,
-                "executor": executor,
                 "envs": context.envs,
                 "started_at": started_at,
                 "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S"),

@@ -33,9 +33,9 @@ DEPLOYMENTS = ("lp", "ls")
 _INT_FIELDS = {"budget": 1, "num_levels": 2, "max_pes": 1,
                "max_total_pes": 1, "max_total_l1": 1}
 _OPTIONAL_INT_FIELDS = {"seed": 0, "layer_slice": 1, "finetune": 0,
-                        "workers": 1, "dispatch_min_batch": 0, "envs": 1}
+                        "envs": 1}
 
-_PROCESS_HINT = 'use executor="process" with workers=N instead'
+_IN_PROCESS = "every batch is scored in-process; drop the field"
 
 #: Removed fields -> (the values older documents carry, which
 #: :meth:`SearchSpec.from_dict` drops; the error for any other value).
@@ -44,10 +44,10 @@ _PROCESS_HINT = 'use executor="process" with workers=N instead'
 #: settings produced the batched engine's numbers.
 _REMOVED_FIELDS = {
     "nodes": ((None,), "SearchSpec.nodes was removed in 2.0 (the "
-                       f"distributed executor is gone); {_PROCESS_HINT}"),
+                       f"distributed executor is gone); {_IN_PROCESS}"),
     "autotune": ((None,), "SearchSpec.autotune was removed in 2.0 "
                           "(adaptive shard planning is gone); "
-                          f"{_PROCESS_HINT}"),
+                          f"{_IN_PROCESS}"),
     "kernel": ((None, "batched", "fused"),
                "SearchSpec.kernel was removed in 3.0 and only its exact "
                'settings (null, "batched", "fused") still load; float32 '
@@ -55,14 +55,11 @@ _REMOVED_FIELDS = {
                "spec without the field"),
 }
 
-
-def _executors():
-    """The canonical backend names, owned by :mod:`repro.parallel`
-    (imported lazily: validation is cold-path and this keeps the spec
-    module import-light and cycle-free)."""
-    from repro.parallel.backend import EXECUTORS
-
-    return EXECUTORS
+#: The execution knobs removed in 4.0, when the shard pool went.  Every
+#: 3.x document carries them, and none of them ever changed a result, so
+#: :meth:`SearchSpec.from_dict` drops them whatever they hold.
+_EXECUTION_FIELDS = ("executor", "workers", "dispatch_min_batch",
+                     "task_timeout_s")
 
 
 @dataclass(frozen=True)
@@ -100,21 +97,6 @@ class SearchSpec:
         layer_slice: Restrict to the first N layers (None = full model).
         finetune: Stage-2 budget for two-stage methods; ``None`` means
             ``budget // 4``.  Ignored by single-stage methods.
-        executor: Execution backend for population-level evaluation --
-            "serial" | "process" -- or ``None`` to defer to
-            ``$REPRO_EXECUTOR`` (default "serial").  Results are
-            bit-identical across backends; only wall-clock changes.
-        workers: Worker count for the process executor; ``None`` defers
-            to ``$REPRO_WORKERS``, else the available cores capped at 8
-            (see :func:`repro.parallel.default_workers`).  Never affects
-            results, only sharding.
-        dispatch_min_batch: Adaptive-dispatch threshold: the process
-            backend falls back to the in-process kernel for batches
-            smaller than ``dispatch_min_batch * workers`` (the measured
-            IPC break-even; see BENCH_parallel.json).  ``None`` defers to
-            ``$REPRO_DISPATCH_MIN``, else
-            :data:`repro.parallel.backend.DEFAULT_DISPATCH_MIN_BATCH`;
-            ``0`` disables the fallback.  Never affects results.
         envs: Lockstep episode count for episodic-RL methods: the agent
             rolls ``envs`` episodes per wave through a
             :class:`~repro.env.vector.VectorHWAssignmentEnv`, paying one
@@ -126,12 +108,6 @@ class SearchSpec:
             ``envs`` is part of the scenario identity, like ``seed``.
             Two-stage methods apply it to their global RL stage;
             genome-space methods ignore it.
-        task_timeout_s: Per-batch deadline (seconds) for the process
-            backend's supervision: a batch missing it has its hung
-            workers terminated and its lost shards re-dispatched (see
-            :class:`repro.parallel.ProcessBackend`).  ``None`` defers to
-            ``$REPRO_TASK_TIMEOUT``; ``0`` explicitly disables the
-            deadline.  Recovery never affects results, only wall-clock.
 
     Every field is validated at construction (a spec may arrive over the
     service wire): integer fields must be ``int`` (not ``bool``) within
@@ -155,11 +131,7 @@ class SearchSpec:
     max_total_l1: int = 8192
     layer_slice: Optional[int] = None
     finetune: Optional[int] = None
-    executor: Optional[str] = None
-    workers: Optional[int] = None
-    dispatch_min_batch: Optional[int] = None
     envs: Optional[int] = None
-    task_timeout_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.model, str):
@@ -194,19 +166,6 @@ class SearchSpec:
             self._check_int(attribute, low, optional=True)
         if not isinstance(self.mix, bool):
             raise ValueError(f"mix must be a bool, got {self.mix!r}")
-        if self.executor is not None and self.executor not in _executors():
-            raise ValueError(
-                f"executor must be one of {_executors()} (or None), "
-                f"got {self.executor!r}")
-        timeout = self.task_timeout_s
-        if timeout is not None and (
-                isinstance(timeout, bool)
-                or not isinstance(timeout, numbers.Real)
-                or not timeout >= 0):
-            raise ValueError(
-                "task_timeout_s must be a number >= 0 (0 disables the "
-                "deadline, None defers to $REPRO_TASK_TIMEOUT), got "
-                f"{timeout!r}")
 
     def _check_int(self, attribute: str, low: int, optional: bool) -> None:
         """Require ``attribute`` to be an integer ``>= low`` (or
@@ -226,28 +185,6 @@ class SearchSpec:
         object.__setattr__(self, attribute, int(value))
 
     # ------------------------------------------------------------------
-    def resolved_executor(self) -> str:
-        """The effective backend: the spec's, else ``$REPRO_EXECUTOR``,
-        else "serial".  Backends never change results (the parity suite
-        holds them bit-identical), so the env-var override is a safe
-        deploy-time knob."""
-        executor = self.executor
-        if executor is None:
-            executor = os.environ.get("REPRO_EXECUTOR", "serial")
-        if executor not in _executors():
-            raise ValueError(
-                f"REPRO_EXECUTOR must be one of {_executors()}, "
-                f"got {executor!r}")
-        return executor
-
-    def resolved_workers(self) -> int:
-        """The effective worker count (spec, ``$REPRO_WORKERS``, cores)."""
-        if self.workers is not None:
-            return self.workers
-        from repro.parallel.backend import default_workers
-
-        return default_workers()
-
     def resolved_objective(self) -> Objective:
         """The spec's objective as a resolved
         :class:`~repro.objectives.Objective` instance."""
@@ -255,9 +192,9 @@ class SearchSpec:
 
     def resolved_envs(self) -> int:
         """The effective lockstep episode count (spec, ``$REPRO_ENVS``,
-        1).  Unlike the executor knobs this is *scenario-defining* for
-        episodic methods when > 1: it changes which episodes are sampled
-        (reproducibly, for a fixed seed)."""
+        1).  This is *scenario-defining* for episodic methods when > 1:
+        it changes which episodes are sampled (reproducibly, for a fixed
+        seed)."""
         if self.envs is not None:
             return self.envs
         value = os.environ.get("REPRO_ENVS")
@@ -267,24 +204,6 @@ class SearchSpec:
         if envs < 1:
             raise ValueError("REPRO_ENVS must be >= 1")
         return envs
-
-    def resolved_task_timeout_s(self) -> float:
-        """The effective per-batch deadline in seconds (spec,
-        ``$REPRO_TASK_TIMEOUT``, 0 = disabled)."""
-        if self.task_timeout_s is not None:
-            return float(self.task_timeout_s)
-        from repro.parallel.backend import default_task_timeout
-
-        return default_task_timeout()
-
-    def resolved_dispatch_min_batch(self) -> int:
-        """The effective adaptive-dispatch threshold (spec,
-        ``$REPRO_DISPATCH_MIN``, the measured default)."""
-        if self.dispatch_min_batch is not None:
-            return self.dispatch_min_batch
-        from repro.parallel.backend import default_dispatch_min_batch
-
-        return default_dispatch_min_batch()
 
     # ------------------------------------------------------------------
     @property
@@ -324,9 +243,11 @@ class SearchSpec:
         """Inverse of :meth:`to_dict`; rejects unknown keys.
 
         Older documents carry removed fields: ``"nodes"`` and
-        ``"autotune"`` (``null`` before 2.0) and ``"kernel"`` (2.x).
-        Each is dropped when it holds a value the current engine
-        reproduces exactly, and rejected with a field-specific
+        ``"autotune"`` (``null`` before 2.0), ``"kernel"`` (2.x) and
+        ``"executor"``, ``"workers"``, ``"dispatch_min_batch"`` and
+        ``"task_timeout_s"`` (3.x).  Each is dropped when it holds a
+        value the current engine reproduces exactly -- the 3.x knobs
+        whatever they hold -- and rejected with a field-specific
         ``ValueError`` otherwise.
         """
         if not isinstance(data, dict):
@@ -334,6 +255,8 @@ class SearchSpec:
                 f"a SearchSpec document must be a JSON object, got "
                 f"{type(data).__name__}")
         data = dict(data)
+        for name in _EXECUTION_FIELDS:
+            data.pop(name, None)
         for name, (accepted, message) in _REMOVED_FIELDS.items():
             if name in data and data.pop(name) not in accepted:
                 raise ValueError(message)

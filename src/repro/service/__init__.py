@@ -5,14 +5,12 @@ a long-lived front end here, in four layers:
 
 * :mod:`repro.service.store` -- a content-addressed on-disk
   :class:`ResultStore`: results are keyed by the SHA-256 of the spec's
-  canonical identity (execution-only knobs excluded -- every backend is
-  bit-identical, so one result serves all), written atomically, fronted
-  by an in-process LRU.  ``$REPRO_CACHE_DIR`` picks the root.
+  canonical identity, written atomically, fronted by an in-process
+  LRU.  ``$REPRO_CACHE_DIR`` picks the root.
 * :mod:`repro.service.server` -- :class:`SearchServer`, the async job
   scheduler: cache-first submission, single-flight dedup of identical
-  in-flight specs, ``max_concurrent`` sessions multiplexed over one
-  shared ``keep_alive`` worker pool, graceful cancellation, per-job
-  event streams.
+  in-flight specs, ``max_concurrent`` sessions on scheduler threads,
+  graceful cancellation, per-job event streams.
 * :mod:`repro.service.transport` / :mod:`repro.service.client` -- an
   optional line-delimited-JSON TCP protocol plus the matching
   :class:`ServiceClient`, so a second process (or the ``repro serve`` /

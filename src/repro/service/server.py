@@ -1,4 +1,4 @@
-"""The long-lived search service: job scheduler over one warmed pool.
+"""The long-lived search service: a job scheduler over search sessions.
 
 :class:`SearchServer` turns the one-shot :class:`~repro.search.session
 .SearchSession` library into a multiplexing service:
@@ -16,19 +16,15 @@
   onto one executing job: the first becomes the leader, the rest get the
   *same* :class:`Job` object, so exactly one session runs and every
   caller sees its result.
-* **Shared pool** -- when the server is built with a parallel executor it
-  owns one ``keep_alive`` :class:`~repro.parallel.ParallelCoordinator`;
-  every job takes a :meth:`~repro.parallel.ParallelCoordinator.lease` on
-  it, so many concurrent sessions multiplex over one warmed worker
-  fleet (batch evaluations serialize on the pool lock; results stay
-  bit-identical to serial runs).
 * **Lifecycle** -- jobs move ``PENDING -> RUNNING -> DONE`` (or
   ``FAILED`` / ``CANCELLED``); :meth:`SearchServer.cancel` maps onto the
   observer protocol's graceful early-stop, so a cancelled running job
-  keeps its best-so-far result.
+  keeps its best-so-far result.  A job whose session raises ends
+  ``FAILED`` and is never cached, so resubmitting its identity runs it
+  afresh.
 * **Streaming progress** -- each job bridges the
   :class:`~repro.search.callbacks.SearchObserver` hooks
-  (``on_step`` / ``on_improvement`` / ``on_warning``) into an event
+  (``on_step`` / ``on_improvement``) into an event
   stream that any number of watchers can iterate concurrently
   (:meth:`Job.events`).
 """
@@ -135,7 +131,7 @@ class Job:
         """Iterate this job's event stream from the beginning.
 
         Yields every event (``state`` transitions, throttled ``step``
-        progress, ``improvement``, ``warning``) in order and returns
+        progress, ``improvement``) in order and returns
         once the job is terminal and the stream is drained.  Multiple
         watchers can iterate concurrently; each gets the full stream.
         ``timeout`` bounds each *wait* for the next event (raising
@@ -206,54 +202,28 @@ class JobObserver(SearchObserver):
     def on_improvement(self, step, best_cost, best_assignments) -> None:
         self.job._emit("improvement", step=step, best_cost=best_cost)
 
-    def on_warning(self, kind, detail) -> None:
-        self.job._emit("warning", kind=kind, detail=dict(detail))
-
 
 class SearchServer:
-    """Schedule many concurrent search sessions over one warmed pool.
+    """Schedule many concurrent search sessions, each run in-process.
 
     Args:
         store: The content-addressed result cache (``None`` disables
             caching; submissions always run).
         max_concurrent: Scheduler threads = maximum sessions in flight.
-        executor: Pool backend shared by every job -- "serial" (each
-            session computes in-process) or "process"; ``None``
-            resolves ``$REPRO_EXECUTOR``.  A process pool is held
-            ``keep_alive`` across jobs and leased per session, so
-            workers warm up once and serve all traffic.
-        workers: Pool worker count (``None``: ``$REPRO_WORKERS`` / auto).
         progress_every: Throttle for per-step job events.
-        fault_plan: Deterministic fault-injection plan forwarded to the
-            pool (testing; ``None`` defers to ``$REPRO_FAULTS``).
 
     Use as a context manager (or call :meth:`close`) to stop the
-    scheduler threads and shut the pool down.
+    scheduler threads.
     """
 
     def __init__(self, store: Optional[ResultStore] = None,
                  max_concurrent: int = 2,
-                 executor: Optional[str] = None,
-                 workers: Optional[int] = None,
-                 progress_every: int = 10,
-                 fault_plan=None) -> None:
+                 progress_every: int = 10) -> None:
         if max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
-        from repro.parallel import ParallelCoordinator
-
         self.store = store
         self.max_concurrent = max_concurrent
         self.progress_every = progress_every
-        if executor is None:
-            import os
-
-            executor = os.environ.get("REPRO_EXECUTOR", "serial")
-        self.executor = executor
-        self.coordinator = None
-        if executor != "serial":
-            self.coordinator = ParallelCoordinator(
-                executor=executor, workers=workers,
-                keep_alive=True, fault_plan=fault_plan)
         self._lock = threading.Lock()
         self._jobs: "Dict[str, Job]" = {}
         self._inflight: Dict[str, Job] = {}
@@ -353,7 +323,6 @@ class SearchServer:
                 "inflight": len(self._inflight),
                 "executions": self.executions,
                 "max_concurrent": self.max_concurrent,
-                "executor": self.executor,
                 "cache": (self.store.stats()
                           if self.store is not None else None),
             }
@@ -383,11 +352,8 @@ class SearchServer:
             job._observer = observer
             self.executions += 1
         job._set_state(JobState.RUNNING)
-        callbacks: List[SearchObserver] = [observer]
-        if self.coordinator is not None:
-            callbacks.append(self.coordinator.lease())
         try:
-            result = SearchSession(job.spec).run(callbacks=callbacks)
+            result = SearchSession(job.spec).run(callbacks=[observer])
         except Exception as error:  # noqa: BLE001 - job boundary
             job.error = f"{type(error).__name__}: {error}"
             job._set_state(JobState.FAILED, error=job.error)
@@ -405,7 +371,7 @@ class SearchServer:
     # ------------------------------------------------------------------
     def close(self, wait: bool = True,
               timeout: Optional[float] = None) -> bool:
-        """Stop accepting work, stop the scheduler, release the pool.
+        """Stop accepting work and stop the scheduler.
 
         Pending *and running* jobs are cancel-requested: running
         sessions get the observer protocol's graceful stop, so they
@@ -414,13 +380,10 @@ class SearchServer:
         (default) then joins the scheduler threads -- bounded by
         ``timeout`` seconds in total when given, else indefinitely.
 
-        Returns ``True`` when every scheduler thread has stopped (the
-        pool is released); ``False`` when the bounded wait expired with
-        a session still wedged -- e.g. a hung worker under
-        ``task_timeout_s=0``.  In that case the pool is left up (a
-        shutdown under a running batch would corrupt the wedged
-        session's evaluation); ``close`` is idempotent, so call it
-        again -- or let process exit reap the daemon threads.
+        Returns ``True`` when every scheduler thread has stopped;
+        ``False`` when the bounded wait expired with a session still
+        running.  ``close`` is idempotent, so call it again -- or let
+        process exit reap the daemon threads.
         """
         running = []
         with self._lock:
@@ -454,8 +417,6 @@ class SearchServer:
                 thread.join(remaining)
                 if thread.is_alive():
                     clean = False
-        if self.coordinator is not None and (clean or not wait):
-            self.coordinator.close()
         return clean
 
     def __enter__(self) -> "SearchServer":

@@ -12,13 +12,13 @@ with
 
 * the objective normalized to its canonical JSON-safe form (so
   ``"latency"`` and the equivalent spec dict or
-  :class:`~repro.objectives.Objective` instance dedup to one entry),
+  :class:`~repro.objectives.Objective` instance dedup to one entry), and
 * ``envs`` resolved (``None`` / ``$REPRO_ENVS`` / explicit ``1`` all
-  mean the same scalar-stepping scenario), and
-* the execution-only knobs (``executor`` / ``workers`` /
-  ``dispatch_min_batch`` / ``task_timeout_s``) dropped -- the parity
-  suites hold results bit-identical across backends, so a result
-  computed on a process pool *is* the serial result.
+  mean the same scalar-stepping scenario).
+
+The identity never held the 3.x execution knobs (``executor``,
+``workers``, ``dispatch_min_batch``, ``task_timeout_s``), so removing
+them from :class:`~repro.search.spec.SearchSpec` moved no key.
 
 The cache contract (after the kg-microbe exemplar): re-running is safe --
 existing results are served from the store; a ``force`` flag bypasses the
@@ -50,22 +50,11 @@ __all__ = [
     "result_key",
     "default_cache_dir",
     "STORE_FORMAT",
-    "EXECUTION_ONLY_FIELDS",
 ]
 
 #: Envelope format tag; bump on incompatible layout changes (old entries
 #: then read as misses and are regenerated, never misparsed).
 STORE_FORMAT = "repro-result-store/v1"
-
-#: Spec fields that never change results (the executor x workers parity
-#: matrix holds them bit-identical), excluded from the cache identity so
-#: a result computed on any backend serves every backend.
-EXECUTION_ONLY_FIELDS = (
-    "executor",
-    "workers",
-    "dispatch_min_batch",
-    "task_timeout_s",
-)
 
 
 def default_cache_dir() -> str:
@@ -85,8 +74,6 @@ def canonical_identity(spec: SearchSpec) -> dict:
     for what gets normalized away.
     """
     identity = spec.to_dict()
-    for field in EXECUTION_ONLY_FIELDS:
-        identity.pop(field, None)
     identity["objective"] = objective_spec(spec.objective)
     identity["envs"] = spec.resolved_envs()
     return identity

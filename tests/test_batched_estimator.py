@@ -5,13 +5,12 @@ The batched engine is engineered to be *bit-identical* to the scalar path
 exact equality -- far stronger than the 1e-9 tolerance the engine
 guarantees publicly.  Coverage spans all three dataflow styles, DWCONV
 layers, MIX assignments, extreme layer geometries, LP and LS
-deployments, both constraint kinds, the shard invariance the process
-backend relies on, and seeded end-to-end equivalence of every search
-method that routes through the batch API.
+deployments, both constraint kinds, the kernel's row independence, and
+seeded end-to-end equivalence of every search method that routes
+through the batch API.
 """
 
 import dataclasses
-import gc
 
 import numpy as np
 import pytest
@@ -30,7 +29,6 @@ from repro.costmodel.batched import (
     _single_layer_table,
     evaluate_batch_kernel,
     ordered_row_sum,
-    table_token,
 )
 from repro.costmodel.report import BatchCostReport
 from repro.env.spaces import ActionSpace
@@ -39,7 +37,6 @@ from repro.ga import LocalGA
 from repro.models import get_model
 from repro.models.layers import Layer, LayerType
 from repro.optim import BASELINE_OPTIMIZERS
-from repro.parallel.backend import make_backend
 
 REPORT_FIELDS = [f.name for f in dataclasses.fields(BatchCostReport)]
 INT_FIELDS = ("pes_used", "l1_bytes_per_pe", "l2_bytes", "tile_k", "macs")
@@ -212,13 +209,13 @@ class TestEdgeDims:
 
 
 # ----------------------------------------------------------------------
-# What the process backend and long-lived servers rely on
+# Row independence and bounded caches
 # ----------------------------------------------------------------------
 class TestShardInvariance:
     def test_worker_slice_matches_full_batch(self, model_layers):
-        """A worker-sized slice of a tiled batch (what the process
-        backend ships) evaluates identically to the same slice of the
-        full-batch result: the kernel is elementwise over the batch."""
+        """Any slice of a tiled batch evaluates identically to the same
+        slice of the full-batch result: the kernel is elementwise over
+        the batch."""
         table = LayerTable.build(model_layers)
         batch = tiled_batch(table, pop=40, seed=11)
         full = evaluate_batch_kernel(DEFAULT_HW, table, *batch)
@@ -228,26 +225,6 @@ class TestShardInvariance:
         for name in REPORT_FIELDS:
             assert np.array_equal(getattr(full, name)[lo:hi],
                                   getattr(shard, name)), name
-
-
-class TestTableToken:
-    def test_table_tokens_never_recycled(self):
-        """``id()`` is recycled by the allocator the moment a table
-        dies, so worker-side table ids could alias a dead table.  Tokens
-        are monotonic, stable per table, and unique across tables no
-        matter how many die."""
-        first = LayerTable.build(get_model("ncf"))
-        token = table_token(first)
-        assert table_token(first) == token  # stable per table
-        seen = {token}
-        del first
-        for _ in range(5):
-            gc.collect()
-            fresh = LayerTable.build(get_model("ncf"))
-            fresh_token = table_token(fresh)
-            assert fresh_token not in seen
-            seen.add(fresh_token)
-            del fresh
 
 
 class TestSingleTableCache:
@@ -315,28 +292,16 @@ class TestConstraintFold:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
-    def test_fold_with_executor_and_layout_check(self, model_layers):
-        """A sharding executor yields the same fold, and a batch outside
-        the tiled population layout is refused, never mis-reduced."""
+    def test_fold_layout_check(self, model_layers):
+        """A batch outside the tiled population layout is refused, never
+        mis-reduced."""
         table = LayerTable.build(model_layers)
         batch = tiled_batch(table, pop=5, seed=47)
-        serial = BatchedCostModel()
-        reference = serial.evaluate_constrained(table, *batch, "lp",
-                                                "area", 1e9)
-        backend = make_backend("process", workers=2)
-        try:
-            sharded = BatchedCostModel(executor=backend).evaluate_constrained(
-                table, *batch, "lp", "area", 1e9)
-            assert backend.sharded_batches == 1
-        finally:
-            backend.shutdown()
-        for got, want in zip(sharded, reference):
-            assert np.array_equal(got, want)
         scrambled = batch[0].copy()
         scrambled[0] = 1
         with pytest.raises(ValueError, match="tiled population layout"):
-            serial.evaluate_constrained(table, scrambled, *batch[1:], "lp",
-                                        "area", 1e9)
+            BatchedCostModel().evaluate_constrained(
+                table, scrambled, *batch[1:], "lp", "area", 1e9)
 
 
 # ----------------------------------------------------------------------

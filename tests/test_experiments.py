@@ -101,7 +101,7 @@ class TestRunner:
         for name in first:
             assert second[name].best_cost == first[name].best_cost
             assert second[name].history == first[name].history
-        with SearchServer(store=store, executor="serial") as server:
+        with SearchServer(store=store) as server:
             from repro.experiments.runner import _grid_spec
 
             spec = _grid_spec(task, "random", 20, 0, 1)

@@ -7,7 +7,7 @@ refactor's acceptance bar -- registry objectives are *bit-identical* to
 the legacy string paths: for every batchable method, a session run with
 ``objective="latency"|"energy"|"edp"`` given as a name, a resolved
 instance, or a re-parsed spec produces the same costs, RNG streams, and
-reports, across the executor matrix.
+reports.
 """
 
 from __future__ import annotations

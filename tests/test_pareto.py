@@ -332,93 +332,9 @@ class TestParetoGA:
 
 
 # ----------------------------------------------------------------------
-# Adaptive dispatch (satellite): small batches skip the IPC
+# Platform calibration through the batched kernel
 # ----------------------------------------------------------------------
-class TestAdaptiveDispatch:
-    def test_below_threshold_runs_inline_without_spawning(self):
-        from repro.costmodel.batched import LayerTable
-        from repro.parallel import ProcessBackend
-
-        layers = repro.get_model("mobilenet_v2")[:3]
-        table = LayerTable.build(layers)
-        model = repro.CostModel()
-        backend = ProcessBackend(workers=2, min_batch_per_worker=64)
-        try:
-            model.set_executor(backend)
-            small = model.batched.evaluate(
-                table, np.zeros(8, dtype=np.int64), 0,
-                np.full(8, 16, dtype=np.int64),
-                np.full(8, 64, dtype=np.int64))
-            assert len(small) == 8
-            assert backend.inline_batches == 1
-            assert backend.sharded_batches == 0
-            assert backend.alive_workers == 0
-            big = model.batched.evaluate(
-                table, np.zeros(256, dtype=np.int64), 0,
-                np.full(256, 16, dtype=np.int64),
-                np.full(256, 64, dtype=np.int64))
-            assert len(big) == 256
-            assert backend.sharded_batches == 1
-            assert backend.alive_workers == 2
-            # Inline and sharded answers agree with each other.
-            assert big.latency_cycles[:8].tolist() \
-                == small.latency_cycles.tolist()
-        finally:
-            backend.shutdown()
-
-    def test_threshold_zero_always_shards(self):
-        from repro.costmodel.batched import LayerTable
-        from repro.parallel import ProcessBackend
-
-        layers = repro.get_model("mobilenet_v2")[:2]
-        table = LayerTable.build(layers)
-        model = repro.CostModel()
-        backend = ProcessBackend(workers=2, min_batch_per_worker=0)
-        model.set_executor(backend)
-        try:
-            report = model.batched.evaluate(
-                table, np.zeros(4, dtype=np.int64), 0,
-                np.full(4, 8, dtype=np.int64),
-                np.full(4, 32, dtype=np.int64))
-            assert len(report) == 4
-            assert backend.sharded_batches == 1
-        finally:
-            backend.shutdown()
-
-    def test_spec_exposes_and_resolves_threshold(self, monkeypatch):
-        spec = SearchSpec(model="mobilenet_v2", dispatch_min_batch=17)
-        assert spec.resolved_dispatch_min_batch() == 17
-        spec = SearchSpec(model="mobilenet_v2")
-        monkeypatch.setenv("REPRO_DISPATCH_MIN", "33")
-        assert spec.resolved_dispatch_min_batch() == 33
-        # The runtime-calibrated "auto" threshold is gone: the variable
-        # must name an integer, and says so.
-        monkeypatch.setenv("REPRO_DISPATCH_MIN", "auto")
-        with pytest.raises(ValueError, match="must be an integer"):
-            spec.resolved_dispatch_min_batch()
-        monkeypatch.delenv("REPRO_DISPATCH_MIN")
-        from repro.parallel import DEFAULT_DISPATCH_MIN_BATCH
-
-        assert spec.resolved_dispatch_min_batch() \
-            == DEFAULT_DISPATCH_MIN_BATCH
-        for bad in (-1, "auto", 2.5, True):
-            with pytest.raises(ValueError, match="dispatch_min_batch"):
-                SearchSpec(model="mobilenet_v2", dispatch_min_batch=bad)
-
-    def test_adaptive_session_bit_identical_to_forced_sharding(self):
-        """The whole point: dispatch is a latency knob, never a results
-        knob.  One spec, three thresholds, one answer."""
-        results = []
-        for threshold in (0, 10_000, None):
-            spec = SearchSpec(model="mobilenet_v2", method="ga", budget=60,
-                              seed=3, layer_slice=4, executor="process",
-                              workers=2, dispatch_min_batch=threshold)
-            outcome = SearchSession(spec).run()
-            results.append((outcome.best_cost,
-                            outcome.result.history,
-                            outcome.result.best_genome))
-        assert results[0] == results[1] == results[2]
-
+class TestPlatformCalibration:
     def test_calibration_sweep_matches_scalar_loop(self, cost_model,
                                                    tiny_model):
         """platform_constraint now calibrates through the batched kernel;

@@ -463,7 +463,7 @@ class TestDocuments:
             == _comparable(outcome)
         for field, value in (("nodes", 4), ("autotune", True)):
             stale = dict(legacy, spec=dict(legacy["spec"], **{field: value}))
-            with pytest.raises(ValueError, match='executor="process"'):
+            with pytest.raises(ValueError, match="removed in 2.0"):
                 SessionResult.from_dict(stale)
 
     def test_documents_written_by_2_x_load_and_resume(self, tmp_path):
@@ -505,6 +505,7 @@ class TestDocuments:
         legacy = outcome.to_dict()
         legacy["spec"].update(knobs)
         restored = SessionResult.from_json(json.dumps(legacy))
+        assert restored.spec == outcome.spec
         assert result_key(restored.spec) == (
             "f58e5ec0cc5dc69e6678c5096fc216f3d6c83733db381bdda84b8b1fe0253775")
         assert _comparable(restored) == _comparable(outcome)

@@ -56,11 +56,8 @@ class TestValidation:
         ("budget", 5.5),
         ("seed", "x"),
         ("seed", -1),
-        ("workers", True),
         ("envs", 2.0),
         ("max_pes", 0),
-        ("task_timeout_s", "soon"),
-        ("task_timeout_s", float("nan")),
         ("objective", {"kind": "weighted",
                        "weights": {"latency": float("nan")}}),
         ("objective", {"kind": "penalty", "base": "latency",
@@ -108,44 +105,6 @@ class TestDerived:
         assert task.layer_slice == 5
         assert task.mix is True
         assert len(task.layers()) == 5
-
-
-class TestExecutorFields:
-    def test_rejects_unknown_executor(self):
-        # thread, chaos and distributed were removed in 2.0.
-        for executor in ("gpu", "thread", "chaos", "distributed"):
-            with pytest.raises(ValueError, match="executor"):
-                SearchSpec(model="ncf", executor=executor)
-
-    def test_rejects_non_positive_workers(self):
-        with pytest.raises(ValueError, match="workers"):
-            SearchSpec(model="ncf", workers=0)
-
-    def test_resolution_defaults_to_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        spec = SearchSpec(model="ncf")
-        assert spec.resolved_executor() == "serial"
-        assert SearchSpec(model="ncf", executor="process") \
-            .resolved_executor() == "process"
-
-    def test_env_var_fills_unset_fields_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        spec = SearchSpec(model="ncf")
-        assert spec.resolved_executor() == "process"
-        assert spec.resolved_workers() == 3
-        pinned = SearchSpec(model="ncf", executor="serial", workers=2)
-        assert pinned.resolved_executor() == "serial"
-        assert pinned.resolved_workers() == 2
-
-    def test_bad_env_var_fails_fast(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "quantum")
-        with pytest.raises(ValueError, match="REPRO_EXECUTOR"):
-            SearchSpec(model="ncf").resolved_executor()
-
-    def test_executor_round_trips_through_json(self):
-        spec = SearchSpec(model="ncf", executor="process", workers=4)
-        assert SearchSpec.from_json(spec.to_json()) == spec
 
 
 class TestSerialization:
@@ -198,14 +157,15 @@ _PLAUSIBLE = {
     "platform": st.sampled_from(PLATFORMS),
     "deployment": st.sampled_from(DEPLOYMENTS),
     "mix": st.booleans(),
-    "executor": st.sampled_from(["serial", "process", "thread", None]),
     # Removed fields, with the values older documents carry.
     "nodes": st.none(),
     "autotune": st.none(),
     "kernel": st.sampled_from([None, "batched", "fused", "fused32"]),
+    "executor": st.sampled_from(["serial", "process", "thread", None]),
 }
 _KEYS = [field.name for field in dataclasses.fields(SearchSpec)] \
-    + ["nodes", "autotune", "kernel", "colour"]
+    + ["nodes", "autotune", "kernel", "executor", "workers",
+       "dispatch_min_batch", "task_timeout_s", "colour"]
 
 
 @st.composite

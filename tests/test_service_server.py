@@ -1,5 +1,5 @@
 """The search server: lifecycle, cache semantics, single-flight dedup,
-cancellation, shared-pool concurrency, and fault recovery.
+cancellation, and concurrency.
 
 The acceptance contract under test (see ROADMAP item 1):
 
@@ -10,10 +10,8 @@ The acceptance contract under test (see ROADMAP item 1):
 * ``force`` re-executes and overwrites;
 * cancellation maps onto the observer protocol's graceful early stop
   (best-so-far survives, truncated results are never cached);
-* concurrent sessions over one shared warmed pool are bit-identical to
-  serial runs;
-* a worker killed mid-job recovers through the existing supervision and
-  the job still completes and caches.
+* concurrent sessions on the scheduler threads are bit-identical to
+  serial runs.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import time
 
 import pytest
 
-from repro.parallel import FaultPlan
 from repro.rl.common import SearchResult
 from repro.search import register_method, unregister_method
 from repro.search.session import SearchSession
@@ -41,7 +38,6 @@ def _spec(**overrides) -> SearchSpec:
 
 def _server(tmp_path, **kwargs) -> SearchServer:
     kwargs.setdefault("store", ResultStore(root=tmp_path / "cache"))
-    kwargs.setdefault("executor", "serial")
     return SearchServer(**kwargs)
 
 
@@ -139,14 +135,6 @@ class TestCacheSemantics:
             server.submit(_spec(seed=1)).wait(timeout=60)
             assert server.executions == 2
 
-    def test_execution_knobs_share_one_entry(self, tmp_path):
-        with _server(tmp_path) as server:
-            server.submit(_spec()).wait(timeout=60)
-            hit = server.submit(_spec(executor="process", workers=2))
-            hit.wait(timeout=60)
-            assert hit.cached
-            assert server.executions == 1
-
     def test_force_reexecutes_and_overwrites(self, tmp_path):
         with _server(tmp_path) as server:
             first = server.submit(_spec()).wait(timeout=60)
@@ -173,7 +161,7 @@ class TestCacheSemantics:
             assert reborn.executions == 0
 
     def test_cacheless_server_always_runs(self, tmp_path):
-        with SearchServer(store=None, executor="serial") as server:
+        with SearchServer(store=None) as server:
             server.submit(_spec()).wait(timeout=60)
             server.submit(_spec()).wait(timeout=60)
             assert server.executions == 2
@@ -324,53 +312,23 @@ class TestClose:
 
 
 # ----------------------------------------------------------------------
-# Shared pool: concurrency parity and fault recovery
+# Concurrency parity
 # ----------------------------------------------------------------------
 class TestSharedPool:
+    """The scheduler's thread pool: concurrent sessions share one
+    process and each scores its batches in-process."""
+
     def test_concurrent_sessions_bit_identical_to_serial(self, tmp_path):
         specs = [_spec(method="ga", budget=60, seed=seed)
                  for seed in (0, 1)]
         serial = [SearchSession(spec).run() for spec in specs]
-        with _server(tmp_path, executor="process", workers=2,
-                     max_concurrent=2) as server:
+        with _server(tmp_path, max_concurrent=2) as server:
             jobs = [server.submit(spec) for spec in specs]
             for job in jobs:
                 job.wait(timeout=120)
             assert {job.state for job in jobs} == {JobState.DONE}
-            assert server.coordinator is not None
             for job, reference in zip(jobs, serial):
                 assert job.result.best_cost == reference.best_cost
                 assert job.result.history == reference.history
                 assert (job.result.result.best_genome
                         == reference.result.best_genome)
-                # The run's provenance names the shared pool.
-                execution = job.result.provenance["execution"]
-                assert execution["executor"] in ("process", "serial")
-
-    def test_pool_stays_warm_across_jobs(self, tmp_path):
-        with _server(tmp_path, executor="process", workers=2,
-                     max_concurrent=1) as server:
-            server.submit(_spec(method="ga", budget=40)).wait(timeout=120)
-            workers_after_first = server.coordinator.alive_workers
-            job = server.submit(_spec(method="ga", budget=40, seed=5))
-            job.wait(timeout=120)
-            assert workers_after_first == 2
-            assert server.coordinator.alive_workers == 2
-        assert server.coordinator.alive_workers == 0
-
-    def test_worker_kill_recovers_and_job_caches(self, tmp_path):
-        plan = FaultPlan(kill_worker=[(0, 0)])
-        with _server(tmp_path, executor="process", workers=2,
-                     fault_plan=plan) as server:
-            spec = _spec(method="ga", budget=60)
-            job = server.submit(spec).wait(timeout=120)
-            assert job.state == JobState.DONE
-            execution = job.result.provenance["execution"]
-            assert execution["respawns"] >= 1 \
-                or execution["degraded_to"] is not None
-            # Recovery never changes results, so the cached entry equals
-            # the serial reference.
-            reference = SearchSession(spec).run()
-            assert job.result.best_cost == reference.best_cost
-            hit = server.submit(spec).wait(timeout=60)
-            assert hit.cached

@@ -1,11 +1,11 @@
 """The content-addressed result store: keys, round trips, corruption.
 
 The cache contract under test: equal identities collide (that is the
-point -- name/dict/instance objective forms, executor knobs, resolved
-``envs`` all normalize away), different identities never do, a stored
-result reads back bit-identical (put -> get -> put is a fixed point of
-the stored document), corrupt entries degrade to misses, and ``force``
-bypasses the lookup so a re-run can overwrite in place.
+point -- name/dict/instance objective forms and resolved ``envs``
+normalize away), absolute keys stay put, different identities never do,
+a stored result reads back bit-identical (put -> get -> put is a fixed
+point of the stored document), corrupt entries degrade to misses, and
+``force`` bypasses the lookup so a re-run can overwrite in place.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.objectives import ComponentObjective
 from repro.search.session import SearchSession, SessionResult
 from repro.search.spec import SearchSpec
 from repro.service.store import (
-    EXECUTION_ONLY_FIELDS,
     ResultStore,
     canonical_identity,
     result_key,
@@ -50,15 +49,6 @@ class TestResultKey:
         assert key == result_key(_spec())
         assert len(key) == 64
         int(key, 16)  # hex
-
-    def test_execution_knobs_do_not_change_the_key(self):
-        base = result_key(_spec())
-        assert result_key(_spec(executor="process", workers=4)) == base
-        assert result_key(_spec(executor="serial",
-                                dispatch_min_batch=0)) == base
-        assert result_key(_spec(task_timeout_s=30.0)) == base
-        for field in EXECUTION_ONLY_FIELDS:
-            assert field not in canonical_identity(_spec())
 
     def test_objective_forms_dedup_to_one_key(self):
         by_name = result_key(_spec(objective="latency"))

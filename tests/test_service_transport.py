@@ -34,7 +34,7 @@ def _spec(**overrides) -> SearchSpec:
 @pytest.fixture
 def service(tmp_path):
     server = SearchServer(store=ResultStore(root=tmp_path / "cache"),
-                          executor="serial", progress_every=5)
+                          progress_every=5)
     transport = start_transport(server, port=0)
     try:
         yield transport.server_address[1]
