@@ -1,5 +1,5 @@
 """The search server: lifecycle, cache semantics, single-flight dedup,
-cancellation, and concurrency.
+cancellation, concurrency, and failed-job re-runs.
 
 The acceptance contract under test (see ROADMAP item 1):
 
@@ -11,7 +11,9 @@ The acceptance contract under test (see ROADMAP item 1):
 * cancellation maps onto the observer protocol's graceful early stop
   (best-so-far survives, truncated results are never cached);
 * concurrent sessions on the scheduler threads are bit-identical to
-  serial runs.
+  serial runs;
+* a job whose session raises ends ``FAILED`` uncached, so resubmitting
+  its identity runs it afresh.
 """
 
 from __future__ import annotations
@@ -312,7 +314,7 @@ class TestClose:
 
 
 # ----------------------------------------------------------------------
-# Concurrency parity
+# Concurrency parity and failed-job re-runs
 # ----------------------------------------------------------------------
 class TestSharedPool:
     """The scheduler's thread pool: concurrent sessions share one
@@ -332,3 +334,51 @@ class TestSharedPool:
                 assert job.result.history == reference.history
                 assert (job.result.result.best_genome
                         == reference.result.best_genome)
+
+
+class _FailOnce:
+    """Raises on its first search only, like a job hit by a transient
+    failure: a re-run of the same deterministic spec then succeeds."""
+
+    calls = 0
+
+    def __init__(self, seed=None):
+        pass
+
+    def search(self, evaluator, budget):
+        type(self).calls += 1
+        if type(self).calls == 1:
+            raise RuntimeError("transient failure")
+        return SearchResult(algorithm="fail-once", best_cost=1.0,
+                            evaluations=budget)
+
+
+class TestFailedJobs:
+    def test_failed_job_can_be_rerun(self, tmp_path):
+        """A job whose session raises ends FAILED, writes no store entry
+        and leaves the in-flight table, so resubmitting its identity
+        runs a fresh job; valid work afterwards still completes."""
+        _FailOnce.calls = 0
+        register_method("_test-fail-once", _FailOnce, kind="genome",
+                        overwrite=True)
+        try:
+            with _server(tmp_path) as server:
+                spec = _spec(method="_test-fail-once")
+                failed = server.submit(spec).wait(timeout=60)
+                assert failed.state == JobState.FAILED
+                assert "transient failure" in failed.error
+                assert server.store.get(spec) is None
+                stats = server.stats()
+                assert stats["executions"] == 1
+                assert stats["inflight"] == 0
+
+                rerun = server.submit(spec).wait(timeout=60)
+                assert rerun is not failed
+                assert rerun.state == JobState.DONE
+                assert not rerun.cached
+                assert server.stats()["executions"] == 2
+
+                valid = server.submit(_spec()).wait(timeout=60)
+                assert valid.state == JobState.DONE
+        finally:
+            unregister_method("_test-fail-once")
