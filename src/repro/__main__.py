@@ -257,6 +257,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ResultStore, SearchServer, start_transport
+    from repro.service.transport import POLL_INTERVAL_S
 
     store = None if args.no_cache else ResultStore(root=args.cache_dir)
     server = SearchServer(
@@ -272,7 +273,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
           f"cache={'off' if store is None else store.root})",
           flush=True)
     try:
-        transport.serve_forever()
+        transport.serve_forever(POLL_INTERVAL_S)
     except KeyboardInterrupt:
         pass
     finally:

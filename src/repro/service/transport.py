@@ -47,6 +47,10 @@ __all__ = ["ServiceTCPServer", "start_transport", "probe", "DEFAULT_PORT"]
 
 DEFAULT_PORT = 7661
 
+#: Seconds between ``serve_forever``'s shutdown checks (socketserver's
+#: default is 0.5 s, which every ``shutdown()`` would wait out).
+POLL_INTERVAL_S = 0.05
+
 
 class ServiceTCPServer(socketserver.ThreadingTCPServer):
     """Threaded ND-JSON front end over one :class:`SearchServer`."""
@@ -176,6 +180,7 @@ def start_transport(search_server: SearchServer, host: str = "127.0.0.1",
     transport = ServiceTCPServer((host, port), search_server)
     if in_thread:
         thread = threading.Thread(target=transport.serve_forever,
+                                  args=(POLL_INTERVAL_S,),
                                   name="repro-service-transport",
                                   daemon=True)
         thread.start()
