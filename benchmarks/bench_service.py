@@ -1,6 +1,6 @@
 """Perf tracker: what the service layer costs on top of a session run.
 
-Times three things against one small search workload:
+Times two things against one small search workload:
 
 * **Submit overhead** -- a cache-miss submission through
   :class:`~repro.service.SearchServer` (job object, scheduler hop,
@@ -12,14 +12,11 @@ Times three things against one small search workload:
   ratio is the whole point of the result store; recorded, not gated
   (it scales with how long the *search* takes, which this bench keeps
   deliberately tiny -- real sessions see far larger ratios).
-* **Warm-pool submit latency** -- per-job wall time over one shared
-  keep-alive process pool after the first job has paid the spawn cost.
 
 Writes ``BENCH_service.json`` at the repo root::
 
     {"direct_s": ..., "miss_s": ..., "hit_s": ...,
-     "submit_overhead_x": ..., "hit_speedup_x": ...,
-     "warm_pool": {"first_job_s": ..., "warm_job_s": ...}}
+     "submit_overhead_x": ..., "hit_speedup_x": ...}
 
 Hit responses are asserted bit-identical to the run that produced them
 (that is the cache contract, not just a perf property).
@@ -41,11 +38,9 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 SEEDS = (100, 101, 102, 103, 104)
 
 
-def _spec(seed: int, **overrides) -> SearchSpec:
-    base = dict(model="mnasnet", method="random", budget=60, seed=seed,
-                layer_slice=4)
-    base.update(overrides)
-    return SearchSpec(**base)
+def _spec(seed: int) -> SearchSpec:
+    return SearchSpec(model="mnasnet", method="random", budget=60,
+                      seed=seed, layer_slice=4)
 
 
 def _timed(fn):
@@ -60,7 +55,7 @@ def test_service_latency(save_report, tmp_path):
         for seed in SEEDS)
 
     store = ResultStore(root=tmp_path / "cache")
-    with SearchServer(store=store, executor="serial") as server:
+    with SearchServer(store=store) as server:
         misses, hits = [], []
         for seed in SEEDS:
             seconds, fresh = _timed(
@@ -74,16 +69,6 @@ def test_service_latency(save_report, tmp_path):
         assert server.executions == len(SEEDS)
     miss_s, hit_s = min(misses), min(hits)
 
-    with SearchServer(store=ResultStore(root=tmp_path / "warm"),
-                      executor="process", workers=2) as warm:
-        ga = dict(method="ga", budget=60)
-        first_job_s, _ = _timed(
-            lambda: warm.submit(_spec(200, **ga)).wait(timeout=120))
-        warm_job_s = min(
-            _timed(lambda seed=seed: warm.submit(
-                _spec(seed, **ga)).wait(timeout=120))[0]
-            for seed in (201, 202, 203))
-
     submit_overhead_x = miss_s / direct_s
     hit_speedup_x = miss_s / hit_s
     payload = {
@@ -92,8 +77,6 @@ def test_service_latency(save_report, tmp_path):
         "hit_s": hit_s,
         "submit_overhead_x": submit_overhead_x,
         "hit_speedup_x": hit_speedup_x,
-        "warm_pool": {"first_job_s": first_job_s,
-                      "warm_job_s": warm_job_s},
     }
     (REPO_ROOT / "BENCH_service.json").write_text(
         json.dumps(payload, indent=2) + "\n")
@@ -104,8 +87,6 @@ def test_service_latency(save_report, tmp_path):
          f"{submit_overhead_x:.2f}"],
         ["served hit", f"{hit_s * 1e3:.2f}",
          f"{miss_s / hit_s:.2f}x faster than miss"],
-        ["warm-pool job", f"{warm_job_s * 1e3:.2f}",
-         f"(first: {first_job_s * 1e3:.2f})"],
     ]
     save_report("bench_service", format_table(
         ["path", "ms", "vs direct"], rows,
