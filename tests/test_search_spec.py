@@ -58,6 +58,9 @@ class TestValidation:
         ("seed", -1),
         ("envs", 2.0),
         ("max_pes", 0),
+        ("num_levels", 1),
+        ("max_total_pes", 0),
+        ("max_total_l1", 0),
         ("objective", {"kind": "weighted",
                        "weights": {"latency": float("nan")}}),
         ("objective", {"kind": "penalty", "base": "latency",
