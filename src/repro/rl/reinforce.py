@@ -139,8 +139,9 @@ class Reinforce(SearchAlgorithm):
         Sampling is step-by-step (the LSTM is sequential and termination
         must be exact -- see ``HWAssignmentEnv.plan_supported``), but no
         cost-model call happens until ``commit``, which scores the whole
-        epoch as one batched evaluation.  Observations, sampled actions, rewards,
-        and the RNG stream are bit-identical to :meth:`run_episode`.
+        epoch as one batched evaluation.  Observations, sampled actions,
+        rewards, and the RNG stream are bit-identical to
+        :meth:`run_episode`.
         """
         observation = env.reset()
         plan = env.begin_plan()
