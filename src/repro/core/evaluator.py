@@ -18,6 +18,8 @@ import numpy as np
 from repro.core.constraints import PlatformConstraint, ResourceConstraint
 from repro.costmodel.batched import (
     STYLE_INDEX,
+    ConstraintFold,
+    LadderTable,
     LayerTable,
     population_totals,
 )
@@ -95,10 +97,13 @@ class DesignPointEvaluator:
         self.dataflow = dataflow
         self.deployment = deployment
         self.evaluations = 0
-        #: Population evaluations served by the duplicate-row memo
-        #: instead of the kernel (see ``_evaluate_population_arrays``).
+        #: Population rows that repeat an earlier row of the same
+        #: population, counted for the record (``SearchResult.cache_hits``).
+        #: Nothing is served from a memo: every row is scored, since
+        #: gathering a repeat costs no more than finding it.
         self.cache_hits = 0
         self._table: Optional[LayerTable] = None
+        self._ladder: Optional[LadderTable] = None
 
     # ------------------------------------------------------------------
     @property
@@ -150,14 +155,17 @@ class DesignPointEvaluator:
     ) -> List[EvalResult]:
         """Evaluate a whole population of level-index genomes as one batch.
 
-        The genomes are decoded with array indexing and evaluated through
-        the vectorized estimator, including vectorized constraint checks
-        for both platform (area/power) and FPGA resource budgets.  The
-        returned costs, feasibility flags, and used-budget figures are
-        bit-identical to calling :meth:`evaluate_genome` per genome; the
-        per-result :class:`ModelCostReport` carries the aggregate figures
-        with an empty ``per_layer`` list (population consumers only read
-        the aggregates).
+        Each genome's per-layer figures are gathered from this task's
+        :class:`~repro.costmodel.batched.LadderTable` (priced with one
+        kernel call on first use) and totalled left to right; platform
+        (area/power) and FPGA resource budgets are checked vectorized.  A
+        ladder too big to tabulate is scored through the kernel instead,
+        as raw populations are.  The returned costs, feasibility flags,
+        and used-budget figures are bit-identical to calling
+        :meth:`evaluate_genome` per genome; the per-result
+        :class:`ModelCostReport` carries the aggregate figures with an
+        empty ``per_layer`` list (population consumers only read the
+        aggregates).
         """
         genomes = list(genomes)
         if not genomes:
@@ -182,20 +190,32 @@ class DesignPointEvaluator:
             raise ValueError("PE level index out of range")
         if buf_idx.min() < 0 or buf_idx.max() >= num_levels:
             raise ValueError("buffer level index out of range")
-        pes = np.asarray(self.space.pe_levels, dtype=np.int64)[pe_idx]
-        l1_bytes = np.asarray(self.space.buf_levels, dtype=np.int64)[buf_idx]
+        df_idx = None
         if self.space.is_mix:
             df_idx = genes[:, 2::per_step]
             if df_idx.min() < 0 or df_idx.max() >= len(self.space.dataflows):
                 raise ValueError("dataflow index out of range")
-            lut = np.asarray(
-                [STYLE_INDEX[s] for s in self.space.dataflows],
-                dtype=np.int64)
-            style_idx = lut[df_idx]
-        else:
-            style_idx = np.full(pes.shape, STYLE_INDEX[self.dataflow],
-                                dtype=np.int64)
-        return self._evaluate_population_arrays(pes, l1_bytes, style_idx)
+        ladder = self._ladder_table()
+        if ladder is None:
+            pes, l1_bytes, style_idx = self._decode_levels(
+                pe_idx, buf_idx, df_idx)
+            return self._evaluate_population_arrays(pes, l1_bytes, style_idx)
+        if self.deployment == "ls":
+            # One shared design point runs every layer: gather each
+            # genome's first assignment for the whole model.
+            pe_idx, buf_idx = pe_idx[:, :1], buf_idx[:, :1]
+            if df_idx is not None:
+                df_idx = df_idx[:, :1]
+        rows = ladder.rows(np.arange(len(self.layers), dtype=np.int64),
+                           pe_idx, buf_idx, df_idx)
+        self._charge(rows)
+        totals = population_totals(ladder.gather(rows), self.deployment)
+        if isinstance(self.constraint, PlatformConstraint):
+            fold = ConstraintFold.of(totals, self.constraint.kind,
+                                     self.constraint.budget)
+            return self._results(totals, fold.used, fold.feasible)
+        pes, l1_bytes, _ = self._decode_levels(pe_idx, buf_idx, None)
+        return self._results(totals, *self._resource_check(pes, l1_bytes))
 
     def evaluate_population_raw(
         self, populations: Sequence[Sequence[RawAssignment]]
@@ -203,7 +223,8 @@ class DesignPointEvaluator:
         """Batched :meth:`evaluate_raw` over many complete assignments.
 
         Used by the stage-2 GA, whose candidates live in the raw integer
-        space rather than the level-index space.
+        space rather than the level-index space, so they are scored by
+        the kernel.
         """
         populations = list(populations)
         if not populations:
@@ -244,55 +265,84 @@ class DesignPointEvaluator:
             np.asarray(style_rows, dtype=np.int64),
         )
 
+    def _ladder_table(self) -> Optional[LadderTable]:
+        """This task's ladder table, built on first use; ``None`` when the
+        ladder has more than ``MAX_LADDER_ROWS`` rows."""
+        if self._ladder is None:
+            self._ladder = LadderTable.build(
+                self.cost_model.batched, self._layer_table(), self.space,
+                self.dataflow)
+        return self._ladder
+
+    def _layer_table(self) -> LayerTable:
+        if self._table is None:
+            self._table = LayerTable.build(self.layers)
+        return self._table
+
+    def _decode_levels(self, pe_idx: np.ndarray, buf_idx: np.ndarray,
+                       df_idx: Optional[np.ndarray]):
+        """Level-index arrays -> (pes, l1_bytes, style_idx) arrays."""
+        pes = np.asarray(self.space.pe_levels, dtype=np.int64)[pe_idx]
+        l1_bytes = np.asarray(self.space.buf_levels, dtype=np.int64)[buf_idx]
+        if df_idx is None:
+            style_idx = np.full(pes.shape, STYLE_INDEX[self.dataflow],
+                                dtype=np.int64)
+        else:
+            style_idx = np.asarray(
+                [STYLE_INDEX[s] for s in self.space.dataflows],
+                dtype=np.int64)[df_idx]
+        return pes, l1_bytes, style_idx
+
     def _evaluate_population_arrays(
         self, pes: np.ndarray, l1_bytes: np.ndarray, style_idx: np.ndarray
     ) -> List[EvalResult]:
-        """Shared batched core: (G, N) design arrays -> per-genome results.
+        """Kernel path: (G, N) design arrays -> per-genome results.
 
-        Identical design points -- common under elitism, low mutation
-        rates, and two-stage re-probes -- are deduplicated before kernel
-        dispatch (``np.unique`` over the decoded rows) and the unique
-        results scattered back, so duplicates never reach the estimator.
-        The kernel is elementwise per row, so the returned costs, flags,
-        and budgets are bit-identical either way; served duplicates are
-        counted on :attr:`cache_hits` while :attr:`evaluations` keeps
-        charging the full population (the budget currency every method
-        spends).
+        Raw populations and ladders too big to tabulate come here.  Every
+        row reaches the kernel; repeated rows are counted on
+        :attr:`cache_hits`, not served from a memo.
         """
         population, num_layers = pes.shape
-        self.evaluations += population
-        if self._table is None:
-            self._table = LayerTable.build(self.layers)
         if self.deployment == "ls":
             # One shared design point runs every layer: broadcast each
             # genome's first assignment across the model.
             pes = np.repeat(pes[:, :1], num_layers, axis=1)
             l1_bytes = np.repeat(l1_bytes[:, :1], num_layers, axis=1)
             style_idx = np.repeat(style_idx[:, :1], num_layers, axis=1)
-        if population > 1:
-            design = np.concatenate((pes, l1_bytes, style_idx), axis=1)
-            # Cheap pre-check: equal rows hash equal, so a fully-unique
-            # hash vector proves there is nothing to dedup without
-            # paying the row-sort (wrapping int64 overflow is fine --
-            # collisions only cost the full check below).
-            mixer = self._row_mixer(design.shape[1])
-            hashes = design @ mixer
-            if len(np.unique(hashes)) == population:
-                return self._evaluate_unique_rows(pes, l1_bytes, style_idx)
-            unique, inverse = np.unique(design, axis=0, return_inverse=True)
-            if len(unique) < population:
-                self.cache_hits += population - len(unique)
-                results = self._evaluate_unique_rows(
-                    np.ascontiguousarray(unique[:, :num_layers]),
-                    np.ascontiguousarray(
-                        unique[:, num_layers:2 * num_layers]),
-                    np.ascontiguousarray(unique[:, 2 * num_layers:]))
-                return [results[i] for i in inverse.reshape(-1).tolist()]
-        return self._evaluate_unique_rows(pes, l1_bytes, style_idx)
+        self._charge(np.concatenate((pes, l1_bytes, style_idx), axis=1))
+        layer_idx = np.tile(np.arange(num_layers, dtype=np.int64),
+                            population)
+        batch = (self._layer_table(), layer_idx, style_idx.reshape(-1),
+                 pes.reshape(-1), l1_bytes.reshape(-1))
+        constraint = self.constraint
+        if isinstance(constraint, PlatformConstraint):
+            fold = self.cost_model.batched.evaluate_constrained(
+                *batch, self.deployment, constraint.kind, constraint.budget)
+            return self._results(fold[:4], fold.used, fold.feasible)
+        figures = self.cost_model.batched.evaluate(*batch).figures()
+        totals = population_totals(
+            figures.reshape(4, population, num_layers), self.deployment)
+        return self._results(totals, *self._resource_check(pes, l1_bytes))
+
+    def _charge(self, design: np.ndarray) -> None:
+        """Count a population of design rows, one per genome (equal rows
+        for equal design points): each row is an evaluation, and each
+        repeat of an earlier row a cache hit."""
+        population = len(design)
+        self.evaluations += population
+        if population < 2:
+            return
+        # Cheap pre-check: equal rows hash equal, so a fully-unique hash
+        # vector proves there is no repeat without paying the row sort
+        # (wrapping int64 overflow is fine -- collisions only cost the
+        # full count below).
+        if len(np.unique(design @ self._row_mixer(design.shape[1]))) \
+                < population:
+            self.cache_hits += population - len(np.unique(design, axis=0))
 
     def _row_mixer(self, width: int) -> np.ndarray:
         """A fixed random int64 vector hashing design rows (seeded, so
-        dedup behavior is deterministic across runs)."""
+        the count is deterministic across runs)."""
         mixer = getattr(self, "_mixer", None)
         if mixer is None or len(mixer) != width:
             mixer = np.random.default_rng(0x5EED).integers(
@@ -301,37 +351,28 @@ class DesignPointEvaluator:
             self._mixer = mixer
         return mixer
 
-    def _evaluate_unique_rows(
-        self, pes: np.ndarray, l1_bytes: np.ndarray, style_idx: np.ndarray
-    ) -> List[EvalResult]:
-        """Kernel dispatch and constraint checks for deduplicated rows."""
-        population, num_layers = pes.shape
-        layer_idx = np.tile(np.arange(num_layers, dtype=np.int64),
-                            population)
-        batch = (self._table, layer_idx, style_idx.reshape(-1),
-                 pes.reshape(-1), l1_bytes.reshape(-1))
+    def _resource_check(self, pes: np.ndarray, l1_bytes: np.ndarray
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorized FPGA-cap check of (G, N) design arrays: (used,
+        feasible) per genome, the rule of :meth:`_check`."""
         constraint = self.constraint
-        if isinstance(constraint, PlatformConstraint):
-            (latency_total, energy_total, area_total, power_total, used,
-             feasible) = self.cost_model.batched.evaluate_constrained(
-                *batch, self.deployment, constraint.kind, constraint.budget)
+        if self.deployment == "ls":
+            total_pes = pes[:, 0]
+            total_l1 = pes[:, 0] * l1_bytes[:, 0]
         else:
-            latency_total, energy_total, area_total, power_total = \
-                population_totals(self.cost_model.batched.evaluate(*batch),
-                                  num_layers, self.deployment)
-            if self.deployment == "ls":
-                total_pes = pes[:, 0]
-                total_l1 = pes[:, 0] * l1_bytes[:, 0]
-            else:
-                total_pes = pes.sum(axis=1)
-                total_l1 = (pes * l1_bytes).sum(axis=1)
-            feasible = ((total_pes <= constraint.max_pes)
-                        & (total_l1 <= constraint.max_l1_bytes))
-            used = total_pes.astype(np.float64)
+            total_pes = pes.sum(axis=1)
+            total_l1 = (pes * l1_bytes).sum(axis=1)
+        feasible = ((total_pes <= constraint.max_pes)
+                    & (total_l1 <= constraint.max_l1_bytes))
+        return total_pes.astype(np.float64), feasible
+
+    def _results(self, totals, used: np.ndarray,
+                 feasible: np.ndarray) -> List[EvalResult]:
+        """Per-genome results from ``(4, G)`` totals and budget checks."""
+        latency_total, energy_total, area_total, power_total = totals
         cost = np.asarray(self.objective.evaluate(CostTotals(
             latency_total, energy_total, area_total, power_total)),
             dtype=np.float64)
-
         # tolist() converts to native Python scalars in one pass, which is
         # markedly cheaper than per-element float() on numpy scalars.
         results: List[EvalResult] = []

@@ -9,7 +9,10 @@ dimensions, MAC counts, operand element counts, DWCONV flags) once into a
 :class:`LayerTable`, after which a whole batch of candidate
 ``(layer, style, pes, l1_bytes)`` rows -- an entire GA population, a full
 grid sweep, or a vector of per-layer partitions -- is evaluated with array
-arithmetic in a handful of NumPy operations.
+arithmetic in a handful of NumPy operations.  Level-indexed searches go
+one step further: a :class:`LadderTable` prices every point of a model's
+Table I ladder in one kernel call, after which level genomes and planned
+RL episodes are scored by gathering rows.
 
 The arithmetic deliberately mirrors the scalar path's expression order, so
 the batched engine returns **bit-identical** numbers to
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +44,9 @@ __all__ = [
     "STYLE_INDEX",
     "BatchedCostModel",
     "ConstraintFold",
+    "LadderTable",
     "LayerTable",
+    "MAX_LADDER_ROWS",
     "evaluate_batch_kernel",
     "objective_totals",
     "ordered_row_sum",
@@ -58,20 +63,17 @@ def ordered_row_sum(values: np.ndarray) -> np.ndarray:
     """Row sums accumulated left-to-right, matching the scalar ``sum()``.
 
     ``np.sum`` uses pairwise accumulation, which rounds differently from
-    Python's sequential ``sum`` over per-layer reports; summing column by
-    column keeps batched aggregates bit-identical to the scalar path.
+    Python's sequential ``sum`` over per-layer reports.  An accumulate
+    adds each column to the running total of the columns before it, in
+    order, so its last column is bit-identical to the scalar path.
     """
-    total = np.zeros(len(values), dtype=np.float64)
-    for column in range(values.shape[1]):
-        total = total + values[:, column]
-    return total
+    return np.cumsum(values, axis=1, dtype=np.float64)[:, -1]
 
 
-def population_totals(
-    report: BatchCostReport, num_layers: int, deployment: str
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-design ``(latency, energy, area, power)`` totals of a
-    population batch in the tiled ``(population, num_layers)`` layout.
+def population_totals(figures: np.ndarray, deployment: str) -> np.ndarray:
+    """Per-design ``(latency, energy, area, power)`` totals, shape ``(4,
+    population)``, of a ``(4, population, num_layers)`` stack of per-layer
+    figures.
 
     Latency and energy sum over the layers (left to right, see
     :func:`ordered_row_sum`); area and power sum too under the ``"lp"``
@@ -79,14 +81,13 @@ def population_totals(
     row max under ``"ls"`` (one shared design point), exactly as
     ``CostModel.evaluate_model`` / ``evaluate_model_ls`` aggregate.
     """
-    shape = (-1, num_layers)
-    latency = ordered_row_sum(report.latency_cycles.reshape(shape))
-    energy = ordered_row_sum(report.energy_nj.reshape(shape))
-    area = report.area_um2.reshape(shape)
-    power = report.power_mw.reshape(shape)
+    _, population, num_layers = figures.shape
     if deployment == "ls":
-        return latency, energy, area.max(axis=1), power.max(axis=1)
-    return latency, energy, ordered_row_sum(area), ordered_row_sum(power)
+        sums = ordered_row_sum(figures[:2].reshape(-1, num_layers))
+        return np.concatenate((sums.reshape(2, population),
+                               figures[2:].max(axis=2)))
+    return ordered_row_sum(figures.reshape(-1, num_layers)) \
+        .reshape(4, population)
 
 
 class ConstraintFold(NamedTuple):
@@ -105,6 +106,14 @@ class ConstraintFold(NamedTuple):
     used: np.ndarray
     #: ``used <= budget`` per population row.
     feasible: np.ndarray
+
+    @classmethod
+    def of(cls, totals, kind: str, budget: float) -> "ConstraintFold":
+        """Check :func:`population_totals` against the platform constraint
+        ``kind`` (``"area"`` or ``"power"``) and its ``budget``."""
+        latency, energy, area, power = totals
+        used = area if kind == "area" else power
+        return cls(latency, energy, area, power, used, used <= budget)
 
 
 @dataclass(frozen=True)
@@ -175,6 +184,86 @@ class LayerTable:
             S=self.S[layer_idx],
             is_dw=self.is_dw[layer_idx],
         )
+
+
+#: Most rows a :class:`LadderTable` holds.  Every zoo model fits at the
+#: paper's L = 12 under MIX (the largest, ``transformer``, needs 41,904
+#: rows); building 2**16 rows peaks at about 18 MB and keeps 2 MB.
+#: ``SearchSpec`` accepts any ``num_levels``, so larger ladders are scored
+#: through the kernel instead of tabulated.
+MAX_LADDER_ROWS = 1 << 16
+
+
+class LadderTable(NamedTuple):
+    """Every ladder design point of one layer list, priced once.
+
+    Table I's action space offers each layer ``L x L`` (PE level, buffer
+    level) points per dataflow, so the whole level-indexed design space
+    of a model is a few thousand rows: 7,488 for full MobileNet-V2 at
+    L = 12, 22,464 under MIX.  :meth:`build` prices them all in one
+    :meth:`BatchedCostModel.evaluate` call; scoring a level-indexed point
+    is then a gather of its row (:meth:`rows`, :meth:`gather`).  The
+    kernel is elementwise per row, so every gathered figure equals
+    ``CostModel.evaluate_layer`` on that point exactly.
+    """
+
+    #: ``(4, rows)``: latency, energy, area and power of every row.
+    figures: np.ndarray
+    #: Style slots per layer: all of :data:`BATCH_STYLES` under MIX, else
+    #: the one fixed dataflow.
+    num_styles: int
+    num_levels: int
+    #: Dataflow gene -> style slot under MIX; ``None`` for a fixed
+    #: dataflow.
+    style_slots: Optional[np.ndarray]
+
+    @classmethod
+    def build(cls, batched: "BatchedCostModel", table: LayerTable, space,
+              dataflow: Optional[str] = None) -> Optional["LadderTable"]:
+        """Price every (layer, style, PE level, buffer level) point of an
+        :class:`~repro.env.spaces.ActionSpace` over ``table``'s layers.
+
+        A MIX ``space`` tabulates every batch style, so rows and design
+        points correspond one to one; otherwise the table covers the
+        fixed ``dataflow``.  Returns ``None``, without calling the
+        kernel, when that is more than :data:`MAX_LADDER_ROWS` rows.
+        """
+        levels = space.num_levels
+        if space.is_mix:
+            styles = np.arange(len(BATCH_STYLES), dtype=np.int64)
+            slots = np.array([STYLE_INDEX[s] for s in space.dataflows],
+                             dtype=np.int64)
+        else:
+            styles = np.array([STYLE_INDEX[dataflow]], dtype=np.int64)
+            slots = None
+        points = levels * levels
+        rows = len(table) * len(styles) * points
+        if rows > MAX_LADDER_ROWS:
+            return None
+        report = batched.evaluate(
+            table,
+            np.repeat(np.arange(len(table), dtype=np.int64),
+                      len(styles) * points),
+            np.tile(np.repeat(styles, points), len(table)),
+            np.tile(np.repeat(np.array(space.pe_levels, dtype=np.int64),
+                              levels), rows // points),
+            np.tile(np.array(space.buf_levels, dtype=np.int64),
+                    rows // levels))
+        return cls(report.figures(), len(styles), levels, slots)
+
+    def rows(self, layer_idx, pe_idx, buf_idx, df_idx=None) -> np.ndarray:
+        """Table rows of level-indexed points: layer rows with their PE
+        and buffer level indices, plus the dataflow genes under MIX.
+        The arguments broadcast against each other."""
+        style = 0 if self.style_slots is None else self.style_slots[df_idx]
+        levels = self.num_levels
+        return (((layer_idx * self.num_styles + style) * levels + pe_idx)
+                * levels + buf_idx)
+
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """``(4, *rows.shape)``: latency, energy, area and power of
+        ``rows``."""
+        return self.figures.take(rows, axis=1)
 
 
 def evaluate_batch_kernel(
@@ -347,12 +436,10 @@ class BatchedCostModel:
             raise ValueError(
                 "evaluate_constrained needs the tiled population layout "
                 "(layer_idx == tile(arange(len(table)), population))")
-        latency, energy, area, power = population_totals(
-            evaluate_batch_kernel(self.hw, table, *batch), num_layers,
-            deployment)
-        used = area if kind == "area" else power
-        return ConstraintFold(latency, energy, area, power, used,
-                              used <= budget)
+        figures = evaluate_batch_kernel(self.hw, table, *batch).figures()
+        return ConstraintFold.of(
+            population_totals(figures.reshape(4, -1, num_layers),
+                              deployment), kind, budget)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -127,6 +127,12 @@ class BatchCostReport:
     def __len__(self) -> int:
         return len(self.latency_cycles)
 
+    def figures(self) -> np.ndarray:
+        """The four figures objectives and constraints read, stacked:
+        ``(4, batch)`` latency, energy, area and power."""
+        return np.stack((self.latency_cycles, self.energy_nj,
+                         self.area_um2, self.power_mw))
+
     @property
     def edp(self) -> np.ndarray:
         return self.energy_nj * self.latency_cycles

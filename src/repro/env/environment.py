@@ -23,13 +23,13 @@ import numpy as np
 
 from repro.core.constraints import PlatformConstraint, ResourceConstraint
 from repro.core.evaluator import Constraint
-from repro.costmodel.batched import STYLE_INDEX, LayerTable
+from repro.costmodel.batched import STYLE_INDEX, LadderTable, LayerTable
 from repro.costmodel.estimator import CostModel, area_um2
 from repro.costmodel.report import CostReport
 from repro.env.observation import ObservationEncoder
 from repro.env.spaces import ActionSpace
 from repro.models.layers import Layer
-from repro.objectives import resolve_objective
+from repro.objectives import CostTotals, resolve_objective
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,9 @@ class HWAssignmentEnv:
         self.best: Optional[EpisodeResult] = None
         self.episodes = 0
         self.evaluations = 0
+        # Built on the first planned-episode commit.
+        self._layer_table: Optional[LayerTable] = None
+        self._ladder: Optional[LadderTable] = None
 
         self._reset_episode_state()
 
@@ -277,12 +280,32 @@ class HWAssignmentEnv:
             raise RuntimeError("begin_plan() requires a fresh reset()")
         return EpisodePlan(self)
 
-    @property
-    def plan_table(self) -> LayerTable:
-        """This model's :class:`LayerTable`, built once per env."""
-        if getattr(self, "_plan_table", None) is None:
-            self._plan_table = LayerTable.build(self.layers)
-        return self._plan_table
+    def _step_figures(self, actions: Sequence[Tuple[int, ...]],
+                      assignments: Sequence[Tuple]) -> np.ndarray:
+        """``(4, steps)`` latency, energy, area and power of the first
+        ``len(actions)`` layers under ``actions`` (decoded as
+        ``assignments``): gathered from the ladder table, or scored by
+        the kernel when the ladder is too big to tabulate."""
+        if self._layer_table is None:
+            self._layer_table = LayerTable.build(self.layers)
+        if self._ladder is None:
+            self._ladder = LadderTable.build(
+                self.cost_model.batched, self._layer_table, self.space,
+                self.dataflow)
+        layer_idx = np.arange(len(actions), dtype=np.int64)
+        if self._ladder is not None:
+            genes = np.array(actions, dtype=np.int64)
+            return self._ladder.gather(self._ladder.rows(
+                layer_idx, genes[:, 0], genes[:, 1],
+                genes[:, 2] if self.space.is_mix else None))
+        styles = [a[2] if len(a) == 3 else self.dataflow
+                  for a in assignments]
+        return self.cost_model.batched.evaluate(
+            self._layer_table, layer_idx,
+            np.array([STYLE_INDEX[s] for s in styles], dtype=np.int64),
+            np.array([a[0] for a in assignments], dtype=np.int64),
+            np.array([a[1] for a in assignments], dtype=np.int64),
+        ).figures()
 
 
 class EpisodePlan:
@@ -300,19 +323,19 @@ class EpisodePlan:
     :meth:`step` applies the action bookkeeping and the *exact*
     termination rule of ``HWAssignmentEnv.step`` (resource arithmetic, or
     the closed-form area model) without touching the cost model;
-    :meth:`commit` scores every recorded layer in one batched-estimator
-    call and replays the reward shaping sequentially, so the rewards, the
-    ``p_min`` trajectory, the :class:`EpisodeResult`, and all env
-    counters come out bit-identical to the scalar path.
+    :meth:`commit` gathers every recorded layer's figures from the env's
+    :class:`~repro.costmodel.batched.LadderTable` (one kernel call prices
+    the whole ladder on the first commit; ladders too big to tabulate
+    are scored by one kernel call per commit) and replays the reward
+    shaping sequentially, so the rewards, the ``p_min`` trajectory, the
+    :class:`EpisodeResult`, and all env counters come out bit-identical
+    to the scalar path.
     """
 
     def __init__(self, env: HWAssignmentEnv) -> None:
         self.env = env
         self._actions: List[Tuple[int, ...]] = []
         self._decoded: List[Tuple] = []
-        self._pes: List[int] = []
-        self._l1: List[int] = []
-        self._styles: List[str] = []
         self._used_budget = 0.0
         self._used_pes = 0
         self._used_l1 = 0
@@ -345,18 +368,10 @@ class EpisodePlan:
         step_index = len(self._actions)
         layer = env.layers[step_index]
         decoded = env.space.decode(action)
-        if len(decoded) == 3:
-            pes, l1_bytes, style = decoded
-        else:
-            pes, l1_bytes = decoded
-            style = env.dataflow
         self._actions.append(action)
         self._decoded.append(decoded)
-        self._pes.append(pes)
-        self._l1.append(l1_bytes)
-        self._styles.append(style)
 
-        if self._check(pes, l1_bytes):
+        if self._check(decoded[0], decoded[1]):
             self._violated = True
             self._done = True
             observation = env.encoder.encode(layer, step_index, action)
@@ -371,20 +386,16 @@ class EpisodePlan:
 
     # ------------------------------------------------------------------
     def commit(self) -> Tuple[List[float], EpisodeResult]:
-        """Score the recorded episode in one batched call and fold the
+        """Score the recorded episode from the ladder table and fold the
         outcome back into the env; returns (rewards, episode)."""
         if not self._done:
             raise RuntimeError("commit() before the episode finished")
         env = self.env
         steps = len(self._actions)
-        batch = env.cost_model.batched.evaluate(
-            env.plan_table,
-            np.arange(steps, dtype=np.int64),
-            np.array([STYLE_INDEX[s] for s in self._styles], dtype=np.int64),
-            np.array(self._pes, dtype=np.int64),
-            np.array(self._l1, dtype=np.int64))
+        figures = env._step_figures(self._actions, self._decoded)
         env.evaluations += steps
-        costs = np.asarray(env.objective.evaluate(batch)).tolist()
+        costs = np.asarray(
+            env.objective.evaluate(CostTotals(*figures))).tolist()
 
         # Sequential replay of the reward shaping, in scalar step order.
         rewards: List[float] = []

@@ -23,16 +23,18 @@ objective::
 
     from repro.objectives import Objective, register_objective
 
-    class CyclesPerMac(Objective):
-        name = "cycles-per-mac"
+    class AreaDelay(Objective):
+        name = "area-delay"
         def evaluate(self, report):
-            return report.latency_cycles / report.macs
+            return report.area_um2 * report.latency_cycles
         def spec(self):
-            return "cycles-per-mac"
+            return "area-delay"
 
-    register_objective("cycles-per-mac", CyclesPerMac)
+    register_objective("area-delay", AreaDelay)
 
-after which ``repro.explore(objective="cycles-per-mac")`` just works.
+after which ``repro.explore(objective="area-delay")`` just works.  An
+objective reads only the four figures every report carries (latency,
+energy, area, power): population scoring hands it bare totals.
 """
 
 from __future__ import annotations

@@ -130,8 +130,8 @@ class GenomeOptimizer:
         result.wall_time_s = time.perf_counter() - started
         result.evaluations = self._spent
         result.episodes = self._spent
-        # Duplicate candidates the evaluator's population memo served
-        # without re-hitting the estimator during this search.
+        # Repeated design points among this search's populations, as the
+        # evaluator counts them (see DesignPointEvaluator.cache_hits).
         result.cache_hits = getattr(evaluator, "cache_hits", 0) - hits_before
         return result
 
@@ -160,10 +160,15 @@ class GenomeOptimizer:
         genome in order, so results are identical to sequential
         :meth:`evaluate` calls.
 
-        Single-genome sets take the scalar path even with ``use_batch``
-        on: for sequential walks (SA proposals, Bayesian's EI loop) the
-        per-layer LRU cache beats batch-of-one numpy dispatch, and the
-        two backends return identical numbers anyway.
+        Single-genome sets take the scalar path
+        (:meth:`DesignPointEvaluator.evaluate_genome` -> ``evaluate_raw``
+        -> ``CostModel.evaluate_model``) even with ``use_batch`` on.  The
+        sequential walks (SA proposals, Bayesian's EI loop) thereby keep
+        an oracle independent of the ladder table that populations are
+        gathered from: e2ebench's gate re-scores every best design
+        through the same scalar chain, and its traced runs require that
+        chain to fire on the baseline grid.  Both paths return identical
+        numbers.
 
         Raises:
             RuntimeError: if called after the budget is exhausted.

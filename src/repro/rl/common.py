@@ -31,8 +31,9 @@ class SearchResult:
     best_genome: Optional[List[int]] = None
     history: List[float] = field(default_factory=list)
     evaluations: int = 0
-    #: Fitness lookups served from a search-local memo instead of the
-    #: estimator (currently populated by the stage-2 local GA).
+    #: Repeated fitness lookups: the stage-2 local GA's memo hits, or the
+    #: population rows repeating an earlier row for the genome methods
+    #: (see ``DesignPointEvaluator.cache_hits``).
     cache_hits: int = 0
     episodes: int = 0
     wall_time_s: float = 0.0

@@ -14,6 +14,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.constraints import ResourceConstraint, platform_constraint
 from repro.core.evaluator import DesignPointEvaluator
@@ -26,6 +28,8 @@ from repro.costmodel import (
     STYLE_INDEX,
 )
 from repro.costmodel.batched import (
+    MAX_LADDER_ROWS,
+    LadderTable,
     _single_layer_table,
     evaluate_batch_kernel,
     ordered_row_sum,
@@ -34,7 +38,7 @@ from repro.costmodel.report import BatchCostReport
 from repro.env.spaces import ActionSpace
 from repro.experiments import ls_study
 from repro.ga import LocalGA
-from repro.models import get_model
+from repro.models import get_model, list_models
 from repro.models.layers import Layer, LayerType
 from repro.optim import BASELINE_OPTIMIZERS
 
@@ -305,6 +309,122 @@ class TestConstraintFold:
 
 
 # ----------------------------------------------------------------------
+# ordered_row_sum: the scalar path's left-to-right totals
+# ----------------------------------------------------------------------
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 200),
+       columns=st.integers(1, 80),
+       layout=st.sampled_from(["C", "F", "reversed"]),
+       signed=st.booleans())
+def test_ordered_row_sum_is_the_sequential_sum(seed, rows, columns, layout,
+                                               signed):
+    """Every row total equals Python's sequential ``sum()`` over the row,
+    bit for bit, for magnitudes from 1e-6 to 1e12 in any memory order."""
+    rng = np.random.default_rng(seed)
+    values = 10.0 ** rng.uniform(-6, 12, size=(rows, columns))
+    if signed:
+        values *= rng.choice([-1.0, 1.0], size=values.shape)
+    if layout == "F":
+        values = np.asfortranarray(values)
+    elif layout == "reversed":
+        values = np.ascontiguousarray(values[::-1, ::-1])[::-1, ::-1]
+    want = np.array([sum(row) for row in values.tolist()])
+    got = np.ascontiguousarray(ordered_row_sum(values))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# ----------------------------------------------------------------------
+# Ladder tables: the level-indexed design space, priced once
+# ----------------------------------------------------------------------
+class TestLadderTable:
+    @pytest.mark.parametrize("mix", [False, True])
+    def test_every_entry_is_the_scalar_estimate(self, mix, cost_model):
+        """Rows run layer by layer, then style, PE level and buffer
+        level; each holds ``evaluate_layer``'s four figures exactly."""
+        layers = get_model("mobilenet_v2")[:8]
+        space = ActionSpace.build("dla", mix=mix)
+        ladder = LadderTable.build(BatchedCostModel(),
+                                   LayerTable.build(layers), space,
+                                   None if mix else "dla")
+        styles = BATCH_STYLES if mix else ("dla",)
+        levels = space.num_levels
+        assert ladder.figures.shape == (
+            4, len(layers) * len(styles) * levels * levels)
+        assert ladder.figures.shape[1] == (3456 if mix else 1152)
+        row = 0
+        for layer_index, layer in enumerate(layers):
+            for style in styles:
+                gene = space.dataflows.index(style) if mix else None
+                for i, pes in enumerate(space.pe_levels):
+                    for j, l1_bytes in enumerate(space.buf_levels):
+                        report = cost_model.evaluate_layer(
+                            layer, style, pes, l1_bytes)
+                        assert ladder.rows(layer_index, i, j, gene) == row
+                        assert ladder.figures[:, row].tolist() == [
+                            report.latency_cycles, report.energy_nj,
+                            report.area_um2, report.power_mw]
+                        row += 1
+
+    def test_gather_keeps_the_row_shape(self):
+        layers = get_model("mobilenet_v2")[:3]
+        ladder = LadderTable.build(BatchedCostModel(),
+                                   LayerTable.build(layers),
+                                   ActionSpace.build("dla"), "dla")
+        rows = np.array([[0, 5, 300], [7, 7, 7]])
+        gathered = ladder.gather(rows)
+        assert gathered.shape == (4, 2, 3)
+        assert np.array_equal(gathered[:, 1, 2], ladder.figures[:, 7])
+
+    def test_every_zoo_model_fits_at_the_papers_ladder(self):
+        mix = ActionSpace.build(mix=True)
+        for name in list_models():
+            rows = len(get_model(name)) * len(BATCH_STYLES) \
+                * mix.num_levels ** 2
+            assert rows <= MAX_LADDER_ROWS, name
+
+    @pytest.mark.parametrize("deployment", ["lp", "ls"])
+    @pytest.mark.parametrize("resource", [False, True])
+    def test_oversized_ladder_scores_through_the_kernel(
+            self, cost_model, monkeypatch, deployment, resource):
+        """A 64-level MIX ladder on full MobileNet-V2 is 638,976 rows:
+        no table is built, and populations still score exactly as
+        ``evaluate_genome`` does."""
+        layers = get_model("mobilenet_v2")
+        space = ActionSpace.build(num_levels=64, max_pes=256, mix=True)
+        assert len(layers) * len(BATCH_STYLES) * 64 ** 2 == 638_976
+        if resource:
+            constraint = ResourceConstraint(max_pes=4000,
+                                            max_l1_bytes=2_000_000)
+        else:
+            constraint = platform_constraint(layers, "dla", "area",
+                                             "cloud", cost_model, space)
+        evaluator = DesignPointEvaluator(layers, "latency", constraint,
+                                         cost_model, space,
+                                         deployment=deployment)
+        assert LadderTable.build(cost_model.batched, LayerTable.build(
+            layers), space) is None
+        batch_rows = []
+        evaluate = BatchedCostModel.evaluate
+
+        def spy(self, table, layer_idx, *args):
+            batch_rows.append(len(layer_idx))
+            return evaluate(self, table, layer_idx, *args)
+
+        monkeypatch.setattr(BatchedCostModel, "evaluate", spy)
+        genomes = _random_genomes(np.random.default_rng(5), space,
+                                  len(layers), 6)
+        outcomes = evaluator.evaluate_population(genomes)
+        assert max(batch_rows, default=0) <= len(genomes) * len(layers)
+        for genome, outcome in zip(genomes, outcomes):
+            scalar = evaluator.evaluate_genome(genome)
+            assert outcome.cost == scalar.cost
+            assert outcome.feasible == scalar.feasible
+            assert outcome.used == scalar.used
+            assert outcome.report.area_um2 == scalar.report.area_um2
+            assert outcome.report.power_mw == scalar.report.power_mw
+
+
+# ----------------------------------------------------------------------
 # Whole-model / population parity
 # ----------------------------------------------------------------------
 def _constraints(layers, cost_model):
@@ -378,6 +498,45 @@ class TestPopulationParity:
             assert outcome.cost == scalar.cost
             assert outcome.feasible == scalar.feasible
             assert outcome.used == scalar.used
+
+    @pytest.mark.parametrize("deployment", ["lp", "ls"])
+    def test_population_raw_pairs(self, cost_model, model_layers,
+                                  deployment):
+        """(pes, l1_bytes) pairs -- the fixed-dataflow stage-2 genome
+        format -- under every constraint."""
+        rng = np.random.default_rng(4)
+        space = ActionSpace.build("dla")
+        populations = [
+            [(int(rng.integers(1, 128)), int(rng.integers(1, 2048)))
+             for _ in model_layers]
+            for _ in range(12)
+        ]
+        for constraint in _constraints(model_layers, cost_model):
+            evaluator = DesignPointEvaluator(
+                model_layers, "edp", constraint, cost_model, space,
+                dataflow="dla", deployment=deployment)
+            batched = evaluator.evaluate_population_raw(populations)
+            for assignments, outcome in zip(populations, batched):
+                scalar = evaluator.evaluate_raw(assignments)
+                assert outcome.cost == scalar.cost
+                assert outcome.feasible == scalar.feasible
+                assert outcome.used == scalar.used
+
+    def test_population_raw_rejects_bad_assignments(self, cost_model,
+                                                    model_layers):
+        space = ActionSpace.build(mix=True)
+        constraint = _constraints(model_layers, cost_model)[0]
+        evaluator = DesignPointEvaluator(
+            model_layers, "latency", constraint, cost_model, space)
+        pair = (8, 64)
+        with pytest.raises(ValueError, match="layers but"):
+            evaluator.evaluate_population_raw(
+                [[pair] * len(model_layers), [pair]])
+        with pytest.raises(ValueError, match="layers but"):
+            evaluator.evaluate_population_raw([[pair]] * 3)
+        with pytest.raises(KeyError, match="unknown dataflow style"):
+            evaluator.evaluate_population_raw(
+                [[(8, 64, "tpu")] * len(model_layers)])
 
     def test_empty_population(self, cost_model, model_layers):
         space = ActionSpace.build("dla")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.constraints import (
     PlatformConstraint,
@@ -9,7 +11,10 @@ from repro.core.constraints import (
     platform_constraint,
 )
 from repro.core.evaluator import DesignPointEvaluator
+from repro.costmodel import DEFAULT_HW, BatchedCostModel, CostModel
+from repro.costmodel.estimator import area_um2
 from repro.env import ActionSpace, HWAssignmentEnv
+from repro.models import get_model
 
 
 @pytest.fixture
@@ -241,3 +246,143 @@ class TestEpisodePlans:
         assert not env.plan_supported()
         with pytest.raises(RuntimeError, match="power"):
             env.begin_plan()
+
+
+def _drive_scalar(env, actions):
+    """One episode through ``step``: (observations, rewards, episode)."""
+    observations = [env.reset()]
+    rewards = []
+    for action in actions:
+        observation, reward, done, info = env.step(action)
+        observations.append(observation)
+        rewards.append(reward)
+        if done:
+            return observations, rewards, info["episode"]
+    raise AssertionError("episode did not finish")
+
+
+def _drive_planned(env, actions):
+    """The same episode through ``begin_plan``/``step``/``commit``."""
+    observations = [env.reset()]
+    plan = env.begin_plan()
+    for action in actions:
+        observation, done = plan.step(action)
+        observations.append(observation)
+        if done:
+            rewards, episode = plan.commit()
+            return observations, rewards, episode
+    raise AssertionError("episode did not finish")
+
+
+def _assert_twins_agree(scalar_env, planned_env, episodes):
+    for actions in episodes:
+        want = _drive_scalar(scalar_env, actions)
+        got = _drive_planned(planned_env, actions)
+        assert len(got[0]) == len(want[0])
+        for a, b in zip(got[0], want[0]):
+            assert np.array_equal(a, b)
+        assert got[1] == want[1]
+        assert got[2] == want[2]
+        assert planned_env.p_min == scalar_env.p_min
+        assert planned_env.evaluations == scalar_env.evaluations
+        assert planned_env.episodes == scalar_env.episodes
+        assert planned_env.best == scalar_env.best
+
+
+_PLAN_LAYERS = get_model("mobilenet_v2")[:8]
+
+
+@st.composite
+def _planned_task(draw):
+    """A plannable env spec plus action sequences that often violate
+    the cap mid-episode."""
+    mix = draw(st.booleans())
+    space = ActionSpace.build("dla", mix=mix)
+    heads = space.head_sizes
+    action = st.tuples(*[st.integers(0, size - 1) for size in heads])
+    episodes = draw(st.lists(
+        st.lists(action, min_size=len(_PLAN_LAYERS),
+                 max_size=len(_PLAN_LAYERS)),
+        min_size=1, max_size=5))
+    # Caps are fractions of what the top action on every layer uses.
+    top_pes = space.pe_levels[-1] * len(_PLAN_LAYERS)
+    slack = st.floats(0.05, 1.2)
+    if draw(st.booleans()):
+        constraint = ResourceConstraint(
+            max_pes=int(draw(slack) * top_pes),
+            max_l1_bytes=int(draw(slack) * top_pes * space.buf_levels[-1]))
+    else:
+        top = area_um2(DEFAULT_HW, space.pe_levels[-1],
+                       space.buf_levels[-1])
+        constraint = PlatformConstraint(
+            kind="area", budget=draw(slack) * top * len(_PLAN_LAYERS))
+    options = dict(
+        objective=draw(st.sampled_from(["latency", "energy", "edp"])),
+        reward_shaping=draw(st.sampled_from(["pmin", "raw"])),
+        penalty_mode=draw(st.sampled_from(["accumulated", "constant"])))
+    return space, constraint, options, episodes
+
+
+class TestPlannedEpisodesUnderCaps:
+    @settings(max_examples=60, deadline=None)
+    @given(task=_planned_task())
+    def test_planned_episodes_match_scalar_steps(self, cost_model, task):
+        """Twin envs driven with the same action sequences -- one
+        through planned episodes, one step by step -- agree on every
+        observation, reward, ``p_min``, episode cost, evaluation count
+        and :class:`EpisodeResult`, under FPGA resource caps and area
+        budgets, fixed dataflow and MIX, violations included."""
+        space, constraint, options, episodes = task
+
+        def make():
+            return HWAssignmentEnv(
+                _PLAN_LAYERS, space, options["objective"], constraint,
+                cost_model, dataflow=None if space.is_mix else "dla",
+                reward_shaping=options["reward_shaping"],
+                penalty_mode=options["penalty_mode"])
+
+        scalar_env, planned_env = make(), make()
+        assert planned_env.plan_supported()
+        _assert_twins_agree(scalar_env, planned_env, episodes)
+
+    def test_resource_cap_violations_happen_mid_episode(self, cost_model,
+                                                        space_mix):
+        """A cap the third layer breaks ends both twins on that layer."""
+        constraint = ResourceConstraint(max_pes=20, max_l1_bytes=10 ** 9)
+        envs = [HWAssignmentEnv(_PLAN_LAYERS, space_mix, "latency",
+                                constraint, cost_model) for _ in range(2)]
+        actions = [(3, 4, 0), (3, 2, 1), (5, 0, 2)] + [(0, 0, 0)] * 5
+        _assert_twins_agree(*envs, [actions, actions])
+        assert envs[1].best is None
+        assert envs[1].evaluations == 6
+
+    @pytest.mark.parametrize("mix", [False, True])
+    def test_oversized_ladder_commits_through_the_kernel(self, mix,
+                                                         monkeypatch):
+        """A 64-level ladder on full MobileNet-V2 is too big to
+        tabulate: commits score each episode with one kernel call of
+        its own rows, bit-identical to scalar steps."""
+        cost_model = CostModel()
+        layers = get_model("mobilenet_v2")
+        space = ActionSpace.build("dla", num_levels=64, max_pes=256,
+                                  mix=mix)
+        constraint = ResourceConstraint(max_pes=2000, max_l1_bytes=10 ** 9)
+        envs = [HWAssignmentEnv(layers, space, "latency", constraint,
+                                cost_model,
+                                dataflow=None if mix else "dla")
+                for _ in range(2)]
+        batch_rows = []
+        evaluate = BatchedCostModel.evaluate
+
+        def spy(self, table, layer_idx, *args):
+            batch_rows.append(len(layer_idx))
+            return evaluate(self, table, layer_idx, *args)
+
+        monkeypatch.setattr(BatchedCostModel, "evaluate", spy)
+        rng = np.random.default_rng(9)
+        episodes = [rng.integers(space.head_sizes,
+                                 size=(len(layers),
+                                       len(space.head_sizes))).tolist()
+                    for _ in range(4)]
+        _assert_twins_agree(*envs, episodes)
+        assert batch_rows and max(batch_rows) <= len(layers)
