@@ -51,8 +51,8 @@ class GeneticAlgorithm(GenomeOptimizer):
 
     def _tournament(self, scored: List[Tuple[float, List[int]]]
                     ) -> List[int]:
-        contenders = self.rng.choice(len(scored), size=self.tournament_size,
-                                     replace=True)
+        contenders = self.rng.integers(0, len(scored),
+                                       size=self.tournament_size)
         best = min(contenders, key=lambda i: scored[i][0])
         return scored[best][1]
 

@@ -151,8 +151,8 @@ class ParetoGA(GenomeOptimizer):
 
     def _select(self, ranks: np.ndarray, crowding: np.ndarray) -> int:
         """Binary-ish tournament on (rank asc, crowding desc)."""
-        contenders = self.rng.choice(len(ranks), size=self.tournament_size,
-                                     replace=True)
+        contenders = self.rng.integers(0, len(ranks),
+                                       size=self.tournament_size)
         return min(contenders,
                    key=lambda i: (ranks[i], -crowding[i], i))
 

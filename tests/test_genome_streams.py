@@ -6,7 +6,9 @@ Generator call, yet must return what the gene-by-gene loops they replaced
 return *and* leave the generator in the same state, so every seeded
 search -- and every golden pin -- stays bit-identical.  Each test runs an
 operator and its scalar reference loop on two generators with one history
-and compares the outputs and ``bit_generator.state``.
+and compares the outputs and ``bit_generator.state``.  The GA tournaments'
+``integers`` draws are held to the ``choice`` calls they replaced the same
+way.
 """
 
 from types import SimpleNamespace
@@ -267,3 +269,20 @@ def test_local_ga_mutation_matches_gene_by_gene_draws(seed, layers, step,
     assert ga._mutate(genome) == reference_local_mutate(ga, reference,
                                                         genome)
     assert _state(replay) == _state(reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=SEEDS, population=st.integers(1, 300),
+       size=st.sampled_from([2, 3, 4]), carried=CARRIED)
+def test_tournament_draws_match_choice_with_replacement(seed, population,
+                                                        size, carried):
+    """``GeneticAlgorithm._tournament`` and ``ParetoGA._select`` draw
+    their contenders with ``integers(0, n, size=k)``: the values and the
+    stream of ``choice(n, size=k, replace=True)``, at half the cost."""
+    reference, draw = _twin_generators(seed, carried)
+    for _ in range(50):
+        expected = reference.choice(population, size=size, replace=True)
+        contenders = draw.integers(0, population, size=size)
+        assert contenders.tolist() == expected.tolist()
+        assert contenders.dtype == expected.dtype
+    assert _state(draw) == _state(reference)
