@@ -12,7 +12,7 @@ the repo root::
      "scalar_s": ..., "scalar_eps_per_s": ...,
      "envs": {"2": {"seconds": ..., "eps_per_s": ..., "speedup": ...},
               "4": ..., "8": ...},
-     "speedup_envs_8": ...}
+     "speedup_envs_8": ..., "cpu_count": ...}
 
 The speedup is pure kernel/forward vectorization -- no IPC, no extra
 processes -- so it holds on a single CPU (like the cost-model bench);
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import pathlib
 import time
 
@@ -127,6 +128,7 @@ def test_rl_throughput(save_report):
         "scalar_eps_per_s": EPISODES / scalar_s,
         "envs": timings,
         "speedup_envs_8": speedup_envs_8,
+        "cpu_count": os.cpu_count() or 1,
     }
     (REPO_ROOT / "BENCH_rl.json").write_text(
         json.dumps(payload, indent=2) + "\n")

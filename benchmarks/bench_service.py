@@ -16,7 +16,7 @@ Times two things against one small search workload:
 Writes ``BENCH_service.json`` at the repo root::
 
     {"direct_s": ..., "miss_s": ..., "hit_s": ...,
-     "submit_overhead_x": ..., "hit_speedup_x": ...}
+     "submit_overhead_x": ..., "hit_speedup_x": ..., "cpu_count": ...}
 
 Hit responses are asserted bit-identical to the run that produced them
 (that is the cache contract, not just a perf property).
@@ -25,6 +25,7 @@ Hit responses are asserted bit-identical to the run that produced them
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import time
 
@@ -77,6 +78,7 @@ def test_service_latency(save_report, tmp_path):
         "hit_s": hit_s,
         "submit_overhead_x": submit_overhead_x,
         "hit_speedup_x": hit_speedup_x,
+        "cpu_count": os.cpu_count() or 1,
     }
     (REPO_ROOT / "BENCH_service.json").write_text(
         json.dumps(payload, indent=2) + "\n")
