@@ -672,7 +672,7 @@ class TestSearchEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Population dedup memo (duplicate design points hit the kernel once)
+# Repeated design points: scored like any other, counted on cache_hits
 # ----------------------------------------------------------------------
 class TestPopulationDedup:
     def _evaluator(self, cost_model, model_layers, deployment="lp"):
@@ -687,7 +687,7 @@ class TestPopulationDedup:
                                                   model_layers,
                                                   deployment):
         """A population with duplicate rows returns exactly the per-genome
-        scalar results while the duplicates are served from the memo."""
+        scalar results while the repeats are counted on ``cache_hits``."""
         evaluator = self._evaluator(cost_model, model_layers, deployment)
         reference = self._evaluator(cost_model, model_layers, deployment)
         rng = np.random.default_rng(0)
@@ -705,6 +705,17 @@ class TestPopulationDedup:
             assert outcome.used == scalar.used
             assert outcome.report.latency_cycles \
                 == scalar.report.latency_cycles
+
+    def test_ls_repeats_are_first_assignment_repeats(self, cost_model,
+                                                     model_layers):
+        """Under ``ls`` one shared design point runs every layer, so
+        genomes that differ only after their first assignment repeat."""
+        evaluator = self._evaluator(cost_model, model_layers, "ls")
+        genome = [3, 4] * len(model_layers)
+        other = genome[:2] + [0, 0] * (len(model_layers) - 1)
+        first, second = evaluator.evaluate_population([genome, other])
+        assert evaluator.cache_hits == 1
+        assert first == second
 
     def test_all_unique_population_untouched(self, cost_model,
                                              model_layers):
@@ -726,7 +737,7 @@ class TestPopulationDedup:
     def test_genome_optimizer_reports_cache_hits(self, cost_model,
                                                  model_layers):
         """Elitist GA generations re-breed duplicates; the search result
-        surfaces how many the evaluator memo absorbed."""
+        surfaces how many repeats the evaluator counted."""
         evaluator = self._evaluator(cost_model, model_layers)
         ga = BASELINE_OPTIMIZERS["ga"](seed=0)
         result = ga.search(evaluator, 120)
