@@ -60,12 +60,14 @@ STYLE_INDEX: Dict[str, int] = {s: i for i, s in enumerate(BATCH_STYLES)}
 
 
 def ordered_row_sum(values: np.ndarray) -> np.ndarray:
-    """Row sums accumulated left-to-right, matching the scalar ``sum()``.
+    """Row sums accumulated left-to-right, matching the scalar path.
 
-    ``np.sum`` uses pairwise accumulation, which rounds differently from
-    Python's sequential ``sum`` over per-layer reports.  An accumulate
-    adds each column to the running total of the columns before it, in
-    order, so its last column is bit-identical to the scalar path.
+    ``CostModel.evaluate_model`` totals its per-layer reports with a
+    left-to-right loop.  ``np.sum`` uses pairwise accumulation, which
+    rounds differently (so does Python's ``sum()`` from 3.12, which
+    compensates).  An accumulate adds each column to the running total
+    of the columns before it, in order, so its last column is
+    bit-identical to the scalar path.
     """
     return np.cumsum(values, axis=1, dtype=np.float64)[:, -1]
 

@@ -224,11 +224,20 @@ class CostModel:
                     "assignment lacks a dataflow and no default was given"
                 )
             reports.append(self.evaluate_layer(layer, style, pes, l1_bytes))
+        # Totals add left to right, as the batched ``ordered_row_sum``
+        # does.  Not ``sum()``: from Python 3.12 it compensates float
+        # additions, which rounds differently.
+        latency = energy = area = power = 0.0
+        for report in reports:
+            latency += report.latency_cycles
+            energy += report.energy_nj
+            area += report.area_um2
+            power += report.power_mw
         return ModelCostReport(
-            latency_cycles=sum(r.latency_cycles for r in reports),
-            energy_nj=sum(r.energy_nj for r in reports),
-            area_um2=sum(r.area_um2 for r in reports),
-            power_mw=sum(r.power_mw for r in reports),
+            latency_cycles=latency,
+            energy_nj=energy,
+            area_um2=area,
+            power_mw=power,
             per_layer=reports,
         )
 
@@ -248,13 +257,16 @@ class CostModel:
             self.evaluate_layer(layer, dataflow, pes, l1_bytes)
             for layer in layers
         ]
-        area = max(r.area_um2 for r in reports)
-        power = max(r.power_mw for r in reports)
+        # Left-to-right totals, as in ``evaluate_model``.
+        latency = energy = 0.0
+        for report in reports:
+            latency += report.latency_cycles
+            energy += report.energy_nj
         return ModelCostReport(
-            latency_cycles=sum(r.latency_cycles for r in reports),
-            energy_nj=sum(r.energy_nj for r in reports),
-            area_um2=area,
-            power_mw=power,
+            latency_cycles=latency,
+            energy_nj=energy,
+            area_um2=max(r.area_um2 for r in reports),
+            power_mw=max(r.power_mw for r in reports),
             per_layer=reports,
         )
 

@@ -1,5 +1,8 @@
 """Tests for the analytical cost estimator."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.costmodel import CostModel, HardwareConfig
@@ -172,6 +175,30 @@ class TestEvaluateModel:
         assert report.area_um2 == max(per_layer_areas)
         assert report.latency_cycles == pytest.approx(
             sum(r.latency_cycles for r in report.per_layer))
+
+    @pytest.mark.parametrize("deployment", ["lp", "ls"])
+    def test_totals_add_left_to_right(self, cost_model, tiny_model,
+                                      monkeypatch, deployment):
+        """Model totals fold the layers in order, as the batched
+        ``ordered_row_sum`` does.  A compensated sum (``math.fsum``, or
+        ``sum()`` from Python 3.12) rounds these figures up."""
+        figures = [1.0, 1e-16, 1e-16, 1e-16]
+        assert math.fsum(figures) > 1.0
+        base = cost_model.evaluate_layer(tiny_model[0], "dla", 16, 39)
+        reports = iter([dataclasses.replace(
+            base, latency_cycles=value, energy_nj=value, area_um2=value,
+            power_mw=value) for value in figures])
+        monkeypatch.setattr(cost_model, "evaluate_layer",
+                            lambda *args: next(reports))
+        if deployment == "lp":
+            report = cost_model.evaluate_model(
+                tiny_model, [(16, 39)] * len(tiny_model), dataflow="dla")
+            totals = [report.latency_cycles, report.energy_nj,
+                      report.area_um2, report.power_mw]
+        else:
+            report = cost_model.evaluate_model_ls(tiny_model, 16, 39, "dla")
+            totals = [report.latency_cycles, report.energy_nj]
+        assert totals == [1.0] * len(totals)
 
     def test_model_report_objective_and_breakdown(self, cost_model,
                                                   tiny_model):
