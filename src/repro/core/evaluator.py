@@ -10,6 +10,7 @@ compared across methods.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -102,8 +103,6 @@ class DesignPointEvaluator:
         #: Nothing is served from a memo: every row is scored, since
         #: gathering a repeat costs no more than finding it.
         self.cache_hits = 0
-        self._table: Optional[LayerTable] = None
-        self._ladder: Optional[LadderTable] = None
 
     # ------------------------------------------------------------------
     @property
@@ -195,7 +194,7 @@ class DesignPointEvaluator:
             df_idx = genes[:, 2::per_step]
             if df_idx.min() < 0 or df_idx.max() >= len(self.space.dataflows):
                 raise ValueError("dataflow index out of range")
-        ladder = self._ladder_table()
+        ladder = self._ladder
         if ladder is None:
             pes, l1_bytes, style_idx = self._decode_levels(
                 pe_idx, buf_idx, df_idx)
@@ -265,19 +264,16 @@ class DesignPointEvaluator:
             np.asarray(style_rows, dtype=np.int64),
         )
 
-    def _ladder_table(self) -> Optional[LadderTable]:
-        """This task's ladder table, built on first use; ``None`` when the
-        ladder has more than ``MAX_LADDER_ROWS`` rows."""
-        if self._ladder is None:
-            self._ladder = LadderTable.build(
-                self.cost_model.batched, self._layer_table(), self.space,
-                self.dataflow)
-        return self._ladder
+    @functools.cached_property
+    def _ladder(self) -> Optional[LadderTable]:
+        """This task's ladder table, built on first use; ``None`` (also
+        cached) when the ladder has more than ``MAX_LADDER_ROWS`` rows."""
+        return LadderTable.build(self.cost_model.batched, self._layer_table,
+                                 self.space, self.dataflow)
 
+    @functools.cached_property
     def _layer_table(self) -> LayerTable:
-        if self._table is None:
-            self._table = LayerTable.build(self.layers)
-        return self._table
+        return LayerTable.build(self.layers)
 
     def _decode_levels(self, pe_idx: np.ndarray, buf_idx: np.ndarray,
                        df_idx: Optional[np.ndarray]):
@@ -312,7 +308,7 @@ class DesignPointEvaluator:
         self._charge(np.concatenate((pes, l1_bytes, style_idx), axis=1))
         layer_idx = np.tile(np.arange(num_layers, dtype=np.int64),
                             population)
-        batch = (self._layer_table(), layer_idx, style_idx.reshape(-1),
+        batch = (self._layer_table, layer_idx, style_idx.reshape(-1),
                  pes.reshape(-1), l1_bytes.reshape(-1))
         constraint = self.constraint
         if isinstance(constraint, PlatformConstraint):

@@ -16,6 +16,7 @@ current layer.  The environment
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -113,9 +114,6 @@ class HWAssignmentEnv:
         self.best: Optional[EpisodeResult] = None
         self.episodes = 0
         self.evaluations = 0
-        # Built on the first planned-episode commit.
-        self._layer_table: Optional[LayerTable] = None
-        self._ladder: Optional[LadderTable] = None
 
         self._reset_episode_state()
 
@@ -280,28 +278,37 @@ class HWAssignmentEnv:
             raise RuntimeError("begin_plan() requires a fresh reset()")
         return EpisodePlan(self)
 
+    @functools.cached_property
+    def layer_table(self) -> LayerTable:
+        """This model's :class:`LayerTable`, built once per env for planned
+        commits and vector-env waves."""
+        return LayerTable.build(self.layers)
+
+    @functools.cached_property
+    def _ladder(self) -> Optional[LadderTable]:
+        """The ladder table planned commits gather from, built on the
+        first commit; ``None`` (also cached) when the ladder has more
+        than ``MAX_LADDER_ROWS`` rows."""
+        return LadderTable.build(self.cost_model.batched, self.layer_table,
+                                 self.space, self.dataflow)
+
     def _step_figures(self, actions: Sequence[Tuple[int, ...]],
                       assignments: Sequence[Tuple]) -> np.ndarray:
         """``(4, steps)`` latency, energy, area and power of the first
         ``len(actions)`` layers under ``actions`` (decoded as
         ``assignments``): gathered from the ladder table, or scored by
         the kernel when the ladder is too big to tabulate."""
-        if self._layer_table is None:
-            self._layer_table = LayerTable.build(self.layers)
-        if self._ladder is None:
-            self._ladder = LadderTable.build(
-                self.cost_model.batched, self._layer_table, self.space,
-                self.dataflow)
         layer_idx = np.arange(len(actions), dtype=np.int64)
-        if self._ladder is not None:
+        ladder = self._ladder
+        if ladder is not None:
             genes = np.array(actions, dtype=np.int64)
-            return self._ladder.gather(self._ladder.rows(
+            return ladder.gather(ladder.rows(
                 layer_idx, genes[:, 0], genes[:, 1],
                 genes[:, 2] if self.space.is_mix else None))
         styles = [a[2] if len(a) == 3 else self.dataflow
                   for a in assignments]
         return self.cost_model.batched.evaluate(
-            self._layer_table, layer_idx,
+            self.layer_table, layer_idx,
             np.array([STYLE_INDEX[s] for s in styles], dtype=np.int64),
             np.array([a[0] for a in assignments], dtype=np.int64),
             np.array([a[1] for a in assignments], dtype=np.int64),

@@ -55,7 +55,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.constraints import ResourceConstraint
-from repro.costmodel.batched import STYLE_INDEX, LayerTable
+from repro.costmodel.batched import STYLE_INDEX
 from repro.env.environment import EpisodeResult, HWAssignmentEnv
 
 __all__ = ["VectorHWAssignmentEnv"]
@@ -96,7 +96,6 @@ class VectorHWAssignmentEnv:
             self._style_lut = None
             self._fixed_style = STYLE_INDEX[env.dataflow]
         self._resource = isinstance(env.constraint, ResourceConstraint)
-        self._table = LayerTable.build(env.layers)
         self._active = 0
         self._live = np.zeros(0, dtype=np.int64)
         self._step_index = 0
@@ -284,7 +283,7 @@ class VectorHWAssignmentEnv:
 
         # The wave's one batched cost call.
         batch = env.cost_model.batched.evaluate(
-            self._table, np.full(len(live), t, dtype=np.int64),
+            env.layer_table, np.full(len(live), t, dtype=np.int64),
             style_idx, pes, l1)
         violated = self._consume(live, pes, l1, batch)
         env.evaluations += len(live)

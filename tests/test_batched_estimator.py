@@ -392,7 +392,8 @@ class TestLadderTable:
     def test_oversized_ladder_scores_through_the_kernel(
             self, cost_model, monkeypatch, deployment, resource):
         """A 64-level MIX ladder on full MobileNet-V2 is 638,976 rows:
-        no table is built, and populations still score exactly as
+        no table is built (the ladder is sized once, not per
+        population), and populations still score exactly as
         ``evaluate_genome`` does."""
         layers = get_model("mobilenet_v2")
         space = ActionSpace.build(num_levels=64, max_pes=256, mix=True)
@@ -416,9 +417,19 @@ class TestLadderTable:
             return evaluate(self, table, layer_idx, *args)
 
         monkeypatch.setattr(BatchedCostModel, "evaluate", spy)
+        builds = []
+        build = LadderTable.build
+
+        def counting_build(*args):
+            builds.append(build(*args))
+            return builds[-1]
+
+        monkeypatch.setattr(LadderTable, "build", counting_build)
         genomes = _random_genomes(np.random.default_rng(5), space,
                                   len(layers), 6)
         outcomes = evaluator.evaluate_population(genomes)
+        assert evaluator.evaluate_population(genomes[:2]) == outcomes[:2]
+        assert builds == [None]
         assert max(batch_rows, default=0) <= len(genomes) * len(layers)
         for genome, outcome in zip(genomes, outcomes):
             scalar = evaluator.evaluate_genome(genome)

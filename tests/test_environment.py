@@ -12,6 +12,7 @@ from repro.core.constraints import (
 )
 from repro.core.evaluator import DesignPointEvaluator
 from repro.costmodel import DEFAULT_HW, BatchedCostModel, CostModel
+from repro.costmodel.batched import LadderTable
 from repro.costmodel.estimator import area_um2
 from repro.env import ActionSpace, HWAssignmentEnv
 from repro.models import get_model
@@ -361,7 +362,8 @@ class TestPlannedEpisodesUnderCaps:
                                                          monkeypatch):
         """A 64-level ladder on full MobileNet-V2 is too big to
         tabulate: commits score each episode with one kernel call of
-        its own rows, bit-identical to scalar steps."""
+        its own rows, bit-identical to scalar steps, and the ladder is
+        sized once, not on every commit."""
         cost_model = CostModel()
         layers = get_model("mobilenet_v2")
         space = ActionSpace.build("dla", num_levels=64, max_pes=256,
@@ -379,6 +381,14 @@ class TestPlannedEpisodesUnderCaps:
             return evaluate(self, table, layer_idx, *args)
 
         monkeypatch.setattr(BatchedCostModel, "evaluate", spy)
+        builds = []
+        build = LadderTable.build
+
+        def counting_build(*args):
+            builds.append(build(*args))
+            return builds[-1]
+
+        monkeypatch.setattr(LadderTable, "build", counting_build)
         rng = np.random.default_rng(9)
         episodes = [rng.integers(space.head_sizes,
                                  size=(len(layers),
@@ -386,3 +396,4 @@ class TestPlannedEpisodesUnderCaps:
                     for _ in range(4)]
         _assert_twins_agree(*envs, episodes)
         assert batch_rows and max(batch_rows) <= len(layers)
+        assert builds == [None]
