@@ -41,8 +41,9 @@ class CostTotals(NamedTuple):
     Any report class (``CostReport``, ``ModelCostReport``,
     ``BatchCostReport``) exposes the same four attributes, so objectives
     accept reports directly; this carrier exists for call sites that hold
-    bare totals arrays (the batched evaluator, the LS sweep) without a
-    report object.
+    bare totals arrays (the batched evaluator, planned RL episodes, the
+    LS sweep) without a report object.  Objectives may therefore read
+    these four figures only.
     """
 
     latency_cycles: object

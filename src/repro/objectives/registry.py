@@ -34,7 +34,8 @@ objective::
 
 after which ``repro.explore(objective="area-delay")`` just works.  An
 objective reads only the four figures every report carries (latency,
-energy, area, power): population scoring hands it bare totals.
+energy, area, power): population scoring and planned RL episodes hand
+it bare :class:`~repro.objectives.base.CostTotals`.
 """
 
 from __future__ import annotations
