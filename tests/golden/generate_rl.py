@@ -56,10 +56,15 @@ FULL_SESSIONS = (
     ("confuciux-mix", "confuciux", True, 3, 2),
 )
 
-#: Direct agent runs on the 8-layer slice, pinning the final parameters:
-#: name -> (agent class name, constructor options, task options, epochs).
+#: Direct agent runs, pinning the final parameters: name -> (agent class
+#: name, constructor options, task options, epochs).  The task is the
+#: 8-layer slice unless its options name another ``layer_slice``;
+#: ``reinforce-rnn-iot16`` is e2ebench's ``confuciux-mbv2-iot`` task
+#: (16 layers, IoT area budget), whose episodes run up to 16 steps.
 AGENTS = {
     "reinforce-rnn": ("Reinforce", {"policy": "rnn"}, {}, 8),
+    "reinforce-rnn-iot16": ("Reinforce", {"policy": "rnn"},
+                            {"layer_slice": 16, "platform": "iot"}, 12),
     "reinforce-rnn-mix": ("Reinforce", {"policy": "rnn"}, {"mix": True}, 8),
     "reinforce-rnn-power": ("Reinforce", {"policy": "rnn"},
                             {"constraint_kind": "power",
@@ -121,7 +126,7 @@ def _agent_case(name: str, seed: int) -> dict:
     from repro.nn.modules import Module
 
     cls_name, options, task_options, epochs = AGENTS[name]
-    task = TaskSpec(model=MODEL, layer_slice=SLICE, **task_options)
+    task = TaskSpec(model=MODEL, **{"layer_slice": SLICE, **task_options})
     cost_model = CostModel()
     env = task.make_env(cost_model, task.constraint(cost_model))
     agent = getattr(rl, cls_name)(seed=seed, **options)
