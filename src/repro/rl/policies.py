@@ -23,11 +23,6 @@ from repro.nn.distributions import Categorical
 from repro.nn.modules import Linear, LSTMCell, MLP, Module
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """``Tensor.sigmoid``'s arithmetic on a plain array."""
-    return 1.0 / (1.0 + np.exp(-z))
-
-
 class RecurrentTrace:
     """One episode's activations under :class:`RecurrentPolicy`'s array
     forward, preallocated to ``capacity`` steps (the env's layer count).
@@ -90,6 +85,10 @@ class RecurrentPolicy(Module):
         self.cell = LSTMCell(obs_dim, hidden_size, rng=rng)
         self.heads = [Linear(hidden_size, size, rng=rng, gain=0.1)
                       for size in head_sizes]
+        #: :meth:`bptt`'s ``W_h`` gradient and outer-product buffers,
+        #: made on first use and kept, so an update allocates no array
+        #: of ``W_h``'s size.
+        self._w_h_buffers: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def is_recurrent(self) -> bool:
@@ -127,9 +126,13 @@ class RecurrentPolicy(Module):
         gates = (x @ cell.weight_x.data + h_prev @ cell.weight_h.data
                  + cell.bias.data)
         act = trace.gates[t:t + 1]
-        for lo, squash in ((0, _sigmoid), (hs, _sigmoid), (2 * hs, np.tanh),
-                           (3 * hs, _sigmoid)):
-            act[:, lo:lo + hs] = squash(gates[:, lo:lo + hs])
+        # Tensor.sigmoid's 1 / (1 + exp(-z)) over the whole row, then the
+        # cell gate's tanh over its slice.
+        np.negative(gates, out=act)
+        np.exp(act, out=act)
+        np.add(1.0, act, out=act)
+        np.divide(1.0, act, out=act)
+        np.tanh(gates[:, 2 * hs:3 * hs], out=act[:, 2 * hs:3 * hs])
         i_gate, f_gate, g_gate, o_gate = (act[:, k * hs:(k + 1) * hs]
                                           for k in range(4))
         h, c = trace.h[t + 1:t + 2], trace.c[t + 1:t + 2]
@@ -153,69 +156,104 @@ class RecurrentPolicy(Module):
         ``d_log_prob`` and ``d_entropy`` are the loss gradients of each
         step's summed log-probability and entropy, shape ``(T,)``.
         Returns one gradient per :meth:`parameters` entry, byte for byte
-        what the autograd tape accumulates, because every sum of three or
-        more parts follows the tape's order:
+        what the autograd tape accumulates.
+
+        Every sum of three or more parts follows the tape's order:
 
         * a head's weight and bias add their per-step parts in forward
           time order (a stacked array summed along axis 0 adds row by
           row);
         * the LSTM's ``W_x``, ``W_h`` and bias add theirs in reverse time
-          order, as the loop below meets them;
+          order, from ``+0.0``: ``W_h`` in the loop, the other two as an
+          axis-0 reduce over time-reversed stacks with ``initial=0.0``;
         * ``dh_t`` is the head parts in head order, then the recurrent
           part from step ``t + 1``.
 
-        Products that feed a sum keep the tape's shapes: one
-        ``(1, k) @ (k, H)`` product per head and step, and one
-        ``dgates @ W_h.T`` per step.  A single ``(T, k) @ (k, H)``
-        product sums in another order and drifts by ulps.
+        Products keep the tape's kernels: each head's ``dh`` parts are
+        one stacked ``(T, 1, k) @ (k, H)`` matmul, which runs the tape's
+        ``(1, k) @ (k, H)`` product once per row, and the recurrence
+        keeps one ``dgates @ W_h.T`` per step.  A single ``(T, k) @ (k,
+        H)`` product sums in another order and drifts by ulps.
+
+        What does not depend on the recurrence is computed before the
+        loop, vectorised over time: the heads' ``dh`` parts, ``1 -
+        tanh(c)**2`` and three ``(T, 4H)`` gate-factor arrays.  Step
+        ``t``'s ``dgates`` row is ``((first * second[t]) * third[t]) *
+        fourth[t]`` with ``first = [dc, dc, dc, dh]``, which keeps each
+        gate's left-to-right product; the cell gate's third factor is
+        1.0, and multiplying by 1.0 is exact.  Outer products are
+        ``einsum`` products, each element one rounded multiply; a sum
+        that starts from ``+0.0`` cannot see the sign of a zero part.
+
+        The returned ``W_h`` gradient is a buffer the policy keeps and
+        overwrites on the next call (``Tensor._accumulate`` copies it),
+        so one policy runs one ``bptt`` at a time, on one thread, like
+        its traces.
         """
         steps = trace.length
         hs = self.hidden_size
-        cell = self.cell
-        h = trace.h[1:steps + 1]
-        head_grads, head_backs = [], []
+        h = trace.h[:steps + 1]
+        dh_heads, head_grads = None, []
         for index, (head, arrays) in enumerate(zip(self.heads, trace.heads)):
             dz = Categorical.logits_grad(
                 trace.actions[:steps, index],
                 *(array[:steps] for array in arrays), d_log_prob, d_entropy)
-            head_backs.append((dz, head.weight.data.swapaxes(-1, -2)))
-            head_grads += [(h[:, :, None] * dz[:, None, :]).sum(axis=0),
+            part = np.matmul(dz[:, None, :],
+                             head.weight.data.swapaxes(-1, -2))[:, 0]
+            dh_heads = part if dh_heads is None else dh_heads + part
+            head_grads += [(h[1:, :, None] * dz[:, None, :]).sum(axis=0),
                            dz.sum(axis=0)]
 
-        w_h_t = cell.weight_h.data.swapaxes(-1, -2)
-        grads = [np.zeros_like(p.data)
-                 for p in (cell.weight_x, cell.weight_h, cell.bias)]
-        parts = [np.empty_like(grad) for grad in grads]
-        dgates = np.empty((1, 4 * hs))
-        obs_columns, h_columns = trace.obs[:, :, None], trace.h[:, :, None]
+        gates = trace.gates[:steps].reshape(steps, 4, hs)
+        o_gate, f_gate = gates[:, 3], gates[:, 1]
+        tanh_c = trace.tanh_c[:steps]
+        dc_tanh = 1.0 - tanh_c ** 2
+        factors = np.empty((3, steps, 4, hs))
+        second, third, fourth = factors
+        second[:, 0] = gates[:, 2]
+        second[:, 1] = trace.c[:steps]
+        second[:, 2] = gates[:, 0]
+        second[:, 3] = tanh_c
+        third[...] = gates
+        third[:, 2] = 1.0
+        np.subtract(1.0, gates, out=fourth)
+        np.subtract(1.0, gates[:, 2] ** 2, out=fourth[:, 2])
+        second, third, fourth = factors.reshape(3, steps, 4 * hs)
+
+        if self._w_h_buffers is None:
+            self._w_h_buffers = (np.empty_like(self.cell.weight_h.data),
+                                 np.empty_like(self.cell.weight_h.data))
+        grad_w_h, outer = self._w_h_buffers
+        grad_w_h.fill(0.0)
+        w_h_t = self.cell.weight_h.data.swapaxes(-1, -2)
+        dgates = np.empty((steps, 4 * hs))
+        first = dgates.reshape(steps, 4, hs)
         dh_next = dc_next = None
         for t in range(steps - 1, -1, -1):
-            dh = None
-            for dz, weight_t in head_backs:
-                part = dz[t:t + 1] @ weight_t
-                dh = part if dh is None else dh + part
+            dh = dh_heads[t]
             if dh_next is not None:
-                dh = dh + dh_next
-            dh = dh[0]
-            act = trace.gates[t]
-            i_gate, f_gate, g_gate, o_gate = (act[k * hs:(k + 1) * hs]
-                                              for k in range(4))
-            tanh_c = trace.tanh_c[t]
-            dc = dh * o_gate * (1.0 - tanh_c ** 2)
+                dh += dh_next[0]
+            dc = dh * o_gate[t]
+            dc *= dc_tanh[t]
             if dc_next is not None:
-                dc = dc + dc_next
-            dgates[0, :hs] = dc * g_gate * i_gate * (1.0 - i_gate)
-            dgates[0, hs:2 * hs] = dc * trace.c[t] * f_gate * (1.0 - f_gate)
-            dgates[0, 2 * hs:3 * hs] = dc * i_gate * (1.0 - g_gate ** 2)
-            dgates[0, 3 * hs:] = dh * tanh_c * o_gate * (1.0 - o_gate)
-            dc_next = dc * f_gate
-            np.multiply(obs_columns[t], dgates, out=parts[0])
-            np.multiply(h_columns[t], dgates, out=parts[1])
-            parts[2][...] = dgates[0]
-            for grad, part in zip(grads, parts):
-                grad += part
-            dh_next = dgates @ w_h_t
-        return [*grads, *head_grads]
+                dc += dc_next
+            first[t, :3] = dc
+            first[t, 3] = dh
+            row = dgates[t]
+            row *= second[t]
+            row *= third[t]
+            row *= fourth[t]
+            dc_next = dc * f_gate[t]
+            np.einsum("i,j->ij", h[t], row, out=outer)
+            grad_w_h += outer
+            dh_next = dgates[t:t + 1] @ w_h_t
+
+        reverse = dgates[::-1]
+        grad_w_x = np.add.reduce(
+            np.einsum("ti,tj->tij", trace.obs[:steps][::-1], reverse),
+            axis=0, initial=0.0)
+        grad_bias = np.add.reduce(reverse, axis=0, initial=0.0)
+        return [grad_w_x, grad_w_h, grad_bias, *head_grads]
 
 
 class MLPPolicy(Module):

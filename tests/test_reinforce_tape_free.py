@@ -2,9 +2,11 @@
 :class:`RecurrentPolicy` against the autograd tape built from
 ``LSTMCell``, ``Linear`` and ``Categorical``.
 
-Every comparison is exact (``np.array_equal`` / ``==``): the tape-free
-path mirrors the tape's arithmetic and summation order, so any ulp of
-drift is a bug, not noise.
+Every comparison is exact: the tape-free path mirrors the tape's
+arithmetic and summation order, so any ulp of drift is a bug, not noise.
+Gradients and parameters compare as bytes (:func:`same_bytes`), because
+``np.array_equal`` treats -0.0 and +0.0 as equal and so cannot see a
+reduction that starts from the wrong zero.
 """
 
 from __future__ import annotations
@@ -73,6 +75,11 @@ def tape_rollout(agent, trace):
     return log_probs, entropies
 
 
+def same_bytes(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal shapes and equal bytes: every bit, the sign of zero too."""
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def gradients(agent, loss):
     agent.optimizer.zero_grad()
     loss.backward()
@@ -84,16 +91,16 @@ def assert_parity(agent, oracle, trace, rewards):
     ``agent`` (tape-free) against ``oracle`` (tape), all exact."""
     log_probs, entropies = tape_rollout(oracle, trace)
     steps = trace.length
-    assert np.array_equal(trace.log_prob[:steps],
-                          [lp.item() for lp in log_probs])
-    assert np.array_equal(trace.entropy[:steps],
-                          [e.item() for e in entropies])
+    assert same_bytes(trace.log_prob[:steps],
+                      np.array([lp.item() for lp in log_probs]))
+    assert same_bytes(trace.entropy[:steps],
+                      np.array([e.item() for e in entropies]))
 
     fused = agent._trace_loss(trace, rewards)
     tape = oracle._episode_loss(log_probs, entropies, rewards)
     assert fused.item() == tape.item()
     for got, want in zip(gradients(agent, fused), gradients(oracle, tape)):
-        assert np.array_equal(got, want)
+        assert same_bytes(got, want)
 
     loss = agent.update(trace, rewards)
     log_probs, entropies = tape_rollout(oracle, trace)
@@ -101,8 +108,8 @@ def assert_parity(agent, oracle, trace, rewards):
         oracle._episode_loss(log_probs, entropies, rewards))
     for got, want in zip(agent.policy.parameters(),
                          oracle.policy.parameters()):
-        assert np.array_equal(got.grad, want.grad)
-        assert np.array_equal(got.data, want.data)
+        assert same_bytes(got.grad, want.grad)
+        assert same_bytes(got.data, want.data)
 
 
 class TestEpisodeParity:
@@ -154,18 +161,62 @@ class TestEpisodeParity:
         assert_parity(agent, oracle, trace, rewards)
 
 
+def synthetic_trace(agent, steps, data):
+    """``steps`` array-forward steps of ``agent`` on random
+    observations, and random rewards."""
+    trace = RecurrentTrace(agent.policy, steps)
+    state = trace.initial_state()
+    for _ in range(steps):
+        _, state = agent._sample_step(data.standard_normal(10), state, trace)
+    return trace, data.standard_normal(steps).tolist()
+
+
+class TestRepeatedBackward:
+    """``bptt`` reuses buffers the policy keeps between calls."""
+
+    def test_second_call_matches_a_fresh_policy(self):
+        agent, fresh = synthetic_twins(7, [12, 12], hidden=16)
+        data = np.random.default_rng(7)
+        long, _ = synthetic_trace(agent, 11, data)
+        short, _ = synthetic_trace(agent, 4, data)
+        seeds = [data.standard_normal(steps) for steps in (11, 11, 4, 4)]
+        first = [grad.copy()
+                 for grad in agent.policy.bptt(long, *seeds[:2])]
+        second = agent.policy.bptt(short, *seeds[2:])
+        want = fresh.policy.bptt(short, *seeds[2:])
+        assert all(same_bytes(got, expected)
+                   for got, expected in zip(second, want))
+        assert not all(same_bytes(got, other)
+                       for got, other in zip(second, first))
+
+    def test_gradients_accumulate_across_backward_calls(self, cost_model):
+        """Two losses backpropagated without ``zero_grad`` between them
+        leave each parameter's two tape gradients added, as
+        ``Tensor._accumulate`` adds any two tape nodes' gradients: the
+        second ``bptt`` must not reuse the first one's result."""
+        env = make_env(cost_model, 16, platform="cloud")
+        agent, oracle = twin_agents(env, seed=6)
+        episodes = [agent.run_episode_planned(env)[:2] for _ in range(2)]
+        agent.optimizer.zero_grad()
+        for trace, rewards in episodes:
+            agent._trace_loss(trace, rewards).backward()
+        first, second = (
+            gradients(oracle, oracle._episode_loss(
+                *tape_rollout(oracle, trace), rewards))
+            for trace, rewards in episodes)
+        for parameter, one, two in zip(agent.policy.parameters(), first,
+                                       second):
+            assert same_bytes(parameter.grad, one + two)
+
+
 @settings(max_examples=25, deadline=None)
 @given(steps=st.integers(1, 24), seed=st.integers(0, 2**16),
        head_sizes=st.lists(st.integers(2, 12), min_size=2, max_size=3),
        hidden=st.sampled_from([4, 8, 16]))
 def test_parity_property(steps, seed, head_sizes, hidden):
     agent, oracle = synthetic_twins(seed, head_sizes, hidden)
-    data = np.random.default_rng(seed)
-    trace = RecurrentTrace(agent.policy, steps)
-    state = trace.initial_state()
-    for _ in range(steps):
-        _, state = agent._sample_step(data.standard_normal(10), state, trace)
-    rewards = data.standard_normal(steps).tolist()
+    trace, rewards = synthetic_trace(agent, steps,
+                                     np.random.default_rng(seed))
     assert_parity(agent, oracle, trace, rewards)
 
 
