@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.evaluator import DesignPointEvaluator, RawAssignment
+from repro.costmodel.batched import ordered_sum
 from repro.costmodel.estimator import CostModel
 from repro.costmodel.report import ModelCostReport
 from repro.models.layers import Layer
@@ -28,7 +29,7 @@ def solution_report(
 def area_breakdown_fractions(report: ModelCostReport) -> Dict[str, float]:
     """Fig. 10's pie chart: fraction of total area per component."""
     breakdown = report.area_breakdown()
-    total = sum(breakdown.values())
+    total = ordered_sum(breakdown.values())
     if total <= 0:
         raise ValueError("report has no area")
     return {key: value / total for key, value in breakdown.items()}

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +57,19 @@ __all__ = [
 #: the string -> row index mapping used to build ``style_idx`` arrays.
 BATCH_STYLES: Tuple[str, ...] = tuple(DATAFLOW_ORDER)
 STYLE_INDEX: Dict[str, int] = {s: i for i, s in enumerate(BATCH_STYLES)}
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from ``0.0``.
+
+    Python's ``sum()`` does this up to 3.11.  From 3.12 it compensates
+    float additions (Neumaier), which rounds differently, so a seeded
+    search would give different results on different Python versions.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return float(total)
 
 
 def ordered_row_sum(values: np.ndarray) -> np.ndarray:

@@ -24,7 +24,12 @@ import numpy as np
 
 from repro.core.constraints import PlatformConstraint, ResourceConstraint
 from repro.core.evaluator import Constraint
-from repro.costmodel.batched import STYLE_INDEX, LadderTable, LayerTable
+from repro.costmodel.batched import (
+    STYLE_INDEX,
+    LadderTable,
+    LayerTable,
+    ordered_sum,
+)
 from repro.costmodel.estimator import CostModel, area_um2
 from repro.costmodel.report import CostReport
 from repro.env.observation import ObservationEncoder
@@ -172,7 +177,7 @@ class HWAssignmentEnv:
             if self.penalty_mode == "accumulated":
                 # Equation 2: the penalty is the negated accumulated
                 # reward, scaling itself to the objective's magnitude.
-                reward = -float(sum(self._episode_rewards))
+                reward = -ordered_sum(self._episode_rewards)
             else:
                 reward = self.constant_penalty
             self._episode_rewards.append(reward)
@@ -411,7 +416,7 @@ class EpisodePlan:
             episode_cost += cost
             if self._violated and index == steps - 1:
                 if env.penalty_mode == "accumulated":
-                    rewards.append(-float(sum(rewards)))
+                    rewards.append(-ordered_sum(rewards))
                 else:
                     rewards.append(env.constant_penalty)
                 break

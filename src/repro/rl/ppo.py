@@ -13,6 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.costmodel.batched import ordered_sum
 from repro.env.environment import HWAssignmentEnv
 from repro.nn.autograd import Tensor, no_grad
 from repro.nn.functional import mse_loss
@@ -76,7 +77,7 @@ class PPO2(SearchAlgorithm):
                 dists, _ = self.policy(Tensor(observation.reshape(1, -1)),
                                        None)
                 action = [int(d.sample(self.rng)[0]) for d in dists]
-                logp = sum(
+                logp = ordered_sum(
                     float(d.log_prob([action[i]]).numpy()[0])
                     for i, d in enumerate(dists)
                 )

@@ -1,5 +1,7 @@
 """Tests for the HW-assignment environment: rewards, penalties, budgets."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -322,6 +324,37 @@ def _planned_task(draw):
         reward_shaping=draw(st.sampled_from(["pmin", "raw"])),
         penalty_mode=draw(st.sampled_from(["accumulated", "constant"])))
     return space, constraint, options, episodes
+
+
+class TestAccumulatedPenalty:
+    def test_penalty_folds_rewards_left_to_right_on_both_paths(self,
+                                                               cost_model):
+        """Equation 2's penalty adds the episode's rewards left to right
+        from 0.0, as Python's ``sum()`` did before 3.12 compensated it,
+        on scalar steps and planned commits alike.  The checked episode
+        is one where a compensated sum rounds differently."""
+        from repro.experiments.tasks import TaskSpec
+
+        task = TaskSpec(model="mobilenet_v2", layer_slice=16,
+                        objective="energy")
+        scalar_env, planned_env = (task.make_env(cost_model)
+                                   for _ in range(2))
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            actions = rng.integers(scalar_env.space.head_sizes,
+                                   size=(16, 2)).tolist()
+            _, rewards, episode = _drive_scalar(scalar_env, actions)
+            _, planned, _ = _drive_planned(planned_env, actions)
+            assert planned == rewards
+            folded = 0.0
+            for reward in rewards[:-1]:
+                folded += reward
+            if not episode.feasible and math.fsum(rewards[:-1]) != folded:
+                break
+        else:
+            pytest.fail("no violating episode whose compensated reward "
+                        "sum differs from the left-to-right fold")
+        assert rewards[-1] == planned[-1] == -folded
 
 
 class TestPlannedEpisodesUnderCaps:
