@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +69,15 @@ class Adam(Optimizer):
         # Two scratch buffers per parameter, so a step allocates nothing.
         self._scratch = [(np.empty_like(p.data), np.empty_like(p.data))
                          for p in self.parameters]
+
+    def scratch(self, parameter: Parameter) -> Tuple[np.ndarray, np.ndarray]:
+        """The two scratch arrays :meth:`step` uses for ``parameter``.
+
+        They hold nothing from one step to the next, so the thread that
+        drives this optimizer may use them as work space between steps
+        (REINFORCE's BPTT accumulates the ``W_h`` gradient there).
+        """
+        return self._scratch[self.parameters.index(parameter)]
 
     def step(self) -> None:
         """One Adam step, in place.

@@ -85,10 +85,6 @@ class RecurrentPolicy(Module):
         self.cell = LSTMCell(obs_dim, hidden_size, rng=rng)
         self.heads = [Linear(hidden_size, size, rng=rng, gain=0.1)
                       for size in head_sizes]
-        #: :meth:`bptt`'s ``W_h`` gradient and outer-product buffers,
-        #: made on first use and kept, so an update allocates no array
-        #: of ``W_h``'s size.
-        self._w_h_buffers: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def is_recurrent(self) -> bool:
@@ -150,13 +146,21 @@ class RecurrentPolicy(Module):
         return dists, (h, c)
 
     def bptt(self, trace: RecurrentTrace, d_log_prob: np.ndarray,
-             d_entropy: np.ndarray) -> List[np.ndarray]:
+             d_entropy: np.ndarray,
+             buffers: Optional[Tuple[np.ndarray, np.ndarray]] = None
+             ) -> List[np.ndarray]:
         """Backpropagation through time over one traced episode.
 
         ``d_log_prob`` and ``d_entropy`` are the loss gradients of each
         step's summed log-probability and entropy, shape ``(T,)``.
         Returns one gradient per :meth:`parameters` entry, byte for byte
         what the autograd tape accumulates.
+
+        ``buffers`` are two scratch arrays of ``W_h``'s shape (fresh ones
+        when ``None``): the ``W_h`` gradient accumulates in the first,
+        which is returned, and each step's outer product goes to the
+        second.  Both are overwritten, so the result is valid until the
+        buffers' next use.
 
         Every sum of three or more parts follows the tape's order:
 
@@ -181,14 +185,11 @@ class RecurrentPolicy(Module):
         ``t``'s ``dgates`` row is ``((first * second[t]) * third[t]) *
         fourth[t]`` with ``first = [dc, dc, dc, dh]``, which keeps each
         gate's left-to-right product; the cell gate's third factor is
-        1.0, and multiplying by 1.0 is exact.  Outer products are
-        ``einsum`` products, each element one rounded multiply; a sum
-        that starts from ``+0.0`` cannot see the sign of a zero part.
-
-        The returned ``W_h`` gradient is a buffer the policy keeps and
-        overwrites on the next call (``Tensor._accumulate`` copies it),
-        so one policy runs one ``bptt`` at a time, on one thread, like
-        its traces.
+        1.0, and multiplying by 1.0 is exact.  The ``W_x`` and ``W_h``
+        outer products are ``einsum`` products: each element one rounded
+        multiply, though a zero may lose its sign, which a sum started
+        from ``+0.0`` cannot see.  The head weights' sums start from
+        their first row, so they keep the broadcast multiply.
         """
         steps = trace.length
         hs = self.hidden_size
@@ -220,12 +221,10 @@ class RecurrentPolicy(Module):
         np.subtract(1.0, gates[:, 2] ** 2, out=fourth[:, 2])
         second, third, fourth = factors.reshape(3, steps, 4 * hs)
 
-        if self._w_h_buffers is None:
-            self._w_h_buffers = (np.empty_like(self.cell.weight_h.data),
-                                 np.empty_like(self.cell.weight_h.data))
-        grad_w_h, outer = self._w_h_buffers
+        w_h = self.cell.weight_h.data
+        grad_w_h, outer = buffers or (np.empty_like(w_h), np.empty_like(w_h))
         grad_w_h.fill(0.0)
-        w_h_t = self.cell.weight_h.data.swapaxes(-1, -2)
+        w_h_t = w_h.swapaxes(-1, -2)
         dgates = np.empty((steps, 4 * hs))
         first = dgates.reshape(steps, 4, hs)
         dh_next = dc_next = None

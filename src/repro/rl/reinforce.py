@@ -217,9 +217,12 @@ class Reinforce(SearchAlgorithm):
 
         def backward(grad: np.ndarray) -> None:
             d_term = -(grad * scale)
+            # Adam's scratch for W_h is free until its next step, and
+            # _accumulate copies the W_h gradient out of it.
             grads = self.policy.bptt(
                 trace, d_term * returns,
-                np.full(steps, d_term * self.entropy_coef))
+                np.full(steps, d_term * self.entropy_coef),
+                self.optimizer.scratch(self.policy.cell.weight_h))
             for parameter, parameter_grad in zip(parameters, grads):
                 parameter._accumulate(parameter_grad)
 

@@ -172,17 +172,20 @@ def synthetic_trace(agent, steps, data):
 
 
 class TestRepeatedBackward:
-    """``bptt`` reuses buffers the policy keeps between calls."""
+    """REINFORCE hands ``bptt`` the optimizer's scratch arrays, so every
+    update reuses the same ``W_h``-sized buffers."""
 
-    def test_second_call_matches_a_fresh_policy(self):
+    def test_reused_buffers_match_fresh_ones(self):
         agent, fresh = synthetic_twins(7, [12, 12], hidden=16)
         data = np.random.default_rng(7)
         long, _ = synthetic_trace(agent, 11, data)
         short, _ = synthetic_trace(agent, 4, data)
         seeds = [data.standard_normal(steps) for steps in (11, 11, 4, 4)]
-        first = [grad.copy()
-                 for grad in agent.policy.bptt(long, *seeds[:2])]
-        second = agent.policy.bptt(short, *seeds[2:])
+        buffers = agent.optimizer.scratch(agent.policy.cell.weight_h)
+        first = [grad.copy() for grad in
+                 agent.policy.bptt(long, *seeds[:2], buffers)]
+        second = agent.policy.bptt(short, *seeds[2:], buffers)
+        assert second[1] is buffers[0]
         want = fresh.policy.bptt(short, *seeds[2:])
         assert all(same_bytes(got, expected)
                    for got, expected in zip(second, want))
@@ -193,7 +196,7 @@ class TestRepeatedBackward:
         """Two losses backpropagated without ``zero_grad`` between them
         leave each parameter's two tape gradients added, as
         ``Tensor._accumulate`` adds any two tape nodes' gradients: the
-        second ``bptt`` must not reuse the first one's result."""
+        second ``bptt`` must not overwrite the first one's result."""
         env = make_env(cost_model, 16, platform="cloud")
         agent, oracle = twin_agents(env, seed=6)
         episodes = [agent.run_episode_planned(env)[:2] for _ in range(2)]
