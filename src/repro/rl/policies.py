@@ -147,8 +147,7 @@ class RecurrentPolicy(Module):
 
     def bptt(self, trace: RecurrentTrace, d_log_prob: np.ndarray,
              d_entropy: np.ndarray,
-             buffers: Optional[Tuple[np.ndarray, np.ndarray]] = None
-             ) -> List[np.ndarray]:
+             buffers: Tuple[np.ndarray, np.ndarray]) -> List[np.ndarray]:
         """Backpropagation through time over one traced episode.
 
         ``d_log_prob`` and ``d_entropy`` are the loss gradients of each
@@ -156,11 +155,10 @@ class RecurrentPolicy(Module):
         Returns one gradient per :meth:`parameters` entry, byte for byte
         what the autograd tape accumulates.
 
-        ``buffers`` are two scratch arrays of ``W_h``'s shape (fresh ones
-        when ``None``): the ``W_h`` gradient accumulates in the first,
-        which is returned, and each step's outer product goes to the
-        second.  Both are overwritten, so the result is valid until the
-        buffers' next use.
+        ``buffers`` are two scratch arrays of ``W_h``'s shape: the ``W_h``
+        gradient accumulates in the first, which is returned, and each
+        step's outer product goes to the second.  Both are overwritten,
+        so the result is valid until the buffers' next use.
 
         Every sum of three or more parts follows the tape's order:
 
@@ -221,10 +219,9 @@ class RecurrentPolicy(Module):
         np.subtract(1.0, gates[:, 2] ** 2, out=fourth[:, 2])
         second, third, fourth = factors.reshape(3, steps, 4 * hs)
 
-        w_h = self.cell.weight_h.data
-        grad_w_h, outer = buffers or (np.empty_like(w_h), np.empty_like(w_h))
+        grad_w_h, outer = buffers
         grad_w_h.fill(0.0)
-        w_h_t = w_h.swapaxes(-1, -2)
+        w_h_t = self.cell.weight_h.data.swapaxes(-1, -2)
         dgates = np.empty((steps, 4 * hs))
         first = dgates.reshape(steps, 4, hs)
         dh_next = dc_next = None

@@ -186,7 +186,9 @@ class TestRepeatedBackward:
                  agent.policy.bptt(long, *seeds[:2], buffers)]
         second = agent.policy.bptt(short, *seeds[2:], buffers)
         assert second[1] is buffers[0]
-        want = fresh.policy.bptt(short, *seeds[2:])
+        want = fresh.policy.bptt(
+            short, *seeds[2:],
+            fresh.optimizer.scratch(fresh.policy.cell.weight_h))
         assert all(same_bytes(got, expected)
                    for got, expected in zip(second, want))
         assert not all(same_bytes(got, other)
