@@ -13,13 +13,22 @@ Times two things against one small search workload:
   (it scales with how long the *search* takes, which this bench keeps
   deliberately tiny -- real sessions see far larger ratios).
 
+One session takes milliseconds, so a single timing is mostly noise.
+The bench times ``PAIRS`` interleaved pairs, each on its own seed: a
+direct run and a served miss of the same spec, back to back (the order
+alternates from pair to pair), then a hit.  Each ratio is the median of
+the per-pair ratios, so one invocation's gated figure is steady enough
+for the trend gate's 20% band.
+
 Writes ``BENCH_service.json`` at the repo root::
 
     {"direct_s": ..., "miss_s": ..., "hit_s": ...,
-     "submit_overhead_x": ..., "hit_speedup_x": ..., "cpu_count": ...}
+     "submit_overhead_x": ..., "hit_speedup_x": ..., "pairs": ...,
+     "cpu_count": ...}
 
-Hit responses are asserted bit-identical to the run that produced them
-(that is the cache contract, not just a perf property).
+The three times are medians over the pairs.  Hit responses are asserted
+bit-identical to the run that produced them (that is the cache
+contract, not just a perf property).
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import statistics
 import time
 
 from repro.core.reporting import format_table
@@ -35,8 +45,11 @@ from repro.service import ResultStore, SearchServer
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-#: Distinct seeds -> distinct cache identities; one timing sample each.
-SEEDS = (100, 101, 102, 103, 104)
+#: Timed direct/miss pairs; distinct seeds are distinct cache identities.
+PAIRS = 9
+#: Seed of the untimed run that warms both paths first.
+WARMUP_SEED = 99
+SEEDS = tuple(range(100, 100 + PAIRS))
 
 
 def _spec(seed: int) -> SearchSpec:
@@ -51,33 +64,44 @@ def _timed(fn):
 
 
 def test_service_latency(save_report, tmp_path):
-    direct_s = min(
-        _timed(lambda seed=seed: SearchSession(_spec(seed)).run())[0]
-        for seed in SEEDS)
-
     store = ResultStore(root=tmp_path / "cache")
     with SearchServer(store=store) as server:
-        misses, hits = [], []
-        for seed in SEEDS:
-            seconds, fresh = _timed(
-                lambda s=seed: server.submit(_spec(s)).wait(timeout=120))
+        def direct(seed: int) -> float:
+            return _timed(lambda: SearchSession(_spec(seed)).run())[0]
+
+        def served(seed: int):
+            return _timed(
+                lambda: server.submit(_spec(seed)).wait(timeout=120))
+
+        direct(WARMUP_SEED)
+        served(WARMUP_SEED)
+        directs, misses, hits = [], [], []
+        for pair, seed in enumerate(SEEDS):
+            if pair % 2 == 0:
+                directs.append(direct(seed))
+            seconds, fresh = served(seed)
             misses.append(seconds)
-            seconds, cached = _timed(
-                lambda s=seed: server.submit(_spec(s)).wait(timeout=120))
+            seconds, cached = served(seed)
             hits.append(seconds)
+            if pair % 2 == 1:
+                directs.append(direct(seed))
             assert not fresh.cached and cached.cached
             assert cached.result.to_dict() == fresh.result.to_dict()
-        assert server.executions == len(SEEDS)
-    miss_s, hit_s = min(misses), min(hits)
+        assert server.executions == PAIRS + 1
 
-    submit_overhead_x = miss_s / direct_s
-    hit_speedup_x = miss_s / hit_s
+    submit_overhead_x = statistics.median(
+        miss / direct_s for miss, direct_s in zip(misses, directs))
+    hit_speedup_x = statistics.median(
+        miss / hit for miss, hit in zip(misses, hits))
+    direct_s, miss_s, hit_s = (statistics.median(times)
+                               for times in (directs, misses, hits))
     payload = {
         "direct_s": direct_s,
         "miss_s": miss_s,
         "hit_s": hit_s,
         "submit_overhead_x": submit_overhead_x,
         "hit_speedup_x": hit_speedup_x,
+        "pairs": PAIRS,
         "cpu_count": os.cpu_count() or 1,
     }
     (REPO_ROOT / "BENCH_service.json").write_text(
@@ -88,11 +112,11 @@ def test_service_latency(save_report, tmp_path):
         ["served miss", f"{miss_s * 1e3:.2f}",
          f"{submit_overhead_x:.2f}"],
         ["served hit", f"{hit_s * 1e3:.2f}",
-         f"{miss_s / hit_s:.2f}x faster than miss"],
+         f"{hit_speedup_x:.2f}x faster than miss"],
     ]
     save_report("bench_service", format_table(
-        ["path", "ms", "vs direct"], rows,
-        title="Search-as-a-service latency"))
+        ["path", "ms (median)", "vs direct (median ratio)"], rows,
+        title=f"Search-as-a-service latency, {PAIRS} pairs"))
 
     # The service tax on an executing run is a constant factor, not a
     # multiple; generous bound because the workload is milliseconds.
