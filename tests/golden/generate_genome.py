@@ -10,7 +10,10 @@ MobileNet-V2 with a fixed dataflow, on the same slice under MIX (a
 dataflow gene per layer, so the gene bounds are ``[L, L, 3]`` per layer)
 and on the full model (cloud tier), and the file records the best cost,
 best genome and assignments, the evaluation and cache-hit counts, and a
-SHA-256 of the best-so-far history.  Hashing, the diff and
+SHA-256 of the best-so-far history.  ``local-ga`` also runs 54
+generations (1,000 evaluations) on those three groups and on the slice
+under ``ls`` and under a resource budget, and one case runs the
+ablation's ``LocalGA(crossover_mode="global")`` directly.  Hashing, the diff and
 the ``--check`` mode are ``generate_rl.py``'s; a change that moves a pin
 must say why in CHANGES.md.  ``tests/test_golden_genome.py`` compares a
 fresh run of every case with the file, exactly.
@@ -51,9 +54,50 @@ GROUPS = {"slice8": {"layer_slice": SLICE},
           "full": {"platform": FULL_PLATFORM}}
 
 
+#: Evaluations of the long stage-2 cases: 54 local-GA generations, where
+#: ``BUDGETS["local-ga"]`` covers 2.
+LOCAL_GA_BUDGET = 1000
+LOCAL_GA = f"local-ga-{LOCAL_GA_BUDGET}"
+#: The ablation's two-parent blend, which no spec field selects.
+LOCAL_GA_GLOBAL = f"local-ga-global-{LOCAL_GA_BUDGET}"
+
+#: group -> spec options for the long ``local-ga`` cases.  The resource
+#: group's L1 cap binds: at the default 8,192 bytes no design the search
+#: visits is infeasible, and the pins would match ``slice8``'s.
+LOCAL_GA_GROUPS = {**GROUPS,
+                   "ls8": {"layer_slice": SLICE, "deployment": "ls"},
+                   "resource8": {"layer_slice": SLICE,
+                                 "constraint_kind": "resource",
+                                 "max_total_l1": 1024}}
+
+
 def case_names() -> List[str]:
-    return [f"{group}/{method}/seed{seed}"
-            for seed in SEEDS for group in GROUPS for method in BUDGETS]
+    names = [f"{group}/{method}/seed{seed}"
+             for seed in SEEDS for group in GROUPS for method in BUDGETS]
+    names += [f"{group}/{LOCAL_GA}/seed{seed}"
+              for seed in SEEDS for group in LOCAL_GA_GROUPS]
+    names += [f"slice8/{LOCAL_GA_GLOBAL}/seed{seed}" for seed in SEEDS]
+    return names
+
+
+def _global_crossover_result(seed: int):
+    """``LocalGA(crossover_mode="global")`` on the 8-layer slice, seeded,
+    bounded and budgeted as the registered ``local-ga`` runner does."""
+    from repro.costmodel import CostModel
+    from repro.ga import LocalGA
+    from repro.search import SearchSpec
+
+    task = SearchSpec(model=MODEL, method="local-ga",
+                      **GROUPS["slice8"]).task()
+    evaluator = task.make_evaluator(CostModel())
+    space = evaluator.space
+    ga = LocalGA(crossover_mode="global", seed=seed,
+                 max_pes=max(space.pe_levels),
+                 max_l1_bytes=2 * max(space.buf_levels))
+    generations = ((LOCAL_GA_BUDGET - ga.population_size)
+                   // (ga.population_size - ga.elite))
+    initial = evaluator.decode_genome([0] * evaluator.genome_length)
+    return ga.search(evaluator, initial, generations)
 
 
 def run_case(key: str) -> dict:
@@ -61,10 +105,19 @@ def run_case(key: str) -> dict:
     from repro.search import SearchSession, SearchSpec
 
     group, method, seed_text = key.split("/")
-    spec = SearchSpec(model=MODEL, method=method, budget=BUDGETS[method],
-                      seed=int(seed_text[len("seed"):]), **GROUPS[group],
-                      **OPTIONS.get(method, {}))
-    result = SearchSession(spec).run().result
+    seed = int(seed_text[len("seed"):])
+    if method == LOCAL_GA_GLOBAL:
+        result = _global_crossover_result(seed)
+    else:
+        if method == LOCAL_GA:
+            spec = SearchSpec(model=MODEL, method="local-ga",
+                              budget=LOCAL_GA_BUDGET, seed=seed,
+                              **LOCAL_GA_GROUPS[group])
+        else:
+            spec = SearchSpec(model=MODEL, method=method,
+                              budget=BUDGETS[method], seed=seed,
+                              **GROUPS[group], **OPTIONS.get(method, {}))
+        result = SearchSession(spec).run().result
     pinned = harness.summarize(result)
     pinned["best_genome"] = (None if result.best_genome is None
                              else [int(gene) for gene in result.best_genome])
