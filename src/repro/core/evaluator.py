@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.constraints import PlatformConstraint, ResourceConstraint
 from repro.costmodel.batched import (
+    BATCH_STYLES,
     STYLE_INDEX,
     ConstraintFold,
     LadderTable,
@@ -34,6 +35,48 @@ Constraint = Union[PlatformConstraint, ResourceConstraint]
 
 #: A raw per-layer assignment: (pes, l1_bytes) or (pes, l1_bytes, style).
 RawAssignment = Tuple
+
+
+def raw_genome(assignments: Sequence[RawAssignment]) -> np.ndarray:
+    """Raw assignments -> one ``(layers, 2)`` int64 array, or
+    ``(layers, 3)`` with each style's :data:`STYLE_INDEX` code when the
+    assignments carry styles (the stage-2 GA's genome)."""
+    rows = []
+    for assignment in assignments:
+        if len(assignment) == 3:
+            try:
+                code = STYLE_INDEX[assignment[2]]
+            except KeyError:
+                raise KeyError(
+                    f"unknown dataflow style {assignment[2]!r}; available: "
+                    f"{', '.join(STYLE_INDEX)}"
+                ) from None
+            rows.append((assignment[0], assignment[1], code))
+        elif len(assignment) == 2:
+            rows.append(assignment)
+        else:
+            raise ValueError(
+                f"an assignment is (pes, l1_bytes[, style]), got "
+                f"{assignment!r}"
+            )
+    try:
+        return np.array(rows, dtype=np.int64)
+    except ValueError:
+        raise ValueError(
+            "assignments must all carry a style or all omit it") from None
+
+
+def raw_assignments(genome) -> Tuple[RawAssignment, ...]:
+    """One raw genome -- a ``(layers, 2|3)`` array, or assignments as
+    :func:`raw_genome` takes them -- as ``(pes, l1_bytes[, style])``
+    tuples of Python ints, each style by name."""
+    if not isinstance(genome, np.ndarray):
+        genome = raw_genome(genome)
+    rows = genome.tolist()
+    if genome.shape[1] == 3:
+        return tuple((pes, l1_bytes, BATCH_STYLES[code])
+                     for pes, l1_bytes, code in rows)
+    return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -216,53 +259,55 @@ class DesignPointEvaluator:
         pes, l1_bytes, _ = self._decode_levels(pe_idx, buf_idx, None)
         return self._results(totals, *self._resource_check(pes, l1_bytes))
 
-    def evaluate_population_raw(
-        self, populations: Sequence[Sequence[RawAssignment]]
-    ) -> List[EvalResult]:
+    def evaluate_population_raw(self, populations) -> List[EvalResult]:
         """Batched :meth:`evaluate_raw` over many complete assignments.
 
         Used by the stage-2 GA, whose candidates live in the raw integer
         space rather than the level-index space, so they are scored by
-        the kernel.
+        the kernel.  ``populations`` is one ``(G, layers, 2|3)`` integer
+        array -- (pes, l1_bytes[, style code]) per layer, the GA's
+        genomes stacked -- or a sequence of assignment lists, which is
+        converted to that array by :func:`raw_genome`.  Genomes without
+        a style column run this evaluator's dataflow.
         """
-        populations = list(populations)
-        if not populations:
+        if not isinstance(populations, np.ndarray):
+            genomes = []
+            for assignments in populations:
+                self._check_layer_count(len(assignments))
+                genomes.append(raw_genome(assignments))
+            if not genomes:
+                return []
+            try:
+                populations = np.stack(genomes)
+            except ValueError:
+                raise ValueError("assignments must all carry a style or "
+                                 "all omit it") from None
+        design = np.asarray(populations, dtype=np.int64)
+        if design.ndim != 3 or design.shape[2] not in (2, 3):
+            raise ValueError(
+                f"a raw population is a (genomes, layers, 2|3) array, got "
+                f"shape {design.shape}"
+            )
+        if not len(design):
             return []
-        num_layers = len(self.layers)
-        default = (STYLE_INDEX[self.dataflow]
-                   if self.dataflow is not None else None)
-        pes_rows, l1_rows, style_rows = [], [], []
-        for assignments in populations:
-            if len(assignments) != num_layers:
-                raise ValueError(
-                    f"got {num_layers} layers but {len(assignments)} "
-                    f"assignments"
+        self._check_layer_count(design.shape[1])
+        pes, l1_bytes = design[:, :, 0], design[:, :, 1]
+        if design.shape[2] == 3:
+            style_idx = design[:, :, 2]
+            if style_idx.min() < 0 or style_idx.max() >= len(STYLE_INDEX):
+                raise KeyError(
+                    f"unknown dataflow style code; available: "
+                    f"0..{len(STYLE_INDEX) - 1} ({', '.join(STYLE_INDEX)})"
                 )
-            pes_rows.append([a[0] for a in assignments])
-            l1_rows.append([a[1] for a in assignments])
-            row = []
-            for a in assignments:
-                if len(a) == 3:
-                    try:
-                        row.append(STYLE_INDEX[a[2]])
-                    except KeyError:
-                        raise KeyError(
-                            f"unknown dataflow style {a[2]!r}; available: "
-                            f"{', '.join(STYLE_INDEX)}"
-                        ) from None
-                elif default is not None:
-                    row.append(default)
-                else:
-                    raise ValueError(
-                        "assignment lacks a dataflow and no default was "
-                        "given"
-                    )
-            style_rows.append(row)
-        return self._evaluate_population_arrays(
-            np.asarray(pes_rows, dtype=np.int64),
-            np.asarray(l1_rows, dtype=np.int64),
-            np.asarray(style_rows, dtype=np.int64),
-        )
+        else:
+            style_idx = np.full(pes.shape, STYLE_INDEX[self.dataflow],
+                                dtype=np.int64)
+        return self._evaluate_population_arrays(pes, l1_bytes, style_idx)
+
+    def _check_layer_count(self, count: int) -> None:
+        if count != len(self.layers):
+            raise ValueError(
+                f"got {len(self.layers)} layers but {count} assignments")
 
     @functools.cached_property
     def _ladder(self) -> Optional[LadderTable]:

@@ -466,6 +466,19 @@ def _random_genomes(rng, space, num_layers, count):
     return genomes
 
 
+def assert_array_form_matches(make_evaluator, populations, genomes):
+    """A raw population scores the same as assignment lists and as one
+    ``(G, layers, 2|3)`` array, on fresh evaluators: cost, feasibility,
+    used budget and the repeat count."""
+    by_tuples, by_array = make_evaluator(), make_evaluator()
+    want = by_tuples.evaluate_population_raw(populations)
+    got = by_array.evaluate_population_raw(genomes)
+    assert [(o.cost, o.feasible, o.used) for o in got] \
+        == [(o.cost, o.feasible, o.used) for o in want]
+    assert by_array.cache_hits == by_tuples.cache_hits > 0
+    assert by_array.evaluations == by_tuples.evaluations == len(genomes)
+
+
 class TestPopulationParity:
     @pytest.mark.parametrize("mix", [False, True])
     @pytest.mark.parametrize("deployment", ["lp", "ls"])
@@ -514,6 +527,13 @@ class TestPopulationParity:
             assert outcome.cost == scalar.cost
             assert outcome.feasible == scalar.feasible
             assert outcome.used == scalar.used
+        codes = np.array([[(pes, l1_bytes, STYLE_INDEX[style])
+                           for pes, l1_bytes, style in assignments]
+                          for assignments in populations + populations[:3]])
+        assert_array_form_matches(
+            lambda: DesignPointEvaluator(model_layers, "latency", constraint,
+                                         cost_model, space),
+            populations + populations[:3], codes)
 
     @pytest.mark.parametrize("deployment", ["lp", "ls"])
     def test_population_raw_pairs(self, cost_model, model_layers,
@@ -527,16 +547,24 @@ class TestPopulationParity:
              for _ in model_layers]
             for _ in range(12)
         ]
+        # Repeats, and (under ls) rows sharing only the first assignment.
+        repeated = populations + populations[:2] + [
+            populations[2][:1] + populations[3][1:]]
         for constraint in _constraints(model_layers, cost_model):
-            evaluator = DesignPointEvaluator(
-                model_layers, "edp", constraint, cost_model, space,
-                dataflow="dla", deployment=deployment)
+            def make_evaluator(constraint=constraint):
+                return DesignPointEvaluator(
+                    model_layers, "edp", constraint, cost_model, space,
+                    dataflow="dla", deployment=deployment)
+
+            evaluator = make_evaluator()
             batched = evaluator.evaluate_population_raw(populations)
             for assignments, outcome in zip(populations, batched):
                 scalar = evaluator.evaluate_raw(assignments)
                 assert outcome.cost == scalar.cost
                 assert outcome.feasible == scalar.feasible
                 assert outcome.used == scalar.used
+            assert_array_form_matches(make_evaluator, repeated,
+                                      np.array(repeated))
 
     def test_population_raw_rejects_bad_assignments(self, cost_model,
                                                     model_layers):
@@ -553,6 +581,21 @@ class TestPopulationParity:
         with pytest.raises(KeyError, match="unknown dataflow style"):
             evaluator.evaluate_population_raw(
                 [[(8, 64, "tpu")] * len(model_layers)])
+        # The array form: wrong layer count, row width and style code.
+        layers = len(model_layers)
+        with pytest.raises(ValueError, match="layers but"):
+            evaluator.evaluate_population_raw(
+                np.full((3, layers - 1, 2), 8, dtype=np.int64))
+        for shape in [(3, layers, 1), (3, layers, 4), (3, layers)]:
+            with pytest.raises(ValueError, match="raw population is a"):
+                evaluator.evaluate_population_raw(
+                    np.full(shape, 8, dtype=np.int64))
+        for code in (-1, len(STYLE_INDEX)):
+            genomes = np.full((3, layers, 3), 8, dtype=np.int64)
+            genomes[1, -1, 2] = code
+            with pytest.raises(KeyError, match="unknown dataflow style"):
+                evaluator.evaluate_population_raw(genomes)
+        assert evaluator.evaluations == 0
 
     def test_empty_population(self, cost_model, model_layers):
         space = ActionSpace.build("dla")
