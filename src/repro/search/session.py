@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.evaluator import raw_assignments
 from repro.core.serialization import (
     search_result_from_dict,
     search_result_to_dict,
@@ -219,8 +220,8 @@ class _ObservedEvaluator:
 
     def evaluate_population_raw(self, population):
         outcomes = self._evaluator.evaluate_population_raw(population)
-        for assignments, outcome in zip(population, outcomes):
-            self._record(outcome, lambda a=assignments: a)
+        for genome, outcome in zip(population, outcomes):
+            self._record(outcome, lambda g=genome: raw_assignments(g))
         return outcomes
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import repro
 from repro.core.serialization import search_result_to_dict
+from repro.costmodel import BATCH_STYLES
 from repro.experiments.tasks import TaskSpec
 from repro.search import (
     CheckpointHook,
@@ -211,6 +212,32 @@ class TestObservers:
                                cost_model=cost_model)
         assert result.stopped_early
         assert len(result.history) == 5
+
+    @pytest.mark.parametrize("mix", [False, True])
+    def test_stopped_local_ga_keeps_tuple_assignments(self, cost_model,
+                                                      mix):
+        """The stage-2 GA scores array genomes; the observed best it
+        hands back when stopped early is still assignment tuples of
+        Python ints (style names under MIX) and survives JSON."""
+        class StopAtForty(SearchObserver):
+            def on_step(self, step, cost, best_cost):
+                if step >= 40:
+                    self.request_stop()
+
+        spec = SearchSpec(model="mobilenet_v2", method="local-ga",
+                          budget=200, seed=0, layer_slice=4, mix=mix)
+        outcome = SearchSession(spec, cost_model=cost_model).run(
+            callbacks=[StopAtForty()])
+        assert outcome.stopped_early and len(outcome.history) == 40
+        best = outcome.best_assignments
+        assert type(best) is tuple and len(best) == 4
+        for row in best:
+            assert type(row) is tuple and len(row) == (3 if mix else 2)
+            assert type(row[0]) is int and type(row[1]) is int
+            if mix:
+                assert row[2] in BATCH_STYLES
+        clone = SessionResult.from_json(outcome.to_json())
+        assert clone.best_assignments == best
 
     def test_observers_reset_between_runs(self, cost_model):
         # One observer instance serves many runs: a stop requested in run
