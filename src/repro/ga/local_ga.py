@@ -11,7 +11,11 @@ stage learnt:
   shows breaks the learnt per-layer budget split), the (PE, Buffer) tuples
   of two layers are swapped *within one* genome.
 
-The first population is seeded with the stage-1 solution.
+The first population is seeded with the stage-1 solution.  Each genome is
+one ``(layers, 2)`` int64 array of (PE, buffer) rows -- ``(layers, 3)``
+when the seed carries styles, the third column holding each style's
+``STYLE_INDEX`` code -- from the seed to the returned design, so a
+generation is scored as one stacked array and memoized by its bytes.
 """
 
 from __future__ import annotations
@@ -22,14 +26,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.evaluator import DesignPointEvaluator, EvalResult, \
-    RawAssignment
+    RawAssignment, raw_assignments, raw_genome
 from repro.optim.base import masked_draws
 from repro.rl.common import SearchResult
 
-Genome = List[List]  # [[pes, buf(, style)], ...] mutable raw assignments
-
-#: Hashable fitness-memo key for one genome.
-GenomeKey = Tuple[Tuple, ...]
+#: ``(layers, 2|3)`` int64 rows of (pes, l1_bytes[, style code]).
+Genome = np.ndarray
 
 
 class LocalGA:
@@ -86,14 +88,10 @@ class LocalGA:
         self.use_batch = use_batch
         self.memoize = memoize
         self.rng = np.random.default_rng(seed)
-        self._memo: Dict[GenomeKey, float] = {}
+        self._memo: Dict[bytes, float] = {}
         self._hits = 0
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _to_genome(assignments: Sequence[RawAssignment]) -> Genome:
-        return [list(assignment) for assignment in assignments]
-
     def _mutate(self, genome: Genome) -> Genome:
         """Move each PE and buffer value (in that order, layer by layer)
         by a uniform step in ``[-step, step]`` with probability
@@ -101,47 +99,43 @@ class LocalGA:
         ``integers(2 * step + 1) - step``: the same stream as
         ``integers(-step, step + 1)``."""
         step = self.mutation_step
-        child = [list(gene) for gene in genome]
+        child = genome.copy()
         moves = masked_draws(self.rng, self.mutation_rate,
                              [2 * step + 1] * (2 * len(child)))
         for index, draw in moves.items():
-            gene, slot = child[index // 2], index % 2
+            layer, slot = divmod(index, 2)
             bound = self.max_l1_bytes if slot else self.max_pes
-            gene[slot] = int(min(max(gene[slot] + draw - step, 1), bound))
+            child[layer, slot] = min(
+                max(int(child[layer, slot]) + draw - step, 1), bound)
         return child
 
     def _local_crossover(self, genome: Genome) -> Genome:
         """Swap the full assignments of two layers within one genome."""
         if len(genome) < 2:
             return genome
-        child = [list(gene) for gene in genome]
-        i, j = self.rng.choice(len(child), size=2, replace=False)
-        child[int(i)], child[int(j)] = child[int(j)], child[int(i)]
+        i, j = self.rng.choice(len(genome), size=2, replace=False)
+        child = genome.copy()
+        child[[i, j]] = genome[[j, i]]
         return child
 
     def _global_crossover(self, a: Genome, b: Genome) -> Genome:
-        """Conventional uniform blending of two parents (ablation only)."""
-        child = []
-        for gene_a, gene_b in zip(a, b):
-            child.append(list(gene_b if self.rng.random() < 0.5
-                              else gene_a))
-        return child
+        """Conventional uniform blending of two parents (ablation only):
+        each layer's row comes from ``b`` on a ``random() < 0.5`` draw.
+        One draw of ``len(a)`` doubles is the stream of as many
+        ``random()`` calls."""
+        return np.where(self.rng.random(len(a))[:, None] < 0.5, b, a)
 
     @staticmethod
     def _cost_of(outcome: EvalResult) -> float:
         """The GA's fitness rule: objective cost, infinite if infeasible."""
         return outcome.cost if outcome.feasible else float("inf")
 
-    @staticmethod
-    def _key(genome: Genome) -> GenomeKey:
-        return tuple(tuple(gene) for gene in genome)
-
     def _evaluate_many(self, evaluator: DesignPointEvaluator,
                        genomes: Sequence[Genome]) -> List[EvalResult]:
-        raw = [[tuple(gene) for gene in genome] for genome in genomes]
         if self.use_batch:
-            return evaluator.evaluate_population_raw(raw)
-        return [evaluator.evaluate_raw(assignments) for assignments in raw]
+            return evaluator.evaluate_population_raw(np.stack(genomes))
+        return [evaluator.evaluate_raw(raw_assignments(genome))
+                for genome in genomes]
 
     def _fitness_many(self, evaluator: DesignPointEvaluator,
                       genomes: Sequence[Genome]) -> List[float]:
@@ -151,8 +145,10 @@ class LocalGA:
         if not self.memoize:
             return [self._cost_of(outcome) for outcome
                     in self._evaluate_many(evaluator, genomes)]
-        keys = [self._key(genome) for genome in genomes]
-        pending: Dict[GenomeKey, Genome] = {}
+        # Every genome of a search shares the seed's shape and dtype, so
+        # equal genomes have equal bytes.
+        keys = [genome.tobytes() for genome in genomes]
+        pending: Dict[bytes, Genome] = {}
         for key, genome in zip(keys, genomes):
             if key in self._memo or key in pending:
                 self._hits += 1
@@ -181,7 +177,7 @@ class LocalGA:
         self._memo = {}
         self._hits = 0
 
-        seed_genome = self._to_genome(initial)
+        seed_genome = raw_genome(initial)
         genomes: List[Genome] = [seed_genome]
         for _ in range(self.population_size - 1):
             genomes.append(self._mutate(seed_genome))
@@ -219,8 +215,7 @@ class LocalGA:
         best_cost, best_genome = population[0]
         if best_cost != float("inf"):
             result.best_cost = best_cost
-            result.best_assignments = tuple(
-                tuple(gene) for gene in best_genome)
+            result.best_assignments = raw_assignments(best_genome)
         result.wall_time_s = time.perf_counter() - started
         # ``evaluations`` keeps its historical meaning -- fitness samples
         # the search consumed -- so sample-efficiency comparisons against

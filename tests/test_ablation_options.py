@@ -68,15 +68,16 @@ class TestCrossoverModes:
 
     def test_global_crossover_blends_parents(self):
         ga = LocalGA(crossover_mode="global", seed=0)
-        a = [[1, 10], [1, 10], [1, 10], [1, 10]]
-        b = [[9, 90], [9, 90], [9, 90], [9, 90]]
+        a = np.array([[1, 10]] * 4, dtype=np.int64)
+        b = np.array([[9, 90]] * 4, dtype=np.int64)
         children = [ga._global_crossover(a, b) for _ in range(20)]
         # Every gene comes from one of the parents...
         for child in children:
-            for gene in child:
+            assert child.shape == a.shape
+            for gene in child.tolist():
                 assert gene in ([1, 10], [9, 90])
         # ...and blending actually mixes them.
-        assert any(len({tuple(g) for g in child}) == 2
+        assert any(len({tuple(g) for g in child.tolist()}) == 2
                    for child in children)
 
     def test_global_mode_runs_search(self, cost_model, mobilenet_slice,

@@ -1,14 +1,14 @@
 """The genome operators' random-stream contract.
 
 ``random_genomes``, ``uniform_crossover``, ``masked_draws`` (behind
-``resample_mutation``) and ``LocalGA._mutate`` draw whole genomes per
-Generator call, yet must return what the gene-by-gene loops they replaced
-return *and* leave the generator in the same state, so every seeded
-search -- and every golden pin -- stays bit-identical.  Each test runs an
-operator and its scalar reference loop on two generators with one history
-and compares the outputs and ``bit_generator.state``.  The GA tournaments'
-``integers`` draws are held to the ``choice`` calls they replaced the same
-way.
+``resample_mutation``), ``LocalGA._mutate`` and
+``LocalGA._global_crossover`` draw whole genomes per Generator call, yet
+must return what the gene-by-gene loops they replaced return *and* leave
+the generator in the same state, so every seeded search -- and every
+golden pin -- stays bit-identical.  Each test runs an operator and its
+scalar reference loop on two generators with one history and compares the
+outputs and ``bit_generator.state``.  The GA tournaments' ``integers``
+draws are held to the ``choice`` calls they replaced the same way.
 """
 
 from types import SimpleNamespace
@@ -18,6 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.evaluator import raw_assignments, raw_genome
+from repro.costmodel import BATCH_STYLES
 from repro.env.spaces import ActionSpace
 from repro.ga import LocalGA
 from repro.optim import base
@@ -259,15 +261,38 @@ def test_resample_mutation_matches_gene_by_gene_draws(seed, layers, levels,
 @example(seed=5, layers=52, step=4, rate=0.05, mix=False, carried=1)
 def test_local_ga_mutation_matches_gene_by_gene_draws(seed, layers, step,
                                                       rate, mix, carried):
+    """The array genome's mutation, MIX style column included, against
+    the gene-by-gene loop over assignment lists."""
     ga = LocalGA(mutation_rate=rate, mutation_step=step, max_pes=128,
                  max_l1_bytes=200)
     values = np.random.default_rng([seed, 3])
     genome = [[int(values.integers(1, 129)), int(values.integers(1, 201))]
-              + (["dla"] if mix else []) for _ in range(layers)]
+              + ([BATCH_STYLES[int(values.integers(3))]] if mix else [])
+              for _ in range(layers)]
     reference, replay = _twin_generators(seed, carried)
     ga.rng = replay
-    assert ga._mutate(genome) == reference_local_mutate(ga, reference,
-                                                        genome)
+    child = ga._mutate(raw_genome(genome))
+    assert child.dtype == np.int64
+    assert [list(row) for row in raw_assignments(child)] \
+        == reference_local_mutate(ga, reference, genome)
+    assert _state(replay) == _state(reference)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, layers=st.integers(1, 30), mix=st.booleans(),
+       carried=CARRIED)
+def test_global_crossover_matches_row_by_row_draws(seed, layers, mix,
+                                                   carried):
+    """The ablation's blend draws every row's ``random()`` in one call."""
+    values = np.random.default_rng([seed, 4])
+    width = 3 if mix else 2
+    a, b = values.integers(1, 200, size=(2, layers, width))
+    reference, replay = _twin_generators(seed, carried)
+    ga = LocalGA(crossover_mode="global")
+    ga.rng = replay
+    child = ga._global_crossover(a, b)
+    assert child.tolist() == reference_crossover(reference, a.tolist(),
+                                                 b.tolist())
     assert _state(replay) == _state(reference)
 
 

@@ -38,45 +38,53 @@ class TestConstruction:
             LocalGA(crossover_rate=-1.0)
 
 
+def _genome(rows):
+    """A stage-2 genome: (pes, l1_bytes) rows as one int64 array."""
+    return np.array(rows, dtype=np.int64)
+
+
 class TestOperators:
     def test_mutation_stays_local(self):
         ga = LocalGA(mutation_rate=1.0, mutation_step=4, seed=0)
-        genome = [[64, 100], [32, 50]]
+        genome = _genome([[64, 100], [32, 50]])
         for _ in range(50):
             child = ga._mutate(genome)
-            for parent_gene, child_gene in zip(genome, child):
-                assert abs(child_gene[0] - parent_gene[0]) <= 4
-                assert abs(child_gene[1] - parent_gene[1]) <= 4
+            assert child.shape == genome.shape
+            assert np.abs(child - genome).max() <= 4
 
     def test_mutation_respects_bounds(self):
         ga = LocalGA(mutation_rate=1.0, mutation_step=4, max_pes=128,
                      max_l1_bytes=200, seed=0)
-        genome = [[1, 1], [128, 200]]
+        genome = _genome([[1, 1], [128, 200]])
         for _ in range(50):
             child = ga._mutate(genome)
-            for gene in child:
-                assert 1 <= gene[0] <= 128
-                assert 1 <= gene[1] <= 200
+            assert ((1 <= child[:, 0]) & (child[:, 0] <= 128)).all()
+            assert ((1 <= child[:, 1]) & (child[:, 1] <= 200)).all()
 
     def test_local_crossover_swaps_layer_pairs(self):
         ga = LocalGA(seed=0)
-        genome = [[1, 10], [2, 20], [3, 30]]
+        genome = _genome([[1, 10], [2, 20], [3, 30]])
         child = ga._local_crossover(genome)
         # Multiset of assignments preserved: only positions change.
-        assert sorted(map(tuple, child)) == sorted(map(tuple, genome))
-        assert child != genome or len(genome) < 2
+        assert sorted(map(tuple, child.tolist())) \
+            == sorted(map(tuple, genome.tolist()))
+        assert (child != genome).any()
+        # Exactly two rows moved, and they swapped places.
+        moved = np.flatnonzero((child != genome).any(axis=1))
+        assert len(moved) == 2
+        assert (child[moved] == genome[moved[::-1]]).all()
 
     def test_crossover_on_single_layer_is_noop(self):
         ga = LocalGA(seed=0)
-        genome = [[1, 10]]
-        assert ga._local_crossover(genome) == genome
+        genome = _genome([[1, 10]])
+        assert (ga._local_crossover(genome) == genome).all()
 
     def test_mutation_does_not_alias_parent(self):
         ga = LocalGA(mutation_rate=1.0, seed=0)
-        genome = [[64, 100]]
+        genome = _genome([[64, 100]])
         child = ga._mutate(genome)
-        child[0][0] = 999
-        assert genome[0][0] == 64
+        child[0, 0] = 999
+        assert genome[0, 0] == 64
 
 
 class TestSearch:
