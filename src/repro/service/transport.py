@@ -10,6 +10,8 @@ write JSON to a socket) can drive a running service:
   (``{"event": {...}}``) and then the final response.
 * Responses carry ``"ok": true`` or ``"ok": false`` plus ``"error"``.
 * A connection may carry any number of requests sequentially.
+* A request line longer than :data:`MAX_REQUEST_BYTES` gets a ``bad
+  request`` error and the server closes the connection.
 
 Operations::
 
@@ -51,6 +53,11 @@ DEFAULT_PORT = 7661
 #: default is 0.5 s, which every ``shutdown()`` would wait out).
 POLL_INTERVAL_S = 0.05
 
+#: Longest request line, newline included (a spec is under 1 KB).  A
+#: longer line is answered with a ``bad request`` error and the connection
+#: is closed, so no client makes the server buffer an unbounded line.
+MAX_REQUEST_BYTES = 1 << 20
+
 
 class ServiceTCPServer(socketserver.ThreadingTCPServer):
     """Threaded ND-JSON front end over one :class:`SearchServer`."""
@@ -68,7 +75,15 @@ class _RequestHandler(socketserver.StreamRequestHandler):
     """One connection: requests in, responses out, line by line."""
 
     def handle(self) -> None:
-        for raw in self.rfile:
+        while True:
+            raw = self.rfile.readline(MAX_REQUEST_BYTES + 1)
+            if not raw:
+                return
+            if len(raw) > MAX_REQUEST_BYTES:
+                self._send({"ok": False, "error":
+                            f"bad request: line longer than "
+                            f"{MAX_REQUEST_BYTES} bytes"})
+                return
             line = raw.strip()
             if not line:
                 continue

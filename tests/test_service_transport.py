@@ -22,6 +22,7 @@ from repro.service import (
     probe,
     start_transport,
 )
+from repro.service.transport import MAX_REQUEST_BYTES
 
 
 def _spec(**overrides) -> SearchSpec:
@@ -155,3 +156,24 @@ class TestWireProtocol:
             handle.flush()
             response = json.loads(handle.readline().decode("utf-8"))
             assert response["ok"] is True
+
+    def test_oversized_line_is_refused_and_the_connection_closed(
+            self, service):
+        # A request line may fill MAX_REQUEST_BYTES, newline included...
+        ping = b'{"op": "ping"}'
+        padded = ping + b" " * (MAX_REQUEST_BYTES - len(ping) - 1) + b"\n"
+        with socket.create_connection(("127.0.0.1", service),
+                                      timeout=10) as sock:
+            handle = sock.makefile("rwb")
+            handle.write(padded)
+            handle.flush()
+            assert json.loads(handle.readline())["ok"] is True
+            # ...but one byte more, with no newline in sight, is refused
+            # without waiting for the rest, and the server hangs up.
+            handle.write(b"x" * (MAX_REQUEST_BYTES + 1))
+            handle.flush()
+            response = json.loads(handle.readline())
+            assert response["ok"] is False
+            assert response["error"].startswith("bad request: ")
+            assert handle.readline() == b""
+        assert self._raw(service, ['{"op": "ping"}'])[0]["ok"] is True
