@@ -51,19 +51,17 @@ def raw_genome(assignments: Sequence[RawAssignment]) -> np.ndarray:
                     f"unknown dataflow style {assignment[2]!r}; available: "
                     f"{', '.join(STYLE_INDEX)}"
                 ) from None
-            rows.append((assignment[0], assignment[1], code))
-        elif len(assignment) == 2:
-            rows.append(assignment)
-        else:
+            assignment = (assignment[0], assignment[1], code)
+        elif len(assignment) != 2:
             raise ValueError(
                 f"an assignment is (pes, l1_bytes[, style]), got "
                 f"{assignment!r}"
             )
-    try:
-        return np.array(rows, dtype=np.int64)
-    except ValueError:
-        raise ValueError(
-            "assignments must all carry a style or all omit it") from None
+        if rows and len(assignment) != len(rows[0]):
+            raise ValueError(
+                "assignments must all carry a style or all omit it")
+        rows.append(assignment)
+    return np.array(rows, dtype=np.int64)
 
 
 def raw_assignments(genome) -> Tuple[RawAssignment, ...]:
@@ -271,17 +269,15 @@ class DesignPointEvaluator:
         a style column run this evaluator's dataflow.
         """
         if not isinstance(populations, np.ndarray):
-            genomes = []
+            populations = list(populations)
+            if not populations:
+                return []
             for assignments in populations:
                 self._check_layer_count(len(assignments))
-                genomes.append(raw_genome(assignments))
-            if not genomes:
-                return []
-            try:
-                populations = np.stack(genomes)
-            except ValueError:
-                raise ValueError("assignments must all carry a style or "
-                                 "all omit it") from None
+            rows = raw_genome([assignment for assignments in populations
+                               for assignment in assignments])
+            populations = rows.reshape(len(populations), len(self.layers),
+                                       -1)
         design = np.asarray(populations, dtype=np.int64)
         if design.ndim != 3 or design.shape[2] not in (2, 3):
             raise ValueError(

@@ -581,8 +581,12 @@ class TestPopulationParity:
         with pytest.raises(KeyError, match="unknown dataflow style"):
             evaluator.evaluate_population_raw(
                 [[(8, 64, "tpu")] * len(model_layers)])
-        # The array form: wrong layer count, row width and style code.
         layers = len(model_layers)
+        mixed = [pair] * (layers - 1) + [(8, 64, "dla")]
+        for rows in ([(8,)] * layers, mixed):
+            with pytest.raises(ValueError, match="assignment"):
+                evaluator.evaluate_population_raw([rows])
+        # The array form: wrong layer count, row width and style code.
         with pytest.raises(ValueError, match="layers but"):
             evaluator.evaluate_population_raw(
                 np.full((3, layers - 1, 2), 8, dtype=np.int64))
