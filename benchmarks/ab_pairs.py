@@ -7,8 +7,10 @@
 Pair ``i`` runs ``e2ebench/run.py --workload W --seed SEED+i --seconds S
 --trace 0`` in checkout A and in checkout B, one after the other (never
 side by side: both pin themselves to the same CPU), with A first on even
-pairs and B first on odd ones.  Each run's metrics and pass count print as
-the pair finishes; the summary gives, for every end-to-end metric, each
+pairs and B first on odd ones.  ``S`` is ``run_seconds`` from A's
+``BENCHMARK.json``, so both sides run as long as the benchmark does.
+Each pair prints as one JSON line (every run's metrics and pass count)
+when it finishes; the summary gives, for every end-to-end metric, each
 side's median and interquartile range, B's wins, losses and ties (by the
 metric's ``better`` direction in A's ``BENCHMARK.json``), and whether B
 clears the gain rule: at least nine tenths of the pairs won, and a median
@@ -68,7 +70,7 @@ def summarize(pairs: list, directions: dict) -> list:
         b_low, b_median, b_high = quartiles(b)
         gap = sign * (a_median - b_median)
         rows.append({
-            "metric": name, "better": better,
+            "metric": name,
             "a_median": a_median, "a_iqr": a_high - a_low,
             "b_median": b_median, "b_iqr": b_high - b_low,
             "wins": wins, "losses": losses,
@@ -88,15 +90,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True,
                         help="seed of the first pair; pair i runs seed+i")
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: A's BENCHMARK.json)")
-    parser.add_argument("--json", type=Path, default=None,
-                        help="also write every run and the summary here")
     args = parser.parse_args(argv)
 
     benchmark = json.loads((args.a / "BENCHMARK.json").read_text())
-    seconds = (benchmark["run_seconds"] if args.seconds is None
-               else args.seconds)
+    seconds = benchmark["run_seconds"]
     directions = {entry["name"]: entry["better"]
                   for entry in benchmark["end_to_end"]}
     sides = {"a": args.a.resolve(), "b": args.b.resolve()}
@@ -124,11 +121,6 @@ def main(argv=None) -> int:
               f"{row['a_iqr']:>10.3g}{row['b_median']:>12.4g}"
               f"{row['b_iqr']:>10.3g}  {row['wins']:>6}/{row['losses']}/"
               f"{row['ties']:<10}{'yes' if row['gain'] else 'no'}")
-    if args.json is not None:
-        args.json.write_text(json.dumps(
-            {"workload": args.workload, "seconds": seconds,
-             "a": str(sides["a"]), "b": str(sides["b"]), "pairs": pairs,
-             "summary": rows}, indent=1) + "\n")
     return 0
 
 
