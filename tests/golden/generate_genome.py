@@ -13,7 +13,9 @@ best genome and assignments, the evaluation and cache-hit counts, and a
 SHA-256 of the best-so-far history.  ``local-ga`` also runs 54
 generations (1,000 evaluations) on those three groups and on the slice
 under ``ls`` and under a resource budget, and one case runs the
-ablation's ``LocalGA(crossover_mode="global")`` directly.  Hashing, the diff and
+ablation's ``LocalGA(crossover_mode="global")`` directly.  ``pareto-ga``
+also runs longer searches (``PARETO_GA_CASES``) that pin a SHA-256 of
+the whole reported front as well.  Hashing, the diff and
 the ``--check`` mode are ``generate_rl.py``'s; a change that moves a pin
 must say why in CHANGES.md.  ``tests/test_golden_genome.py`` compares a
 fresh run of every case with the file, exactly.
@@ -21,7 +23,9 @@ fresh run of every case with the file, exactly.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 from typing import Dict, List
@@ -70,6 +74,19 @@ LOCAL_GA_GROUPS = {**GROUPS,
                                  "constraint_kind": "resource",
                                  "max_total_l1": 1024}}
 
+#: The long ``pareto-ga`` cases, ``group/name -> (budget, spec options)``:
+#: the baseline grid's own task (a scalar objective, so nearly every
+#: individual is a front of its own), two objectives on the full model,
+#: and three on the IoT slice, where about a fifth of the evaluations are
+#: infeasible.  Each also pins ``front_sha256``.
+PARETO_GA_CASES = {
+    "full/pareto-ga-4000": (4000, {}),
+    "full/pareto-ga-multi-1000": (
+        1000, {"objective": "multi:latency,energy"}),
+    "slice8/pareto-ga-multi3-1000": (
+        1000, {"objective": "multi:latency,energy,area"}),
+}
+
 
 def case_names() -> List[str]:
     names = [f"{group}/{method}/seed{seed}"
@@ -77,6 +94,8 @@ def case_names() -> List[str]:
     names += [f"{group}/{LOCAL_GA}/seed{seed}"
               for seed in SEEDS for group in LOCAL_GA_GROUPS]
     names += [f"slice8/{LOCAL_GA_GLOBAL}/seed{seed}" for seed in SEEDS]
+    names += [f"{case}/seed{seed}"
+              for seed in SEEDS for case in PARETO_GA_CASES]
     return names
 
 
@@ -106,10 +125,16 @@ def run_case(key: str) -> dict:
 
     group, method, seed_text = key.split("/")
     seed = int(seed_text[len("seed"):])
+    pareto_case = PARETO_GA_CASES.get(f"{group}/{method}")
     if method == LOCAL_GA_GLOBAL:
         result = _global_crossover_result(seed)
     else:
-        if method == LOCAL_GA:
+        if pareto_case is not None:
+            budget, options = pareto_case
+            spec = SearchSpec(model=MODEL, method="pareto-ga",
+                              budget=budget, seed=seed, **GROUPS[group],
+                              **options)
+        elif method == LOCAL_GA:
             spec = SearchSpec(model=MODEL, method="local-ga",
                               budget=LOCAL_GA_BUDGET, seed=seed,
                               **LOCAL_GA_GROUPS[group])
@@ -121,6 +146,9 @@ def run_case(key: str) -> dict:
     pinned = harness.summarize(result)
     pinned["best_genome"] = (None if result.best_genome is None
                              else [int(gene) for gene in result.best_genome])
+    if pareto_case is not None:
+        front = json.dumps(result.extra["pareto_front"], sort_keys=True)
+        pinned["front_sha256"] = hashlib.sha256(front.encode()).hexdigest()
     return pinned
 
 
