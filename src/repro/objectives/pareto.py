@@ -118,9 +118,19 @@ def non_dominated_sort(values) -> np.ndarray:
     Rank 0 is the Pareto front; rank ``r`` points are non-dominated once
     every rank ``< r`` point is removed.  Implemented by peeling fronts
     off a precomputed domination-count vector, all array arithmetic.
+
+    With one component a point dominates exactly the strictly larger
+    values, and equal values (``-0.0`` and ``0.0``, or two infinities of
+    one sign) share a front, so the peel's ranks are the dense rank of
+    the values, which one ``np.unique`` returns.  A NaN neither dominates
+    nor is dominated, but ``np.unique`` merges NaNs into one last value,
+    so a column holding any NaN still peels.
     """
     values = _as_values(values)
-    n = len(values)
+    n, k = values.shape
+    if k == 1 and not np.isnan(values).any():
+        _, dense = np.unique(values[:, 0], return_inverse=True)
+        return dense.astype(np.int64, copy=False)
     ranks = np.zeros(n, dtype=np.int64)
     if n == 0:
         return ranks
@@ -141,32 +151,53 @@ def non_dominated_sort(values) -> np.ndarray:
     return ranks
 
 
-def crowding_distance(values) -> np.ndarray:
-    """NSGA-II crowding distance of each point *within one front*.
+def crowding_distance(values, ranks=None) -> np.ndarray:
+    """NSGA-II crowding distance of each point within its front.
 
-    Boundary points (componentwise extremes) get ``inf`` so selection
-    keeps the front's spread; interior points get the normalized
-    perimeter of their neighbor cuboid.  Callers sort descending.
+    Points sharing a value of ``ranks`` form one front; with ``ranks``
+    omitted every point is in one front.  Boundary points (componentwise
+    extremes) get ``inf`` so selection keeps the front's spread, which
+    makes every point of a front of one or two ``inf``; interior points
+    get the normalized perimeter of their neighbor cuboid.  Callers sort
+    descending.
+
+    Every front is crowded in the same pass.  Per component, one stable
+    ``np.lexsort`` on (rank, value) orders each front by value, ties in
+    index order, exactly as a stable ``argsort`` of that front alone
+    would; the components' gaps are added in component order.  So the
+    result is bit-for-bit the one per-front calls would give.
     """
     values = _as_values(values)
     n, k = values.shape
+    ranks = (np.zeros(n, dtype=np.int64) if ranks is None
+             else np.asarray(ranks).reshape(-1))
+    if len(ranks) != n:
+        raise ValueError(f"ranks ({len(ranks)}) and values ({n}) lengths "
+                         f"differ")
     distance = np.zeros(n, dtype=np.float64)
-    if n <= 2:
-        distance[:] = np.inf
+    if n == 0:
         return distance
     for component in range(k):
-        order = np.argsort(values[:, component], kind="stable")
-        component_values = values[order, component]
-        distance[order[0]] = np.inf
-        distance[order[-1]] = np.inf
-        lo, hi = component_values[0], component_values[-1]
-        # Degenerate spans (all equal, or infinite endpoints from
-        # infeasible rows) contribute no crowding on this axis; checking
+        column = values[:, component]
+        order = np.lexsort((column, ranks))
+        sorted_values = column[order]
+        first = np.ones(n, dtype=bool)
+        first[1:] = ranks[order[1:]] != ranks[order[:-1]]
+        last = np.ones(n, dtype=bool)
+        last[:-1] = first[1:]
+        distance[order[first | last]] = np.inf
+        # Each position's front extremes.
+        front = np.cumsum(first) - 1
+        lo = sorted_values[first][front]
+        hi = sorted_values[last][front]
+        # Degenerate spans (all equal, or infinite or NaN endpoints from
+        # infeasible rows) contribute no crowding on this axis; masking
         # before subtracting avoids an inf - inf NaN warning.
-        if hi <= lo or not (np.isfinite(lo) and np.isfinite(hi)):
-            continue
-        gaps = (component_values[2:] - component_values[:-2]) / (hi - lo)
-        distance[order[1:-1]] += gaps
+        interior = np.flatnonzero(~(first | last) & (hi > lo)
+                                  & np.isfinite(lo) & np.isfinite(hi))
+        gaps = ((sorted_values[interior + 1] - sorted_values[interior - 1])
+                / (hi[interior] - lo[interior]))
+        distance[order[interior]] += gaps
     return distance
 
 

@@ -21,7 +21,7 @@ surfaces as ``SessionResult.pareto_front``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -140,21 +140,21 @@ class ParetoGA(GenomeOptimizer):
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _rank_and_crowd(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Front ranks plus within-front crowding distances."""
+    def _selection_order(values: np.ndarray) -> np.ndarray:
+        """Row indices by NSGA-II preference: front rank ascending, then
+        crowding distance descending, then index (``np.lexsort`` is
+        stable).  The tournament and the survivor cut both read it."""
         ranks = non_dominated_sort(values)
-        crowding = np.zeros(len(values), dtype=np.float64)
-        for rank in range(int(ranks.max()) + 1 if len(ranks) else 0):
-            members = np.flatnonzero(ranks == rank)
-            crowding[members] = crowding_distance(values[members])
-        return ranks, crowding
+        crowding = crowding_distance(values, ranks)
+        return np.lexsort((-crowding, ranks))
 
-    def _select(self, ranks: np.ndarray, crowding: np.ndarray) -> int:
-        """Binary-ish tournament on (rank asc, crowding desc)."""
-        contenders = self.rng.integers(0, len(ranks),
+    def _select(self, position: np.ndarray) -> int:
+        """Tournament on (rank asc, crowding desc, index asc): of the
+        drawn contenders, the one ``position`` (each row's place in the
+        selection order) puts first."""
+        contenders = self.rng.integers(0, len(position),
                                        size=self.tournament_size)
-        return min(contenders,
-                   key=lambda i: (ranks[i], -crowding[i], i))
+        return min(contenders, key=position.__getitem__)
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
@@ -171,12 +171,13 @@ class ParetoGA(GenomeOptimizer):
             self._finalize()
             return
         while not self.exhausted:
-            ranks, crowding = self._rank_and_crowd(values)
+            # The inverse permutation: each row's place in the order.
+            position = np.argsort(self._selection_order(values))
             offspring: List[List[int]] = []
             while len(offspring) < population_size:
-                parent = population[self._select(ranks, crowding)]
+                parent = population[self._select(position)]
                 if self.rng.random() < self.crossover_rate:
-                    other = population[self._select(ranks, crowding)]
+                    other = population[self._select(position)]
                     child = self.uniform_crossover(parent, other)
                 else:
                     child = list(parent)
@@ -188,10 +189,7 @@ class ParetoGA(GenomeOptimizer):
             # (mu + lambda) environmental selection over the union.
             union = population + offspring
             union_values = np.concatenate([values, offspring_values])
-            ranks, crowding = self._rank_and_crowd(union_values)
-            order = sorted(range(len(union)),
-                           key=lambda i: (ranks[i], -crowding[i], i))
-            keep = order[: population_size]
+            keep = self._selection_order(union_values)[: population_size]
             population = [union[i] for i in keep]
             values = union_values[keep]
         self._finalize()

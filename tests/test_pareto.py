@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import repro
 from repro.objectives import (
@@ -121,6 +122,147 @@ def test_crowding_boundary_points_are_infinite():
     crowding = crowding_distance(values)
     assert crowding[0] == np.inf and crowding[-1] == np.inf
     assert np.all(crowding[1:-1] > 0) and np.all(np.isfinite(crowding[1:-1]))
+
+
+# ----------------------------------------------------------------------
+# The array paths: dense ranks for one component, every front crowded in
+# one pass, and ParetoGA's lexsort selection order -- each against the
+# loop it replaced.
+# ----------------------------------------------------------------------
+SPECIAL = [-np.inf, -1.0, -0.0, 0.0, 1.0, 2.0, 1e30, np.inf]
+
+
+def _reference_peel(values) -> list:
+    """Front ranks by peeling the non-dominated rows off
+    ``domination_matrix`` one front at a time."""
+    dominates = domination_matrix(values)
+    ranks = [0] * len(values)
+    remaining = set(range(len(values)))
+    rank = 0
+    while remaining:
+        front = [j for j in remaining
+                 if not any(dominates[i, j] for i in remaining)]
+        for j in front:
+            ranks[j] = rank
+        remaining -= set(front)
+        rank += 1
+    return ranks
+
+
+def _reference_crowding(values) -> np.ndarray:
+    """One front's crowding distance by the per-component argsort loop."""
+    n, k = values.shape
+    distance = np.zeros(n, dtype=np.float64)
+    if n <= 2:
+        distance[:] = np.inf
+        return distance
+    for component in range(k):
+        order = np.argsort(values[:, component], kind="stable")
+        column = values[order, component]
+        distance[order[0]] = np.inf
+        distance[order[-1]] = np.inf
+        lo, hi = column[0], column[-1]
+        if hi <= lo or not (np.isfinite(lo) and np.isfinite(hi)):
+            continue
+        distance[order[1:-1]] += (column[2:] - column[:-2]) / (hi - lo)
+    return distance
+
+
+@st.composite
+def ranked_matrices(draw):
+    """Values with ties, signed zeros and infinities, optionally with
+    constrained-encoded infeasible rows, plus an arbitrary rank vector."""
+    from repro.objectives import constrained_rows
+
+    n = draw(st.integers(min_value=0, max_value=30))
+    k = draw(st.integers(min_value=1, max_value=3))
+    cell = st.one_of(st.sampled_from(SPECIAL), st.integers(-3, 3).map(float),
+                     finite)
+    values = draw(arrays(np.float64, (n, k), elements=cell))
+    if draw(st.booleans()):
+        feasible = draw(arrays(bool, n))
+        violation = draw(arrays(np.float64, n, elements=st.sampled_from(
+            [0.0, 0.1, 0.5, 2.0])))
+        values = constrained_rows(values, feasible, violation)
+    ranks = draw(arrays(np.int64, n, elements=st.integers(0, 4)))
+    return values, ranks
+
+
+@settings(max_examples=300, deadline=None)
+@given(column=st.lists(st.sampled_from(SPECIAL + [np.nan]), max_size=30))
+def test_one_component_ranks_match_the_peel(column):
+    values = np.array(column, dtype=np.float64).reshape(-1, 1)
+    ranks = non_dominated_sort(values)
+    assert ranks.dtype == np.int64
+    assert ranks.tolist() == _reference_peel(values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=ranked_matrices())
+def test_ranks_match_the_peel(case):
+    values, _ = case
+    assert non_dominated_sort(values).tolist() == _reference_peel(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=ranked_matrices())
+def test_crowding_all_fronts_at_once_matches_each_front_alone(case):
+    values, ranks = case
+    per_front = np.zeros(len(values), dtype=np.float64)
+    reference = np.zeros(len(values), dtype=np.float64)
+    for rank in np.unique(ranks):
+        members = ranks == rank
+        per_front[members] = crowding_distance(values[members])
+        reference[members] = _reference_crowding(values[members])
+    assert per_front.tobytes() == reference.tobytes()
+    assert crowding_distance(values, ranks).tobytes() == reference.tobytes()
+    assert crowding_distance(values).tobytes() \
+        == _reference_crowding(values).tobytes()
+
+
+def test_crowding_rejects_a_rank_vector_of_another_length():
+    with pytest.raises(ValueError):
+        crowding_distance(np.ones((3, 2)), [0, 0])
+
+
+def _selection_key(ranks, crowding):
+    return lambda i: (ranks[i], -crowding[i], i)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=ranked_matrices())
+def test_selection_order_is_the_sorted_rank_crowding_order(case):
+    from repro.optim.pareto_ga import ParetoGA
+
+    values, _ = case
+    ranks = non_dominated_sort(values)
+    crowding = crowding_distance(values, ranks)
+    expected = sorted(range(len(values)),
+                      key=_selection_key(ranks, crowding))
+    assert ParetoGA._selection_order(values).tolist() == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=ranked_matrices(), seed=st.integers(0, 2**32 - 1),
+       size=st.sampled_from([2, 3, 4]))
+def test_tournament_returns_the_min_keyed_contender(case, seed, size):
+    """Same draws, same winner as ``min`` over the (rank, -crowding,
+    index) key, including a contender drawn twice."""
+    from repro.optim.pareto_ga import ParetoGA
+
+    values, _ = case
+    if len(values) == 0:
+        return
+    ranks = non_dominated_sort(values)
+    crowding = crowding_distance(values, ranks)
+    position = np.argsort(ParetoGA._selection_order(values))
+    ga = ParetoGA(seed=seed, tournament_size=size)
+    reference = np.random.default_rng(seed)
+    for _ in range(8):
+        contenders = reference.integers(0, len(values), size=size)
+        assert ga._select(position) == min(
+            contenders, key=_selection_key(ranks, crowding))
+    assert ga.rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestParetoArchive:
