@@ -231,5 +231,12 @@ class GenomeOptimizer:
             mutated[i] = level
         return mutated
 
+    def extra_so_far(self) -> Dict[str, object]:
+        """Method-specific ``SearchResult.extra`` entries for the work
+        done so far.  A search that an observer stops mid-run still
+        reports them (see ``repro.search.session.run_genome``); none by
+        default."""
+        return {}
+
     def _run(self) -> None:  # pragma: no cover - interface
         raise NotImplementedError

@@ -168,7 +168,7 @@ class ParetoGA(GenomeOptimizer):
         population = self.random_genomes(population_size)
         values = self._score(population)
         if values is None:
-            self._finalize()
+            self._result.extra.update(self.extra_so_far())
             return
         while not self.exhausted:
             # The inverse permutation: each row's place in the order.
@@ -192,10 +192,12 @@ class ParetoGA(GenomeOptimizer):
             keep = self._selection_order(union_values)[: population_size]
             population = [union[i] for i in keep]
             values = union_values[keep]
-        self._finalize()
+        self._result.extra.update(self.extra_so_far())
 
-    def _finalize(self) -> None:
-        """Materialize the archive as the JSON-safe front records."""
+    def extra_so_far(self) -> dict:
+        """The archive as the JSON-safe front records: every generation
+        scored so far.  A generation an observer stopped part-way never
+        reached :meth:`_score`, so it is not in the front."""
         names = self._multi.component_names
         front = []
         for values, genome in self._archive.front():
@@ -210,5 +212,4 @@ class ParetoGA(GenomeOptimizer):
         # Present the front swept along the primary axis; ties keep
         # first-seen (deterministic) order via the stable sort.
         front.sort(key=lambda point: tuple(point["objectives"].values()))
-        self._result.extra["pareto_front"] = front
-        self._result.extra["objective_names"] = list(names)
+        return {"pareto_front": front, "objective_names": list(names)}

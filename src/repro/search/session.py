@@ -338,9 +338,16 @@ def run_genome(info: MethodInfo, context: SessionContext) -> SearchResult:
     try:
         return method.search(evaluator, context.budget)
     except StopSearch:
-        return _stopped_result(info.name, context.tracker,
-                               evaluator.evaluations, context.tracker.steps,
-                               started)
+        result = _stopped_result(info.name, context.tracker,
+                                 evaluator.evaluations,
+                                 context.tracker.steps, started)
+        # Whatever the method built before the stop (``pareto-ga``: the
+        # front of its scored generations); registered factories need
+        # not return a GenomeOptimizer.
+        extra_so_far = getattr(method, "extra_so_far", None)
+        if extra_so_far is not None:
+            result.extra.update(extra_so_far())
+        return result
 
 
 def run_local_ga(info: MethodInfo, context: SessionContext) -> SearchResult:

@@ -239,6 +239,29 @@ class TestObservers:
         clone = SessionResult.from_json(outcome.to_json())
         assert clone.best_assignments == best
 
+    def test_stopped_pareto_ga_keeps_its_front(self, cost_model):
+        """An early-stopped ``pareto-ga`` run reports the front of the
+        generations it scored, and the front survives JSON."""
+        from repro.objectives import non_dominated_mask
+
+        spec = SearchSpec(model="mobilenet_v2", method="pareto-ga",
+                          objective="multi:latency,energy", layer_slice=8,
+                          budget=3000, seed=0)
+        outcome = SearchSession(spec, cost_model=cost_model).run(
+            callbacks=[EarlyStopping(patience=100)])
+        assert outcome.stopped_early
+        assert outcome.result.evaluations < spec.budget
+        front = outcome.pareto_front
+        assert isinstance(front, list) and front
+        assert outcome.result.extra["objective_names"] \
+            == ["latency", "energy"]
+        values = [[point["objectives"]["latency"],
+                   point["objectives"]["energy"]] for point in front]
+        assert non_dominated_mask(values).all()
+        clone = SessionResult.from_json(outcome.to_json())
+        assert clone.pareto_front == front
+        assert f"{len(front)}-point Pareto front" in outcome.summary()
+
     def test_observers_reset_between_runs(self, cost_model):
         # One observer instance serves many runs: a stop requested in run
         # 1 (or stale patience counters) must not leak into run 2.
