@@ -21,7 +21,7 @@ ConfuciuX evaluates tens of thousands of design points per search.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.costmodel.batched import BatchedCostModel
@@ -61,6 +61,71 @@ def area_um2(hw: HardwareConfig, pes: int, l1_bytes: int) -> float:
     return pe_area + l1_area + l2_area + noc_area
 
 
+def _evaluate_uncached(hw: HardwareConfig, layer: Layer, dataflow: Dataflow,
+                       pes: int, l1_bytes: int) -> CostReport:
+    """One layer on one design point: the report ``CostModel`` caches."""
+    plan = dataflow.plan(layer, pes, l1_bytes)
+
+    pes_used = min(pes, plan.units)
+    passes = math.ceil(plan.units / pes_used)
+    compute_cycles = float(passes * plan.unit_macs)
+    utilization = plan.units / (passes * pes_used)
+
+    weight_bytes = layer.weight_elements * plan.weight_fetches
+    input_bytes = layer.input_elements * plan.input_fetches
+    output_bytes = layer.output_elements * plan.output_fetches
+    l2_traffic = weight_bytes + input_bytes + output_bytes
+
+    # DRAM sees each unique operand once; the L2 prefetches tiles.
+    dram_bytes = float(
+        layer.weight_elements + layer.input_elements
+        + layer.output_elements
+    )
+    memory_cycles = dram_bytes / hw.dram_bandwidth_bytes_per_cycle
+    latency = max(compute_cycles, memory_cycles) + hw.pipeline_fill_cycles
+
+    pe_area, l1_area, l2_area, noc_area, l2_bytes = area_model(
+        hw, pes, l1_bytes)
+    area = pe_area + l1_area + l2_area + noc_area
+
+    dynamic_pj = (
+        layer.macs * hw.mac_energy_pj
+        + layer.macs * hw.l1_accesses_per_mac * hw.l1_energy_per_byte_pj
+        + l2_traffic * hw.l2_energy_per_byte_pj
+        + dram_bytes * hw.dram_energy_per_byte_pj
+    )
+    static_mw = (
+        pes * hw.pe_static_power_mw
+        + pes * l1_bytes * hw.l1_static_power_mw_per_byte
+        + l2_bytes * hw.l2_static_power_mw_per_byte
+    )
+    # 1 GHz: one cycle is 1 ns, so mW x cycles = pJ.
+    static_pj = static_mw * latency / hw.clock_ghz
+    energy_pj = dynamic_pj + static_pj
+    power_mw = energy_pj / latency * hw.clock_ghz
+
+    return CostReport(
+        latency_cycles=latency,
+        energy_nj=energy_pj / 1000.0,
+        area_um2=area,
+        power_mw=power_mw,
+        pes_used=pes_used,
+        pe_utilization=utilization,
+        l1_bytes_per_pe=l1_bytes,
+        l2_bytes=l2_bytes,
+        tile_k=plan.tile_k,
+        macs=layer.macs,
+        dram_bytes=dram_bytes,
+        l2_traffic_bytes=l2_traffic,
+        compute_cycles=compute_cycles,
+        memory_cycles=memory_cycles,
+        pe_area_um2=pe_area,
+        l1_area_um2=l1_area,
+        l2_area_um2=l2_area,
+        noc_area_um2=noc_area,
+    )
+
+
 class CostModel:
     """Stateful facade: caches per-layer evaluations across a search.
 
@@ -72,8 +137,12 @@ class CostModel:
     def __init__(self, hw: HardwareConfig = DEFAULT_HW,
                  cache_size: int = 200_000) -> None:
         self.hw = hw
+        # Cache a module-level function bound to ``hw`` (frozen, never
+        # reassigned), not the bound method: a cached bound method holds
+        # the model, so model, cache and every cached report would form
+        # a reference cycle only the cyclic collector frees.
         self._evaluate_cached = lru_cache(maxsize=cache_size)(
-            self._evaluate_uncached
+            partial(_evaluate_uncached, hw)
         )
         self._batched: Optional[BatchedCostModel] = None
 
@@ -121,70 +190,6 @@ class CostModel:
         dataflow = get_dataflow(dataflow)
         return self._evaluate_cached(layer, dataflow, int(pes),
                                      int(l1_bytes))
-
-    def _evaluate_uncached(self, layer: Layer, dataflow: Dataflow, pes: int,
-                           l1_bytes: int) -> CostReport:
-        hw = self.hw
-        plan = dataflow.plan(layer, pes, l1_bytes)
-
-        pes_used = min(pes, plan.units)
-        passes = math.ceil(plan.units / pes_used)
-        compute_cycles = float(passes * plan.unit_macs)
-        utilization = plan.units / (passes * pes_used)
-
-        weight_bytes = layer.weight_elements * plan.weight_fetches
-        input_bytes = layer.input_elements * plan.input_fetches
-        output_bytes = layer.output_elements * plan.output_fetches
-        l2_traffic = weight_bytes + input_bytes + output_bytes
-
-        # DRAM sees each unique operand once; the L2 prefetches tiles.
-        dram_bytes = float(
-            layer.weight_elements + layer.input_elements
-            + layer.output_elements
-        )
-        memory_cycles = dram_bytes / hw.dram_bandwidth_bytes_per_cycle
-        latency = max(compute_cycles, memory_cycles) + hw.pipeline_fill_cycles
-
-        pe_area, l1_area, l2_area, noc_area, l2_bytes = area_model(
-            hw, pes, l1_bytes)
-        area = pe_area + l1_area + l2_area + noc_area
-
-        dynamic_pj = (
-            layer.macs * hw.mac_energy_pj
-            + layer.macs * hw.l1_accesses_per_mac * hw.l1_energy_per_byte_pj
-            + l2_traffic * hw.l2_energy_per_byte_pj
-            + dram_bytes * hw.dram_energy_per_byte_pj
-        )
-        static_mw = (
-            pes * hw.pe_static_power_mw
-            + pes * l1_bytes * hw.l1_static_power_mw_per_byte
-            + l2_bytes * hw.l2_static_power_mw_per_byte
-        )
-        # 1 GHz: one cycle is 1 ns, so mW x cycles = pJ.
-        static_pj = static_mw * latency / hw.clock_ghz
-        energy_pj = dynamic_pj + static_pj
-        power_mw = energy_pj / latency * hw.clock_ghz
-
-        return CostReport(
-            latency_cycles=latency,
-            energy_nj=energy_pj / 1000.0,
-            area_um2=area,
-            power_mw=power_mw,
-            pes_used=pes_used,
-            pe_utilization=utilization,
-            l1_bytes_per_pe=l1_bytes,
-            l2_bytes=l2_bytes,
-            tile_k=plan.tile_k,
-            macs=layer.macs,
-            dram_bytes=dram_bytes,
-            l2_traffic_bytes=l2_traffic,
-            compute_cycles=compute_cycles,
-            memory_cycles=memory_cycles,
-            pe_area_um2=pe_area,
-            l1_area_um2=l1_area,
-            l2_area_um2=l2_area,
-            noc_area_um2=noc_area,
-        )
 
     # ------------------------------------------------------------------
     # Whole-model evaluation

@@ -1,8 +1,11 @@
 """Tests for the analytical cost estimator."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
+import numpy as np
 import pytest
 
 from repro.costmodel import CostModel, HardwareConfig
@@ -128,6 +131,28 @@ class TestEvaluateLayer:
         assert info.hits >= 1
         model.clear_cache()
         assert model.cache_info().hits == 0
+
+    def test_model_is_freed_without_the_cyclic_collector(self, tiny_model):
+        """The LRU cache must not hold the model: with the collector off,
+        a model that has used its scalar and batched paths is freed when
+        its last reference goes, and its cached reports with it."""
+        model = CostModel()
+        model.evaluate_model(tiny_model, [(16, 39)] * len(tiny_model),
+                             dataflow="dla")
+        model.evaluate_layer_batch(tiny_model[0], "dla", np.array([8, 16]),
+                                   np.array([39, 39]))
+        assert model.cache_info().currsize == len(tiny_model)
+        model_ref = weakref.ref(model)
+        batched_ref = weakref.ref(model.batched)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del model
+            assert model_ref() is None
+            assert batched_ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("style", ["dla", "eye", "shi"])
     def test_all_styles_all_types(self, cost_model, tiny_model, style):
