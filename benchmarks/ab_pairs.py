@@ -13,8 +13,13 @@ Each pair prints as one JSON line (every run's metrics and pass count)
 when it finishes; the summary gives, for every end-to-end metric, each
 side's median and interquartile range, B's wins, losses and ties (by the
 metric's ``better`` direction in A's ``BENCHMARK.json``), and whether B
-clears the gain rule: at least nine tenths of the pairs won, and a median
-gap wider than A's IQR.  A failed run stops the script with its stderr.
+clears the gain rule: at least nine tenths of the pairs won, ties counting
+for neither side, and a median gap wider than A's IQR.  It also gives the
+metric's ``bound`` from that file and the no-regression verdict: ``worse``
+when B's median is worse than A's by more than ``bound`` times A's
+median; else ``unresolved`` when A's IQR exceeds that margin and not
+every B run beats every A run; else ``ok``.  A failed run stops the
+script with its stderr.
 """
 
 from __future__ import annotations
@@ -57,25 +62,36 @@ def quartiles(values: list) -> tuple:
     return low, median, high
 
 
-def summarize(pairs: list, directions: dict) -> list:
-    """One summary row per end-to-end metric."""
+def summarize(pairs: list, end_to_end: list) -> list:
+    """One summary row per end-to-end metric of ``BENCHMARK.json``."""
     rows = []
-    for name, better in directions.items():
+    for entry in end_to_end:
+        name, bound = entry["name"], entry["bound"]
         a = [pair["a"]["metrics"][name] for pair in pairs]
         b = [pair["b"]["metrics"][name] for pair in pairs]
-        sign = 1 if better == "lower" else -1
+        sign = 1 if entry["better"] == "lower" else -1
         wins = sum(sign * (x - y) > 0 for x, y in zip(a, b))
         losses = sum(sign * (x - y) < 0 for x, y in zip(a, b))
         a_low, a_median, a_high = quartiles(a)
         b_low, b_median, b_high = quartiles(b)
         gap = sign * (a_median - b_median)
+        margin = bound * abs(a_median)
+        every_b_beats_every_a = all(sign * (x - y) > 0
+                                    for x in a for y in b)
+        if -gap > margin:
+            verdict = "worse"
+        elif a_high - a_low > margin and not every_b_beats_every_a:
+            verdict = "unresolved"
+        else:
+            verdict = "ok"
         rows.append({
-            "metric": name,
+            "metric": name, "bound": bound,
             "a_median": a_median, "a_iqr": a_high - a_low,
             "b_median": b_median, "b_iqr": b_high - b_low,
             "wins": wins, "losses": losses,
             "ties": len(pairs) - wins - losses,
             "gain": wins * 10 >= 9 * len(pairs) and gap > a_high - a_low,
+            "verdict": verdict,
         })
     return rows
 
@@ -94,8 +110,6 @@ def main(argv=None) -> int:
 
     benchmark = json.loads((args.a / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
-    directions = {entry["name"]: entry["better"]
-                  for entry in benchmark["end_to_end"]}
     sides = {"a": args.a.resolve(), "b": args.b.resolve()}
     pairs = []
     for index in range(args.pairs):
@@ -107,7 +121,7 @@ def main(argv=None) -> int:
         pairs.append(pair)
         print(json.dumps(pair), flush=True)
 
-    rows = summarize(pairs, directions)
+    rows = summarize(pairs, benchmark["end_to_end"])
     print(f"\n{args.workload}: {len(pairs)} pairs, seeds {args.seed}.."
           f"{args.seed + len(pairs) - 1}, {seconds:g} s runs, A={sides['a']}"
           f", B={sides['b']}")
@@ -115,12 +129,13 @@ def main(argv=None) -> int:
         str(pair["a"]["passes"]) for pair in pairs) + " | B " + " ".join(
         str(pair["b"]["passes"]) for pair in pairs))
     print(f"{'metric':<22}{'A median':>12}{'A IQR':>10}{'B median':>12}"
-          f"{'B IQR':>10}  B wins/losses/ties  gain")
+          f"{'B IQR':>10}  B wins/losses/ties  gain  bound  verdict")
     for row in rows:
         print(f"{row['metric']:<22}{row['a_median']:>12.4g}"
               f"{row['a_iqr']:>10.3g}{row['b_median']:>12.4g}"
               f"{row['b_iqr']:>10.3g}  {row['wins']:>6}/{row['losses']}/"
-              f"{row['ties']:<10}{'yes' if row['gain'] else 'no'}")
+              f"{row['ties']:<10}{'yes' if row['gain'] else 'no':<6}"
+              f"{row['bound']:<7g}{row['verdict']}")
     return 0
 
 
