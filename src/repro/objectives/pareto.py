@@ -156,9 +156,9 @@ def crowding_distance(values, ranks=None) -> np.ndarray:
 
     Points sharing a value of ``ranks`` form one front; with ``ranks``
     omitted every point is in one front.  Boundary points (componentwise
-    extremes) get ``inf`` so selection keeps the front's spread, which
-    makes every point of a front of one or two ``inf``; interior points
-    get the normalized perimeter of their neighbor cuboid.  Callers sort
+    extremes) get ``inf`` so selection keeps the front's spread, and every
+    point of a one- or two-point front is one; interior points get the
+    normalized perimeter of their neighbor cuboid.  Callers sort
     descending.
 
     Every front is crowded in the same pass.  Per component, one stable
@@ -169,11 +169,8 @@ def crowding_distance(values, ranks=None) -> np.ndarray:
     """
     values = _as_values(values)
     n, k = values.shape
-    ranks = (np.zeros(n, dtype=np.int64) if ranks is None
-             else np.asarray(ranks).reshape(-1))
-    if len(ranks) != n:
-        raise ValueError(f"ranks ({len(ranks)}) and values ({n}) lengths "
-                         f"differ")
+    ranks = np.zeros(n, dtype=np.int64) if ranks is None \
+        else np.asarray(ranks)
     distance = np.zeros(n, dtype=np.float64)
     if n == 0:
         return distance
@@ -181,8 +178,9 @@ def crowding_distance(values, ranks=None) -> np.ndarray:
         column = values[:, component]
         order = np.lexsort((column, ranks))
         sorted_values = column[order]
+        sorted_ranks = ranks[order]
         first = np.ones(n, dtype=bool)
-        first[1:] = ranks[order[1:]] != ranks[order[:-1]]
+        first[1:] = sorted_ranks[1:] != sorted_ranks[:-1]
         last = np.ones(n, dtype=bool)
         last[:-1] = first[1:]
         distance[order[first | last]] = np.inf
@@ -190,9 +188,9 @@ def crowding_distance(values, ranks=None) -> np.ndarray:
         front = np.cumsum(first) - 1
         lo = sorted_values[first][front]
         hi = sorted_values[last][front]
-        # Degenerate spans (all equal, or infinite or NaN endpoints from
-        # infeasible rows) contribute no crowding on this axis; masking
-        # before subtracting avoids an inf - inf NaN warning.
+        # Degenerate spans (all equal, or an infinite or NaN end)
+        # contribute no crowding on this axis; masking before
+        # subtracting avoids an inf - inf NaN warning.
         interior = np.flatnonzero(~(first | last) & (hi > lo)
                                   & np.isfinite(lo) & np.isfinite(hi))
         gaps = ((sorted_values[interior + 1] - sorted_values[interior - 1])
