@@ -46,6 +46,15 @@ SLICE_SESSIONS = (
 ENVS = 4
 ENVS_BUDGET = 8
 
+#: The lockstep groups off the default IoT area budget: suffix ->
+#: (constraint_kind, platform).  Power budgets are charged from the
+#: wave's cost reports; FPGA caps (the default 4096 PEs, 8192 L1 bytes)
+#: end most episodes part-way.
+ENVS_CONSTRAINTS = {
+    "power": ("power", "cloud"),
+    "resource": ("resource", "iot"),
+}
+
 #: (name, method, mix, budget, finetune) on full MobileNet-V2, on the
 #: cloud tier: at these budgets the IoT tier finds nothing feasible, and
 #: an all-infeasible run pins little.
@@ -69,6 +78,8 @@ AGENTS = {
     "reinforce-rnn-power": ("Reinforce", {"policy": "rnn"},
                             {"constraint_kind": "power",
                              "platform": "cloud"}, 8),
+    "reinforce-rnn-resource": ("Reinforce", {"policy": "rnn"},
+                               {"constraint_kind": "resource"}, 8),
     "reinforce-mlp": ("Reinforce", {"policy": "mlp"}, {}, 8),
     "ddpg": ("DDPG", {"warmup_steps": 16, "batch_size": 8}, {}, 5),
     "td3": ("TD3", {"warmup_steps": 16, "batch_size": 8}, {}, 5),
@@ -145,6 +156,9 @@ def case_names() -> List[str]:
                   for method, _, _ in SLICE_SESSIONS]
         names += [f"envs{ENVS}/{method}/seed{seed}"
                   for method, _, _ in SLICE_SESSIONS]
+        names += [f"envs{ENVS}-{suffix}/{method}/seed{seed}"
+                  for suffix in ENVS_CONSTRAINTS
+                  for method, _, _ in SLICE_SESSIONS]
         names += [f"full/{name}/seed{seed}"
                   for name, _, _, _, _ in FULL_SESSIONS]
         names += [f"agent/{name}/seed{seed}" for name in AGENTS]
@@ -160,11 +174,16 @@ def run_case(key: str) -> dict:
                                    if case[0] == name)
         return _session_case(name, seed, budget, finetune,
                              layer_slice=SLICE)
-    if group == f"envs{ENVS}":
+    if group.startswith(f"envs{ENVS}"):
         _, _, finetune = next(case for case in SLICE_SESSIONS
                               if case[0] == name)
+        suffix = group[len(f"envs{ENVS}-"):]
+        constraint = {}
+        if suffix:
+            kind, platform = ENVS_CONSTRAINTS[suffix]
+            constraint = {"constraint_kind": kind, "platform": platform}
         return _session_case(name, seed, ENVS_BUDGET, finetune,
-                             layer_slice=SLICE, envs=ENVS)
+                             layer_slice=SLICE, envs=ENVS, **constraint)
     if group == "full":
         _, method, mix, budget, finetune = next(
             case for case in FULL_SESSIONS if case[0] == name)

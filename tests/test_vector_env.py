@@ -216,7 +216,8 @@ class TestCrossEpisodePMin:
 
 @st.composite
 def wave_actions(draw):
-    """Episode count, action matrix stream, and a constraint kind."""
+    """Episode count, action matrix stream, a constraint kind, and the
+    reward shaping and penalty mode."""
     episodes = draw(st.integers(min_value=1, max_value=4))
     # Level indices skewed low so some episodes survive several steps
     # while high draws violate early -- arbitrary interleavings.
@@ -225,17 +226,21 @@ def wave_actions(draw):
                  min_size=2 * episodes, max_size=2 * episodes),
         min_size=4, max_size=4))
     kind = draw(st.sampled_from(["area", "power", "resource"]))
-    return episodes, matrix, kind
+    shaping = draw(st.sampled_from(["pmin", "raw"]))
+    penalty = draw(st.sampled_from(["accumulated", "constant"]))
+    return episodes, matrix, kind, shaping, penalty
 
 
 class TestReplayProperty:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(wave_actions())
     def test_any_interleaving_matches_scalar_replay(self, case):
         """Every finished episode's bookkeeping equals a fresh scalar
-        replay of its actions, regardless of which episodes violate
-        when; evaluations count one per live episode per wave."""
-        episodes, matrix, kind = case
+        replay of its actions -- and a planned replay where planning is
+        supported -- regardless of which episodes violate when; every
+        wave's rewards and the final p_min follow the row-order fold;
+        evaluations count one per live episode per wave."""
+        episodes, matrix, kind, shaping, penalty = case
         layers = get_model("mobilenet_v2")[:4]
         space = ActionSpace.build("dla")
         cost_model = CostModel()
@@ -246,34 +251,57 @@ class TestReplayProperty:
             budget = 8.0e6 if kind == "area" else 700.0
             constraint = PlatformConstraint(kind=kind, budget=budget,
                                             platform="custom")
-        env = HWAssignmentEnv(layers, space, "latency", constraint,
-                              cost_model, dataflow="dla")
+        env_kwargs = dict(dataflow="dla", reward_shaping=shaping,
+                          penalty_mode=penalty, constant_penalty=-7.0)
+
+        def make_env():
+            return HWAssignmentEnv(layers, space, "latency", constraint,
+                                   cost_model, **env_kwargs)
+
+        env = make_env()
         venv = VectorHWAssignmentEnv(env, episodes)
         venv.reset()
         finished = {}
         steps_taken = 0
         wave = 0
+        p_min = None
+        reward_sums = [0.0] * episodes
         while not venv.all_done:
             live = venv.live_indices
             row_actions = np.array(
                 matrix[wave % len(matrix)]).reshape(-1, 2)[:len(live)]
             steps_taken += len(live)
-            _, _, dones, info = venv.step(row_actions)
-            for row, episode in enumerate(info["episodes"]):
+            _, rewards, _, info = venv.step(row_actions)
+            costs = np.asarray(env.objective.evaluate(info["batch"]))
+            # The test's own fold, row by row in episode-index order.
+            for row, index in enumerate(live.tolist()):
+                episode = info["episodes"][row]
+                if episode is not None and not episode.feasible:
+                    expected = (-reward_sums[index]
+                                if penalty == "accumulated" else -7.0)
+                else:
+                    performance = -float(costs[row])
+                    if p_min is None or performance < p_min:
+                        p_min = performance
+                    expected = (performance - p_min if shaping == "pmin"
+                                else performance)
+                assert float(rewards[row]) == expected
+                reward_sums[index] += expected
                 if episode is not None:
-                    finished[int(live[row])] = episode
+                    finished[index] = episode
             wave += 1
+        assert env.p_min == p_min
         assert len(finished) == episodes
         assert env.evaluations == steps_taken
         assert env.episodes == episodes
         for episode in finished.values():
-            replay_env = HWAssignmentEnv(layers, space, "latency",
-                                         constraint, cost_model,
-                                         dataflow="dla")
+            replay_env = make_env()
             replay_env.reset()
             replay = None
+            replay_rewards = []
             for action in episode.actions:
-                _, _, _, step_info = replay_env.step(list(action))
+                _, reward, _, step_info = replay_env.step(list(action))
+                replay_rewards.append(reward)
                 replay = step_info["episode"]
             assert replay is not None
             assert replay.steps == episode.steps
@@ -281,3 +309,17 @@ class TestReplayProperty:
             assert replay.cost == episode.cost
             assert replay.used == episode.used
             assert replay.assignments == episode.assignments
+            if not replay_env.plan_supported():
+                continue
+            plan_env = make_env()
+            plan_env.reset()
+            plan = plan_env.begin_plan()
+            done = False
+            for action in episode.actions:
+                assert not done
+                _, done = plan.step(list(action))
+            assert done
+            planned_rewards, planned = plan.commit()
+            assert planned == replay
+            assert planned_rewards == replay_rewards
+            assert plan_env.p_min == replay_env.p_min
