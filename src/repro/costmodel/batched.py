@@ -36,7 +36,7 @@ from repro.costmodel.dataflow import (
     BatchDims,
     get_dataflow,
 )
-from repro.costmodel.report import BatchCostReport, objective_totals
+from repro.costmodel.report import BatchCostReport
 from repro.models.layers import Layer, LayerType
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "LayerTable",
     "MAX_LADDER_ROWS",
     "evaluate_batch_kernel",
-    "objective_totals",
     "ordered_row_sum",
     "population_totals",
 ]

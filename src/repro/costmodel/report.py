@@ -3,44 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 
-def objective_totals(latency, energy, objective: str):
-    """Legacy objective lookup over bare (latency, energy) totals.
-
-    Works elementwise on arrays (the batch engine's aggregates) exactly as
-    it does on scalars; the ``edp`` product is only computed when asked
-    for (this sits on hot paths, and for arrays the discarded multiply
-    would allocate a population-sized buffer).
-
-    Only the three historical names are served here; richer objectives
-    (area/power components, weighted blends, penalties, multi-objective
-    trade-offs) live in :mod:`repro.objectives` and evaluate over full
-    reports -- the ``objective`` methods below dispatch to them.
-    """
-    if objective == "latency":
-        return latency
-    if objective == "energy":
-        return energy
-    if objective == "edp":
-        return energy * latency
-    raise KeyError(
-        f"unknown objective {objective!r}; available: latency, energy, edp"
-    )
-
-
 def _resolve_objective_value(report, objective):
-    """Shared ``objective`` dispatch of the report classes: legacy names
-    take the historical (bit-identical) expressions; anything else --
-    an :class:`repro.objectives.Objective` instance or a composite spec
-    -- resolves through the objectives registry."""
-    if isinstance(objective, str) and objective in ("latency", "energy",
-                                                    "edp"):
-        return objective_totals(report.latency_cycles, report.energy_nj,
-                                objective)
+    """Shared ``objective`` of the report classes: any objective spec
+    (a registered name, a composite spec or an
+    :class:`repro.objectives.Objective` instance), resolved through the
+    objectives registry."""
     from repro.objectives import resolve_objective
 
     return resolve_objective(objective).evaluate(report)

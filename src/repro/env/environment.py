@@ -12,17 +12,28 @@ current layer.  The environment
   cost and ``P_min`` the worst layer performance observed across *all*
   episodes, keeping rewards positive while feasible, and
 * records the best feasible complete design point seen so far.
+
+These rules live in three private methods of :class:`HWAssignmentEnv`
+that act on an :class:`EpisodeRecord`: ``_charge`` (budget and
+violation), ``_reward`` (penalty, shaping and the ``P_min`` fold) and
+``_close`` (the :class:`EpisodeResult`, ``best`` and ``episodes``).  The
+three episode drivers differ only in where a layer's figures come from:
+:meth:`HWAssignmentEnv.step` scores each layer with the scalar cost
+model, :class:`EpisodePlan` charges the closed-form area while the agent
+samples and gathers the costs at commit, and
+:class:`~repro.env.vector.VectorHWAssignmentEnv` scores a wave of
+episodes in one kernel call and applies the rules row by row.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.constraints import PlatformConstraint, ResourceConstraint
+from repro.core.constraints import ResourceConstraint
 from repro.core.evaluator import Constraint
 from repro.costmodel.batched import (
     STYLE_INDEX,
@@ -31,7 +42,7 @@ from repro.costmodel.batched import (
     ordered_sum,
 )
 from repro.costmodel.estimator import CostModel, area_um2
-from repro.costmodel.report import CostReport
+from repro.costmodel.report import BatchCostReport
 from repro.env.observation import ObservationEncoder
 from repro.env.spaces import ActionSpace
 from repro.models.layers import Layer
@@ -53,6 +64,25 @@ class EpisodeResult:
     def genome(self) -> List[int]:
         """Flattened level-index genome (stage-2 GA seed format)."""
         return [gene for action in self.actions for gene in action]
+
+
+@dataclass
+class EpisodeRecord:
+    """The running record of one episode, kept by the env's rule methods.
+
+    Each driver holds one per live episode: the scalar env and its
+    :class:`EpisodePlan` share ``HWAssignmentEnv._episode``; a vector
+    env keeps one per lockstep episode.
+    """
+
+    actions: List[Tuple[int, ...]] = field(default_factory=list)
+    assignments: List[Tuple] = field(default_factory=list)
+    rewards: List[float] = field(default_factory=list)
+    cost: float = 0.0
+    used: float = 0.0
+    used_pes: int = 0
+    used_l1: int = 0
+    done: bool = False
 
 
 class HWAssignmentEnv:
@@ -120,7 +150,7 @@ class HWAssignmentEnv:
         self.episodes = 0
         self.evaluations = 0
 
-        self._reset_episode_state()
+        self._episode = EpisodeRecord()
 
     # ------------------------------------------------------------------
     @property
@@ -131,22 +161,10 @@ class HWAssignmentEnv:
     def observation_dim(self) -> int:
         return 10
 
-    def _reset_episode_state(self) -> None:
-        self._step = 0
-        self._prev_action: Optional[Sequence[int]] = None
-        self._episode_rewards: List[float] = []
-        self._episode_actions: List[Tuple[int, ...]] = []
-        self._episode_assignments: List[Tuple] = []
-        self._episode_cost = 0.0
-        self._used_budget = 0.0
-        self._used_pes = 0
-        self._used_l1 = 0
-        self._done = False
-
     # ------------------------------------------------------------------
     def reset(self) -> np.ndarray:
         """Start a new episode; returns the first observation."""
-        self._reset_episode_state()
+        self._episode = EpisodeRecord()
         return self.encoder.encode(self.layers[0], 0, None)
 
     def step(self, action: Sequence[int]):
@@ -155,98 +173,107 @@ class HWAssignmentEnv:
         ``info['episode']`` carries the :class:`EpisodeResult` on the step
         that ends the episode (success or violation), else ``None``.
         """
-        if self._done:
+        episode = self._episode
+        if episode.done:
             raise RuntimeError("step() called on a finished episode; reset()")
         action = tuple(int(a) for a in action)
-        layer = self.layers[self._step]
+        index = len(episode.actions)
         decoded = self.space.decode(action)
-        if len(decoded) == 3:
-            pes, l1_bytes, style = decoded
-        else:
-            pes, l1_bytes = decoded
-            style = self.dataflow
-        report = self.cost_model.evaluate_layer(layer, style, pes, l1_bytes)
+        style = decoded[2] if len(decoded) == 3 else self.dataflow
+        report = self.cost_model.evaluate_layer(
+            self.layers[index], style, decoded[0], decoded[1])
         self.evaluations += 1
 
-        self._episode_actions.append(action)
-        self._episode_assignments.append(decoded)
-        self._episode_cost += self.objective.evaluate(report)
-        violated = self._consume(report, pes, l1_bytes)
+        violated = self._charge(episode, action, decoded, report.constraint)
+        reward = self._reward(episode, self.objective.evaluate(report),
+                              violated)
+        done = violated or index + 1 == self.num_steps
+        result = self._close(episode, feasible=not violated) if done else None
+        return self._observe(index, action, done), reward, done, {
+            "report": report, "violated": violated, "episode": result,
+        }
 
+    def _observe(self, index: int, action: Tuple[int, ...],
+                 done: bool) -> np.ndarray:
+        """The observation after acting ``action`` on layer ``index``:
+        the next layer's, or this layer's again once the episode ends."""
+        if not done:
+            index += 1
+        return self.encoder.encode(self.layers[index], index, action)
+
+    # ------------------------------------------------------------------
+    # The episode rules, shared by every driver
+    # ------------------------------------------------------------------
+    def _charge(self, episode: EpisodeRecord, action: Tuple[int, ...],
+                assignment: Tuple,
+                layer_use: Callable[[str], float]) -> bool:
+        """Record one step on ``episode`` and charge its layer against the
+        budget; True once the budget is violated.
+
+        ``layer_use(kind)`` is the layer's area or power; FPGA caps
+        charge PEs and L1 bytes instead and never ask for it.
+        """
+        episode.actions.append(action)
+        episode.assignments.append(assignment)
+        pes, l1_bytes = assignment[0], assignment[1]
+        constraint = self.constraint
+        if isinstance(constraint, ResourceConstraint):
+            episode.used_pes += pes
+            episode.used_l1 += pes * l1_bytes
+            episode.used = float(episode.used_pes)
+            return (episode.used_pes > constraint.max_pes
+                    or episode.used_l1 > constraint.max_l1_bytes)
+        episode.used += layer_use(constraint.kind)
+        return episode.used > constraint.budget
+
+    def _reward(self, episode: EpisodeRecord, cost: float,
+                violated: bool) -> float:
+        """Add one step's objective ``cost`` to ``episode`` and return its
+        reward: the penalty on a violation, else the shaped performance,
+        folding it into the cross-episode ``p_min``."""
+        episode.cost += cost
         if violated:
             if self.penalty_mode == "accumulated":
                 # Equation 2: the penalty is the negated accumulated
                 # reward, scaling itself to the objective's magnitude.
-                reward = -ordered_sum(self._episode_rewards)
+                reward = -ordered_sum(episode.rewards)
             else:
                 reward = self.constant_penalty
-            self._episode_rewards.append(reward)
-            episode = self._finish(feasible=False)
-            observation = self.encoder.encode(layer, self._step,
-                                              action)
-            return observation, reward, True, {
-                "report": report, "violated": True, "episode": episode,
-            }
-
-        performance = -self.objective.evaluate(report)
-        if self.p_min is None or performance < self.p_min:
-            self.p_min = performance
-        if self.reward_shaping == "pmin":
-            reward = performance - self.p_min
         else:
-            reward = performance
-        self._episode_rewards.append(reward)
+            performance = -cost
+            if self.p_min is None or performance < self.p_min:
+                self.p_min = performance
+            if self.reward_shaping == "pmin":
+                reward = performance - self.p_min
+            else:
+                reward = performance
+        episode.rewards.append(reward)
+        return reward
 
-        self._prev_action = action
-        self._step += 1
-        done = self._step >= self.num_steps
-        episode = self._finish(feasible=True) if done else None
-        if done:
-            next_layer = layer
-        else:
-            next_layer = self.layers[self._step]
-        observation = self.encoder.encode(next_layer, min(self._step,
-                                                          self.num_steps - 1),
-                                          action)
-        return observation, reward, done, {
-            "report": report, "violated": False, "episode": episode,
-        }
-
-    # ------------------------------------------------------------------
-    def _consume(self, report: CostReport, pes: int, l1_bytes: int) -> bool:
-        """Charge this layer against the budget; True if now violated."""
-        constraint = self.constraint
-        if isinstance(constraint, ResourceConstraint):
-            self._used_pes += pes
-            self._used_l1 += pes * l1_bytes
-            self._used_budget = float(self._used_pes)
-            return (self._used_pes > constraint.max_pes
-                    or self._used_l1 > constraint.max_l1_bytes)
-        self._used_budget += constraint.consumption(report)
-        return self._used_budget > constraint.budget
-
-    def _finish(self, feasible: bool) -> EpisodeResult:
-        self._done = True
+    def _close(self, episode: EpisodeRecord,
+               feasible: bool) -> EpisodeResult:
+        """End ``episode``: count it, keep it as ``best`` if it is the
+        cheapest feasible one yet, and return its result."""
+        episode.done = True
         self.episodes += 1
-        episode = EpisodeResult(
-            actions=tuple(self._episode_actions),
-            assignments=tuple(self._episode_assignments),
-            cost=self._episode_cost,
-            used=self._used_budget,
+        result = EpisodeResult(
+            actions=tuple(episode.actions),
+            assignments=tuple(episode.assignments),
+            cost=episode.cost,
+            used=episode.used,
             feasible=feasible,
-            steps=len(self._episode_actions),
+            steps=len(episode.actions),
         )
-        if feasible and (self.best is None or episode.cost < self.best.cost):
-            self.best = episode
-        return episode
+        if feasible and (self.best is None or result.cost < self.best.cost):
+            self.best = result
+        return result
 
-    # ------------------------------------------------------------------
     def budget_left(self) -> float:
         """L_budget of Section III-D (inf when unconstrained)."""
         constraint = self.constraint
         if isinstance(constraint, ResourceConstraint):
-            return float(constraint.max_pes - self._used_pes)
-        return constraint.budget - self._used_budget
+            return float(constraint.max_pes - self._episode.used_pes)
+        return constraint.budget - self._episode.used
 
     # ------------------------------------------------------------------
     # Planned episodes: batched scoring of a whole epoch
@@ -279,7 +306,7 @@ class HWAssignmentEnv:
             raise RuntimeError(
                 "planned episodes need a resource or area constraint; "
                 f"this env is {self.constraint.kind!r}-constrained")
-        if self._done or self._step:
+        if self._episode.done or self._episode.actions:
             raise RuntimeError("begin_plan() requires a fresh reset()")
         return EpisodePlan(self)
 
@@ -310,14 +337,18 @@ class HWAssignmentEnv:
             return ladder.gather(ladder.rows(
                 layer_idx, genes[:, 0], genes[:, 1],
                 genes[:, 2] if self.space.is_mix else None))
-        styles = [a[2] if len(a) == 3 else self.dataflow
-                  for a in assignments]
+        return self._evaluate(layer_idx, assignments).figures()
+
+    def _evaluate(self, layer_idx: np.ndarray,
+                  assignments: Sequence[Tuple]) -> BatchCostReport:
+        """Layers ``layer_idx`` under the decoded ``assignments``, scored
+        in one kernel call."""
         return self.cost_model.batched.evaluate(
             self.layer_table, layer_idx,
-            np.array([STYLE_INDEX[s] for s in styles], dtype=np.int64),
+            np.array([STYLE_INDEX[a[2] if len(a) == 3 else self.dataflow]
+                      for a in assignments], dtype=np.int64),
             np.array([a[0] for a in assignments], dtype=np.int64),
-            np.array([a[1] for a in assignments], dtype=np.int64),
-        ).figures()
+            np.array([a[1] for a in assignments], dtype=np.int64))
 
 
 class EpisodePlan:
@@ -332,107 +363,54 @@ class EpisodePlan:
             observation, done = plan.step(action)
         rewards, episode = plan.commit()
 
-    :meth:`step` applies the action bookkeeping and the *exact*
-    termination rule of ``HWAssignmentEnv.step`` (resource arithmetic, or
-    the closed-form area model) without touching the cost model;
-    :meth:`commit` gathers every recorded layer's figures from the env's
-    :class:`~repro.costmodel.batched.LadderTable` (one kernel call prices
-    the whole ladder on the first commit; ladders too big to tabulate
-    are scored by one kernel call per commit) and replays the reward
-    shaping sequentially, so the rewards, the ``p_min`` trajectory, the
-    :class:`EpisodeResult`, and all env counters come out bit-identical
-    to the scalar path.
+    :meth:`step` records each action on the env's episode and charges
+    its layer through the env's rules, with the closed-form area in
+    place of a cost report, so termination is exact before any cost
+    exists; :meth:`commit` gathers every recorded layer's figures from
+    the env's :class:`~repro.costmodel.batched.LadderTable` (one kernel
+    call prices the whole ladder on the first commit; ladders too big to
+    tabulate are scored by one kernel call per commit) and takes the
+    rewards step by step from the same rules, so the rewards, the
+    ``p_min`` trajectory, the :class:`EpisodeResult`, and all env
+    counters come out bit-identical to the scalar path.
     """
 
     def __init__(self, env: HWAssignmentEnv) -> None:
         self.env = env
-        self._actions: List[Tuple[int, ...]] = []
-        self._decoded: List[Tuple] = []
-        self._used_budget = 0.0
-        self._used_pes = 0
-        self._used_l1 = 0
+        self._episode = env._episode
         self._done = False
         self._violated = False
-
-    # ------------------------------------------------------------------
-    def _check(self, pes: int, l1_bytes: int) -> bool:
-        """The termination rule of ``HWAssignmentEnv._consume``, computed
-        without a cost report."""
-        constraint = self.env.constraint
-        if isinstance(constraint, ResourceConstraint):
-            self._used_pes += pes
-            self._used_l1 += pes * l1_bytes
-            self._used_budget = float(self._used_pes)
-            return (self._used_pes > constraint.max_pes
-                    or self._used_l1 > constraint.max_l1_bytes)
-        # Area accumulates exactly as consumption(report) does: the
-        # closed form and the report share one arithmetic (area_model).
-        self._used_budget += area_um2(self.env.cost_model.hw, pes, l1_bytes)
-        return self._used_budget > constraint.budget
 
     def step(self, action: Sequence[int]):
         """Record one action; returns (observation, done) -- no reward
         yet, rewards exist only after :meth:`commit`."""
         if self._done:
             raise RuntimeError("step() called on a finished plan")
-        env = self.env
+        env, episode = self.env, self._episode
         action = tuple(int(a) for a in action)
-        step_index = len(self._actions)
-        layer = env.layers[step_index]
+        index = len(episode.actions)
         decoded = env.space.decode(action)
-        self._actions.append(action)
-        self._decoded.append(decoded)
+        hw = env.cost_model.hw
+        # plan_supported() admits area budgets only, and area has a
+        # closed form that a cost report shares bit for bit.
+        self._violated = env._charge(
+            episode, action, decoded,
+            lambda kind: area_um2(hw, decoded[0], decoded[1]))
+        self._done = self._violated or index + 1 == env.num_steps
+        return env._observe(index, action, self._done), self._done
 
-        if self._check(decoded[0], decoded[1]):
-            self._violated = True
-            self._done = True
-            observation = env.encoder.encode(layer, step_index, action)
-            return observation, True
-
-        next_index = step_index + 1
-        self._done = next_index >= env.num_steps
-        next_layer = (layer if self._done else env.layers[next_index])
-        observation = env.encoder.encode(
-            next_layer, min(next_index, env.num_steps - 1), action)
-        return observation, self._done
-
-    # ------------------------------------------------------------------
     def commit(self) -> Tuple[List[float], EpisodeResult]:
         """Score the recorded episode from the ladder table and fold the
         outcome back into the env; returns (rewards, episode)."""
         if not self._done:
             raise RuntimeError("commit() before the episode finished")
-        env = self.env
-        steps = len(self._actions)
-        figures = env._step_figures(self._actions, self._decoded)
+        env, episode = self.env, self._episode
+        steps = len(episode.actions)
+        figures = env._step_figures(episode.actions, episode.assignments)
         env.evaluations += steps
         costs = np.asarray(
             env.objective.evaluate(CostTotals(*figures))).tolist()
-
-        # Sequential replay of the reward shaping, in scalar step order.
-        rewards: List[float] = []
-        episode_cost = 0.0
-        for index, cost in enumerate(costs):
-            episode_cost += cost
-            if self._violated and index == steps - 1:
-                if env.penalty_mode == "accumulated":
-                    rewards.append(-ordered_sum(rewards))
-                else:
-                    rewards.append(env.constant_penalty)
-                break
-            performance = -cost
-            if env.p_min is None or performance < env.p_min:
-                env.p_min = performance
-            if env.reward_shaping == "pmin":
-                rewards.append(performance - env.p_min)
-            else:
-                rewards.append(performance)
-
-        env._episode_actions = list(self._actions)
-        env._episode_assignments = list(self._decoded)
-        env._episode_cost = episode_cost
-        env._used_budget = self._used_budget
-        env._used_pes = self._used_pes
-        env._used_l1 = self._used_l1
-        episode = env._finish(feasible=not self._violated)
-        return rewards, episode
+        rewards = [env._reward(episode, cost,
+                               self._violated and index == steps - 1)
+                   for index, cost in enumerate(costs)]
+        return rewards, env._close(episode, feasible=not self._violated)

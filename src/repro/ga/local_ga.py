@@ -48,14 +48,13 @@ class LocalGA:
             "global" (conventional two-parent gene blending) -- the latter
             exists only for the ablation that reproduces the paper's
             argument that blending breaks the learnt budget split.
-        use_batch: Evaluate each generation's offspring as one batched
-            population instead of per-individual calls (bit-identical
-            results; ``False`` keeps the scalar path for parity tests).
-        memoize: Cache fitness by genome within one search so duplicate
-            offspring -- common with elitism and low mutation rates --
-            never re-hit the estimator.  The hit count is exposed on
-            :attr:`SearchResult.cache_hits`.
         seed: RNG seed.
+
+    Each generation's offspring are scored as one batched population,
+    and fitness is memoized by genome within one search, so duplicate
+    offspring -- common with elitism and low mutation rates -- never
+    re-hit the estimator; the hit count is exposed on
+    :attr:`SearchResult.cache_hits`.
     """
 
     name = "local-ga"
@@ -64,7 +63,6 @@ class LocalGA:
                  crossover_rate: float = 0.2, mutation_step: int = 4,
                  max_pes: int = 128, max_l1_bytes: int = 2048,
                  elite: int = 2, crossover_mode: str = "local",
-                 use_batch: bool = True, memoize: bool = True,
                  seed: Optional[int] = None) -> None:
         if population_size < 2:
             raise ValueError("population_size must be >= 2")
@@ -85,8 +83,6 @@ class LocalGA:
         self.max_pes = max_pes
         self.max_l1_bytes = max_l1_bytes
         self.elite = max(1, elite)
-        self.use_batch = use_batch
-        self.memoize = memoize
         self.rng = np.random.default_rng(seed)
         self._memo: Dict[bytes, float] = {}
         self._hits = 0
@@ -130,21 +126,11 @@ class LocalGA:
         """The GA's fitness rule: objective cost, infinite if infeasible."""
         return outcome.cost if outcome.feasible else float("inf")
 
-    def _evaluate_many(self, evaluator: DesignPointEvaluator,
-                       genomes: Sequence[Genome]) -> List[EvalResult]:
-        if self.use_batch:
-            return evaluator.evaluate_population_raw(np.stack(genomes))
-        return [evaluator.evaluate_raw(raw_assignments(genome))
-                for genome in genomes]
-
     def _fitness_many(self, evaluator: DesignPointEvaluator,
                       genomes: Sequence[Genome]) -> List[float]:
         """Fitness of many genomes: one batched estimator call, with
         duplicate genomes (within the batch or across the whole search)
         served from the memo instead of re-hitting the estimator."""
-        if not self.memoize:
-            return [self._cost_of(outcome) for outcome
-                    in self._evaluate_many(evaluator, genomes)]
         # Every genome of a search shares the seed's shape and dtype, so
         # equal genomes have equal bytes.
         keys = [genome.tobytes() for genome in genomes]
@@ -155,8 +141,8 @@ class LocalGA:
             else:
                 pending[key] = genome
         if pending:
-            outcomes = self._evaluate_many(evaluator,
-                                           list(pending.values()))
+            outcomes = evaluator.evaluate_population_raw(
+                np.stack(list(pending.values())))
             for key, outcome in zip(pending, outcomes):
                 self._memo[key] = self._cost_of(outcome)
         return [self._memo[key] for key in keys]

@@ -55,8 +55,7 @@ class CostTotals(NamedTuple):
 def _component_value(report, component: str):
     """One named figure of merit from any report-like object.
 
-    ``edp`` is computed as ``energy * latency`` -- the exact legacy
-    expression order of ``objective_totals``.
+    ``edp`` is computed as ``energy * latency``, in that order.
     """
     if component == "latency":
         return report.latency_cycles

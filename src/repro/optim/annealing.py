@@ -27,8 +27,8 @@ class SimulatedAnnealing(GenomeOptimizer):
 
     def __init__(self, temperature: float = 10.0, step: int = 1,
                  cooling: float = 0.999, restarts: int = 5,
-                 seed=None, use_batch: bool = True) -> None:
-        super().__init__(seed=seed, use_batch=use_batch)
+                 seed=None) -> None:
+        super().__init__(seed=seed)
         if temperature <= 0:
             raise ValueError("temperature must be positive")
         if step < 1:

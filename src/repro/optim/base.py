@@ -104,10 +104,8 @@ class GenomeOptimizer:
     #: methods (random / grid); population methods batch one generation.
     batch_size = 256
 
-    def __init__(self, seed: Optional[int] = None,
-                 use_batch: bool = True) -> None:
+    def __init__(self, seed: Optional[int] = None) -> None:
         self.rng = np.random.default_rng(seed)
-        self.use_batch = use_batch
         self._result: Optional[SearchResult] = None
         self._evaluator: Optional[DesignPointEvaluator] = None
         self._budget = 0
@@ -162,12 +160,12 @@ class GenomeOptimizer:
 
         Single-genome sets take the scalar path
         (:meth:`DesignPointEvaluator.evaluate_genome` -> ``evaluate_raw``
-        -> ``CostModel.evaluate_model``) even with ``use_batch`` on.  The
-        sequential walks (SA proposals, Bayesian's EI loop) thereby keep
-        an oracle independent of the ladder table that populations are
-        gathered from: e2ebench's gate re-scores every best design
-        through the same scalar chain, and its traced runs require that
-        chain to fire on the baseline grid.  Both paths return identical
+        -> ``CostModel.evaluate_model``).  The sequential walks (SA
+        proposals, Bayesian's EI loop) thereby keep an oracle
+        independent of the ladder table that populations are gathered
+        from: e2ebench's gate re-scores every best design through the
+        same scalar chain, and its traced runs require that chain to
+        fire on the baseline grid.  Both paths return identical
         numbers.
 
         Raises:
@@ -176,7 +174,7 @@ class GenomeOptimizer:
         if self.exhausted:
             raise RuntimeError("evaluation budget exhausted")
         genomes = list(genomes)[: self._budget - self._spent]
-        if self.use_batch and len(genomes) > 1:
+        if len(genomes) > 1:
             outcomes = self._evaluator.evaluate_population(genomes)
         else:
             outcomes = [self._evaluator.evaluate_genome(genome)

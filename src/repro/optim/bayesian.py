@@ -31,8 +31,8 @@ class BayesianOptimization(GenomeOptimizer):
     def __init__(self, initial_samples: int = 20, candidate_pool: int = 256,
                  length_scale: float = 0.4, noise: float = 1e-4,
                  max_fit_points: int = 400, infeasible_penalty: float = 4.0,
-                 seed=None, use_batch: bool = True) -> None:
-        super().__init__(seed=seed, use_batch=use_batch)
+                 seed=None) -> None:
+        super().__init__(seed=seed)
         if initial_samples < 2:
             raise ValueError("initial_samples must be >= 2")
         self.initial_samples = initial_samples

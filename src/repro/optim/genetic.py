@@ -23,8 +23,8 @@ class GeneticAlgorithm(GenomeOptimizer):
 
     def __init__(self, population_size: int = 100, mutation_rate: float = 0.05,
                  crossover_rate: float = 0.05, tournament_size: int = 3,
-                 elite: int = 2, seed=None, use_batch: bool = True) -> None:
-        super().__init__(seed=seed, use_batch=use_batch)
+                 elite: int = 2, seed=None) -> None:
+        super().__init__(seed=seed)
         if population_size < 2:
             raise ValueError("population_size must be >= 2")
         if not 0.0 <= mutation_rate <= 1.0:

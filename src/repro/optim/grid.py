@@ -22,9 +22,8 @@ class GridSearch(GenomeOptimizer):
 
     name = "grid"
 
-    def __init__(self, stride: int = 2, seed=None,
-                 use_batch: bool = True) -> None:
-        super().__init__(seed=seed, use_batch=use_batch)
+    def __init__(self, stride: int = 2, seed=None) -> None:
+        super().__init__(seed=seed)
         if stride < 1:
             raise ValueError("stride must be >= 1")
         self.stride = stride

@@ -54,8 +54,8 @@ class ParetoGA(GenomeOptimizer):
     def __init__(self, population_size: int = 50,
                  mutation_rate: float = 0.1, crossover_rate: float = 0.9,
                  tournament_size: int = 2, archive_size: int = 128,
-                 seed=None, use_batch: bool = True) -> None:
-        super().__init__(seed=seed, use_batch=use_batch)
+                 seed=None) -> None:
+        super().__init__(seed=seed)
         if population_size < 2:
             raise ValueError("population_size must be >= 2")
         if not 0.0 <= mutation_rate <= 1.0:

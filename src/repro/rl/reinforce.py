@@ -40,13 +40,12 @@ class Reinforce(SearchAlgorithm):
         discount: Return discount; the paper found 0.9 a good default.
         entropy_coef: Exploration bonus weight.
         hidden_size: LSTM width.
-        batch_episodes: Score each epoch's sampled episode through the
-            batched estimator in one call instead of one scalar
-            cost-model call per layer step.  Bit-identical to the
-            scalar path (rewards, RNG stream, results) and therefore on
-            by default; envs whose termination rule needs full per-layer
-            reports (power budgets) fall back to scalar stepping.
         seed: RNG seed for reproducible searches.
+
+    Single-env episodes run planned (:meth:`run_episode_planned`, one
+    batched scoring per episode) wherever ``env.plan_supported()``, and
+    step by step (:meth:`run_episode`) otherwise; both are
+    bit-identical in rewards, RNG stream and results.
     """
 
     name = "reinforce"
@@ -54,7 +53,6 @@ class Reinforce(SearchAlgorithm):
     def __init__(self, policy: str = "rnn", lr: float = 3e-3,
                  discount: float = 0.9, entropy_coef: float = 0.01,
                  hidden_size: int = 128, max_grad_norm: float = 5.0,
-                 batch_episodes: bool = True,
                  seed: Optional[int] = None) -> None:
         self.policy_kind = policy
         self.lr = lr
@@ -62,7 +60,6 @@ class Reinforce(SearchAlgorithm):
         self.entropy_coef = entropy_coef
         self.hidden_size = hidden_size
         self.max_grad_norm = max_grad_norm
-        self.batch_episodes = batch_episodes
         self.rng = np.random.default_rng(seed)
         self.policy = None
         self.optimizer = None
@@ -273,8 +270,7 @@ class Reinforce(SearchAlgorithm):
                 lambda episodes: self.update_wave(
                     self.run_wave(env, episodes)))
         else:
-            planned = self.batch_episodes and env.plan_supported()
-            episode_fn = (self.run_episode_planned if planned
+            episode_fn = (self.run_episode_planned if env.plan_supported()
                           else self.run_episode)
             for _ in range(epochs):
                 rollout, rewards, _ = episode_fn(env)

@@ -29,6 +29,9 @@ Operations::
 ``submit`` with ``"wait": true`` (the default) blocks until the job is
 terminal and embeds the full ``result`` document; ``"wait": false``
 returns the job summary immediately (poll with ``status`` / ``result``).
+``force``, ``watch`` and ``wait`` must be JSON booleans and ``timeout``
+(seconds) a finite number or ``null``; any other value is a ``bad
+request``, answered before a job is queued.
 The transport never re-serializes a stored result through live objects
 except via ``SessionResult.from_dict``/``to_dict``, so a cache hit's
 document is bit-identical to the run that produced it.
@@ -37,10 +40,11 @@ document is bit-identical to the run that produced it.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import socketserver
 import threading
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.search.spec import SearchSpec
 from repro.service.server import SearchServer
@@ -57,6 +61,32 @@ POLL_INTERVAL_S = 0.05
 #: longer line is answered with a ``bad request`` error and the connection
 #: is closed, so no client makes the server buffer an unbounded line.
 MAX_REQUEST_BYTES = 1 << 20
+
+
+class _BadRequest(ValueError):
+    """A request whose fields have the wrong wire type."""
+
+
+def _flag(request: dict, name: str, default: bool) -> bool:
+    """The JSON boolean ``request[name]`` (``default`` when absent)."""
+    value = request.get(name, default)
+    if not isinstance(value, bool):
+        raise _BadRequest(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _timeout(request: dict) -> Optional[float]:
+    """``request["timeout"]``: a finite number of seconds, or ``None``.
+
+    ``NaN`` would make ``Job.wait`` spin and ``Infinity`` overflow its
+    condition wait, and Python's JSON parser accepts both."""
+    value = request.get("timeout")
+    if value is not None and (isinstance(value, bool)
+                              or not isinstance(value, (int, float))
+                              or not math.isfinite(value)):
+        raise _BadRequest(
+            f"timeout must be a finite number or null, got {value!r}")
+    return value
 
 
 class ServiceTCPServer(socketserver.ThreadingTCPServer):
@@ -98,6 +128,9 @@ class _RequestHandler(socketserver.StreamRequestHandler):
                 stop = self._dispatch(request)
             except BrokenPipeError:  # pragma: no cover - client went away
                 return
+            except _BadRequest as error:
+                self._send({"ok": False, "error": f"bad request: {error}"})
+                continue
             except Exception as error:  # noqa: BLE001 - protocol boundary
                 self._send({"ok": False,
                             "error": f"{type(error).__name__}: {error}"})
@@ -126,14 +159,18 @@ class _RequestHandler(socketserver.StreamRequestHandler):
 
             self._send({"ok": True, "version": repro.__version__})
         elif op == "submit":
+            force = _flag(request, "force", False)
+            watch = _flag(request, "watch", False)
+            wait = _flag(request, "wait", True)
+            timeout = _timeout(request)
             spec = SearchSpec.from_dict(request["spec"])
-            job = server.submit(spec, force=bool(request.get("force")))
-            if request.get("watch"):
+            job = server.submit(spec, force=force)
+            if watch:
                 for event in job.events():
                     self._send({"event": event})
                 self._send(self._job_response(job, with_result=True))
-            elif request.get("wait", True):
-                job.wait(timeout=request.get("timeout"))
+            elif wait:
+                job.wait(timeout=timeout)
                 self._send(self._job_response(job, with_result=True))
             else:
                 self._send(self._job_response(job, with_result=False))
@@ -141,9 +178,11 @@ class _RequestHandler(socketserver.StreamRequestHandler):
             job = server.job(request["job"])
             self._send(self._job_response(job, with_result=False))
         elif op == "result":
+            wait = _flag(request, "wait", True)
+            timeout = _timeout(request)
             job = server.job(request["job"])
-            if request.get("wait", True):
-                job.wait(timeout=request.get("timeout"))
+            if wait:
+                job.wait(timeout=timeout)
             if not job.done:
                 self._send({"ok": False,
                             "error": f"job {job.id} is {job.state}"})

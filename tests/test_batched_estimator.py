@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.constraints import ResourceConstraint, platform_constraint
-from repro.core.evaluator import DesignPointEvaluator
+from repro.core.evaluator import DesignPointEvaluator, raw_assignments
 from repro.costmodel import (
     BATCH_STYLES,
     DEFAULT_HW,
@@ -668,6 +668,18 @@ class TestStudyParity:
 # ----------------------------------------------------------------------
 # Seeded end-to-end search equivalence through the batch path
 # ----------------------------------------------------------------------
+class ScalarEvaluator(DesignPointEvaluator):
+    """The scalar reference: populations scored one genome at a time
+    through ``evaluate_genome`` / ``evaluate_raw``."""
+
+    def evaluate_population(self, genomes):
+        return [self.evaluate_genome(genome) for genome in genomes]
+
+    def evaluate_population_raw(self, genomes):
+        return [self.evaluate_raw(raw_assignments(genome))
+                for genome in genomes]
+
+
 class TestSearchEquivalence:
     @pytest.mark.parametrize("name", sorted(BASELINE_OPTIMIZERS))
     def test_baseline_batch_equals_scalar(self, name, cost_model,
@@ -677,15 +689,15 @@ class TestSearchEquivalence:
         space = ActionSpace.build("dla")
         constraint = _constraints(model_layers, cost_model)[0]
 
-        def run(use_batch):
-            evaluator = DesignPointEvaluator(
+        def run(evaluator_class):
+            evaluator = evaluator_class(
                 model_layers, "latency", constraint, cost_model, space,
                 dataflow="dla")
-            optimizer = BASELINE_OPTIMIZERS[name](seed=11,
-                                                  use_batch=use_batch)
+            optimizer = BASELINE_OPTIMIZERS[name](seed=11)
             return optimizer.search(evaluator, 60)
 
-        batched, scalar = run(True), run(False)
+        batched = run(DesignPointEvaluator)
+        scalar = run(ScalarEvaluator)
         assert batched.best_cost == scalar.best_cost
         assert batched.best_genome == scalar.best_genome
         assert batched.history == scalar.history
@@ -695,17 +707,17 @@ class TestSearchEquivalence:
         space = ActionSpace.build("dla")
         constraint = _constraints(model_layers, cost_model)[0]
 
-        def run(**kwargs):
-            evaluator = DesignPointEvaluator(
+        def run(evaluator_class):
+            evaluator = evaluator_class(
                 model_layers, "latency", constraint, cost_model, space,
                 dataflow="dla")
             seed_assignments = evaluator.decode_genome(
                 [2, 2] * len(model_layers))
-            ga = LocalGA(population_size=10, seed=9, **kwargs)
+            ga = LocalGA(population_size=10, seed=9)
             return ga.search(evaluator, seed_assignments, generations=15)
 
-        batched = run()
-        scalar = run(use_batch=False, memoize=False)
+        batched = run(DesignPointEvaluator)
+        scalar = run(ScalarEvaluator)
         assert batched.best_cost == scalar.best_cost
         assert batched.best_assignments == scalar.best_assignments
         assert batched.history == scalar.history

@@ -206,8 +206,12 @@ class TestMixEnvironment:
         env = HWAssignmentEnv(tiny_model, space_mix, "latency", constraint,
                               cost_model)
         env.reset()
-        _, _, _, info = env.step((3, 3, 2))
-        assert len(env._episode_assignments[0]) == 3
+        done = False
+        while not done:
+            _, _, done, info = env.step((3, 3, 2))
+        assignment = info["episode"].assignments[0]
+        assert len(assignment) == 3
+        assert assignment[2] == space_mix.dataflows[2]
 
     def test_mix_episode_completes(self, cost_model, tiny_model, space_mix):
         constraint = PlatformConstraint(kind="area", budget=1e15)

@@ -158,7 +158,7 @@ class TestOffPolicyMachinery:
         assert result.feasible
 
 
-def test_reinforce_planned_episodes_match_scalar_stepping():
+def test_reinforce_planned_episodes_match_scalar_stepping(monkeypatch):
     """The batched-epoch REINFORCE path (one cost call per episode at
     commit) is bit-identical to per-step scalar calls, including RNG
     consumption around mid-episode constraint violations."""
@@ -166,14 +166,16 @@ def test_reinforce_planned_episodes_match_scalar_stepping():
     from repro.models import get_model
 
     layers = get_model("mobilenet_v2")[:5]
-    results = {}
-    for flag in (False, True):
-        pipeline = repro.ConfuciuX(
-            layers, platform="iot", seed=13,
-            reinforce_kwargs={"batch_episodes": flag})
-        results[flag] = pipeline._run(global_epochs=12,
-                                      finetune_generations=0)
-    scalar, planned = results[False], results[True]
+
+    def run():
+        pipeline = repro.ConfuciuX(layers, platform="iot", seed=13)
+        return pipeline._run(global_epochs=12, finetune_generations=0)
+
+    planned = run()
+    # Without plan support REINFORCE steps every episode through the
+    # scalar env.
+    monkeypatch.setattr(HWAssignmentEnv, "plan_supported", lambda self: False)
+    scalar = run()
     assert scalar.trace == planned.trace
     assert scalar.best_cost == planned.best_cost
     assert scalar.best_assignments == planned.best_assignments

@@ -148,6 +148,27 @@ class TestWireProtocol:
         assert response["ok"] is False
         assert "nope" in response["error"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("force", "false"), ("force", 0), ("watch", "no"), ("wait", 1),
+        ("timeout", "soon"), ("timeout", True), ("timeout", [1]),
+        ("timeout", float("nan")), ("timeout", float("inf")),
+    ])
+    def test_mistyped_options_are_bad_requests(self, service, field, value):
+        """Options must carry their JSON types: a string "false" must not
+        force a re-run, and a string timeout must not queue a job."""
+        spec = _spec().to_dict()
+        first, = self._raw(service, [json.dumps(
+            {"op": "submit", "spec": spec})])
+        assert first["ok"] is True
+        response, stats = self._raw(service, [
+            json.dumps({"op": "submit", "spec": spec, field: value}),
+            '{"op": "stats"}'])
+        assert response["ok"] is False
+        assert response["error"].startswith("bad request: ")
+        assert field in response["error"]
+        assert stats["stats"]["executions"] == 1
+        assert stats["stats"]["jobs"] == 1
+
     def test_blank_lines_are_ignored(self, service):
         with socket.create_connection(("127.0.0.1", service),
                                       timeout=10) as sock:

@@ -161,7 +161,7 @@ class TestSingleEnvBitParity:
                 assert np.array_equal(vec_obs[0], scalar_obs)
                 assert float(vec_rew[0]) == scalar_rew
                 assert bool(vec_done[0]) == done
-                assert venv.p_min == scalar_env.p_min
+                assert env.p_min == scalar_env.p_min
                 if done:
                     vec_episode = vec_info["episodes"][0]
                     scalar_episode = scalar_info["episode"]
