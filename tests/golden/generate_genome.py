@@ -15,10 +15,12 @@ generations (1,000 evaluations) on those three groups and on the slice
 under ``ls`` and under a resource budget, and one case runs the
 ablation's ``LocalGA(crossover_mode="global")`` directly.  ``pareto-ga``
 also runs longer searches (``PARETO_GA_CASES``) that pin a SHA-256 of
-the whole reported front as well.  Hashing, the diff and
-the ``--check`` mode are ``generate_rl.py``'s; a change that moves a pin
-must say why in CHANGES.md.  ``tests/test_golden_genome.py`` compares a
-fresh run of every case with the file, exactly.
+the whole reported front as well.  ``OBSERVED_CASES`` run under
+``generate_rl.py``'s recording observer, to their budget and stopped
+early, and pin its trace too.  Hashing, the diff and the ``--check``
+mode are ``generate_rl.py``'s; a change that moves a pin must say why in
+CHANGES.md.  ``tests/test_golden_genome.py`` compares a fresh run of
+every case with the file, exactly.
 """
 
 from __future__ import annotations
@@ -88,6 +90,29 @@ PARETO_GA_CASES = {
 }
 
 
+#: Observed searches, ``name -> (method, budget, spec options)``, each run
+#: in every group of ``generate_rl.py``'s ``OBSERVER_GROUPS`` (to the
+#: budget, and stopped after 5 and after 37 evaluations): single genomes
+#: (``sa``), level populations gathered from the ladder table (``ga``,
+#: ``random``, ``pareto-ga``) and scored by the kernel when the ladder is
+#: too big to tabulate (60 levels and 256 PEs under MIX give 86,400 rows,
+#: over ``MAX_LADDER_ROWS``), and raw populations (``local-ga``, whose
+#: memo leaves fewer scored designs than evaluations, hence its longer
+#: budget).
+OBSERVED_CASES = {
+    "mix8-sa": ("sa", BUDGETS["sa"], GROUPS["mix8"]),
+    "mix8-ga": ("ga", BUDGETS["ga"], GROUPS["mix8"]),
+    "mix8-random": ("random", BUDGETS["random"], GROUPS["mix8"]),
+    "slice8-pareto-ga": ("pareto-ga", BUDGETS["pareto-ga"],
+                         {**GROUPS["slice8"], **OPTIONS["pareto-ga"]}),
+    "slice8-local-ga": ("local-ga", LOCAL_GA_BUDGET, GROUPS["slice8"]),
+    "ls8-local-ga": ("local-ga", LOCAL_GA_BUDGET, LOCAL_GA_GROUPS["ls8"]),
+    "mix8-levels60-ga": ("ga", BUDGETS["ga"],
+                         {**GROUPS["mix8"], "num_levels": 60,
+                          "max_pes": 256}),
+}
+
+
 def case_names() -> List[str]:
     names = [f"{group}/{method}/seed{seed}"
              for seed in SEEDS for group in GROUPS for method in BUDGETS]
@@ -96,6 +121,9 @@ def case_names() -> List[str]:
     names += [f"slice8/{LOCAL_GA_GLOBAL}/seed{seed}" for seed in SEEDS]
     names += [f"{case}/seed{seed}"
               for seed in SEEDS for case in PARETO_GA_CASES]
+    names += [f"{group}/{name}/seed{seed}"
+              for seed in SEEDS for group in harness.OBSERVER_GROUPS
+              for name in OBSERVED_CASES]
     return names
 
 
@@ -126,7 +154,15 @@ def run_case(key: str) -> dict:
     group, method, seed_text = key.split("/")
     seed = int(seed_text[len("seed"):])
     pareto_case = PARETO_GA_CASES.get(f"{group}/{method}")
-    if method == LOCAL_GA_GLOBAL:
+    observed = None
+    if group in harness.OBSERVER_GROUPS:
+        name, budget, options = OBSERVED_CASES[method]
+        spec = SearchSpec(model=MODEL, method=name, budget=budget,
+                          seed=seed, **options)
+        observed, outcome = harness.observed_case(spec, group)
+        result = outcome.result
+        pareto_case = name == "pareto-ga"
+    elif method == LOCAL_GA_GLOBAL:
         result = _global_crossover_result(seed)
     else:
         if pareto_case is not None:
@@ -143,10 +179,10 @@ def run_case(key: str) -> dict:
                               budget=BUDGETS[method], seed=seed,
                               **GROUPS[group], **OPTIONS.get(method, {}))
         result = SearchSession(spec).run().result
-    pinned = harness.summarize(result)
+    pinned = harness.summarize(result) if observed is None else observed
     pinned["best_genome"] = (None if result.best_genome is None
                              else [int(gene) for gene in result.best_genome])
-    if pareto_case is not None:
+    if pareto_case:
         front = json.dumps(result.extra["pareto_front"], sort_keys=True)
         pinned["front_sha256"] = hashlib.sha256(front.encode()).hexdigest()
     return pinned

@@ -9,6 +9,8 @@ of the best-so-far history -- so a change that shifts a result shows up
 even when every relative parity test (path A == path B) still passes.
 Direct ``Reinforce`` and off-policy agent runs also pin a SHA-256 of the
 final network parameter bytes, which covers the optimizer step exactly.
+Observed sessions also pin whether an observer stopped them and a SHA-256
+of every ``on_step`` and ``on_improvement`` call the observer received.
 
 Regenerating the file is a reviewed act: the script prints every value
 that changed, and a change that moves a pin must say why in CHANGES.md.
@@ -26,6 +28,8 @@ from pathlib import Path
 from typing import Dict, List
 
 import numpy as np
+
+from repro.search.callbacks import SearchObserver
 
 GOLDEN = Path(__file__).resolve().parent / "rl.json"
 SEEDS = (0, 1)
@@ -64,6 +68,31 @@ FULL_SESSIONS = (
     ("confuciux", "confuciux", False, 3, 2),
     ("confuciux-mix", "confuciux", True, 3, 2),
 )
+
+#: Observed sessions on the 8-layer slice: name -> (method, budget,
+#: finetune, spec options).  Group ``observed`` runs each to its budget
+#: under a recording observer; groups ``stop5`` and ``stop37`` have the
+#: observer stop it after that many steps.  They drive every episode
+#: driver under observation: planned episodes (the IoT area budget and
+#: FPGA caps), scalar steps (a power budget) and lockstep waves
+#: (``envs=4``), standalone and as the two-stage global stage.
+OBSERVED_SESSIONS = {
+    "reinforce": ("reinforce", 40, None, {"envs": 1}),
+    "reinforce-power": ("reinforce", 40, None,
+                        {"envs": 1, "constraint_kind": "power",
+                         "platform": "cloud"}),
+    "reinforce-resource": ("reinforce", 40, None,
+                           {"envs": 1, "constraint_kind": "resource"}),
+    "reinforce-envs4": ("reinforce", 40, None, {"envs": ENVS}),
+    "a2c-envs4": ("a2c", 40, None, {"envs": ENVS}),
+    "ddpg-envs4": ("ddpg", 40, None, {"envs": ENVS}),
+    "confuciux": ("confuciux", 40, 2, {"envs": 1}),
+    "confuciux-envs4": ("confuciux", 40, 2, {"envs": ENVS}),
+}
+
+#: Observer groups -> the step after which the observer stops the run
+#: (``None``: never).
+OBSERVER_GROUPS = {"observed": None, "stop5": 5, "stop37": 37}
 
 #: Direct agent runs, pinning the final parameters: name -> (agent class
 #: name, constructor options, task options, epochs).  The task is the
@@ -111,6 +140,38 @@ def summarize(result) -> dict:
         "cache_hits": result.cache_hits,
         "history_sha256": _history_sha(result.history),
     }
+
+
+class TraceObserver(SearchObserver):
+    """Records every ``on_step`` and ``on_improvement`` call, and asks
+    the session to stop once ``stop_at`` steps have run (if given)."""
+
+    def __init__(self, stop_at=None) -> None:
+        super().__init__()
+        self.stop_at = stop_at
+        self.calls = []
+
+    def on_step(self, step, cost, best_cost):
+        self.calls.append(["step", step, cost, best_cost])
+        return self.stop_at is not None and step >= self.stop_at
+
+    def on_improvement(self, step, best_cost, best_assignments):
+        self.calls.append(["improvement", step, best_cost,
+                           _assignments(best_assignments)])
+
+
+def observed_case(spec, group: str):
+    """Run ``spec`` under the observer of ``group`` (a key of
+    :data:`OBSERVER_GROUPS`); returns the pins and the
+    :class:`~repro.search.session.SessionResult`."""
+    from repro.search import SearchSession
+
+    observer = TraceObserver(OBSERVER_GROUPS[group])
+    outcome = SearchSession(spec).run(callbacks=[observer])
+    pinned = summarize(outcome.result)
+    pinned["stopped_early"] = outcome.stopped_early
+    pinned["trace_sha256"] = _sha256(json.dumps(observer.calls).encode())
+    return pinned, outcome
 
 
 def parameters_sha(modules) -> str:
@@ -162,6 +223,9 @@ def case_names() -> List[str]:
         names += [f"full/{name}/seed{seed}"
                   for name, _, _, _, _ in FULL_SESSIONS]
         names += [f"agent/{name}/seed{seed}" for name in AGENTS]
+        names += [f"{group}/{name}/seed{seed}"
+                  for group in OBSERVER_GROUPS
+                  for name in OBSERVED_SESSIONS]
     return names
 
 
@@ -191,6 +255,14 @@ def run_case(key: str) -> dict:
                              platform=FULL_PLATFORM)
     if group == "agent":
         return _agent_case(name, seed)
+    if group in OBSERVER_GROUPS:
+        from repro.search import SearchSpec
+
+        method, budget, finetune, options = OBSERVED_SESSIONS[name]
+        spec = SearchSpec(model=MODEL, method=method, budget=budget,
+                          seed=seed, finetune=finetune, layer_slice=SLICE,
+                          **options)
+        return observed_case(spec, group)[0]
     raise KeyError(key)
 
 
