@@ -23,7 +23,7 @@ from repro.costmodel.estimator import CostModel
 from repro.costmodel.report import UtilizationReport
 from repro.env.environment import HWAssignmentEnv
 from repro.env.spaces import ActionSpace
-from repro.ga.local_ga import LocalGA
+from repro.ga.local_ga import LocalGA, raw_bounds
 from repro.models.layers import Layer
 from repro.rl.common import SearchResult
 from repro.rl.reinforce import Reinforce
@@ -134,8 +134,6 @@ class ConfuciuX:
         platform: str = "iot",
         cost_model: Optional[CostModel] = None,
         seed: Optional[int] = None,
-        reinforce_kwargs: Optional[dict] = None,
-        ga_kwargs: Optional[dict] = None,
     ) -> None:
         from repro.objectives import objective_spec
 
@@ -155,8 +153,6 @@ class ConfuciuX:
         self.constraint = constraint
         self.seed = seed
         self.policy = policy
-        self.reinforce_kwargs = dict(reinforce_kwargs or {})
-        self.ga_kwargs = dict(ga_kwargs or {})
         self.env = HWAssignmentEnv(
             self.layers, self.space, objective, constraint, self.cost_model,
             dataflow=self.dataflow)
@@ -190,8 +186,7 @@ class ConfuciuX:
         # between the fine-tune stage and the utilization measurement
         # within one run, but must not leak counts across runs.
         self._raw_evaluator = None
-        agent = Reinforce(policy=self.policy, seed=self.seed,
-                          **self.reinforce_kwargs)
+        agent = Reinforce(policy=self.policy, seed=self.seed)
         global_result = agent.search(self.env, global_epochs)
 
         finetune_result = None
@@ -219,10 +214,7 @@ class ConfuciuX:
 
     def _finetune(self, global_result: SearchResult,
                   generations: int) -> SearchResult:
-        max_l1 = 2 * max(self.space.buf_levels)
-        max_pes = max(self.space.pe_levels)
-        ga = LocalGA(seed=self.seed, max_pes=max_pes, max_l1_bytes=max_l1,
-                     **self.ga_kwargs)
+        ga = LocalGA(seed=self.seed, **raw_bounds(self.space))
         return ga.search(self._evaluator(), global_result.best_assignments,
                          generations)
 

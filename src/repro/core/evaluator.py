@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -144,6 +144,10 @@ class DesignPointEvaluator:
         #: Nothing is served from a memo: every row is scored, since
         #: gathering a repeat costs no more than finding it.
         self.cache_hits = 0
+        #: An observed session's tracker (``None`` otherwise): every
+        #: scored design is recorded with it, in ``evaluate_raw`` and
+        #: ``_results``.
+        self._tracker = None
 
     # ------------------------------------------------------------------
     @property
@@ -180,12 +184,16 @@ class DesignPointEvaluator:
             report = self.cost_model.evaluate_model(
                 self.layers, assignments, dataflow=self.dataflow)
         used, feasible = self._check(report, assignments)
-        return EvalResult(
+        result = EvalResult(
             cost=self.objective.evaluate(report),
             feasible=feasible,
             used=used,
             report=report,
         )
+        if self._tracker is not None:
+            self._tracker.record(result.cost, feasible,
+                                 assignments_fn=lambda: assignments)
+        return result
 
     # ------------------------------------------------------------------
     # Population (batched) evaluation
@@ -235,11 +243,16 @@ class DesignPointEvaluator:
             df_idx = genes[:, 2::per_step]
             if df_idx.min() < 0 or df_idx.max() >= len(self.space.dataflows):
                 raise ValueError("dataflow index out of range")
+
+        def decode(row):
+            return self.decode_genome(genomes[row])
+
         ladder = self._ladder
         if ladder is None:
             pes, l1_bytes, style_idx = self._decode_levels(
                 pe_idx, buf_idx, df_idx)
-            return self._evaluate_population_arrays(pes, l1_bytes, style_idx)
+            return self._evaluate_population_arrays(pes, l1_bytes, style_idx,
+                                                    decode)
         if self.deployment == "ls":
             # One shared design point runs every layer: gather each
             # genome's first assignment for the whole model.
@@ -253,9 +266,10 @@ class DesignPointEvaluator:
         if isinstance(self.constraint, PlatformConstraint):
             fold = ConstraintFold.of(totals, self.constraint.kind,
                                      self.constraint.budget)
-            return self._results(totals, fold.used, fold.feasible)
+            return self._results(totals, fold.used, fold.feasible, decode)
         pes, l1_bytes, _ = self._decode_levels(pe_idx, buf_idx, None)
-        return self._results(totals, *self._resource_check(pes, l1_bytes))
+        return self._results(totals, *self._resource_check(pes, l1_bytes),
+                             decode)
 
     def evaluate_population_raw(self, populations) -> List[EvalResult]:
         """Batched :meth:`evaluate_raw` over many complete assignments.
@@ -298,7 +312,8 @@ class DesignPointEvaluator:
         else:
             style_idx = np.full(pes.shape, STYLE_INDEX[self.dataflow],
                                 dtype=np.int64)
-        return self._evaluate_population_arrays(pes, l1_bytes, style_idx)
+        return self._evaluate_population_arrays(
+            pes, l1_bytes, style_idx, lambda row: raw_assignments(design[row]))
 
     def _check_layer_count(self, count: int) -> None:
         if count != len(self.layers):
@@ -331,9 +346,11 @@ class DesignPointEvaluator:
         return pes, l1_bytes, style_idx
 
     def _evaluate_population_arrays(
-        self, pes: np.ndarray, l1_bytes: np.ndarray, style_idx: np.ndarray
+        self, pes: np.ndarray, l1_bytes: np.ndarray, style_idx: np.ndarray,
+        decode: Callable[[int], Sequence[RawAssignment]]
     ) -> List[EvalResult]:
-        """Kernel path: (G, N) design arrays -> per-genome results.
+        """Kernel path: (G, N) design arrays -> per-genome results
+        (``decode`` as for :meth:`_results`).
 
         Raw populations and ladders too big to tabulate come here.  Every
         row reaches the kernel; repeated rows are counted on
@@ -355,11 +372,12 @@ class DesignPointEvaluator:
         if isinstance(constraint, PlatformConstraint):
             fold = self.cost_model.batched.evaluate_constrained(
                 *batch, self.deployment, constraint.kind, constraint.budget)
-            return self._results(fold[:4], fold.used, fold.feasible)
+            return self._results(fold[:4], fold.used, fold.feasible, decode)
         figures = self.cost_model.batched.evaluate(*batch).figures()
         totals = population_totals(
             figures.reshape(4, population, num_layers), self.deployment)
-        return self._results(totals, *self._resource_check(pes, l1_bytes))
+        return self._results(totals, *self._resource_check(pes, l1_bytes),
+                             decode)
 
     def _charge(self, design: np.ndarray) -> None:
         """Count a population of design rows, one per genome (equal rows
@@ -403,9 +421,12 @@ class DesignPointEvaluator:
                     & (total_l1 <= constraint.max_l1_bytes))
         return total_pes.astype(np.float64), feasible
 
-    def _results(self, totals, used: np.ndarray,
-                 feasible: np.ndarray) -> List[EvalResult]:
-        """Per-genome results from ``(4, G)`` totals and budget checks."""
+    def _results(self, totals, used: np.ndarray, feasible: np.ndarray,
+                 decode: Callable[[int], Sequence[RawAssignment]]
+                 ) -> List[EvalResult]:
+        """Per-genome results from ``(4, G)`` totals and budget checks,
+        each recorded with an observed session's tracker; ``decode(row)``
+        is row ``row``'s raw assignments, decoded only for a new best."""
         latency_total, energy_total, area_total, power_total = totals
         cost = np.asarray(self.objective.evaluate(CostTotals(
             latency_total, energy_total, area_total, power_total)),
@@ -429,6 +450,11 @@ class DesignPointEvaluator:
                     per_layer=[],
                 ),
             ))
+        if self._tracker is not None:
+            for row, result in enumerate(results):
+                self._tracker.record(
+                    result.cost, result.feasible,
+                    assignments_fn=lambda row=row: decode(row))
         return results
 
     def _check(self, report: ModelCostReport,

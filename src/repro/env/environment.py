@@ -16,7 +16,8 @@ current layer.  The environment
 These rules live in three private methods of :class:`HWAssignmentEnv`
 that act on an :class:`EpisodeRecord`: ``_charge`` (budget and
 violation), ``_reward`` (penalty, shaping and the ``P_min`` fold) and
-``_close`` (the :class:`EpisodeResult`, ``best`` and ``episodes``).  The
+``_close`` (the :class:`EpisodeResult`, ``best``, ``episodes`` and an
+observed session's record of the episode).  The
 three episode drivers differ only in where a layer's figures come from:
 :meth:`HWAssignmentEnv.step` scores each layer with the scalar cost
 model, :class:`EpisodePlan` charges the closed-form area while the agent
@@ -151,6 +152,9 @@ class HWAssignmentEnv:
         self.evaluations = 0
 
         self._episode = EpisodeRecord()
+        #: An observed session's tracker (``None`` otherwise): ``reset``
+        #: unwinds a stop it holds, ``_close`` records every episode.
+        self._tracker = None
 
     # ------------------------------------------------------------------
     @property
@@ -164,6 +168,8 @@ class HWAssignmentEnv:
     # ------------------------------------------------------------------
     def reset(self) -> np.ndarray:
         """Start a new episode; returns the first observation."""
+        if self._tracker is not None:
+            self._tracker.check_stop()
         self._episode = EpisodeRecord()
         return self.encoder.encode(self.layers[0], 0, None)
 
@@ -253,7 +259,8 @@ class HWAssignmentEnv:
     def _close(self, episode: EpisodeRecord,
                feasible: bool) -> EpisodeResult:
         """End ``episode``: count it, keep it as ``best`` if it is the
-        cheapest feasible one yet, and return its result."""
+        cheapest feasible one yet, record it with an observed session's
+        tracker, and return its result."""
         episode.done = True
         self.episodes += 1
         result = EpisodeResult(
@@ -266,14 +273,11 @@ class HWAssignmentEnv:
         )
         if feasible and (self.best is None or result.cost < self.best.cost):
             self.best = result
+        if self._tracker is not None:
+            self._tracker.record(result.cost, feasible,
+                                 assignments_fn=lambda: result.assignments,
+                                 genome=result.genome, defer_stop=True)
         return result
-
-    def budget_left(self) -> float:
-        """L_budget of Section III-D (inf when unconstrained)."""
-        constraint = self.constraint
-        if isinstance(constraint, ResourceConstraint):
-            return float(constraint.max_pes - self._episode.used_pes)
-        return constraint.budget - self._episode.used
 
     # ------------------------------------------------------------------
     # Planned episodes: batched scoring of a whole epoch

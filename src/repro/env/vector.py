@@ -62,22 +62,19 @@ class VectorHWAssignmentEnv:
 
     Args:
         env: The scalar environment whose task (layers, space, objective,
-            constraint, cost model), episode rules and cross-episode
-            state this vector env drives.  Must be a plain
-            :class:`HWAssignmentEnv` (no proxies: the vector env calls
-            its rule methods directly).
+            constraint, cost model), episode rules, cross-episode state
+            and observed session's tracker this vector env drives.
         num_envs: Maximum episodes per lockstep wave set (E).
     """
 
-    #: Duck-typing marker the agents dispatch on (proxies forward it).
+    #: Duck-typing marker the agents dispatch on.
     is_vector = True
 
     def __init__(self, env: HWAssignmentEnv, num_envs: int) -> None:
         if not isinstance(env, HWAssignmentEnv):
             raise TypeError(
-                "VectorHWAssignmentEnv wraps a plain HWAssignmentEnv "
-                f"(got {type(env).__name__}); wrap observers around the "
-                "vector env, not inside it")
+                "VectorHWAssignmentEnv wraps an HWAssignmentEnv "
+                f"(got {type(env).__name__})")
         if num_envs < 1:
             raise ValueError("num_envs must be >= 1")
         self.env = env
@@ -141,11 +138,13 @@ class VectorHWAssignmentEnv:
         Returns the ``(episodes, obs_dim)`` observation matrix for step 0
         (every row is the scalar env's first observation).
         """
+        env = self.env
+        if env._tracker is not None:
+            env._tracker.check_stop()
         episodes = self.num_envs if episodes is None else int(episodes)
         if not 1 <= episodes <= self.num_envs:
             raise ValueError(
                 f"episodes must be in [1, {self.num_envs}], got {episodes}")
-        env = self.env
         self._episodes = [EpisodeRecord() for _ in range(episodes)]
         self._live = np.arange(episodes, dtype=np.int64)
         self._step_index = 0

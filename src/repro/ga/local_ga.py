@@ -34,6 +34,14 @@ from repro.rl.common import SearchResult
 Genome = np.ndarray
 
 
+def raw_bounds(space) -> Dict[str, int]:
+    """The raw range stage 2 searches for an action ``space``, as
+    :class:`LocalGA` options: up to the top PE level and twice the top
+    buffer level."""
+    return {"max_pes": max(space.pe_levels),
+            "max_l1_bytes": 2 * max(space.buf_levels)}
+
+
 class LocalGA:
     """Local-search GA seeded with a known-good design point.
 

@@ -18,9 +18,10 @@ or, in one call::
 
 Sessions add *observation only*: with no callbacks the method runs on
 exactly the same objects the legacy call paths built, so best costs are
-bit-identical for fixed seeds.  With callbacks, the environment/evaluator
-is wrapped in a forwarding proxy that fires the observer protocol and
-implements graceful early stopping.
+bit-identical for fixed seeds.  With callbacks, the session's tracker is
+attached to the environment or evaluator the method drives: every
+finished episode and every scored design point fires the observer
+protocol, and a requested stop unwinds the method gracefully.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.evaluator import raw_assignments
 from repro.core.serialization import (
     search_result_from_dict,
     search_result_to_dict,
 )
 from repro.costmodel.estimator import CostModel
 from repro.experiments.tasks import TaskSpec
+from repro.ga.local_ga import raw_bounds
 from repro.rl.common import SearchResult
 from repro.search.callbacks import SearchObserver, StopSearch
 from repro.search.registry import (
@@ -76,7 +77,8 @@ class _Tracker:
         ``assignments_fn`` is a thunk so the (decode) work is only paid
         when the step actually improves the best.  ``defer_stop`` delays
         the :class:`StopSearch` unwind to the next :meth:`check_stop`
-        boundary (used by the env proxy to finish episodes cleanly).
+        boundary (environments record with it and check at ``reset``,
+        so episodes and waves finish cleanly).
         """
         self.steps += 1
         if feasible and (self.best_cost is None or cost < self.best_cost):
@@ -102,127 +104,6 @@ class _Tracker:
         """Unwind now if a stop was requested (episode boundaries)."""
         if self.stopped:
             raise StopSearch
-
-
-class _ObservedEnv:
-    """Forwarding proxy firing one observer step per finished episode."""
-
-    def __init__(self, env, tracker: _Tracker) -> None:
-        self._env = env
-        self._tracker = tracker
-
-    def __getattr__(self, name):
-        return getattr(self._env, name)
-
-    def reset(self):
-        self._tracker.check_stop()
-        return self._env.reset()
-
-    def step(self, action):
-        out = self._env.step(action)
-        episode = out[3].get("episode")
-        if episode is not None:
-            self._tracker.record(
-                episode.cost, episode.feasible,
-                assignments_fn=lambda: episode.assignments,
-                genome=episode.genome, defer_stop=True)
-        return out
-
-    def begin_plan(self):
-        """Planned (deferred-scoring) episodes stay observable: the
-        wrapped plan fires the same one-record-per-episode protocol at
-        commit that :meth:`step` fires on the episode-ending step."""
-        return _ObservedPlan(self._env.begin_plan(), self._tracker)
-
-
-class _ObservedPlan:
-    """Forwarding proxy around :class:`~repro.env.environment.EpisodePlan`
-    recording the committed episode with the tracker."""
-
-    def __init__(self, plan, tracker: _Tracker) -> None:
-        self._plan = plan
-        self._tracker = tracker
-
-    def __getattr__(self, name):
-        return getattr(self._plan, name)
-
-    def step(self, action):
-        return self._plan.step(action)
-
-    def commit(self):
-        rewards, episode = self._plan.commit()
-        self._tracker.record(
-            episode.cost, episode.feasible,
-            assignments_fn=lambda: episode.assignments,
-            genome=episode.genome, defer_stop=True)
-        return rewards, episode
-
-
-class _ObservedVectorEnv:
-    """Forwarding proxy around
-    :class:`~repro.env.vector.VectorHWAssignmentEnv` firing one observer
-    step per episode finishing inside a wave."""
-
-    def __init__(self, venv, tracker: _Tracker) -> None:
-        self._venv = venv
-        self._tracker = tracker
-
-    def __getattr__(self, name):
-        return getattr(self._venv, name)
-
-    def reset(self, episodes=None):
-        self._tracker.check_stop()
-        return self._venv.reset(episodes)
-
-    def step(self, actions):
-        out = self._venv.step(actions)
-        for episode in out[3]["episodes"]:
-            if episode is not None:
-                self._tracker.record(
-                    episode.cost, episode.feasible,
-                    assignments_fn=lambda e=episode: e.assignments,
-                    genome=episode.genome, defer_stop=True)
-        return out
-
-
-class _ObservedEvaluator:
-    """Forwarding proxy firing one observer step per design-point
-    evaluation (scalar, batched, level-indexed, or raw)."""
-
-    def __init__(self, evaluator, tracker: _Tracker) -> None:
-        self._evaluator = evaluator
-        self._tracker = tracker
-
-    def __getattr__(self, name):
-        return getattr(self._evaluator, name)
-
-    def _record(self, outcome, assignments_fn) -> None:
-        self._tracker.record(outcome.cost, outcome.feasible,
-                             assignments_fn=assignments_fn)
-
-    def evaluate_genome(self, genome):
-        outcome = self._evaluator.evaluate_genome(genome)
-        decode = self._evaluator.decode_genome
-        self._record(outcome, lambda: decode(genome))
-        return outcome
-
-    def evaluate_population(self, genomes):
-        outcomes = self._evaluator.evaluate_population(genomes)
-        decode = self._evaluator.decode_genome
-        for genome, outcome in zip(genomes, outcomes):
-            self._record(outcome, lambda g=genome: decode(g))
-        return outcomes
-
-    def evaluate_raw(self, assignments):
-        outcome = self._evaluator.evaluate_raw(assignments)
-        self._record(outcome, lambda: assignments)
-        return outcome
-
-    def evaluate_population_raw(self, population):
-        outcomes = self._evaluator.evaluate_population_raw(population)
-        for genome, outcome in zip(population, outcomes):
-            self._record(outcome, lambda g=genome: raw_assignments(g))
-        return outcomes
 
 
 class SessionContext:
@@ -271,24 +152,26 @@ class SessionContext:
         return self.budget // 4 if self._finetune is None else self._finetune
 
     def make_env(self):
-        """A fresh environment, observed when callbacks are attached.
+        """A fresh environment as :meth:`_drive` prepares it."""
+        return self._drive(self.task.make_env(self.cost_model,
+                                              self.constraint))
 
-        With ``envs > 1`` the scalar env is wrapped in a
-        :class:`~repro.env.vector.VectorHWAssignmentEnv`, so every
-        episodic agent rolls lockstep episode waves with one batched
-        cost call per layer step.  ``envs == 1`` keeps the scalar
-        stepping path (to which single-env waves are bit-identical --
-        see tests/test_rl_vector_parity.py).
+    def _drive(self, env):
+        """``env`` ready for an episodic agent: observed when callbacks
+        are attached, and with ``envs > 1`` wrapped in a
+        :class:`~repro.env.vector.VectorHWAssignmentEnv`, so the agent
+        rolls lockstep episode waves with one batched cost call per
+        layer step.  ``envs == 1`` keeps the scalar stepping path (to
+        which single-env waves are bit-identical -- see
+        tests/test_rl_vector_parity.py).
         """
-        env = self.task.make_env(self.cost_model, self.constraint)
-        if self.envs > 1:
-            from repro.env.vector import VectorHWAssignmentEnv
+        if self.tracker.active:
+            env._tracker = self.tracker
+        if self.envs == 1:
+            return env
+        from repro.env.vector import VectorHWAssignmentEnv
 
-            venv = VectorHWAssignmentEnv(env, self.envs)
-            if self.tracker.active:
-                return _ObservedVectorEnv(venv, self.tracker)
-            return venv
-        return _ObservedEnv(env, self.tracker) if self.tracker.active else env
+        return VectorHWAssignmentEnv(env, self.envs)
 
     def make_evaluator(self):
         """A fresh genome evaluator, observed when callbacks are
@@ -296,7 +179,7 @@ class SessionContext:
         evaluator = self.task.make_evaluator(self.cost_model,
                                              self.constraint)
         if self.tracker.active:
-            return _ObservedEvaluator(evaluator, self.tracker)
+            evaluator._tracker = self.tracker
         return evaluator
 
 
@@ -363,10 +246,7 @@ def run_local_ga(info: MethodInfo, context: SessionContext) -> SearchResult:
     comparisons against the other methods stay fair.
     """
     evaluator = context.make_evaluator()
-    space = evaluator.space
-    method = info.factory(seed=context.seed,
-                          max_pes=max(space.pe_levels),
-                          max_l1_bytes=2 * max(space.buf_levels))
+    method = info.factory(seed=context.seed, **raw_bounds(evaluator.space))
     genome = [0] * evaluator.genome_length
     initial = evaluator.decode_genome(genome)
     offspring = max(1, method.population_size - method.elite)
@@ -386,15 +266,14 @@ def run_two_stage(info: MethodInfo, context: SessionContext) -> SearchResult:
 
     Observers cover the global stage (one ``on_step`` per episode); the
     short fine-tune stage runs unobserved and is reflected in the final
-    result.  The pipeline builds its own platform constraint exactly as
-    the legacy ``ConfuciuX(...)`` path did, so results are bit-identical.
+    result.  The pipeline runs under the task's constraint, which under
+    MIX is calibrated on ``SearchSpec.dataflow`` as for every other
+    method.
 
     ``SearchSpec.envs`` applies to the global RL stage exactly as it
-    does to the standalone episodic methods: with ``envs > 1`` the
-    pipeline's internally built env is wrapped in a
-    :class:`~repro.env.vector.VectorHWAssignmentEnv`, so REINFORCE rolls
-    lockstep episode waves with one batched cost call per layer step
-    (single-env waves are bit-identical to scalar stepping).
+    does to the standalone episodic methods (:meth:`SessionContext._drive`
+    prepares the pipeline's env), so with ``envs > 1`` REINFORCE rolls
+    lockstep episode waves.
     """
     task = context.task
     builder = info.factory(seed=context.seed)
@@ -408,18 +287,9 @@ def run_two_stage(info: MethodInfo, context: SessionContext) -> SearchResult:
         constraint_kind=task.constraint_kind,
         platform=task.platform,
         cost_model=context.cost_model,
-        constraint=(context.constraint
-                    if task.constraint_kind == "resource" else None),
+        constraint=context.constraint,
     )
-    if context.envs > 1:
-        from repro.env.vector import VectorHWAssignmentEnv
-
-        pipeline.env = VectorHWAssignmentEnv(pipeline.env, context.envs)
-        if context.tracker.active:
-            pipeline.env = _ObservedVectorEnv(pipeline.env,
-                                              context.tracker)
-    elif context.tracker.active:
-        pipeline.env = _ObservedEnv(pipeline.env, context.tracker)
+    pipeline.env = context._drive(pipeline.env)
     started = time.perf_counter()
     try:
         outcome = pipeline._run(global_epochs=context.budget,

@@ -5,6 +5,7 @@ import pytest
 from repro import ConfuciuX, JointSearch
 from repro.core.constraints import PlatformConstraint, ResourceConstraint
 from repro.core.joint import dataflow_assignment_table, style_histogram
+from repro.search import SearchSession, SearchSpec
 
 
 class TestConfuciuXPipeline:
@@ -150,6 +151,28 @@ class TestRunShimRemoval:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             pipeline._run(global_epochs=2, finetune_generations=0)
+
+
+class TestSessionConstraint:
+    """A two-stage session runs under its task's constraint, as every
+    other method does: under MIX the budget is calibrated on
+    ``SearchSpec.dataflow``, not on the pipeline's default style, so the
+    best design re-scores feasible through the task's own evaluator."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mix_session_runs_under_the_task_budget(self, cost_model, seed):
+        spec = SearchSpec(model="mobilenet_v2", method="confuciux",
+                          layer_slice=8, mix=True, dataflow="eye",
+                          budget=60, seed=seed)
+        outcome = SearchSession(spec, cost_model=cost_model).run()
+        task = spec.task()
+        constraint = task.constraint(cost_model)
+        assert outcome.detail.constraint == constraint
+        assert outcome.result.extra["constraint_budget"] == constraint.budget
+        rescored = task.make_evaluator(cost_model, constraint).evaluate_raw(
+            outcome.best_assignments)
+        assert rescored.feasible
+        assert rescored.cost == outcome.best_cost
 
 
 class TestJointSearch:
