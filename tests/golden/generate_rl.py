@@ -11,6 +11,7 @@ Direct ``Reinforce`` and off-policy agent runs also pin a SHA-256 of the
 final network parameter bytes, which covers the optimizer step exactly.
 Observed sessions also pin whether an observer stopped them and a SHA-256
 of every ``on_step`` and ``on_improvement`` call the observer received.
+Two-stage sessions also pin the stage figures in ``result.extra``.
 
 Regenerating the file is a reviewed act: the script prints every value
 that changed, and a change that moves a pin must say why in CHANGES.md.
@@ -89,6 +90,29 @@ OBSERVED_SESSIONS = {
     "confuciux": ("confuciux", 40, 2, {"envs": 1}),
     "confuciux-envs4": ("confuciux", 40, 2, {"envs": ENVS}),
 }
+
+#: Two-stage sessions on the 8-layer slice at ``envs=1``: name ->
+#: (method, spec options), each run at budget 20 with finetune 5.  They
+#: cover both stages under the IoT area budget (planned episodes), a
+#: power budget (scalar steps), FPGA caps (the default 4096 PEs, 8192 L1
+#: bytes) and MIX calibrated on a style other than the default ``dla``.
+TWO_STAGE_SESSIONS = {
+    "confuciux": ("confuciux", {}),
+    "confuciux-power": ("confuciux",
+                        {"constraint_kind": "power", "platform": "cloud"}),
+    "confuciux-resource": ("confuciux", {"constraint_kind": "resource"}),
+    "confuciux-mix-eye": ("confuciux", {"mix": True, "dataflow": "eye"}),
+    "confuciux-mlp": ("confuciux-mlp", {}),
+}
+TWO_STAGE_BUDGET = 20
+TWO_STAGE_FINETUNE = 5
+
+#: The stage figures a two-stage session reports in ``result.extra``.
+TWO_STAGE_FIGURES = (
+    "initial_valid_cost", "global_cost", "finetune_cost",
+    "global_improvement", "finetune_improvement", "constraint_used",
+    "constraint_budget",
+)
 
 #: Observer groups -> the step after which the observer stops the run
 #: (``None``: never).
@@ -226,6 +250,8 @@ def case_names() -> List[str]:
         names += [f"{group}/{name}/seed{seed}"
                   for group in OBSERVER_GROUPS
                   for name in OBSERVED_SESSIONS]
+        names += [f"two-stage/{name}/seed{seed}"
+                  for name in TWO_STAGE_SESSIONS]
     return names
 
 
@@ -263,6 +289,19 @@ def run_case(key: str) -> dict:
                           seed=seed, finetune=finetune, layer_slice=SLICE,
                           **options)
         return observed_case(spec, group)[0]
+    if group == "two-stage":
+        from repro.search import SearchSession, SearchSpec
+
+        method, options = TWO_STAGE_SESSIONS[name]
+        spec = SearchSpec(model=MODEL, method=method,
+                          budget=TWO_STAGE_BUDGET, seed=seed,
+                          finetune=TWO_STAGE_FINETUNE, layer_slice=SLICE,
+                          envs=1, **options)
+        result = SearchSession(spec).run().result
+        pinned = summarize(result)
+        pinned.update({figure: result.extra[figure]
+                       for figure in TWO_STAGE_FIGURES})
+        return pinned
     raise KeyError(key)
 
 
