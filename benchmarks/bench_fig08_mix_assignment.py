@@ -6,11 +6,8 @@ and renders the per-layer style letters with the PE and buffer bars.
 
 from __future__ import annotations
 
-from repro.core.joint import (
-    JointSearch,
-    dataflow_assignment_table,
-    style_histogram,
-)
+from repro import explore
+from repro.core.joint import dataflow_assignment_table, style_histogram
 from repro.core.reporting import ascii_bars, format_table
 from repro.experiments import default_epochs
 from repro.models import get_model
@@ -21,10 +18,10 @@ def test_fig08_mix_assignment(benchmark, cost_model, save_report):
     epochs = default_epochs(150)
 
     def run():
-        search = JointSearch(layers, objective="latency",
-                             constraint_kind="area", platform="iot",
-                             seed=0, cost_model=cost_model)
-        return search.run(global_epochs=epochs, finetune_generations=0)
+        return explore(model="mobilenet_v2", method="confuciux", mix=True,
+                       objective="latency", constraint_kind="area",
+                       platform="iot", seed=0, budget=epochs, finetune=0,
+                       cost_model=cost_model).detail
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.best_cost is not None, "MIX found no feasible assignment"

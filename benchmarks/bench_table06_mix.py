@@ -6,7 +6,6 @@ dataflow styles against Con'X-MIX, which also picks a style per layer.
 
 from __future__ import annotations
 
-from repro.core.joint import JointSearch
 from repro.core.reporting import format_table
 from repro.experiments import TaskSpec, default_epochs
 from repro.experiments.runner import compare_methods

@@ -22,9 +22,11 @@ Public API tour -- the unified session layer::
     for info in repro.list_methods():
         print(info.name, info.kind)
 
-The legacy two-stage entry point (``ConfuciuX(...).run(...)``) was
-removed in 1.3 after a deprecation cycle; calling it raises guidance
-pointing at the session API above (which is bit-identical).
+The two-stage search runs only through the session API above: the
+``ConfuciuX`` and ``JointSearch`` builders were removed in 5.0 (a
+``confuciux`` session with ``mix=True`` is the MIX search), and a
+session's ``detail`` holds the two-stage
+:class:`~repro.core.confuciux.ConfuciuXResult`.
 
 Search as a service: :mod:`repro.service` runs the session layer behind
 a long-lived server with a job scheduler and a content-addressed result
@@ -89,7 +91,7 @@ from repro.search import (
     method_names,
     register_method,
 )
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "Layer",
@@ -109,8 +111,6 @@ __all__ = [
     "RL_ALGORITHMS",
     "BASELINE_OPTIMIZERS",
     "LocalGA",
-    "ConfuciuX",
-    "JointSearch",
     # Unified session API.
     "SearchSpec",
     "SearchSession",
@@ -144,15 +144,8 @@ __all__ = [
 
 
 def __getattr__(name):
-    # Lazy: ConfuciuX / JointSearch would otherwise re-enter repro.core
-    # while it is importing this package; the service layer is lazy to
-    # keep plain library imports free of socket/server modules.
-    if name == "ConfuciuX":
-        from repro.core.confuciux import ConfuciuX
-        return ConfuciuX
-    if name == "JointSearch":
-        from repro.core.joint import JointSearch
-        return JointSearch
+    # The service layer is lazy to keep plain library imports free of
+    # socket/server modules.
     if name in ("SearchServer", "ServiceClient", "ResultStore",
                 "result_key"):
         import repro.service

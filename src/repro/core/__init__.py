@@ -1,8 +1,11 @@
-"""The ConfuciuX orchestrator: two-stage search and its task plumbing.
+"""ConfuciuX's constraints, design-point evaluation and result reporting.
 
-``repro.env`` imports the constraint/evaluator modules in this package, and
-the orchestrator in turn drives ``repro.env`` -- so the heavyweight exports
-are resolved lazily (PEP 562) to keep the import graph acyclic.
+The two-stage search itself runs in the session layer
+(:func:`repro.search.session.run_two_stage`); this package holds what it
+and every other method share, plus the two-stage result type and its
+reports.  ``repro.env`` imports the constraint/evaluator modules in this
+package, so the result and report exports are resolved lazily (PEP 562)
+to keep the import graph acyclic.
 """
 
 from repro.core.constraints import (
@@ -22,17 +25,13 @@ __all__ = [
     "platform_constraint",
     "DesignPointEvaluator",
     "EvalResult",
-    "ConfuciuX",
     "ConfuciuXResult",
-    "JointSearch",
     "dataflow_assignment_table",
     "solution_report",
 ]
 
 _LAZY = {
-    "ConfuciuX": ("repro.core.confuciux", "ConfuciuX"),
     "ConfuciuXResult": ("repro.core.confuciux", "ConfuciuXResult"),
-    "JointSearch": ("repro.core.joint", "JointSearch"),
     "dataflow_assignment_table": ("repro.core.joint",
                                   "dataflow_assignment_table"),
     "solution_report": ("repro.core.reporting", "solution_report"),

@@ -1,51 +1,20 @@
 """Dataflow-HW co-automation: the MIX strategy (paper Section IV-D).
 
 Rather than fixing one dataflow style, the agent makes three decisions per
-layer -- PEs, Buffers, *and* style.  ``JointSearch`` wraps ConfuciuX with
-the MIX action space and exposes the per-layer style assignment that Fig. 8
-visualizes.
+layer -- PEs, Buffers, *and* style.  A ``confuciux`` session with
+``mix=True`` runs that search; this module tabulates the per-layer style
+assignment of its result, which Fig. 8 visualizes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-from repro.core.confuciux import ConfuciuX, ConfuciuXResult
-from repro.core.evaluator import Constraint
-from repro.costmodel.estimator import CostModel
+from repro.core.confuciux import ConfuciuXResult
 from repro.models.layers import Layer
 
 #: Single-letter labels used under Fig. 8's x-axis.
 STYLE_LETTERS = {"dla": "D", "shi": "S", "eye": "E"}
-
-
-class JointSearch:
-    """Con'X-MIX: joint per-layer dataflow and resource assignment."""
-
-    def __init__(self, layers: Sequence[Layer], objective="latency",
-                 constraint: Optional[Constraint] = None,
-                 constraint_kind: str = "area", platform: str = "iot",
-                 num_levels: int = 12, max_pes: int = 128,
-                 cost_model: Optional[CostModel] = None,
-                 seed: Optional[int] = None, **confuciux_kwargs) -> None:
-        self.pipeline = ConfuciuX(
-            layers,
-            objective=objective,
-            constraint=constraint,
-            dataflow=None,
-            mix=True,
-            num_levels=num_levels,
-            max_pes=max_pes,
-            constraint_kind=constraint_kind,
-            platform=platform,
-            cost_model=cost_model,
-            seed=seed,
-            **confuciux_kwargs,
-        )
-
-    def run(self, global_epochs: int = 500,
-            finetune_generations: int = 200) -> ConfuciuXResult:
-        return self.pipeline._run(global_epochs, finetune_generations)
 
 
 def dataflow_assignment_table(

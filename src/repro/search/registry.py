@@ -140,15 +140,6 @@ def _construct(cls, seed=None, **options):
     return cls(seed=seed, **options)
 
 
-def _confuciux_factory(seed=None, **options):
-    """Deferred ConfuciuX import keeps the package import graph acyclic;
-    the session's two-stage runner builds the pipeline itself, so this
-    factory returns the class partially bound to its options."""
-    from repro.core.confuciux import ConfuciuX
-
-    return functools.partial(ConfuciuX, seed=seed, **options)
-
-
 def _local_ga_runner(info, context):
     """Late-bound session runner (breaks the registry<->session cycle)."""
     from repro.search.session import run_local_ga
@@ -206,14 +197,18 @@ def _register_builtins() -> None:
         kind=KIND_GENOME, batchable=True, supports_finetune=True,
         runner=_local_ga_runner,
         description="stage-2 local fine-tuning GA (raw integer space)")
+    # A two-stage factory builds the stage-1 agent; the session's runner
+    # adds the local-GA stage.
     register_method(
-        "confuciux", _confuciux_factory, kind=KIND_TWO_STAGE,
-        batchable=True, supports_finetune=True,
+        "confuciux",
+        functools.partial(_construct, RL_ALGORITHMS["reinforce"]),
+        kind=KIND_TWO_STAGE, batchable=True, supports_finetune=True,
         description="two-stage pipeline: REINFORCE global + local-GA "
                     "fine-tune")
     register_method(
         "confuciux-mlp",
-        functools.partial(_confuciux_factory, policy="mlp"),
+        functools.partial(_construct, RL_ALGORITHMS["reinforce"],
+                          policy="mlp"),
         kind=KIND_TWO_STAGE, batchable=True, supports_finetune=True,
         variant_of="confuciux",
         description="Table IX ablation: the two-stage pipeline with an "

@@ -2,8 +2,8 @@
 
 Pre-redesign the repository exposed three incompatible surfaces --
 ``GenomeOptimizer.search(evaluator, epochs)``, RL agents driving
-``HWAssignmentEnv``, and the bespoke ``ConfuciuX.run(...)`` pipeline.
-:class:`SearchSession` runs any registered method from one frozen
+``HWAssignmentEnv``, and a bespoke two-stage pipeline object (removed in
+5.0).  :class:`SearchSession` runs any registered method from one frozen
 :class:`~repro.search.spec.SearchSpec`::
 
     from repro import SearchSession, SearchSpec
@@ -16,12 +16,16 @@ or, in one call::
 
     result = repro.explore(model="mobilenet_v2", method="sa", budget=200)
 
-Sessions add *observation only*: with no callbacks the method runs on
-exactly the same objects the legacy call paths built, so best costs are
-bit-identical for fixed seeds.  With callbacks, the session's tracker is
-attached to the environment or evaluator the method drives: every
-finished episode and every scored design point fires the observer
-protocol, and a requested stop unwinds the method gracefully.
+Every method runs on the environment or evaluator its
+:class:`~repro.experiments.tasks.TaskSpec` builds; the two-stage runner
+(:func:`run_two_stage`) composes ConfuciuX from the registered stage-1
+agent and the local GA.  Sessions add *observation only*: with no
+callbacks the method runs on exactly the objects a direct call would
+build, so best costs are bit-identical for fixed seeds.  With callbacks,
+the session's tracker is attached to the environment or evaluator the
+method drives: every finished episode and every scored design point
+fires the observer protocol, and a requested stop unwinds the method
+gracefully.
 """
 
 from __future__ import annotations
@@ -31,13 +35,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.confuciux import ConfuciuXResult
 from repro.core.serialization import (
     search_result_from_dict,
     search_result_to_dict,
 )
 from repro.costmodel.estimator import CostModel
 from repro.experiments.tasks import TaskSpec
-from repro.ga.local_ga import raw_bounds
+from repro.ga.local_ga import LocalGA, raw_bounds
+from repro.objectives import objective_spec
 from repro.rl.common import SearchResult
 from repro.search.callbacks import SearchObserver, StopSearch
 from repro.search.registry import (
@@ -152,19 +158,15 @@ class SessionContext:
         return self.budget // 4 if self._finetune is None else self._finetune
 
     def make_env(self):
-        """A fresh environment as :meth:`_drive` prepares it."""
-        return self._drive(self.task.make_env(self.cost_model,
-                                              self.constraint))
-
-    def _drive(self, env):
-        """``env`` ready for an episodic agent: observed when callbacks
-        are attached, and with ``envs > 1`` wrapped in a
+        """A fresh environment for an episodic agent: observed when
+        callbacks are attached, and with ``envs > 1`` wrapped in a
         :class:`~repro.env.vector.VectorHWAssignmentEnv`, so the agent
         rolls lockstep episode waves with one batched cost call per
         layer step.  ``envs == 1`` keeps the scalar stepping path (to
         which single-env waves are bit-identical -- see
         tests/test_rl_vector_parity.py).
         """
+        env = self.task.make_env(self.cost_model, self.constraint)
         if self.tracker.active:
             env._tracker = self.tracker
         if self.envs == 1:
@@ -262,42 +264,41 @@ def run_local_ga(info: MethodInfo, context: SessionContext) -> SearchResult:
 
 
 def run_two_stage(info: MethodInfo, context: SessionContext) -> SearchResult:
-    """Drive a two-stage pipeline (global RL stage + local fine-tune).
+    """Drive ConfuciuX's two stages (paper Fig. 3).
 
-    Observers cover the global stage (one ``on_step`` per episode); the
-    short fine-tune stage runs unobserved and is reflected in the final
-    result.  The pipeline runs under the task's constraint, which under
-    MIX is calibrated on ``SearchSpec.dataflow`` as for every other
-    method.
-
-    ``SearchSpec.envs`` applies to the global RL stage exactly as it
-    does to the standalone episodic methods (:meth:`SessionContext._drive`
-    prepares the pipeline's env), so with ``envs > 1`` REINFORCE rolls
-    lockstep episode waves.
+    Stage 1 is the registered agent (``info.factory`` builds it, as for
+    an episodic method) searching :meth:`SessionContext.make_env`, so
+    observers see one ``on_step`` per episode and ``SearchSpec.envs``
+    applies as it does to the standalone episodic methods.  Stage 2 is
+    the local GA, which fine-tunes the stage-1 best design in the raw
+    space on the task's evaluator; it runs unobserved and is reflected
+    in the final result.  Both stages run under the task's constraint,
+    which under MIX is calibrated on ``SearchSpec.dataflow`` as for
+    every other method.  The :class:`ConfuciuXResult` becomes the
+    session's ``detail``.
     """
-    task = context.task
-    builder = info.factory(seed=context.seed)
-    pipeline = builder(
-        task.layers(),
-        objective=task.objective,
-        dataflow=None if task.mix else task.dataflow,
-        mix=task.mix,
-        num_levels=task.num_levels,
-        max_pes=task.max_pes,
-        constraint_kind=task.constraint_kind,
-        platform=task.platform,
-        cost_model=context.cost_model,
-        constraint=context.constraint,
-    )
-    pipeline.env = context._drive(pipeline.env)
+    agent = info.factory(seed=context.seed)
+    env = context.make_env()
     started = time.perf_counter()
     try:
-        outcome = pipeline._run(global_epochs=context.budget,
-                                finetune_generations=context.finetune)
+        global_result = agent.search(env, context.budget)
     except StopSearch:
-        return _stopped_result(info.name, context.tracker,
-                               pipeline.env.evaluations,
-                               pipeline.env.episodes, started)
+        return _stopped_result(info.name, context.tracker, env.evaluations,
+                               env.episodes, started)
+    task = context.task
+    outcome = ConfuciuXResult(objective=objective_spec(task.objective),
+                              constraint=context.constraint,
+                              global_result=global_result,
+                              finetune_result=None)
+    if global_result.best_cost is not None:
+        evaluator = task.make_evaluator(context.cost_model,
+                                        context.constraint)
+        if context.finetune > 0:
+            ga = LocalGA(seed=context.seed, **raw_bounds(evaluator.space))
+            outcome.finetune_result = ga.search(
+                evaluator, global_result.best_assignments, context.finetune)
+        outcome._final_used = evaluator.evaluate_raw(
+            outcome.best_assignments).used
     context.detail = outcome
     return _two_stage_search_result(info.name, outcome)
 

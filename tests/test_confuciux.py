@@ -1,21 +1,39 @@
-"""Tests for the two-stage ConfuciuX orchestrator and the MIX search."""
+"""Tests for the two-stage ConfuciuX search and the MIX search."""
 
 import pytest
 
-from repro import ConfuciuX, JointSearch
+import repro
 from repro.core.constraints import PlatformConstraint, ResourceConstraint
 from repro.core.joint import dataflow_assignment_table, style_histogram
-from repro.search import SearchSession, SearchSpec
+from repro.experiments.tasks import TaskSpec
+from repro.search import SearchSession, SearchSpec, get_method
+from repro.search.session import SessionContext, run_method
+
+
+def two_stage(cost_model, budget, finetune, **spec_options):
+    """The :class:`ConfuciuXResult` of a ``confuciux`` session (or of the
+    ``method`` option) on the 8-layer MobileNet-V2 slice."""
+    options = {"model": "mobilenet_v2", "layer_slice": 8, "seed": 0,
+               **spec_options}
+    return repro.explore(budget=budget, finetune=finetune,
+                         cost_model=cost_model, **options).detail
+
+
+def two_stage_under(constraint, cost_model, layers, budget, finetune):
+    """The same for ``layers`` under an explicit constraint object."""
+    context = SessionContext(TaskSpec(model=layers), budget, seed=0,
+                             finetune=finetune, cost_model=cost_model,
+                             constraint=constraint)
+    run_method(get_method("confuciux"), context)
+    return context.detail
 
 
 class TestConfuciuXPipeline:
     @pytest.fixture(scope="class")
-    def result(self, cost_model, mobilenet_slice):
-        pipeline = ConfuciuX(mobilenet_slice, objective="latency",
-                             dataflow="dla", platform="iot",
-                             constraint_kind="area", seed=0,
-                             cost_model=cost_model)
-        return pipeline._run(global_epochs=60, finetune_generations=25)
+    def result(self, cost_model):
+        return two_stage(cost_model, 60, 25, objective="latency",
+                         dataflow="dla", platform="iot",
+                         constraint_kind="area")
 
     def test_finds_feasible(self, result):
         assert result.best_cost is not None
@@ -49,108 +67,51 @@ class TestConfuciuXPipeline:
 
 
 class TestConfiguration:
-    def test_skip_finetune(self, cost_model, mobilenet_slice):
-        pipeline = ConfuciuX(mobilenet_slice, seed=0, platform="cloud",
-                             cost_model=cost_model)
-        result = pipeline._run(global_epochs=15, finetune_generations=0)
+    def test_skip_finetune(self, cost_model):
+        result = two_stage(cost_model, 15, 0, platform="cloud")
         assert result.finetune_result is None
         assert result.best_cost == result.global_cost
 
     def test_explicit_constraint_object(self, cost_model, mobilenet_slice):
         constraint = PlatformConstraint(kind="area", budget=1e15,
                                         platform="custom")
-        pipeline = ConfuciuX(mobilenet_slice, constraint=constraint, seed=0,
-                             cost_model=cost_model)
-        result = pipeline._run(global_epochs=10, finetune_generations=0)
+        result = two_stage_under(constraint, cost_model, mobilenet_slice,
+                                 10, 0)
         assert result.best_cost is not None
+        assert result.constraint is constraint
 
     def test_resource_constraint_fpga_mode(self, cost_model,
                                            mobilenet_slice):
         constraint = ResourceConstraint(max_pes=256, max_l1_bytes=16384)
-        pipeline = ConfuciuX(mobilenet_slice, constraint=constraint, seed=0,
-                             cost_model=cost_model)
-        result = pipeline._run(global_epochs=30, finetune_generations=10)
+        result = two_stage_under(constraint, cost_model, mobilenet_slice,
+                                 30, 10)
         assert result.best_cost is not None
         total_pes = sum(a[0] for a in result.best_assignments)
         total_l1 = sum(a[0] * a[1] for a in result.best_assignments)
         assert total_pes <= 256
         assert total_l1 <= 16384
 
-    def test_mlp_policy_option(self, cost_model, mobilenet_slice):
-        pipeline = ConfuciuX(mobilenet_slice, policy="mlp", seed=0,
-                             platform="cloud", cost_model=cost_model)
-        result = pipeline._run(global_epochs=15, finetune_generations=0)
+    def test_mlp_policy_option(self, cost_model):
+        result = two_stage(cost_model, 15, 0, method="confuciux-mlp",
+                           platform="cloud")
         assert result.best_cost is not None
 
     @pytest.mark.parametrize("levels", [10, 14])
-    def test_action_level_sweep(self, cost_model, mobilenet_slice, levels):
-        pipeline = ConfuciuX(mobilenet_slice, num_levels=levels, seed=0,
-                             platform="cloud", cost_model=cost_model)
-        result = pipeline._run(global_epochs=15, finetune_generations=0)
+    def test_action_level_sweep(self, cost_model, levels):
+        result = two_stage(cost_model, 15, 0, num_levels=levels,
+                           platform="cloud")
         assert result.best_cost is not None
 
     @pytest.mark.parametrize("objective", ["energy", "edp"])
-    def test_other_objectives(self, cost_model, mobilenet_slice, objective):
-        pipeline = ConfuciuX(mobilenet_slice, objective=objective, seed=0,
-                             platform="cloud", cost_model=cost_model)
-        result = pipeline._run(global_epochs=15, finetune_generations=0)
+    def test_other_objectives(self, cost_model, objective):
+        result = two_stage(cost_model, 15, 0, objective=objective,
+                           platform="cloud")
         assert result.best_cost is not None
 
-    def test_power_constraint(self, cost_model, mobilenet_slice):
-        pipeline = ConfuciuX(mobilenet_slice, constraint_kind="power",
-                             platform="iot", seed=0, cost_model=cost_model)
-        result = pipeline._run(global_epochs=100, finetune_generations=0)
+    def test_power_constraint(self, cost_model):
+        result = two_stage(cost_model, 100, 0, constraint_kind="power",
+                           platform="iot")
         assert result.best_cost is not None
-
-
-class TestRunShimRemoval:
-    """The deprecated ``ConfuciuX.run`` shim is gone (1.1 warned, 1.3
-    removed).  Three guarantees remain: calling it raises *guidance*
-    (never a bare AttributeError), the internal driver the session API
-    uses stays warning-free, and that driver is bit-identical to the
-    session path -- so nothing was lost with the shim."""
-
-    def test_run_raises_guidance_not_attribute_error(self, cost_model,
-                                                     mobilenet_slice):
-        pipeline = ConfuciuX(mobilenet_slice, seed=0, cost_model=cost_model)
-        with pytest.raises(RuntimeError,
-                           match=r"repro\.explore.*method='confuciux'"):
-            pipeline.run(global_epochs=2, finetune_generations=0)
-        # Specifically never an AttributeError: the attribute exists and
-        # its error names the replacement.
-        try:
-            pipeline.run()
-        except AttributeError:  # pragma: no cover - the regression
-            pytest.fail("ConfuciuX.run must give guidance, not vanish")
-        except RuntimeError:
-            pass
-
-    def test_internal_run_matches_explore_bit_for_bit(self, cost_model):
-        import repro
-
-        epochs, finetune, seed, layers = 10, 4, 21, 4
-        pipeline = ConfuciuX(
-            repro.get_model("mobilenet_v2")[:layers], seed=seed,
-            platform="iot", cost_model=cost_model)
-        legacy = pipeline._run(global_epochs=epochs,
-                               finetune_generations=finetune)
-        modern = repro.explore(model="mobilenet_v2", method="confuciux",
-                               budget=epochs, finetune=finetune, seed=seed,
-                               platform="iot", layer_slice=layers,
-                               cost_model=cost_model)
-        assert modern.best_cost == legacy.best_cost
-        assert modern.best_assignments == legacy.best_assignments
-        assert modern.result.history == legacy.trace
-        assert modern.detail.global_cost == legacy.global_cost
-        assert modern.detail.initial_valid_cost == legacy.initial_valid_cost
-
-    def test_internal_run_does_not_warn(self, cost_model, mobilenet_slice):
-        import warnings
-
-        pipeline = ConfuciuX(mobilenet_slice, seed=0, cost_model=cost_model)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            pipeline._run(global_epochs=2, finetune_generations=0)
 
 
 class TestSessionConstraint:
@@ -177,10 +138,8 @@ class TestSessionConstraint:
 
 class TestJointSearch:
     @pytest.fixture(scope="class")
-    def mix_result(self, cost_model, mobilenet_slice):
-        search = JointSearch(mobilenet_slice, platform="iot", seed=0,
-                             cost_model=cost_model)
-        return search.run(global_epochs=60, finetune_generations=0)
+    def mix_result(self, cost_model):
+        return two_stage(cost_model, 60, 0, mix=True, platform="iot")
 
     def test_mix_finds_feasible(self, mix_result):
         assert mix_result.best_cost is not None
@@ -199,25 +158,18 @@ class TestJointSearch:
 
     def test_table_rejects_non_mix_result(self, cost_model,
                                           mobilenet_slice):
-        pipeline = ConfuciuX(mobilenet_slice, seed=0, platform="cloud",
-                             cost_model=cost_model)
-        result = pipeline._run(global_epochs=10, finetune_generations=0)
+        result = two_stage(cost_model, 10, 0, platform="cloud")
         with pytest.raises(ValueError, match="MIX"):
             dataflow_assignment_table(result, mobilenet_slice)
 
     def test_mix_beats_or_matches_worst_fixed_style(self, cost_model,
-                                                    mobilenet_slice):
+                                                    mix_result):
         # Table VI's qualitative claim, with a small-budget tolerance:
         # MIX should not lose to every fixed dataflow.
         fixed_costs = []
         for style in ("dla", "eye", "shi"):
-            pipeline = ConfuciuX(mobilenet_slice, dataflow=style,
-                                 platform="iot", seed=0,
-                                 cost_model=cost_model)
-            fixed = pipeline._run(global_epochs=60, finetune_generations=0)
+            fixed = two_stage(cost_model, 60, 0, dataflow=style,
+                              platform="iot")
             if fixed.best_cost is not None:
                 fixed_costs.append(fixed.best_cost)
-        search = JointSearch(mobilenet_slice, platform="iot", seed=0,
-                             cost_model=cost_model)
-        mix = search.run(global_epochs=60, finetune_generations=0)
-        assert mix.best_cost <= max(fixed_costs)
+        assert mix_result.best_cost <= max(fixed_costs)

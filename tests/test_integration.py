@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ConfuciuX, JointSearch, get_model
+from repro import explore, get_model
 from repro.costmodel import CostModel
 from repro.experiments import TaskSpec, compare_methods
 from repro.experiments.lp_study import winners
@@ -13,33 +13,35 @@ def shared_cost_model():
     return CostModel()
 
 
+def confuciux(cost_model, model, budget, finetune, **spec_options):
+    """The two-stage result of a seed-0 ``confuciux`` session on the
+    first 8 layers of ``model``."""
+    return explore(model=model, method="confuciux", budget=budget,
+                   finetune=finetune, seed=0, layer_slice=8,
+                   cost_model=cost_model, **spec_options).detail
+
+
 class TestFullPipelines:
     @pytest.mark.parametrize("dataflow", ["dla", "eye", "shi"])
     def test_pipeline_per_dataflow(self, shared_cost_model, dataflow):
-        layers = get_model("mobilenet_v2")[:8]
-        pipeline = ConfuciuX(layers, dataflow=dataflow, platform="iot",
-                             seed=0, cost_model=shared_cost_model)
-        result = pipeline._run(global_epochs=50, finetune_generations=15)
+        result = confuciux(shared_cost_model, "mobilenet_v2", 50, 15,
+                           dataflow=dataflow, platform="iot")
         assert result.best_cost is not None
         util = result.utilization()
         assert util.used <= util.budget
 
     @pytest.mark.parametrize("model", ["ncf", "gnmt"])
     def test_gemm_models_end_to_end(self, shared_cost_model, model):
-        layers = get_model(model)[:8]
-        pipeline = ConfuciuX(layers, platform="cloud", seed=0,
-                             cost_model=shared_cost_model)
-        result = pipeline._run(global_epochs=40, finetune_generations=10)
+        result = confuciux(shared_cost_model, model, 40, 10,
+                           platform="cloud")
         assert result.best_cost is not None
 
     def test_tighter_constraints_cost_more(self, shared_cost_model):
         # Tightening the platform tier can only hurt the best objective.
-        layers = get_model("mobilenet_v2")[:8]
         costs = {}
         for platform in ("cloud", "iot"):
-            pipeline = ConfuciuX(layers, platform=platform, seed=0,
-                                 cost_model=shared_cost_model)
-            result = pipeline._run(global_epochs=80, finetune_generations=30)
+            result = confuciux(shared_cost_model, "mobilenet_v2", 80, 30,
+                               platform=platform)
             costs[platform] = result.best_cost
         assert costs["iot"] >= costs["cloud"] * 0.95
 
@@ -59,10 +61,8 @@ class TestFullPipelines:
             assert results["reinforce"].best_cost <= min(baseline_best) * 2.0
 
     def test_mix_pipeline_with_finetune(self, shared_cost_model):
-        layers = get_model("mobilenet_v2")[:8]
-        search = JointSearch(layers, platform="iot", seed=0,
-                             cost_model=shared_cost_model)
-        result = search.run(global_epochs=50, finetune_generations=10)
+        result = confuciux(shared_cost_model, "mobilenet_v2", 50, 10,
+                           mix=True, platform="iot")
         assert result.best_cost is not None
         assert all(len(a) == 3 for a in result.best_assignments)
 

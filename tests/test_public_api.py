@@ -3,8 +3,8 @@
 Guards the importable surface the README documents: `__all__` integrity,
 docstring presence on every public item, the lazy exports that keep the
 import graph acyclic, and -- since the session redesign -- that BOTH the
-legacy surface (``ConfuciuX.run``, direct optimizer construction) and the
-unified session surface (``repro.explore`` / ``SearchSession``) work.
+legacy surface (direct optimizer construction) and the unified session
+surface (``repro.explore`` / ``SearchSession``) work.
 """
 
 import importlib
@@ -44,21 +44,23 @@ class TestImportSurface:
                 f"{name}.{symbol} in __all__ but unresolvable"
 
     def test_version(self):
-        assert repro.__version__ == "4.0.0"
+        assert repro.__version__ == "5.0.0"
 
     def test_lazy_exports(self):
-        assert repro.ConfuciuX.__name__ == "ConfuciuX"
-        assert repro.JointSearch.__name__ == "JointSearch"
-        with pytest.raises(AttributeError):
-            repro.DoesNotExist
+        assert repro.ResultStore.__name__ == "ResultStore"
+        # The two-stage builders were removed in 5.0.
+        for name in ("ConfuciuX", "JointSearch", "DoesNotExist"):
+            with pytest.raises(AttributeError):
+                getattr(repro, name)
 
     def test_core_lazy_exports(self):
         import repro.core as core
 
-        assert core.ConfuciuX.__name__ == "ConfuciuX"
+        assert core.ConfuciuXResult.__name__ == "ConfuciuXResult"
         assert core.solution_report is not None
-        with pytest.raises(AttributeError):
-            core.DoesNotExist
+        for name in ("ConfuciuX", "JointSearch", "DoesNotExist"):
+            with pytest.raises(AttributeError):
+                getattr(core, name)
 
     def test_session_api_exported(self):
         # The session layer is reachable from the package root.
@@ -126,24 +128,6 @@ class TestDocstrings:
 
 class TestLegacySurface:
     """The pre-session call paths stay importable and runnable."""
-
-    def test_confuciux_pipeline_still_constructs_and_runs(self, tiny_model,
-                                                          cost_model):
-        pipeline = repro.ConfuciuX(
-            tiny_model, objective="latency", dataflow="dla",
-            constraint_kind="area", platform="cloud",
-            cost_model=cost_model, seed=0)
-        result = pipeline._run(global_epochs=5, finetune_generations=2)
-        assert result.best_cost is not None
-
-    def test_confuciux_run_shim_removed_with_guidance(self, tiny_model,
-                                                      cost_model):
-        """The deprecated ``run`` shim is gone, but calling it still
-        yields migration guidance rather than a bare AttributeError."""
-        pipeline = repro.ConfuciuX(tiny_model, platform="cloud",
-                                   cost_model=cost_model, seed=0)
-        with pytest.raises(RuntimeError, match="repro.explore"):
-            pipeline.run(global_epochs=5, finetune_generations=2)
 
     def test_direct_optimizer_construction_works(self, tiny_model,
                                                  cost_model):

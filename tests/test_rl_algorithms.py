@@ -163,13 +163,11 @@ def test_reinforce_planned_episodes_match_scalar_stepping(monkeypatch):
     commit) is bit-identical to per-step scalar calls, including RNG
     consumption around mid-episode constraint violations."""
     import repro
-    from repro.models import get_model
-
-    layers = get_model("mobilenet_v2")[:5]
 
     def run():
-        pipeline = repro.ConfuciuX(layers, platform="iot", seed=13)
-        return pipeline._run(global_epochs=12, finetune_generations=0)
+        return repro.explore(model="mobilenet_v2", method="confuciux",
+                             layer_slice=5, platform="iot", seed=13,
+                             budget=12, finetune=0).detail
 
     planned = run()
     # Without plan support REINFORCE steps every episode through the

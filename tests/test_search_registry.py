@@ -103,8 +103,13 @@ class TestSeedContract:
             method = factory(seed=seed)
             assert isinstance(method.rng, np.random.Generator)
 
-    def test_two_stage_factory_accepts_seeds(self, tiny_model, cost_model):
-        builder = get_method("confuciux").factory(seed=0)
-        pipeline = builder(tiny_model, platform="cloud",
-                           cost_model=cost_model)
-        assert pipeline.seed == 0
+    def test_two_stage_factory_accepts_seeds(self):
+        # A two-stage factory builds the stage-1 agent; the session's
+        # runner adds the local-GA stage.
+        for name, policy in (("confuciux", "rnn"), ("confuciux-mlp", "mlp")):
+            factory = get_method(name).factory
+            for seed in (None, 0, 123):
+                agent = factory(seed=seed)
+                assert isinstance(agent, RL_ALGORITHMS["reinforce"])
+                assert agent.policy_kind == policy
+                assert isinstance(agent.rng, np.random.Generator)

@@ -14,6 +14,7 @@ import repro
 from repro.core.serialization import search_result_to_dict
 from repro.costmodel import BATCH_STYLES
 from repro.experiments.tasks import TaskSpec
+from repro.ga.local_ga import raw_bounds
 from repro.search import (
     CheckpointHook,
     EarlyStopping,
@@ -123,16 +124,24 @@ class TestLegacyEquivalence:
         assert modern.best_cost == legacy.best_cost
 
     def test_two_stage_matches_confuciux_run(self, cost_model):
-        pipeline = repro.ConfuciuX(
-            repro.get_model("ncf"), objective="latency", dataflow="dla",
-            constraint_kind="area", platform="cloud",
-            cost_model=cost_model, seed=2)
-        legacy = pipeline._run(global_epochs=12, finetune_generations=3)
+        # ConfuciuX run by hand: REINFORCE on the task's env, then the
+        # local GA from its best design on the task's evaluator.
+        task = TaskSpec(model="ncf", platform="cloud")
+        constraint = task.constraint(cost_model)
+        stage1 = repro.Reinforce(seed=2).search(
+            task.make_env(cost_model, constraint), 12)
+        evaluator = task.make_evaluator(cost_model, constraint)
+        stage2 = repro.LocalGA(seed=2, **raw_bounds(evaluator.space)).search(
+            evaluator, stage1.best_assignments, 3)
         modern = repro.explore(model="ncf", method="confuciux", budget=12,
                                finetune=3, seed=2, platform="cloud",
                                cost_model=cost_model)
-        assert modern.best_cost == legacy.best_cost
-        assert modern.detail.global_cost == legacy.global_cost
+        assert modern.best_cost == stage2.best_cost
+        assert modern.best_assignments == stage2.best_assignments
+        assert modern.detail.global_cost == stage1.best_cost
+        assert modern.detail.initial_valid_cost == next(
+            cost for cost in stage1.history if cost != float("inf"))
+        assert modern.history[:12] == stage1.history
 
     def test_compare_methods_accepts_all_kinds(self, cost_model):
         from repro.experiments.runner import compare_methods

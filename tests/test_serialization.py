@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro import ConfuciuX
+import repro
 from repro.core.serialization import (
     confuciux_result_to_dict,
     load_search_result,
@@ -69,11 +69,11 @@ class TestSearchResultRoundtrip:
 
 
 class TestConfuciuXResultSerialization:
-    def test_two_stage_summary(self, cost_model, mobilenet_slice,
-                               tmp_path):
-        pipeline = ConfuciuX(mobilenet_slice, platform="cloud", seed=0,
-                             cost_model=cost_model)
-        result = pipeline._run(global_epochs=20, finetune_generations=5)
+    def test_two_stage_summary(self, cost_model, tmp_path):
+        result = repro.explore(model="mobilenet_v2", method="confuciux",
+                               layer_slice=8, platform="cloud", seed=0,
+                               budget=20, finetune=5,
+                               cost_model=cost_model).detail
         data = confuciux_result_to_dict(result)
         assert data["best_cost"] == result.best_cost
         assert data["constraint"]["kind"] == "area"
