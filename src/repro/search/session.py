@@ -272,7 +272,8 @@ def run_two_stage(info: MethodInfo, context: SessionContext) -> SearchResult:
     applies as it does to the standalone episodic methods.  Stage 2 is
     the local GA, which fine-tunes the stage-1 best design in the raw
     space on the task's evaluator; it runs unobserved and is reflected
-    in the final result.  Both stages run under the task's constraint,
+    in the final result.  A stop requested during stage 1 skips stage
+    2, even when stage 1 had reached its last episode.  Both stages run under the task's constraint,
     which under MIX is calibrated on ``SearchSpec.dataflow`` as for
     every other method.  The :class:`ConfuciuXResult` becomes the
     session's ``detail``.
@@ -282,6 +283,9 @@ def run_two_stage(info: MethodInfo, context: SessionContext) -> SearchResult:
     started = time.perf_counter()
     try:
         global_result = agent.search(env, context.budget)
+        # A stop requested in the global stage's last episode or wave
+        # is still pending here; it skips stage 2.
+        context.tracker.check_stop()
     except StopSearch:
         return _stopped_result(info.name, context.tracker, env.evaluations,
                                env.episodes, started)

@@ -222,6 +222,25 @@ class TestObservers:
         assert result.stopped_early
         assert len(result.history) == 5
 
+    @pytest.mark.parametrize("envs", [1, 4])
+    def test_stop_in_the_last_global_episode_skips_finetune(self,
+                                                            cost_model,
+                                                            envs):
+        """A stop requested in stage 1's last episode (or wave) still
+        ends the two-stage run there: stage 2 never starts."""
+        class StopAtTwelve(SearchObserver):
+            def on_step(self, step, cost, best_cost):
+                return step >= 12
+
+        result = repro.explore(model="mobilenet_v2", method="confuciux",
+                               layer_slice=8, budget=12, finetune=3,
+                               seed=0, envs=envs, callbacks=[StopAtTwelve()],
+                               cost_model=cost_model)
+        assert result.stopped_early
+        assert result.result.episodes == 12
+        assert result.detail is None
+        assert "finetune_cost" not in result.result.extra
+
     @pytest.mark.parametrize("mix", [False, True])
     def test_stopped_local_ga_keeps_tuple_assignments(self, cost_model,
                                                       mix):
