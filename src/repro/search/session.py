@@ -165,7 +165,16 @@ class SessionContext:
         layer step.  ``envs == 1`` keeps the scalar stepping path (to
         which single-env waves are bit-identical -- see
         tests/test_rl_vector_parity.py).
+
+        Raises:
+            ValueError: under ``deployment="ls"``: the env assigns each
+                layer its own design point, so it has no LS mode.
         """
+        if self.task.deployment == "ls":
+            raise ValueError(
+                'only genome-space methods support deployment="ls"; '
+                "episodic and two-stage methods assign a design point "
+                'per layer (deployment="lp")')
         env = self.task.make_env(self.cost_model, self.constraint)
         if self.tracker.active:
             env._tracker = self.tracker

@@ -91,7 +91,10 @@ class SearchSpec:
         mix: Per-layer dataflow co-automation (Section IV-D).
         num_levels: Coarse action levels L (Table I).
         max_pes: Top of the PE ladder.
-        deployment: "lp" or "ls".
+        deployment: "lp" or "ls".  Only genome-space methods support
+            "ls" (one design point shared by every layer); episodic and
+            two-stage methods raise :class:`ValueError` when run under
+            it, because their env assigns each layer its own point.
         max_total_pes / max_total_l1: FPGA caps when ``constraint_kind``
             is "resource".
         layer_slice: Restrict to the first N layers (None = full model).

@@ -373,6 +373,14 @@ class TestSessionResult:
         with pytest.raises(KeyError, match="unknown method"):
             SearchSession(SearchSpec(model="ncf", method="alphago"))
 
+    @pytest.mark.parametrize("method", ["reinforce", "confuciux"])
+    def test_ls_deployment_needs_a_genome_method(self, cost_model, method):
+        # The env assigns each layer its own design point; under LS a
+        # run would report per-layer designs with LP costs.
+        with pytest.raises(ValueError, match="genome-space methods"):
+            repro.explore(method=method, deployment="ls",
+                          cost_model=cost_model, **TINY)
+
 
 # ----------------------------------------------------------------------
 # Teardown, checkpoints and stored documents
