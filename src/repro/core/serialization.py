@@ -1,16 +1,15 @@
-"""JSON (de)serialization for search results and solutions.
+"""JSON (de)serialization for search results.
 
 A downstream user wants to run a long search once and keep the outcome:
 the winning per-layer assignment, the convergence trace, and enough
-metadata to reproduce the run.  These helpers produce plain-JSON documents
-(no pickling) for :class:`SearchResult` and the two-stage
-:class:`ConfuciuXResult`.
+metadata to reproduce the run.  These helpers turn a
+:class:`SearchResult` into a plain-JSON dict (no pickling) and back;
+:meth:`repro.search.session.SessionResult.save` writes one, with its
+spec and provenance, to a file (for two-stage runs the flattened result
+carries the stage figures in ``extra``).
 """
 
 from __future__ import annotations
-
-import json
-from typing import Optional
 
 from repro.rl.common import SearchResult
 
@@ -65,44 +64,3 @@ def search_result_from_dict(data: dict) -> SearchResult:
     # Documents written before the session API lack the extra payload.
     result.extra = dict(data.get("extra", {}))
     return result
-
-
-def save_search_result(result: SearchResult, path) -> None:
-    """Write a search result to ``path`` as JSON."""
-    with open(path, "w") as handle:
-        json.dump(search_result_to_dict(result), handle, indent=2)
-
-
-def load_search_result(path) -> SearchResult:
-    """Read a search result previously written by
-    :func:`save_search_result`."""
-    with open(path) as handle:
-        return search_result_from_dict(json.load(handle))
-
-
-def confuciux_result_to_dict(result) -> dict:
-    """Serialize a two-stage :class:`ConfuciuXResult` summary."""
-    return {
-        "objective": result.objective,
-        "constraint": {
-            "kind": result.constraint.kind,
-            "platform": result.constraint.platform,
-            "budget": getattr(result.constraint, "budget", None),
-        },
-        "initial_valid_cost": result.initial_valid_cost,
-        "global_cost": result.global_cost,
-        "best_cost": result.best_cost,
-        "best_assignments": (
-            [list(a) for a in result.best_assignments]
-            if result.best_assignments is not None else None),
-        "global_result": search_result_to_dict(result.global_result),
-        "finetune_result": (
-            search_result_to_dict(result.finetune_result)
-            if result.finetune_result is not None else None),
-    }
-
-
-def save_confuciux_result(result, path) -> None:
-    """Write a two-stage result summary to ``path`` as JSON."""
-    with open(path, "w") as handle:
-        json.dump(confuciux_result_to_dict(result), handle, indent=2)

@@ -6,14 +6,11 @@ import pytest
 
 import repro
 from repro.core.serialization import (
-    confuciux_result_to_dict,
-    load_search_result,
-    save_confuciux_result,
-    save_search_result,
     search_result_from_dict,
     search_result_to_dict,
 )
 from repro.rl.common import SearchResult
+from repro.search import SessionResult
 
 
 @pytest.fixture
@@ -46,19 +43,11 @@ class TestSearchResultRoundtrip:
         text = json.dumps(data)  # valid strict JSON
         assert "Infinity" not in text
 
-    def test_file_roundtrip(self, populated_result, tmp_path):
-        path = tmp_path / "result.json"
-        save_search_result(populated_result, path)
-        restored = load_search_result(path)
-        assert restored.best_cost == populated_result.best_cost
-        assert restored.evaluations == 100
-
-    def test_infeasible_result_roundtrip(self, tmp_path):
+    def test_infeasible_result_roundtrip(self):
         result = SearchResult(algorithm="sa")
         result.history = [float("inf")] * 3
-        path = tmp_path / "nan.json"
-        save_search_result(result, path)
-        restored = load_search_result(path)
+        restored = search_result_from_dict(
+            json.loads(json.dumps(search_result_to_dict(result))))
         assert restored.best_cost is None
         assert not restored.feasible
         assert restored.format_cost() == "NAN"
@@ -70,16 +59,20 @@ class TestSearchResultRoundtrip:
 
 class TestConfuciuXResultSerialization:
     def test_two_stage_summary(self, cost_model, tmp_path):
-        result = repro.explore(model="mobilenet_v2", method="confuciux",
-                               layer_slice=8, platform="cloud", seed=0,
-                               budget=20, finetune=5,
-                               cost_model=cost_model).detail
-        data = confuciux_result_to_dict(result)
-        assert data["best_cost"] == result.best_cost
-        assert data["constraint"]["kind"] == "area"
-        assert data["global_result"]["algorithm"] == "reinforce"
-        assert data["finetune_result"]["algorithm"] == "local-ga"
+        """A two-stage session's file keeps the flattened stage figures."""
+        outcome = repro.explore(model="mobilenet_v2", method="confuciux",
+                                layer_slice=8, platform="cloud", seed=0,
+                                budget=20, finetune=5,
+                                cost_model=cost_model)
         path = tmp_path / "confuciux.json"
-        save_confuciux_result(result, path)
-        loaded = json.loads(path.read_text())
-        assert loaded["objective"] == "latency"
+        outcome.save(path)
+        loaded = SessionResult.load(path)
+        detail = outcome.detail
+        assert loaded.best_cost == detail.best_cost
+        assert loaded.best_assignments == detail.best_assignments
+        assert loaded.history == detail.trace
+        extra = loaded.result.extra
+        assert extra["global_cost"] == detail.global_cost
+        assert extra["finetune_cost"] == detail.finetune_result.best_cost
+        assert extra["constraint_budget"] == detail.constraint.budget
+        assert loaded.spec.objective == detail.objective == "latency"
