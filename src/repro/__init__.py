@@ -23,7 +23,7 @@ Public API tour -- the unified session layer::
         print(info.name, info.kind)
 
 The two-stage search runs only through the session API above: the
-``ConfuciuX`` and ``JointSearch`` builders were removed in 5.0 (a
+``ConfuciuX`` and ``JointSearch`` classes were removed in 5.0 (a
 ``confuciux`` session with ``mix=True`` is the MIX search), and a
 session's ``detail`` holds the two-stage
 :class:`~repro.core.confuciux.ConfuciuXResult`.

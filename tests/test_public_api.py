@@ -48,7 +48,7 @@ class TestImportSurface:
 
     def test_lazy_exports(self):
         assert repro.ResultStore.__name__ == "ResultStore"
-        # The two-stage builders were removed in 5.0.
+        # The two-stage pipeline classes were removed in 5.0.
         for name in ("ConfuciuX", "JointSearch", "DoesNotExist"):
             with pytest.raises(AttributeError):
                 getattr(repro, name)
