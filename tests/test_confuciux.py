@@ -136,6 +136,46 @@ class TestSessionConstraint:
         assert rescored.cost == outcome.best_cost
 
 
+class TestRunShimRemoval:
+    """``ConfuciuX.run`` and the class behind it are gone.  What remains is
+    the guarantee its internal driver gave: the two-stage runner the
+    session API uses is bit-identical to ``repro.explore`` and to
+    REINFORCE followed by the local GA run by hand, so nothing was lost
+    with the class."""
+
+    def test_internal_run_matches_explore_bit_for_bit(self, cost_model):
+        from repro.ga.local_ga import raw_bounds
+
+        epochs, finetune, seed, layers = 10, 4, 21, 4
+        task = TaskSpec(model="mobilenet_v2", platform="iot",
+                        layer_slice=layers)
+        context = SessionContext(task, epochs, seed=seed, finetune=finetune,
+                                 cost_model=cost_model)
+        run_method(get_method("confuciux"), context)
+        internal = context.detail
+        modern = repro.explore(model="mobilenet_v2", method="confuciux",
+                               budget=epochs, finetune=finetune, seed=seed,
+                               platform="iot", layer_slice=layers,
+                               cost_model=cost_model)
+        constraint = task.constraint(cost_model)
+        stage1 = repro.Reinforce(seed=seed).search(
+            task.make_env(cost_model, constraint), epochs)
+        evaluator = task.make_evaluator(cost_model, constraint)
+        stage2 = repro.LocalGA(seed=seed, **raw_bounds(evaluator.space)).search(
+            evaluator, stage1.best_assignments, finetune)
+        for detail in (internal, modern.detail):
+            assert detail.best_cost == stage2.best_cost
+            assert detail.best_assignments == stage2.best_assignments
+            assert detail.global_cost == stage1.best_cost
+            assert detail.initial_valid_cost == next(
+                cost for cost in stage1.history if cost != float("inf"))
+        assert modern.best_cost == internal.best_cost
+        assert modern.best_assignments == internal.best_assignments
+        assert modern.result.history == internal.trace
+        assert modern.detail.global_cost == internal.global_cost
+        assert modern.detail.initial_valid_cost == internal.initial_valid_cost
+
+
 class TestJointSearch:
     @pytest.fixture(scope="class")
     def mix_result(self, cost_model):
