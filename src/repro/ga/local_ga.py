@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.evaluator import DesignPointEvaluator, EvalResult, \
     RawAssignment, raw_assignments, raw_genome
-from repro.optim.base import masked_draws
+from repro.optim.base import DrawSizes, masked_draws
 from repro.rl.common import SearchResult
 
 #: ``(layers, 2|3)`` int64 rows of (pes, l1_bytes[, style code]).
@@ -94,6 +94,9 @@ class LocalGA:
         self.rng = np.random.default_rng(seed)
         self._memo: Dict[bytes, float] = {}
         self._hits = 0
+        #: ((layers, step), the mutation's draw sizes), built on first use.
+        self._moves: Tuple[Tuple[int, int], DrawSizes] = ((0, 0),
+                                                           DrawSizes(()))
 
     # ------------------------------------------------------------------
     def _mutate(self, genome: Genome) -> Genome:
@@ -104,8 +107,11 @@ class LocalGA:
         ``integers(-step, step + 1)``."""
         step = self.mutation_step
         child = genome.copy()
-        moves = masked_draws(self.rng, self.mutation_rate,
-                             [2 * step + 1] * (2 * len(child)))
+        shape, sizes = self._moves
+        if shape != (len(child), step):
+            sizes = DrawSizes([2 * step + 1] * (2 * len(child)))
+            self._moves = ((len(child), step), sizes)
+        moves = masked_draws(self.rng, self.mutation_rate, sizes)
         for index, draw in moves.items():
             layer, slot = divmod(index, 2)
             bound = self.max_l1_bytes if slot else self.max_pes

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -11,6 +12,21 @@ from repro.core.evaluator import DesignPointEvaluator, EvalResult
 from repro.rl.common import SearchResult
 
 _LOW_HALF = 0xFFFFFFFF
+
+
+class DrawSizes(tuple):
+    """Per-index draw sizes for :func:`masked_draws`, checked once.
+
+    ``replayable`` is whether the replay can take them: at least one
+    size, each in ``[2, 2**32]``.  A search builds its sizes once and
+    passes them to every mutation, so the check does not rerun per call.
+    """
+
+    def __new__(cls, sizes: Sequence[int]) -> "DrawSizes":
+        self = super().__new__(cls, sizes)
+        self.replayable = bool(self) and min(self) >= 2 \
+            and max(self) <= 1 << 32
+        return self
 
 
 def scalar_masked_draws(rng: np.random.Generator, rate: float,
@@ -43,19 +59,31 @@ def masked_draws(rng: np.random.Generator, rate: float,
     past the words the walk used (``advance`` clears the carry, so the
     carried half is set again).
 
-    A rejection, a size outside ``[2, 2**32]`` or a bit generator other
-    than PCG64 restores the state and runs the scalar loop instead.
+    For ``0 < rate < 1`` a word is a hit when ``w < 2048 * ceil(rate *
+    2**53)``: ``(w >> 11) * 2**-53 < rate`` holds exactly when the
+    integer ``w >> 11`` is below ``rate * 2**53``, a product that scaling
+    by a power of two leaves exact.  Other rates compare the doubles.
+
+    ``sizes`` may be a :class:`DrawSizes` built once per search; any other
+    sequence is checked on every call.  A rejection, a size outside
+    ``[2, 2**32]`` or a bit generator other than PCG64 restores the state
+    and runs the scalar loop instead.
     """
-    count = len(sizes)
+    if not isinstance(sizes, DrawSizes):
+        sizes = DrawSizes(sizes)
     bit_generator = rng.bit_generator
-    if (count == 0 or type(bit_generator) is not np.random.PCG64
-            or min(sizes) < 2 or max(sizes) > 1 << 32):
+    if not sizes.replayable or type(bit_generator) is not np.random.PCG64:
         return scalar_masked_draws(rng, rate, sizes)
+    count = len(sizes)
     saved = bit_generator.state
     # Each index reads one double; at most every other hit reads a fresh
     # word for its half, so 2 * count words always suffice.
     words = bit_generator.random_raw(2 * count)
-    hits = np.flatnonzero((words >> 11) * 2.0 ** -53 < rate).tolist()
+    if 0.0 < rate < 1.0:
+        hit = words < np.uint64(2048 * math.ceil(rate * 2.0 ** 53))
+    else:
+        hit = (words >> 11) * 2.0 ** -53 < rate
+    hits = hit.nonzero()[0].tolist()
     carry, half = saved["has_uint32"], saved["uinteger"]
     draws: Dict[int, int] = {}
     used = 0   # words read so far
@@ -110,6 +138,8 @@ class GenomeOptimizer:
         self._evaluator: Optional[DesignPointEvaluator] = None
         self._budget = 0
         self._spent = 0
+        #: (evaluator, its gene bounds), built on first use.
+        self._bounds: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     def search(self, evaluator: DesignPointEvaluator,
@@ -191,11 +221,14 @@ class GenomeOptimizer:
             result.record(result.best_cost)
         return outcomes
 
-    def _gene_bounds(self) -> List[int]:
+    def _gene_bounds(self) -> DrawSizes:
         """Per-gene level counts: ``[L, L]`` per layer, ``[L, L, D]``
-        under MIX (``D`` dataflows)."""
-        return (list(self._evaluator.space.head_sizes)
-                * len(self._evaluator.layers))
+        under MIX (``D`` dataflows), built once per evaluator."""
+        evaluator = self._evaluator
+        if self._bounds is None or self._bounds[0] is not evaluator:
+            self._bounds = (evaluator, DrawSizes(
+                evaluator.space.head_sizes * len(evaluator.layers)))
+        return self._bounds[1]
 
     def random_genomes(self, count: int) -> List[List[int]]:
         """``count`` uniformly random genomes from one vector draw.
