@@ -217,18 +217,29 @@ class CostModel:
             raise ValueError(
                 f"got {len(layers)} layers but {len(assignments)} assignments"
             )
+        # The per-layer cache is called directly, with evaluate_layer's
+        # checks inline, and the default style is resolved once: this loop
+        # is the scalar chain every single-genome score runs through.
+        default = None if dataflow is None else get_dataflow(dataflow)
+        cached = self._evaluate_cached
         reports: List[CostReport] = []
         for layer, assignment in zip(layers, assignments):
             if len(assignment) == 3:
                 pes, l1_bytes, style = assignment
-            elif dataflow is not None:
+            elif default is not None:
                 pes, l1_bytes = assignment
-                style = dataflow
+                style = default
             else:
                 raise ValueError(
                     "assignment lacks a dataflow and no default was given"
                 )
-            reports.append(self.evaluate_layer(layer, style, pes, l1_bytes))
+            if pes < 1:
+                raise ValueError(f"pes must be >= 1, got {pes}")
+            if l1_bytes < 1:
+                raise ValueError(f"l1_bytes must be >= 1, got {l1_bytes}")
+            if style is not default:
+                style = get_dataflow(style)
+            reports.append(cached(layer, style, int(pes), int(l1_bytes)))
         # Totals add left to right, as the batched ``ordered_row_sum``
         # does.  Not ``sum()``: from Python 3.12 it compensates float
         # additions, which rounds differently.
@@ -258,10 +269,15 @@ class CostModel:
         Latency and energy sum over the sequential layer executions; area is
         that of the one accelerator; power is the worst (peak) layer power.
         """
-        reports = [
-            self.evaluate_layer(layer, dataflow, pes, l1_bytes)
-            for layer in layers
-        ]
+        # evaluate_layer's checks and style resolution, once for every
+        # layer, as in ``evaluate_model``.
+        if pes < 1:
+            raise ValueError(f"pes must be >= 1, got {pes}")
+        if l1_bytes < 1:
+            raise ValueError(f"l1_bytes must be >= 1, got {l1_bytes}")
+        style, pes, l1_bytes = get_dataflow(dataflow), int(pes), int(l1_bytes)
+        cached = self._evaluate_cached
+        reports = [cached(layer, style, pes, l1_bytes) for layer in layers]
         # Left-to-right totals, as in ``evaluate_model``.
         latency = energy = 0.0
         for report in reports:

@@ -10,6 +10,7 @@ Table IX sweeps ``L`` in {10, 12, 14}, so levels are generated for any L.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -135,7 +136,7 @@ class ActionSpace:
             raise ValueError(
                 f"expected a multiple of {per_step} genes, got {len(genes)}")
         levels = self.num_levels
-        pe_levels, buf_levels = self.pe_levels, self.buf_levels
+        pairs = self._level_pairs
         dataflows = self.dataflows
         decoded = []
         for start in range(0, len(genes), per_step):
@@ -146,14 +147,20 @@ class ActionSpace:
                 raise ValueError(
                     f"buffer level index {buf_idx} out of range")
             if dataflows is None:
-                decoded.append((pe_levels[pe_idx], buf_levels[buf_idx]))
+                decoded.append(pairs[pe_idx][buf_idx])
                 continue
             df_idx = genes[start + 2]
             if not 0 <= df_idx < len(dataflows):
                 raise ValueError(f"dataflow index {df_idx} out of range")
-            decoded.append((pe_levels[pe_idx], buf_levels[buf_idx],
-                            dataflows[df_idx]))
+            decoded.append(pairs[pe_idx][buf_idx] + (dataflows[df_idx],))
         return decoded
+
+    @cached_property
+    def _level_pairs(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """``(pe_levels[i], buf_levels[j])`` at ``[i][j]``, built once per
+        space, so decoding takes each pair whole."""
+        return tuple(tuple((pes, l1_bytes) for l1_bytes in self.buf_levels)
+                     for pes in self.pe_levels)
 
     def max_action(self) -> Tuple[int, ...]:
         """The uniform maximum action pair used to measure C_max (Table II)."""

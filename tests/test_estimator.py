@@ -206,14 +206,15 @@ class TestEvaluateModel:
                                       monkeypatch, deployment):
         """Model totals fold the layers in order, as the batched
         ``ordered_row_sum`` does.  A compensated sum (``math.fsum``, or
-        ``sum()`` from Python 3.12) rounds these figures up."""
+        ``sum()`` from Python 3.12) rounds these figures up.  The seam is
+        the per-layer cached function both totals read from."""
         figures = [1.0, 1e-16, 1e-16, 1e-16]
         assert math.fsum(figures) > 1.0
         base = cost_model.evaluate_layer(tiny_model[0], "dla", 16, 39)
         reports = iter([dataclasses.replace(
             base, latency_cycles=value, energy_nj=value, area_um2=value,
             power_mw=value) for value in figures])
-        monkeypatch.setattr(cost_model, "evaluate_layer",
+        monkeypatch.setattr(cost_model, "_evaluate_cached",
                             lambda *args: next(reports))
         if deployment == "lp":
             report = cost_model.evaluate_model(

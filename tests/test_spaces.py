@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.env.observation import OBSERVATION_DIM, ObservationEncoder
 from repro.env.spaces import ActionSpace, canonical_pe_levels
@@ -99,6 +101,51 @@ class TestActionSpace:
                 with pytest.raises(ValueError, match=message):
                     space.decode(genes[space.actions_per_step:
                                        2 * space.actions_per_step])
+
+    @settings(max_examples=200, deadline=None)
+    @given(levels=st.sampled_from([10, 12, 14]),
+           style=st.sampled_from(["dla", "eye", "shi", "mix"]),
+           data=st.data())
+    def test_decode_genes_matches_a_gene_by_gene_decode(self, levels, style,
+                                                        data):
+        """The pair table against indexing each ladder gene by gene: equal
+        decodes, and the first bad gene's message (in gene order) when
+        any gene is out of range."""
+        space = ActionSpace.build(dataflow=style if style != "mix" else "dla",
+                                  num_levels=levels, mix=style == "mix")
+        ladders = (space.pe_levels, space.buf_levels, space.dataflows)
+        names = ("PE level", "buffer level", "dataflow")
+        steps = data.draw(st.integers(0, 6))
+        genes = [data.draw(st.one_of(st.integers(0, size - 1),
+                                     st.integers(-size - 1, size + 1)))
+                 for _ in range(steps) for size in space.head_sizes]
+
+        def decode_gene_by_gene():
+            decoded = []
+            for start in range(0, len(genes), space.actions_per_step):
+                action = []
+                for head, size in enumerate(space.head_sizes):
+                    index = genes[start + head]
+                    if not 0 <= index < size:
+                        raise ValueError(
+                            f"{names[head]} index {index} out of range")
+                    action.append(ladders[head][index])
+                decoded.append(tuple(action))
+            return decoded
+
+        try:
+            expected = decode_gene_by_gene()
+        except ValueError as error:
+            for form in (genes, np.asarray(genes, dtype=np.int64)):
+                with pytest.raises(ValueError) as raised:
+                    space.decode_genes(form)
+                assert str(raised.value) == str(error)
+            return
+        assert space.decode_genes(genes) == expected
+        decoded = space.decode_genes(np.asarray(genes, dtype=np.int64))
+        assert decoded == expected
+        assert all(type(value) is int for action in decoded
+                   for value in action[:2])
 
     def test_max_action(self, space_dla, space_mix):
         assert space_dla.max_action() == (11, 11)
