@@ -21,7 +21,9 @@
   observer protocol's graceful early-stop, so a cancelled running job
   keeps its best-so-far result.  A job whose session raises ends
   ``FAILED`` and is never cached, so resubmitting its identity runs it
-  afresh.
+  afresh.  A result the store cannot write (an ``OSError``) still ends
+  its job ``DONE``, uncached, with the error in the ``DONE`` event and
+  counted in :meth:`SearchServer.stats`.
 * **Streaming progress** -- each job bridges the
   :class:`~repro.search.callbacks.SearchObserver` hooks
   (``on_step`` / ``on_improvement``) into an event
@@ -233,6 +235,9 @@ class SearchServer:
         #: How many sessions actually ran (cache hits and single-flight
         #: followers do not count) -- what the dedup tests assert on.
         self.executions = 0
+        #: Results that could not be written to the store (their jobs
+        #: still end ``DONE``, uncached).
+        self.store_errors = 0
         self._threads = [
             threading.Thread(target=self._scheduler_loop,
                              name=f"repro-scheduler-{index}", daemon=True)
@@ -322,6 +327,7 @@ class SearchServer:
                 "by_state": by_state,
                 "inflight": len(self._inflight),
                 "executions": self.executions,
+                "store_errors": self.store_errors,
                 "max_concurrent": self.max_concurrent,
                 "cache": (self.store.stats()
                           if self.store is not None else None),
@@ -365,7 +371,16 @@ class SearchServer:
         # Only complete, budget-exhausted runs are cacheable: a result
         # truncated by an observer stop is not the spec's fixed point.
         if self.store is not None and not result.stopped_early:
-            self.store.put(job.spec, result)
+            try:
+                self.store.put(job.spec, result)
+            except OSError as error:
+                # The result stands; only the cache entry is lost, and the
+                # scheduler thread must live on to drain the queue.
+                with self._lock:
+                    self.store_errors += 1
+                job._set_state(JobState.DONE, store_error=(
+                    f"{type(error).__name__}: {error}"))
+                return
         job._set_state(JobState.DONE)
 
     # ------------------------------------------------------------------

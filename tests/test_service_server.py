@@ -382,3 +382,41 @@ class TestFailedJobs:
                 assert valid.state == JobState.DONE
         finally:
             unregister_method("_test-fail-once")
+
+
+class _FullDiskStore(ResultStore):
+    """A store whose every write fails, as on a full disk."""
+
+    def put(self, spec, result):
+        raise OSError(28, "No space left on device")
+
+
+class TestStoreWriteErrors:
+    def test_a_failed_store_write_ends_the_job_done_uncached(self,
+                                                             tmp_path):
+        """A store write that raises must not end a scheduler thread: the
+        job ends DONE with its result, uncached, the error rides in its
+        DONE event and in stats(), and later jobs -- a resubmission of
+        the same identity included -- still run."""
+        store = _FullDiskStore(root=tmp_path / "cache")
+        with SearchServer(store=store, max_concurrent=2) as server:
+            first = server.submit(_spec()).wait(timeout=30)
+            second = server.submit(_spec(seed=1)).wait(timeout=30)
+            for job in (first, second):
+                assert job.state == JobState.DONE
+                assert job.result is not None and not job.cached
+                assert job.error is None
+                final = list(job.events(timeout=5))[-1]
+                assert final["state"] == JobState.DONE
+                assert final["store_error"] \
+                    == "OSError: [Errno 28] No space left on device"
+            assert all(thread.is_alive() for thread in server._threads)
+            stats = server.stats()
+            assert stats["store_errors"] == 2
+            assert stats["inflight"] == 0
+
+            again = server.submit(_spec()).wait(timeout=30)
+            assert again is not first
+            assert again.state == JobState.DONE and not again.cached
+            assert again.result.best_cost == first.result.best_cost
+            assert server.stats()["executions"] == 3
