@@ -144,6 +144,10 @@ class SearchSpec:
         if self.model not in list_models():
             raise ValueError(
                 f"unknown model {self.model!r}; see repro.list_models()")
+        if not isinstance(self.method, str):
+            raise ValueError(
+                f"method must be a registered method name (a str), got "
+                f"{self.method!r}")
         if isinstance(self.objective, Objective):
             # Instances are stored as their JSON-safe spec so the frozen
             # dataclass stays serializable and comparable.

@@ -29,9 +29,11 @@ Operations::
 ``submit`` with ``"wait": true`` (the default) blocks until the job is
 terminal and embeds the full ``result`` document; ``"wait": false``
 returns the job summary immediately (poll with ``status`` / ``result``).
-``force``, ``watch`` and ``wait`` must be JSON booleans and ``timeout``
-(seconds) a finite number or ``null``; any other value is a ``bad
-request``, answered before a job is queued.
+``force``, ``watch`` and ``wait`` must be JSON booleans, ``timeout``
+(seconds) a finite number or ``null`` and ``action`` ``"stats"`` or
+``"clear"``; any other value is a ``bad request``, answered before a job
+is queued.  So is a line that is not UTF-8 JSON, or nests too deep to
+parse.
 The transport never re-serializes a stored result through live objects
 except via ``SessionResult.from_dict``/``to_dict``, so a cache hit's
 document is bit-identical to the run that produced it.
@@ -121,7 +123,10 @@ class _RequestHandler(socketserver.StreamRequestHandler):
                 request = json.loads(line.decode("utf-8"))
                 if not isinstance(request, dict):
                     raise ValueError("request must be a JSON object")
-            except (ValueError, UnicodeDecodeError) as error:
+            except (ValueError, UnicodeDecodeError,
+                    RecursionError) as error:
+                # RecursionError: arrays or objects nested about a
+                # thousand deep, which the parser cannot descend.
                 self._send({"ok": False, "error": f"bad request: {error}"})
                 continue
             try:
@@ -195,10 +200,14 @@ class _RequestHandler(socketserver.StreamRequestHandler):
             cancelled = server.cancel(request["job"])
             self._send({"ok": True, "cancelled": cancelled})
         elif op == "cache":
+            action = request.get("action", "stats")
+            if action not in ("stats", "clear"):
+                raise _BadRequest(
+                    f'action must be "stats" or "clear", got {action!r}')
             store = server.store
             if store is None:
                 self._send({"ok": False, "error": "cache disabled"})
-            elif request.get("action", "stats") == "clear":
+            elif action == "clear":
                 self._send({"ok": True, "cleared": store.clear()})
             else:
                 self._send({"ok": True, "stats": store.stats()})

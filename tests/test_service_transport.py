@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import json
 import socket
+import traceback
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.search.spec import SearchSpec
 from repro.service import (
@@ -198,3 +201,143 @@ class TestWireProtocol:
             assert response["error"].startswith("bad request: ")
             assert handle.readline() == b""
         assert self._raw(service, ['{"op": "ping"}'])[0]["ok"] is True
+
+
+# ----------------------------------------------------------------------
+# Wire fuzz: malformed lines never hang, never crash a handler.
+# ----------------------------------------------------------------------
+#: Well-formed requests, cut short for the truncated-frame cases; every
+#: ``submit`` and ``result`` is at ``"wait": false``, so nothing runs long.
+_REQUESTS = [
+    {"op": "ping"},
+    {"op": "submit", "spec": _spec().to_dict(), "wait": False},
+    {"op": "status", "job": "j1"},
+    {"op": "result", "job": "j1", "wait": False},
+    {"op": "cancel", "job": "j1"},
+    {"op": "cache", "action": "stats"},
+    {"op": "jobs"},
+    {"op": "stats"},
+]
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                     st.floats(), st.text(max_size=8))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner,
+                                            max_size=3)),
+    max_leaves=8)
+_LISTS = st.lists(st.integers(), max_size=2)
+_NOT_STR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                     _LISTS)
+_NOT_INT = st.one_of(st.booleans(), st.floats(), st.text(max_size=4),
+                     _LISTS)
+_NOT_BOOL = st.one_of(st.none(), st.integers(), st.floats(),
+                      st.text(max_size=4), _LISTS)
+
+#: Each spec field -> values of the wrong JSON type for it.
+_WRONG_FIELD = {
+    **{name: _NOT_STR for name in ("model", "method", "objective",
+                                   "dataflow", "constraint_kind",
+                                   "platform", "deployment")},
+    **{name: st.one_of(st.none(), _NOT_INT)
+       for name in ("budget", "num_levels", "max_pes", "max_total_pes",
+                    "max_total_l1")},
+    **{name: _NOT_INT for name in ("seed", "layer_slice", "finetune",
+                                   "envs")},
+    "mix": _NOT_BOOL,
+}
+
+
+@st.composite
+def _truncated_frames(draw) -> bytes:
+    line = json.dumps(draw(st.sampled_from(_REQUESTS)))
+    return line[:draw(st.integers(1, len(line) - 1))].encode("utf-8")
+
+
+@st.composite
+def _wrong_typed_fields(draw) -> bytes:
+    spec = _spec().to_dict()
+    case = draw(st.sampled_from(["op", "spec", "spec field", "flag",
+                                 "timeout", "job", "action"]))
+    if case == "op":
+        request = {"op": draw(_NOT_STR)}
+    elif case == "spec":
+        request = {"op": "submit", "wait": False,
+                   "spec": draw(_JSON.filter(
+                       lambda value: not isinstance(value, dict)))}
+    elif case == "spec field":
+        field = draw(st.sampled_from(sorted(_WRONG_FIELD)))
+        spec[field] = draw(_WRONG_FIELD[field])
+        request = {"op": "submit", "spec": spec, "wait": False}
+    elif case == "flag":
+        request = {"op": "submit", "spec": spec, "wait": False}
+        request[draw(st.sampled_from(["force", "watch", "wait"]))] = \
+            draw(_NOT_BOOL)
+    elif case == "timeout":
+        request = {"op": "submit", "spec": spec, "wait": False,
+                   "timeout": draw(st.one_of(
+                       st.booleans(), st.text(max_size=4), _LISTS,
+                       st.sampled_from([float("nan"), float("inf")])))}
+    elif case == "job":
+        request = {"op": draw(st.sampled_from(["status", "result",
+                                               "cancel"])),
+                   "job": draw(_NOT_STR), "wait": False}
+    else:
+        request = {"op": "cache", "action": draw(_NOT_STR)}
+    return json.dumps(request).encode("utf-8")
+
+
+_MALFORMED = st.one_of(
+    _truncated_frames(),
+    st.binary(min_size=1, max_size=64).filter(
+        lambda line: b"\n" not in line and line.strip()),
+    _JSON.filter(lambda value: not isinstance(value, dict)).map(
+        lambda value: json.dumps(value).encode("utf-8")),
+    _wrong_typed_fields(),
+)
+
+
+@pytest.fixture(scope="class")
+def fuzzed_service(tmp_path_factory):
+    """One server for every fuzz example, recording each traceback its
+    handler threads would otherwise print."""
+    server = SearchServer(store=ResultStore(
+        root=tmp_path_factory.mktemp("fuzz") / "cache"))
+    transport = start_transport(server, port=0)
+    tracebacks = []
+    transport.handle_error = \
+        lambda request, address: tracebacks.append(traceback.format_exc())
+    try:
+        yield transport.server_address[1], server, tracebacks
+    finally:
+        transport.shutdown()
+        transport.server_close()
+        server.close()
+
+
+class TestWireFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(line=_MALFORMED)
+    @example(line=b"[" * 5000)
+    @example(line=b'{"op": "cache", "action": "clera"}')
+    @example(line=b'{"op": "submit", "spec": {"model": "mnasnet", '
+                  b'"method": 7}, "wait": false}')
+    def test_each_malformed_line_gets_one_error_and_the_link_lives(
+            self, fuzzed_service, line):
+        """Truncated frames, random bytes, non-object JSON and
+        wrong-typed fields: each line is answered by exactly one
+        ``ok: false`` line (the next line read answers the ``ping`` sent
+        after it), no job is queued and no handler raises."""
+        port, server, tracebacks = fuzzed_service
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10) as sock:
+            handle = sock.makefile("rwb")
+            handle.write(line + b"\n" + b'{"op": "ping"}\n')
+            handle.flush()
+            response = json.loads(handle.readline())
+            assert response["ok"] is False
+            assert isinstance(response["error"], str)
+            assert json.loads(handle.readline())["ok"] is True
+        assert server.stats()["jobs"] == 0
+        assert tracebacks == []
