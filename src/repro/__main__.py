@@ -421,8 +421,10 @@ def _add_task_arguments(parser: argparse.ArgumentParser) -> None:
                         default=300,
                         help="search budget (episodes / evaluations)")
     parser.add_argument("--finetune", type=int, default=None,
-                        help="stage-2 budget for two-stage methods "
-                             "(default: budget // 4)")
+                        help="stage-2 budget for two-stage methods, in "
+                             "local-GA generations of up to 18 offspring "
+                             "after 20 initial designs (default: "
+                             "budget // 4)")
     parser.add_argument("--layers", type=int, default=0,
                         help="restrict to the first N layers (0 = all)")
     parser.add_argument("--seed", type=int, default=0)

@@ -154,7 +154,9 @@ class SessionContext:
 
     @property
     def finetune(self) -> int:
-        """Stage-2 budget for two-stage methods (default ``budget//4``)."""
+        """Stage-2 budget for two-stage methods, in LocalGA generations
+        (20 initial designs, then up to 18 offspring each; default
+        ``budget//4``)."""
         return self.budget // 4 if self._finetune is None else self._finetune
 
     def make_env(self):

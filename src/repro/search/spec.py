@@ -98,8 +98,11 @@ class SearchSpec:
         max_total_pes / max_total_l1: FPGA caps when ``constraint_kind``
             is "resource".
         layer_slice: Restrict to the first N layers (None = full model).
-        finetune: Stage-2 budget for two-stage methods; ``None`` means
-            ``budget // 4``.  Ignored by single-stage methods.
+        finetune: Stage-2 budget for two-stage methods, in LocalGA
+            generations (20 initial designs, then up to 18 offspring per
+            generation), not the design-point evaluations ``local-ga``'s
+            ``budget`` counts; ``None`` means ``budget // 4``.  Ignored
+            by single-stage methods.
         envs: Lockstep episode count for episodic-RL methods: the agent
             rolls ``envs`` episodes per wave through a
             :class:`~repro.env.vector.VectorHWAssignmentEnv`, paying one
@@ -215,7 +218,8 @@ class SearchSpec:
     # ------------------------------------------------------------------
     @property
     def finetune_budget(self) -> int:
-        """Resolved stage-2 budget: explicit ``finetune`` or ``budget//4``."""
+        """Resolved stage-2 budget in LocalGA generations: explicit
+        ``finetune`` or ``budget//4``."""
         return self.budget // 4 if self.finetune is None else self.finetune
 
     def task(self) -> TaskSpec:
