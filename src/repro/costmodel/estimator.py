@@ -212,6 +212,10 @@ class CostModel:
             Whole-model report: end-to-end latency and energy are sums over
             layers; area and power are sums over the per-layer partitions
             (the resources coexist on chip).
+
+        Raises:
+            KeyError: for an unknown style, ``dataflow`` included even when
+                every assignment carries its own.
         """
         if len(layers) != len(assignments):
             raise ValueError(
