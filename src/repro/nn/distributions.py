@@ -73,20 +73,18 @@ class Categorical:
             probs = self._probs
         return -(probs * self._log_probs).sum(axis=-1)
 
-    @staticmethod
-    def logits_grad(actions: np.ndarray, log_probs: np.ndarray,
-                    probs: np.ndarray, exp: np.ndarray,
-                    exp_sum: np.ndarray, d_log_prob: np.ndarray,
+    def logits_grad(self, actions: np.ndarray, d_log_prob: np.ndarray,
                     d_entropy: np.ndarray) -> np.ndarray:
-        """Gradient with respect to the logits of ``log_prob(actions)``
-        and ``entropy()``, for ``T`` rows at once.
+        """Gradient with respect to ``ndarray`` logits of
+        ``log_prob(actions)`` and ``entropy()``, for all ``T`` rows at
+        once.
 
-        The ``(T, k)`` arrays are the forward values (``_log_probs``,
-        ``probs``, ``exp``, and ``exp_sum`` of shape ``(T, 1)``);
         ``d_log_prob`` and ``d_entropy`` have shape ``(T,)``.  Each line
         is the tape's backward for one node, in the tape's operand order,
         so the result is bit-identical to it row by row.
         """
+        log_probs, probs = self._log_probs, self._probs
+        exp, exp_sum = self.exp, self.exp_sum
         rows = np.arange(actions.shape[0])
         # entropy = -(probs * log_probs).sum(-1), probs = exp / exp_sum
         d_prod = np.broadcast_to(-d_entropy[:, None], probs.shape)

@@ -75,7 +75,7 @@ class Adam(Optimizer):
 
         They hold nothing from one step to the next, so the thread that
         drives this optimizer may use them as work space between steps
-        (REINFORCE's BPTT accumulates the ``W_h`` gradient there).
+        (REINFORCE's BPTT writes the ``W_h`` gradient into the first).
         """
         return self._scratch[self.parameters.index(parameter)]
 

@@ -29,12 +29,13 @@ class RecurrentTrace:
 
     Row ``t`` holds step ``t``; ``h`` and ``c`` have one extra leading
     row, the zero state, so ``h[t]`` is the state step ``t`` starts from.
-    A trace belongs to one episode and one thread.
+    Each head keeps only its logits rows: the update builds one
+    :class:`Categorical` per head over the whole episode from them.  A
+    trace belongs to one episode and one thread.
     """
 
     def __init__(self, policy: "RecurrentPolicy", capacity: int) -> None:
         hidden = policy.hidden_size
-        sizes = [head.out_features for head in policy.heads]
         self.length = 0
         self.obs = np.empty((capacity, policy.obs_dim))
         self.h = np.zeros((capacity + 1, hidden))
@@ -43,28 +44,25 @@ class RecurrentTrace:
         #: output.
         self.gates = np.empty((capacity, 4 * hidden))
         self.tanh_c = np.empty((capacity, hidden))
-        #: Per head: log-probabilities, probabilities, exp(shifted
-        #: logits) and its row sums -- the values the tape would hold.
-        self.heads = [tuple(np.empty((capacity, width))
-                            for width in (size, size, size, 1))
-                      for size in sizes]
-        self.actions = np.empty((capacity, len(sizes)), dtype=np.int64)
-        #: Per step: log-probability and entropy summed over the heads.
-        self.log_prob = np.empty(capacity)
-        self.entropy = np.empty(capacity)
+        #: Per head: each step's logits row.
+        self.logits = [np.empty((capacity, head.out_features))
+                       for head in policy.heads]
+        self.actions = np.empty((capacity, len(policy.heads)),
+                                dtype=np.int64)
 
     def initial_state(self) -> Tuple[np.ndarray, np.ndarray]:
         return self.h[0:1], self.c[0:1]
 
-    def record(self, action: Sequence[int], log_prob: np.ndarray,
-               entropy: np.ndarray) -> None:
-        """Close the current step with its sampled action and summed
-        log-probability and entropy."""
+    def record(self, action: Sequence[int]) -> None:
+        """Close the current step with its sampled action."""
         t = self.length
         self.actions[t] = action
-        self.log_prob[t] = log_prob[0]
-        self.entropy[t] = entropy[0]
         self.length = t + 1
+
+    def distributions(self) -> List[Categorical]:
+        """One :class:`Categorical` per head over the recorded steps'
+        logits rows."""
+        return [Categorical(logits[:self.length]) for logits in self.logits]
 
 
 class RecurrentPolicy(Module):
@@ -137,28 +135,27 @@ class RecurrentPolicy(Module):
         np.tanh(c, out=tanh_c)
         np.multiply(o_gate, tanh_c, out=h)
         dists = []
-        for head, arrays in zip(self.heads, trace.heads):
-            dist = Categorical(h @ head.weight.data + head.bias.data)
-            for array, value in zip(arrays, (dist._log_probs, dist._probs,
-                                             dist.exp, dist.exp_sum)):
-                array[t] = value[0]
-            dists.append(dist)
+        for head, logits in zip(self.heads, trace.logits):
+            row = logits[t:t + 1]
+            np.add(h @ head.weight.data, head.bias.data, out=row)
+            dists.append(Categorical(row))
         return dists, (h, c)
 
-    def bptt(self, trace: RecurrentTrace, d_log_prob: np.ndarray,
-             d_entropy: np.ndarray,
-             buffers: Tuple[np.ndarray, np.ndarray]) -> List[np.ndarray]:
+    def bptt(self, trace: RecurrentTrace, dists: Sequence[Categorical],
+             d_log_prob: np.ndarray, d_entropy: np.ndarray,
+             out: np.ndarray) -> List[np.ndarray]:
         """Backpropagation through time over one traced episode.
 
-        ``d_log_prob`` and ``d_entropy`` are the loss gradients of each
-        step's summed log-probability and entropy, shape ``(T,)``.
-        Returns one gradient per :meth:`parameters` entry, byte for byte
-        what the autograd tape accumulates.
+        ``dists`` holds one :class:`Categorical` per head over the
+        episode's logits rows (``trace.logits``, ``trace.length`` rows
+        each).  ``d_log_prob`` and ``d_entropy`` are the loss gradients
+        of each step's summed log-probability and entropy, shape
+        ``(T,)``.  Returns one gradient per :meth:`parameters` entry,
+        byte for byte what the autograd tape accumulates.
 
-        ``buffers`` are two scratch arrays of ``W_h``'s shape: the ``W_h``
-        gradient accumulates in the first, which is returned, and each
-        step's outer product goes to the second.  Both are overwritten,
-        so the result is valid until the buffers' next use.
+        ``out`` is a scratch array of ``W_h``'s shape.  The ``W_h``
+        gradient is written into it and returned, so the result is valid
+        until the array's next use.
 
         Every sum of three or more parts follows the tape's order:
 
@@ -166,8 +163,11 @@ class RecurrentPolicy(Module):
           time order (a stacked array summed along axis 0 adds row by
           row);
         * the LSTM's ``W_x``, ``W_h`` and bias add theirs in reverse time
-          order, from ``+0.0``: ``W_h`` in the loop, the other two as an
-          axis-0 reduce over time-reversed stacks with ``initial=0.0``;
+          order, from ``+0.0``: each weight is one
+          ``einsum('ti,tj->ij')`` over contiguous time-reversed copies,
+          which adds one rounded product at a time, in index order, into
+          a zeroed output; the bias is an axis-0 reduce over the same
+          copy with ``initial=0.0``;
         * ``dh_t`` is the head parts in head order, then the recurrent
           part from step ``t + 1``.
 
@@ -175,28 +175,26 @@ class RecurrentPolicy(Module):
         one stacked ``(T, 1, k) @ (k, H)`` matmul, which runs the tape's
         ``(1, k) @ (k, H)`` product once per row, and the recurrence
         keeps one ``dgates @ W_h.T`` per step.  A single ``(T, k) @ (k,
-        H)`` product sums in another order and drifts by ulps.
+        H)`` product, or a GEMM over time for a weight, sums in BLAS's
+        blocked order and drifts by ulps; ``einsum`` without
+        ``optimize`` never calls BLAS.
 
-        What does not depend on the recurrence is computed before the
-        loop, vectorised over time: the heads' ``dh`` parts, ``1 -
-        tanh(c)**2`` and three ``(T, 4H)`` gate-factor arrays.  Step
-        ``t``'s ``dgates`` row is ``((first * second[t]) * third[t]) *
-        fourth[t]`` with ``first = [dc, dc, dc, dh]``, which keeps each
-        gate's left-to-right product; the cell gate's third factor is
-        1.0, and multiplying by 1.0 is exact.  The ``W_x`` and ``W_h``
-        outer products are ``einsum`` products: each element one rounded
-        multiply, though a zero may lose its sign, which a sum started
-        from ``+0.0`` cannot see.  The head weights' sums start from
-        their first row, so they keep the broadcast multiply.
+        The step loop does only the recurrence: dh, dc, the ``dgates``
+        row and ``dh_next``.  The rest is vectorised over time: the
+        heads' ``dh`` parts, ``1 - tanh(c)**2`` and three ``(T, 4H)``
+        gate-factor arrays before the loop, the LSTM's sums after it.
+        Step ``t``'s ``dgates`` row is ``((first * second[t]) *
+        third[t]) * fourth[t]`` with ``first = [dc, dc, dc, dh]``, which
+        keeps each gate's left-to-right product; the cell gate's third
+        factor is 1.0, and multiplying by 1.0 is exact.
         """
         steps = trace.length
         hs = self.hidden_size
         h = trace.h[:steps + 1]
         dh_heads, head_grads = None, []
-        for index, (head, arrays) in enumerate(zip(self.heads, trace.heads)):
-            dz = Categorical.logits_grad(
-                trace.actions[:steps, index],
-                *(array[:steps] for array in arrays), d_log_prob, d_entropy)
+        for index, (head, dist) in enumerate(zip(self.heads, dists)):
+            dz = dist.logits_grad(trace.actions[:steps, index], d_log_prob,
+                                  d_entropy)
             part = np.matmul(dz[:, None, :],
                              head.weight.data.swapaxes(-1, -2))[:, 0]
             dh_heads = part if dh_heads is None else dh_heads + part
@@ -219,8 +217,6 @@ class RecurrentPolicy(Module):
         np.subtract(1.0, gates[:, 2] ** 2, out=fourth[:, 2])
         second, third, fourth = factors.reshape(3, steps, 4 * hs)
 
-        grad_w_h, outer = buffers
-        grad_w_h.fill(0.0)
         w_h_t = self.cell.weight_h.data.swapaxes(-1, -2)
         dgates = np.empty((steps, 4 * hs))
         first = dgates.reshape(steps, 4, hs)
@@ -240,16 +236,16 @@ class RecurrentPolicy(Module):
             row *= third[t]
             row *= fourth[t]
             dc_next = dc * f_gate[t]
-            np.einsum("i,j->ij", h[t], row, out=outer)
-            grad_w_h += outer
             dh_next = dgates[t:t + 1] @ w_h_t
 
-        reverse = dgates[::-1]
-        grad_w_x = np.add.reduce(
-            np.einsum("ti,tj->tij", trace.obs[:steps][::-1], reverse),
-            axis=0, initial=0.0)
+        # Copies, not reversed views: einsum would walk a negative stride
+        # in memory order, which is forward time.
+        reverse = dgates[::-1].copy()
+        np.einsum("ti,tj->ij", h[:steps][::-1].copy(), reverse, out=out)
+        grad_w_x = np.einsum("ti,tj->ij", trace.obs[:steps][::-1].copy(),
+                             reverse)
         grad_bias = np.add.reduce(reverse, axis=0, initial=0.0)
-        return [grad_w_x, grad_w_h, grad_bias, *head_grads]
+        return [grad_w_x, out, grad_bias, *head_grads]
 
 
 class MLPPolicy(Module):

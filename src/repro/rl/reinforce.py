@@ -9,8 +9,10 @@ epoch".
 
 Single-env episodes of the LSTM policy run without the autograd tape: an
 array rollout into a :class:`RecurrentTrace` and the hand-derived
-:meth:`RecurrentPolicy.bptt`, bit-identical to the tape.  The MLP policy
-and lockstep waves keep the tape.
+:meth:`RecurrentPolicy.bptt`, bit-identical to the tape.  The rollout
+only samples each step; the update scores the whole episode at once, with
+one ``Categorical`` per head over the trace's logits rows.  The MLP
+policy and lockstep waves keep the tape.
 """
 
 from __future__ import annotations
@@ -29,6 +31,18 @@ from repro.rl.common import (
     normalize_rewards_for_training,
 )
 from repro.rl.policies import RecurrentPolicy, RecurrentTrace, build_policy
+
+
+def head_sums(dists, actions):
+    """Per-row log-probability of ``actions`` (one column per head) and
+    entropy, each summed over the heads in head order, the tape's
+    order."""
+    log_prob = dists[0].log_prob(actions[:, 0])
+    entropy = dists[0].entropy()
+    for head, dist in enumerate(dists[1:], start=1):
+        log_prob = log_prob + dist.log_prob(actions[:, head])
+        entropy = entropy + dist.entropy()
+    return log_prob, entropy
 
 
 class Reinforce(SearchAlgorithm):
@@ -100,14 +114,10 @@ class Reinforce(SearchAlgorithm):
             dists, state = self.policy(Tensor(observation.reshape(1, -1)),
                                        state)
         action = [int(d.sample(self.rng)[0]) for d in dists]
-        step_logp = dists[0].log_prob([action[0]])
-        step_entropy = dists[0].entropy()
-        for head, dist in enumerate(dists[1:], start=1):
-            step_logp = step_logp + dist.log_prob([action[head]])
-            step_entropy = step_entropy + dist.entropy()
         if tape_free:
-            rollout.record(action, step_logp, step_entropy)
+            rollout.record(action)
         else:
+            step_logp, step_entropy = head_sums(dists, np.array([action]))
             rollout[0].append(step_logp)
             rollout[1].append(step_entropy)
         return action, state
@@ -168,11 +178,7 @@ class Reinforce(SearchAlgorithm):
             live = venv.live_indices
             dists, state = self.policy(Tensor(observations), state)
             actions = np.stack([d.sample(self.rng) for d in dists], axis=1)
-            step_logp = dists[0].log_prob(actions[:, 0])
-            step_entropy = dists[0].entropy()
-            for head, dist in enumerate(dists[1:], start=1):
-                step_logp = step_logp + dist.log_prob(actions[:, head])
-                step_entropy = step_entropy + dist.entropy()
+            step_logp, step_entropy = head_sums(dists, actions)
             observations, rewards, dones, _ = venv.step(actions)
             reward_list = rewards.tolist()
             for row, episode in enumerate(live.tolist()):
@@ -202,11 +208,19 @@ class Reinforce(SearchAlgorithm):
         """:meth:`_episode_loss` for a traced episode, as one tape node
         over the policy parameters whose backward is
         :meth:`RecurrentPolicy.bptt`; value and gradients are
-        bit-identical to the tape's."""
+        bit-identical to the tape's.
+
+        One :class:`Categorical` per head covers the whole episode
+        (:meth:`RecurrentTrace.distributions`).  Row ``t`` holds the
+        values step ``t``'s distribution held, so the per-step sums over
+        the heads equal the tape's, and ``bptt`` reuses the same
+        distributions for the heads' backward.
+        """
         returns = normalize_rewards_for_training(rewards, self.discount)
         steps = trace.length
-        terms = (trace.log_prob[:steps] * returns
-                 + trace.entropy[:steps] * self.entropy_coef)
+        dists = trace.distributions()
+        log_prob, entropy = head_sums(dists, trace.actions[:steps])
+        terms = log_prob * returns + entropy * self.entropy_coef
         scale = 1.0 / max(len(rewards), 1)
         # The tape adds the per-step terms left to right.
         value = -np.add.accumulate(terms)[-1] * scale
@@ -214,12 +228,12 @@ class Reinforce(SearchAlgorithm):
 
         def backward(grad: np.ndarray) -> None:
             d_term = -(grad * scale)
-            # Adam's scratch for W_h is free until its next step, and
-            # _accumulate copies the W_h gradient out of it.
+            # Adam's first scratch array for W_h is free until its next
+            # step, and _accumulate copies the W_h gradient out of it.
             grads = self.policy.bptt(
-                trace, d_term * returns,
+                trace, dists, d_term * returns,
                 np.full(steps, d_term * self.entropy_coef),
-                self.optimizer.scratch(self.policy.cell.weight_h))
+                self.optimizer.scratch(self.policy.cell.weight_h)[0])
             for parameter, parameter_grad in zip(parameters, grads):
                 parameter._accumulate(parameter_grad)
 

@@ -23,6 +23,7 @@ from repro.nn.distributions import Categorical
 from repro.nn.optim import Adam
 from repro.rl import Reinforce
 from repro.rl.policies import RecurrentPolicy, RecurrentTrace
+from repro.rl.reinforce import head_sums
 
 
 @pytest.fixture(scope="module")
@@ -88,13 +89,14 @@ def gradients(agent, loss):
 
 def assert_parity(agent, oracle, trace, rewards):
     """Forward values, loss, raw gradients, and one full update of
-    ``agent`` (tape-free) against ``oracle`` (tape), all exact."""
+    ``agent`` (tape-free) against ``oracle`` (tape), all exact.  The
+    forward values are the per-episode log-probabilities and entropies
+    that the update sums from the trace's logits rows."""
     log_probs, entropies = tape_rollout(oracle, trace)
-    steps = trace.length
-    assert same_bytes(trace.log_prob[:steps],
-                      np.array([lp.item() for lp in log_probs]))
-    assert same_bytes(trace.entropy[:steps],
-                      np.array([e.item() for e in entropies]))
+    log_prob, entropy = head_sums(trace.distributions(),
+                                  trace.actions[:trace.length])
+    assert same_bytes(log_prob, np.array([lp.item() for lp in log_probs]))
+    assert same_bytes(entropy, np.array([e.item() for e in entropies]))
 
     fused = agent._trace_loss(trace, rewards)
     tape = oracle._episode_loss(log_probs, entropies, rewards)
@@ -172,8 +174,8 @@ def synthetic_trace(agent, steps, data):
 
 
 class TestRepeatedBackward:
-    """REINFORCE hands ``bptt`` the optimizer's scratch arrays, so every
-    update reuses the same ``W_h``-sized buffers."""
+    """REINFORCE hands ``bptt`` one of the optimizer's scratch arrays,
+    so every update reuses the same ``W_h``-sized buffer."""
 
     def test_reused_buffers_match_fresh_ones(self):
         agent, fresh = synthetic_twins(7, [12, 12], hidden=16)
@@ -181,14 +183,15 @@ class TestRepeatedBackward:
         long, _ = synthetic_trace(agent, 11, data)
         short, _ = synthetic_trace(agent, 4, data)
         seeds = [data.standard_normal(steps) for steps in (11, 11, 4, 4)]
-        buffers = agent.optimizer.scratch(agent.policy.cell.weight_h)
-        first = [grad.copy() for grad in
-                 agent.policy.bptt(long, *seeds[:2], buffers)]
-        second = agent.policy.bptt(short, *seeds[2:], buffers)
-        assert second[1] is buffers[0]
+        buffer = agent.optimizer.scratch(agent.policy.cell.weight_h)[0]
+        first = [grad.copy() for grad in agent.policy.bptt(
+            long, long.distributions(), *seeds[:2], buffer)]
+        second = agent.policy.bptt(short, short.distributions(), *seeds[2:],
+                                   buffer)
+        assert second[1] is buffer
         want = fresh.policy.bptt(
-            short, *seeds[2:],
-            fresh.optimizer.scratch(fresh.policy.cell.weight_h))
+            short, short.distributions(), *seeds[2:],
+            fresh.optimizer.scratch(fresh.policy.cell.weight_h)[0])
         assert all(same_bytes(got, expected)
                    for got, expected in zip(second, want))
         assert not all(same_bytes(got, other)
@@ -220,6 +223,19 @@ class TestRepeatedBackward:
        hidden=st.sampled_from([4, 8, 16]))
 def test_parity_property(steps, seed, head_sizes, hidden):
     agent, oracle = synthetic_twins(seed, head_sizes, hidden)
+    trace, rewards = synthetic_trace(agent, steps,
+                                     np.random.default_rng(seed))
+    assert_parity(agent, oracle, trace, rewards)
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.integers(1, 52), seed=st.integers(0, 2**16),
+       head_sizes=st.lists(st.integers(2, 14), min_size=2, max_size=3))
+def test_parity_property_at_the_paper_width(steps, seed, head_sizes):
+    """The paper's LSTM-128, up to the full 52-layer episode: at this
+    width the weight gradients sum 128 x 512 products per step, and any
+    reduction that leaves reverse time order shows in the bytes."""
+    agent, oracle = synthetic_twins(seed, head_sizes, hidden=128)
     trace, rewards = synthetic_trace(agent, steps,
                                      np.random.default_rng(seed))
     assert_parity(agent, oracle, trace, rewards)
