@@ -40,6 +40,7 @@ import time
 from typing import Dict, List, Optional
 
 from repro.search.callbacks import SearchObserver
+from repro.search.registry import get_method
 from repro.search.session import SearchSession, SessionResult
 from repro.search.spec import SearchSpec
 from repro.service.store import ResultStore, result_key
@@ -255,7 +256,12 @@ class SearchServer:
         stored result) -> a fresh ``PENDING`` job queued for the
         scheduler.  ``force=True`` skips the first two and always queues
         a fresh run whose result overwrites the cache entry.
+
+        An unknown ``spec.method`` raises ``KeyError`` here, before any
+        job exists.  The registry is read at submit time, not when the
+        spec is built, so methods registered later are accepted.
         """
+        get_method(spec.method)
         key = result_key(spec)
         with self._lock:
             if self._closed:

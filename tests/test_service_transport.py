@@ -151,6 +151,19 @@ class TestWireProtocol:
         assert response["ok"] is False
         assert "nope" in response["error"]
 
+    def test_unknown_method_is_refused_before_a_job_exists(self, service):
+        """A method the registry does not know gets one error line that
+        names it, even at ``"wait": false``: no job is queued and no
+        session runs."""
+        spec = _spec(method="nope").to_dict()
+        response, stats = self._raw(service, [
+            json.dumps({"op": "submit", "spec": spec, "wait": False}),
+            '{"op": "stats"}'])
+        assert response["ok"] is False
+        assert "'nope'" in response["error"]
+        assert stats["stats"]["jobs"] == 0
+        assert stats["stats"]["executions"] == 0
+
     @pytest.mark.parametrize("field, value", [
         ("force", "false"), ("force", 0), ("watch", "no"), ("wait", 1),
         ("timeout", "soon"), ("timeout", True), ("timeout", [1]),
