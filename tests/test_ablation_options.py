@@ -126,6 +126,28 @@ class TestCLI:
                      "--mix", "--epochs", "20", "--finetune", "0"])
         assert code == 0
 
+    def test_search_pareto_prints_the_front(self, capsys, tmp_path):
+        from repro.__main__ import main
+        from repro.search.session import SessionResult
+
+        saved = tmp_path / "front.json"
+        code = main(["search", "--pareto", "--layers", "4", "--budget",
+                     "100", "--seed", "0", "--save", str(saved)])
+        out = capsys.readouterr().out
+        assert code == 0
+        front = SessionResult.load(saved).pareto_front
+        assert front
+        title = f"Pareto front ({len(front)} non-dominated points)"
+        lines = out.splitlines()
+        start = lines.index(title)
+        assert lines[start + 1].split() == ["#", "latency", "energy"]
+        rows = lines[start + 3:start + 3 + len(front)]
+        assert [row.split() for row in rows] == [
+            [str(index), f"{point['objectives']['latency']:.3E}",
+             f"{point['objectives']['energy']:.3E}"]
+            for index, point in enumerate(front, start=1)]
+        assert lines[start + 3 + len(front)] == ""
+
     def test_unknown_command_exits(self):
         from repro.__main__ import main
 
