@@ -87,9 +87,11 @@ class ObservationEncoder:
         observation = self._template(layer, step).copy()
         if prev_action is not None:
             top = max(self.space.num_levels - 1, 1)
-            acted = 2.0 * np.array(prev_action[:2], dtype=np.float64) / top \
-                - 1.0
-            observation[7:9] = np.clip(acted, -1.0, 1.0)
+            # encode_batch's array expression, one float at a time: the
+            # same IEEE operations, clipped to [-1, 1].
+            for slot, level in zip((7, 8), prev_action):
+                observation[slot] = min(max(2.0 * level / top - 1.0, -1.0),
+                                        1.0)
         return observation
 
     def encode_batch(self, layer: Layer, step: int,

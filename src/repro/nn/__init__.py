@@ -3,14 +3,14 @@
 The paper builds its agents on off-the-shelf RL frameworks; this repository
 has no such dependency, so ``repro.nn`` supplies the substrate: a tensor
 autograd engine, the modules the policy/value networks need (``Linear``,
-``LSTMCell``, ``MLP``), Adam/SGD optimizers, and the categorical / Gaussian
-action distributions used by the discrete and continuous agents.
+``LSTMCell``, ``MLP``), the Adam optimizer with gradient clipping, and the
+categorical action distribution of the discrete agents.
 """
 
 from repro.nn.autograd import Tensor, no_grad
 from repro.nn.modules import LSTM, LSTMCell, Linear, MLP, Module, Parameter
-from repro.nn.optim import SGD, Adam, Optimizer, clip_grad_norm
-from repro.nn.distributions import Categorical, DiagGaussian
+from repro.nn.optim import Adam, Optimizer, clip_grad_norm
+from repro.nn.distributions import Categorical
 from repro.nn import functional
 
 __all__ = [
@@ -23,10 +23,8 @@ __all__ = [
     "LSTMCell",
     "LSTM",
     "Optimizer",
-    "SGD",
     "Adam",
     "clip_grad_norm",
     "Categorical",
-    "DiagGaussian",
     "functional",
 ]

@@ -1,21 +1,18 @@
-"""Action distributions for the RL agents.
+"""The action distribution of the discrete RL agents.
 
-``Categorical`` backs the discrete agents (REINFORCE, A2C, ACKTR, PPO2);
-``DiagGaussian`` backs the continuous ones (DDPG's exploration noise aside,
-SAC and TD3 sample from / evaluate Gaussians over the squashed action box).
+``Categorical`` backs REINFORCE, A2C, ACKTR and PPO2.  The continuous
+agents keep their own: SAC's ``GaussianActor`` and DDPG's and TD3's
+exploration noise.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.nn.autograd import Tensor
 from repro.nn.functional import log_softmax, softmax
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 class Categorical:
@@ -34,12 +31,20 @@ class Categorical:
         if isinstance(logits, Tensor):
             self._log_probs = log_softmax(logits, axis=-1)
             return
-        shifted = logits - logits.max(axis=-1, keepdims=True)
+        self._shifted = logits - logits.max(axis=-1, keepdims=True)
         #: exp(shifted logits) and its row sums, kept for the backward.
-        self.exp = np.exp(shifted)
+        self.exp = np.exp(self._shifted)
         self.exp_sum = self.exp.sum(axis=-1, keepdims=True)
-        self._log_probs = shifted - np.log(self.exp_sum)
         self._probs = self.exp / self.exp_sum
+        # A rollout step only samples; the log-probs wait for first use.
+        self._log_probs = None
+
+    def _log_softmax(self):
+        """The log-probabilities: a tape node for ``Tensor`` logits; for
+        ``ndarray`` logits an array, computed once, on first use."""
+        if self._log_probs is None:
+            self._log_probs = self._shifted - np.log(self.exp_sum)
+        return self._log_probs
 
     @property
     def probs(self) -> np.ndarray:
@@ -49,7 +54,9 @@ class Categorical:
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Sample one class index per batch row (no gradient)."""
-        probs = self.probs
+        # ndarray logits: read the probabilities in place; cumsum copies.
+        probs = (self.probs if isinstance(self.logits, Tensor)
+                 else self._probs)
         cumulative = probs.cumsum(axis=-1)
         # Guard against round-off so searchsorted never lands out of range.
         cumulative[:, -1] = 1.0
@@ -64,14 +71,14 @@ class Categorical:
         logits)."""
         actions = np.asarray(actions, dtype=np.int64)
         rows = np.arange(actions.shape[0])
-        return self._log_probs[rows, actions]
+        return self._log_softmax()[rows, actions]
 
     def entropy(self):
         if isinstance(self.logits, Tensor):
             probs = softmax(self.logits, axis=-1)
         else:
             probs = self._probs
-        return -(probs * self._log_probs).sum(axis=-1)
+        return -(probs * self._log_softmax()).sum(axis=-1)
 
     def logits_grad(self, actions: np.ndarray, d_log_prob: np.ndarray,
                     d_entropy: np.ndarray) -> np.ndarray:
@@ -83,7 +90,7 @@ class Categorical:
         is the tape's backward for one node, in the tape's operand order,
         so the result is bit-identical to it row by row.
         """
-        log_probs, probs = self._log_probs, self._probs
+        log_probs, probs = self._log_softmax(), self._probs
         exp, exp_sum = self.exp, self.exp_sum
         rows = np.arange(actions.shape[0])
         # entropy = -(probs * log_probs).sum(-1), probs = exp / exp_sum
@@ -100,34 +107,3 @@ class Categorical:
         d_log_sum = -d_log_probs.sum(axis=-1, keepdims=True)
         d_shifted = d_log_probs + d_log_sum / exp_sum * exp
         return d_shifted + d_logits
-
-
-class DiagGaussian:
-    """Diagonal Gaussian with learnable mean and log-std tensors."""
-
-    def __init__(self, mean: Tensor, log_std: Tensor) -> None:
-        self.mean = mean
-        self.log_std = log_std
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        noise = rng.standard_normal(self.mean.shape)
-        return self.mean.numpy() + np.exp(self.log_std.numpy()) * noise
-
-    def rsample(self, rng: np.random.Generator) -> Tensor:
-        """Reparameterized sample (gradient flows to mean and log-std)."""
-        noise = Tensor(rng.standard_normal(self.mean.shape))
-        return self.mean + self.log_std.exp() * noise
-
-    def log_prob(self, value) -> Tensor:
-        value = value if isinstance(value, Tensor) else Tensor(value)
-        var = (self.log_std * 2.0).exp()
-        diff = value - self.mean
-        per_dim = (
-            (diff * diff) / var * -0.5
-            - self.log_std
-            - 0.5 * _LOG_2PI
-        )
-        return per_dim.sum(axis=-1)
-
-    def entropy(self) -> Tensor:
-        return (self.log_std + 0.5 * (_LOG_2PI + 1.0)).sum(axis=-1)

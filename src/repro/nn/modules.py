@@ -13,14 +13,38 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.autograd import Tensor
+from repro.nn.autograd import Tensor, _unbroadcast
 
 
 class Parameter(Tensor):
-    """A tensor registered as trainable."""
+    """A tensor registered as trainable.
+
+    A parameter keeps the gradient array its first backward allocated.
+    :meth:`zero_grad` only unbinds ``grad``; the next backward after it
+    copies into the kept array instead of allocating a new one, so an
+    update allocates nothing of the parameter's size.  The next backward
+    after ``zero_grad`` therefore overwrites a ``grad`` read before it:
+    copy the array to keep its values.  An array assigned to ``grad``
+    from outside (ACKTR's preconditioned gradient) is never kept, so no
+    backward writes into it.
+    """
+
+    __slots__ = ("_kept",)
 
     def __init__(self, data) -> None:
         super().__init__(data, requires_grad=True)
+        self._kept: Optional[np.ndarray] = None
+
+    def _accumulate(self, grad: np.ndarray) -> None:
+        if self.grad is not None:
+            super()._accumulate(grad)
+            return
+        grad = _unbroadcast(np.asarray(grad, dtype=np.float64),
+                            self.data.shape)
+        if self._kept is None:
+            self._kept = np.empty(self.data.shape)
+        np.copyto(self._kept, grad)
+        self.grad = self._kept
 
 
 class Module:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,29 +23,6 @@ class Optimizer:
 
     def step(self) -> None:  # pragma: no cover - interface
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters: Sequence[Parameter], lr: float = 1e-2,
-                 momentum: float = 0.0) -> None:
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for parameter, velocity in zip(self.parameters, self._velocity):
-            if parameter.grad is None:
-                continue
-            velocity *= self.momentum
-            velocity += parameter.grad
-            parameter.data -= self.lr * velocity
 
 
 class Adam(Optimizer):
@@ -69,13 +46,20 @@ class Adam(Optimizer):
         # Two scratch buffers per parameter, so a step allocates nothing.
         self._scratch = [(np.empty_like(p.data), np.empty_like(p.data))
                          for p in self.parameters]
+        #: Each parameter's first scratch array, in parameter order, for
+        #: lending whole (``clip_grad_norm``'s ``work``).
+        self.work = [update for update, _ in self._scratch]
 
     def scratch(self, parameter: Parameter) -> Tuple[np.ndarray, np.ndarray]:
         """The two scratch arrays :meth:`step` uses for ``parameter``.
 
         They hold nothing from one step to the next, so the thread that
-        drives this optimizer may use them as work space between steps
-        (REINFORCE's BPTT writes the ``W_h`` gradient into the first).
+        drives this optimizer may use them as work space between steps.
+        REINFORCE lends them twice per update: ``bptt`` writes the
+        ``W_h`` gradient into the first one, the backward copies it out
+        into the parameter's gradient, and then :func:`clip_grad_norm`
+        squares every gradient into the first arrays (:attr:`work`).
+        Whatever a caller leaves in them is gone after :meth:`step`.
         """
         return self._scratch[self.parameters.index(parameter)]
 
@@ -111,18 +95,28 @@ class Adam(Optimizer):
             parameter.data -= update
 
 
-def clip_grad_norm(parameters: Sequence[Parameter],
-                   max_norm: float) -> float:
+def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float,
+                   work: Optional[Sequence[np.ndarray]] = None) -> float:
     """Scale gradients so their global L2 norm is at most ``max_norm``.
+
+    ``work`` lends one array per parameter, each of that parameter's
+    shape and C-ordered (:attr:`Adam.work` between steps); the squares
+    are written there instead of into a fresh array per parameter.  The
+    norm and the scaled gradients are the same bytes either way:
+    ``grad ** 2`` is numpy's ``square``, and both sums run over the
+    same layout.
 
     Returns the pre-clipping norm (useful for logging and tests).
     """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
     total = 0.0
-    for parameter in parameters:
-        if parameter.grad is not None:
-            total += float(np.sum(parameter.grad ** 2))
+    for index, parameter in enumerate(parameters):
+        grad = parameter.grad
+        if grad is not None:
+            squares = (grad ** 2 if work is None
+                       else np.square(grad, out=work[index]))
+            total += float(np.sum(squares))
     norm = float(np.sqrt(total))
     if norm > max_norm:
         scale = max_norm / (norm + 1e-12)

@@ -25,17 +25,26 @@ from repro.nn.modules import Linear, LSTMCell, MLP, Module
 
 class RecurrentTrace:
     """One episode's activations under :class:`RecurrentPolicy`'s array
-    forward, preallocated to ``capacity`` steps (the env's layer count).
+    forward, preallocated to ``capacity`` steps (the env's layer count),
+    with the work arrays of :meth:`RecurrentPolicy.bptt`.
 
     Row ``t`` holds step ``t``; ``h`` and ``c`` have one extra leading
     row, the zero state, so ``h[t]`` is the state step ``t`` starts from.
     Each head keeps only its logits rows: the update builds one
-    :class:`Categorical` per head over the whole episode from them.  A
-    trace belongs to one episode and one thread.
+    :class:`Categorical` per head over the whole episode from them.
+
+    A trace is recycled.  :class:`~repro.rl.reinforce.Reinforce` takes
+    it back after ``update`` and hands it to its next episode, which
+    sets ``length`` to 0 and overwrites the rows it reaches (``h[0]``
+    and ``c[0]`` stay the zero state: the forward writes from row 1);
+    copy what must outlive the update.  The ``bptt`` work arrays hold
+    nothing from one call to the next.  A trace belongs to one agent and
+    one thread.
     """
 
     def __init__(self, policy: "RecurrentPolicy", capacity: int) -> None:
         hidden = policy.hidden_size
+        self.capacity = capacity
         self.length = 0
         self.obs = np.empty((capacity, policy.obs_dim))
         self.h = np.zeros((capacity + 1, hidden))
@@ -49,6 +58,16 @@ class RecurrentTrace:
                        for head in policy.heads]
         self.actions = np.empty((capacity, len(policy.heads)),
                                 dtype=np.int64)
+        # bptt's work arrays: the three gate-factor arrays, the dgates
+        # rows in reverse time order, time-reversed copies of h and of
+        # the observations, and per head the (T, H, k) weight-gradient
+        # parts.
+        self.factors = np.empty((3, capacity, 4 * hidden))
+        self.dgates = np.empty((capacity, 4 * hidden))
+        self.h_reversed = np.empty((capacity, hidden))
+        self.obs_reversed = np.empty((capacity, policy.obs_dim))
+        self.head_parts = [np.empty((capacity, hidden, head.out_features))
+                           for head in policy.heads]
 
     def initial_state(self) -> Tuple[np.ndarray, np.ndarray]:
         return self.h[0:1], self.c[0:1]
@@ -155,7 +174,9 @@ class RecurrentPolicy(Module):
 
         ``out`` is a scratch array of ``W_h``'s shape.  The ``W_h``
         gradient is written into it and returned, so the result is valid
-        until the array's next use.
+        until the array's next use.  Every other array of ``W_h``'s
+        order of size is one of the trace's work arrays, so a call
+        allocates nothing that large.
 
         Every sum of three or more parts follows the tape's order:
 
@@ -164,10 +185,11 @@ class RecurrentPolicy(Module):
           row);
         * the LSTM's ``W_x``, ``W_h`` and bias add theirs in reverse time
           order, from ``+0.0``: each weight is one
-          ``einsum('ti,tj->ij')`` over contiguous time-reversed copies,
-          which adds one rounded product at a time, in index order, into
-          a zeroed output; the bias is an axis-0 reduce over the same
-          copy with ``initial=0.0``;
+          ``einsum('ti,tj->ij')`` over the ``dgates`` rows, which the
+          loop writes in reverse time, and a contiguous time-reversed
+          copy of ``h`` or the observations; it adds one rounded product
+          at a time, in index order, into a zeroed output.  The bias is
+          an axis-0 reduce over the same ``dgates`` with ``initial=0.0``;
         * ``dh_t`` is the head parts in head order, then the recurrent
           part from step ``t + 1``.
 
@@ -192,21 +214,27 @@ class RecurrentPolicy(Module):
         hs = self.hidden_size
         h = trace.h[:steps + 1]
         dh_heads, head_grads = None, []
-        for index, (head, dist) in enumerate(zip(self.heads, dists)):
+        for index, (head, dist, parts) in enumerate(
+                zip(self.heads, dists, trace.head_parts)):
             dz = dist.logits_grad(trace.actions[:steps, index], d_log_prob,
                                   d_entropy)
             part = np.matmul(dz[:, None, :],
                              head.weight.data.swapaxes(-1, -2))[:, 0]
-            dh_heads = part if dh_heads is None else dh_heads + part
-            head_grads += [(h[1:, :, None] * dz[:, None, :]).sum(axis=0),
-                           dz.sum(axis=0)]
+            if dh_heads is None:
+                dh_heads = part
+            else:
+                dh_heads += part
+            parts = parts[:steps]
+            np.multiply(h[1:, :, None], dz[:, None, :], out=parts)
+            head_grads += [parts.sum(axis=0), dz.sum(axis=0)]
 
         gates = trace.gates[:steps].reshape(steps, 4, hs)
         o_gate, f_gate = gates[:, 3], gates[:, 1]
         tanh_c = trace.tanh_c[:steps]
         dc_tanh = 1.0 - tanh_c ** 2
-        factors = np.empty((3, steps, 4, hs))
-        second, third, fourth = factors
+        factors = trace.factors[:, :steps]
+        second, third, fourth = (factor.reshape(steps, 4, hs)
+                                 for factor in factors)
         second[:, 0] = gates[:, 2]
         second[:, 1] = trace.c[:steps]
         second[:, 2] = gates[:, 0]
@@ -214,14 +242,17 @@ class RecurrentPolicy(Module):
         third[...] = gates
         third[:, 2] = 1.0
         np.subtract(1.0, gates, out=fourth)
-        np.subtract(1.0, gates[:, 2] ** 2, out=fourth[:, 2])
-        second, third, fourth = factors.reshape(3, steps, 4 * hs)
+        np.square(gates[:, 2], out=fourth[:, 2])
+        np.subtract(1.0, fourth[:, 2], out=fourth[:, 2])
+        second, third, fourth = factors
 
+        # Row r of dgates is step steps - 1 - r: the loop writes it in
+        # reverse time, the order the LSTM's sums below need.
         w_h_t = self.cell.weight_h.data.swapaxes(-1, -2)
-        dgates = np.empty((steps, 4 * hs))
+        dgates = trace.dgates[:steps]
         first = dgates.reshape(steps, 4, hs)
         dh_next = dc_next = None
-        for t in range(steps - 1, -1, -1):
+        for r, t in enumerate(range(steps - 1, -1, -1)):
             dh = dh_heads[t]
             if dh_next is not None:
                 dh += dh_next[0]
@@ -229,22 +260,24 @@ class RecurrentPolicy(Module):
             dc *= dc_tanh[t]
             if dc_next is not None:
                 dc += dc_next
-            first[t, :3] = dc
-            first[t, 3] = dh
-            row = dgates[t]
+            first[r, :3] = dc
+            first[r, 3] = dh
+            row = dgates[r]
             row *= second[t]
             row *= third[t]
             row *= fourth[t]
             dc_next = dc * f_gate[t]
-            dh_next = dgates[t:t + 1] @ w_h_t
+            dh_next = dgates[r:r + 1] @ w_h_t
 
-        # Copies, not reversed views: einsum would walk a negative stride
-        # in memory order, which is forward time.
-        reverse = dgates[::-1].copy()
-        np.einsum("ti,tj->ij", h[:steps][::-1].copy(), reverse, out=out)
-        grad_w_x = np.einsum("ti,tj->ij", trace.obs[:steps][::-1].copy(),
-                             reverse)
-        grad_bias = np.add.reduce(reverse, axis=0, initial=0.0)
+        # Contiguous copies, not reversed views: einsum would walk a
+        # negative stride in memory order, which is forward time.
+        h_reversed = trace.h_reversed[:steps]
+        np.copyto(h_reversed, h[:steps][::-1])
+        obs_reversed = trace.obs_reversed[:steps]
+        np.copyto(obs_reversed, trace.obs[:steps][::-1])
+        np.einsum("ti,tj->ij", h_reversed, dgates, out=out)
+        grad_w_x = np.einsum("ti,tj->ij", obs_reversed, dgates)
+        grad_bias = np.add.reduce(dgates, axis=0, initial=0.0)
         return [grad_w_x, out, grad_bias, *head_grads]
 
 

@@ -11,8 +11,11 @@ Single-env episodes of the LSTM policy run without the autograd tape: an
 array rollout into a :class:`RecurrentTrace` and the hand-derived
 :meth:`RecurrentPolicy.bptt`, bit-identical to the tape.  The rollout
 only samples each step; the update scores the whole episode at once, with
-one ``Categorical`` per head over the trace's logits rows.  The MLP
-policy and lockstep waves keep the tape.
+one ``Categorical`` per head over the trace's logits rows.  The agent
+recycles the trace from one episode to the next, and the update works in
+kept arrays (the trace's, Adam's scratch and the parameters' gradients),
+so neither allocates anything of ``W_h``'s size.  The MLP policy and
+lockstep waves keep the tape.
 """
 
 from __future__ import annotations
@@ -77,6 +80,8 @@ class Reinforce(SearchAlgorithm):
         self.rng = np.random.default_rng(seed)
         self.policy = None
         self.optimizer = None
+        #: The trace :meth:`update` took back, for the next episode.
+        self._spare_trace: Optional[RecurrentTrace] = None
 
     # ------------------------------------------------------------------
     def _build(self, env: HWAssignmentEnv) -> None:
@@ -84,17 +89,24 @@ class Reinforce(SearchAlgorithm):
             self.policy_kind, env.observation_dim, env.space.head_sizes,
             rng=self.rng, hidden_size=self.hidden_size)
         self.optimizer = Adam(self.policy.parameters(), lr=self.lr)
+        self._spare_trace = None
 
     def _begin(self, env: HWAssignmentEnv):
-        """A fresh per-episode rollout record and the initial state.
+        """An empty per-episode rollout record and the initial state.
 
         A recurrent policy runs tape-free: the record is a
-        :class:`RecurrentTrace` sized to the episode's longest length.
-        Any other policy records ``(log-prob, entropy)`` tensor lists
-        for the autograd tape.
+        :class:`RecurrentTrace` with room for the episode's longest
+        length.  It is the trace the last :meth:`update` took back when
+        that one has room, and a new one otherwise, so a second episode
+        collected before an update gets a trace of its own.  Any other
+        policy records ``(log-prob, entropy)`` tensor lists for the
+        autograd tape.
         """
         if isinstance(self.policy, RecurrentPolicy):
-            trace = RecurrentTrace(self.policy, env.num_steps)
+            trace, self._spare_trace = self._spare_trace, None
+            if trace is None or trace.capacity < env.num_steps:
+                trace = RecurrentTrace(self.policy, env.num_steps)
+            trace.length = 0
             return trace, trace.initial_state()
         return ([], []), self.policy.initial_state()
 
@@ -242,15 +254,24 @@ class Reinforce(SearchAlgorithm):
     def _apply_loss(self, loss: Tensor) -> float:
         self.optimizer.zero_grad()
         loss.backward()
-        clip_grad_norm(self.optimizer.parameters, self.max_grad_norm)
+        # Adam's scratch is free until its step: square the gradients
+        # there.
+        clip_grad_norm(self.optimizer.parameters, self.max_grad_norm,
+                       self.optimizer.work)
         self.optimizer.step()
         return loss.item()
 
     def update(self, rollout, rewards: List[float]) -> float:
         """One policy-gradient step on a rollout from :meth:`run_episode`
-        or :meth:`run_episode_planned`; returns the scalar loss."""
+        or :meth:`run_episode_planned`; returns the scalar loss.
+
+        A :class:`RecurrentTrace` comes back to the agent: the next
+        episode reuses it, so its rows stay valid only until then.
+        """
         if isinstance(rollout, RecurrentTrace):
-            return self._apply_loss(self._trace_loss(rollout, rewards))
+            loss = self._apply_loss(self._trace_loss(rollout, rewards))
+            self._spare_trace = rollout
+            return loss
         return self._apply_loss(self._episode_loss(*rollout, rewards))
 
     def update_wave(self, per_episode) -> float:

@@ -7,11 +7,9 @@ from repro.nn import (
     LSTM,
     Adam,
     Categorical,
-    DiagGaussian,
     Linear,
     LSTMCell,
     MLP,
-    SGD,
     Tensor,
     clip_grad_norm,
 )
@@ -195,18 +193,12 @@ class TestOptimizers:
             optimizer.step()
         assert np.all(np.abs(x.data) < 0.1)
 
-    def test_sgd_descends(self):
-        self._quadratic_descends(SGD, lr=0.1)
-
-    def test_sgd_momentum_descends(self):
-        self._quadratic_descends(SGD, lr=0.05, momentum=0.9)
-
     def test_adam_descends(self):
         self._quadratic_descends(Adam, lr=0.1)
 
     def test_rejects_empty_parameters(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_rejects_bad_lr(self):
         with pytest.raises(ValueError):
@@ -234,6 +226,68 @@ class TestOptimizers:
     def test_clip_rejects_bad_norm(self):
         with pytest.raises(ValueError):
             clip_grad_norm([Parameter(np.zeros(1))], max_norm=0.0)
+
+
+class TestClipGradNormWork:
+    """``clip_grad_norm`` squaring into lent work arrays (``Adam.work``)
+    against its default path, as bytes."""
+
+    @staticmethod
+    def _parameters():
+        data = np.random.default_rng(3)
+        grads = [data.standard_normal((4, 6)), None, data.standard_normal(6),
+                 np.array([-0.0, 0.0, -0.0, 1.5])]
+        grads[0][2, 3] = -0.0
+        parameters = []
+        for grad in grads:
+            parameter = Parameter(np.zeros((2, 3) if grad is None
+                                           else grad.shape))
+            parameter.grad = None if grad is None else grad.copy()
+            parameters.append(parameter)
+        return parameters
+
+    @pytest.mark.parametrize("max_norm", [0.5, 1e6])
+    def test_lent_work_matches_the_default_path(self, max_norm):
+        default, lent = self._parameters(), self._parameters()
+        want = clip_grad_norm(default, max_norm)
+        got = clip_grad_norm(lent, max_norm, Adam(lent).work)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert (got > max_norm) == (max_norm == 0.5)
+        for ours, theirs in zip(lent, default):
+            if theirs.grad is None:
+                assert ours.grad is None
+            else:
+                assert ours.grad.tobytes() == theirs.grad.tobytes()
+        assert np.signbit(lent[3].grad[[0, 2]]).all()
+        assert np.signbit(lent[0].grad[2, 3])
+
+
+class TestKeptGradients:
+    """A parameter keeps the gradient array its backward made, across
+    ``zero_grad``, and never one assigned from outside."""
+
+    def test_backward_after_zero_grad_reuses_the_array(self):
+        x = Parameter(np.array([1.0, -2.0]))
+        (x * x).sum().backward()
+        first = x.grad
+        x.zero_grad()
+        assert x.grad is None
+        (x * 3.0).sum().backward()
+        assert x.grad is first
+        assert x.grad.tobytes() == np.array([3.0, 3.0]).tobytes()
+        (x * x).sum().backward()
+        assert x.grad.tobytes() == np.array([5.0, -1.0]).tobytes()
+
+    def test_assigned_gradient_is_never_written(self):
+        x = Parameter(np.ones(3))
+        (x * 2.0).sum().backward()
+        outside = np.full(3, 7.0)
+        x.grad = outside
+        x.zero_grad()
+        (x * 5.0).sum().backward()
+        assert x.grad is not outside
+        assert outside.tobytes() == np.full(3, 7.0).tobytes()
+        assert x.grad.tobytes() == np.full(3, 5.0).tobytes()
 
 
 class TestFunctional:
@@ -306,35 +360,3 @@ class TestCategorical:
     def test_mode(self):
         dist = Categorical(Tensor([[0.0, 3.0, 1.0]]))
         assert dist.mode()[0] == 1
-
-
-class TestDiagGaussian:
-    def test_log_prob_matches_closed_form(self):
-        mean = Tensor(np.zeros((1, 2)))
-        log_std = Tensor(np.zeros((1, 2)))
-        logp = DiagGaussian(mean, log_std).log_prob(
-            np.zeros((1, 2))).item()
-        assert logp == pytest.approx(-np.log(2 * np.pi))
-
-    def test_rsample_gradients_flow(self):
-        mean = Tensor(np.zeros((1, 2)), requires_grad=True)
-        log_std = Tensor(np.zeros((1, 2)), requires_grad=True)
-        dist = DiagGaussian(mean, log_std)
-        sample = dist.rsample(np.random.default_rng(0))
-        (sample * sample).sum().backward()
-        assert mean.grad is not None
-        assert log_std.grad is not None
-
-    def test_entropy_grows_with_std(self):
-        mean = Tensor(np.zeros((1, 2)))
-        narrow = DiagGaussian(mean, Tensor(np.full((1, 2), -1.0)))
-        wide = DiagGaussian(mean, Tensor(np.full((1, 2), 1.0)))
-        assert wide.entropy().item() > narrow.entropy().item()
-
-    def test_sample_statistics(self):
-        rng = np.random.default_rng(0)
-        dist = DiagGaussian(Tensor(np.full((1, 1), 2.0)),
-                            Tensor(np.zeros((1, 1))))
-        draws = np.array([dist.sample(rng)[0, 0] for _ in range(3000)])
-        assert draws.mean() == pytest.approx(2.0, abs=0.1)
-        assert draws.std() == pytest.approx(1.0, abs=0.1)

@@ -11,6 +11,10 @@ reduction that starts from the wrong zero.
 
 from __future__ import annotations
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +219,102 @@ class TestRepeatedBackward:
         for parameter, one, two in zip(agent.policy.parameters(), first,
                                        second):
             assert same_bytes(parameter.grad, one + two)
+
+
+class TestRecycledTraces:
+    """``Reinforce`` takes an episode's trace back after ``update`` and
+    fills it again in the next episode, and each parameter keeps its
+    gradient array across ``zero_grad``.  Nothing is allocated per
+    update that these arrays hold, and nothing stale leaks into a
+    result."""
+
+    def test_violated_episodes_on_one_trace_match_the_tape(
+            self, cost_model):
+        """Violations end the 52-layer IoTx episodes at different
+        lengths, so every episode but the first runs on a trace whose
+        rows past its length still hold a longer or shorter earlier
+        episode."""
+        env = make_env(cost_model, 52, platform="iotx")
+        agent, oracle = twin_agents(env, seed=0)
+        traces, lengths = [], []
+        for _ in range(6):
+            trace, rewards, episode = agent.run_episode_planned(env)
+            assert not episode.feasible
+            assert trace.length == len(rewards) < env.num_steps
+            traces.append(trace)
+            lengths.append(trace.length)
+            assert_parity(agent, oracle, trace, rewards)
+        assert all(trace is traces[0] for trace in traces)
+        assert len(set(lengths)) > 2
+
+    def test_two_episodes_before_an_update_get_two_traces(self, cost_model):
+        env = make_env(cost_model, 16, platform="cloud")
+        agent, _ = twin_agents(env, seed=5)
+        first, first_rewards, _ = agent.run_episode_planned(env)
+        second, second_rewards, _ = agent.run_episode_planned(env)
+        assert first is not second
+        first_actions = first.actions[:first.length].copy()
+        agent.update(second, second_rewards)
+        third, _, _ = agent.run_episode_planned(env)
+        assert third is second
+        assert same_bytes(first.actions[:first.length], first_actions)
+        agent.update(first, first_rewards)
+        assert agent.run_episode_planned(env)[0] is first
+
+    def test_agents_on_two_threads_keep_their_own_buffers(self):
+        """The service runs jobs on two scheduler threads.  Each agent
+        owns its trace, its optimizer's scratch and its parameters'
+        gradient arrays, so two searches side by side, switching threads
+        every few bytecodes, end exactly as they do alone."""
+        def search(seed):
+            env = make_env(CostModel(), 8, platform="cloud")
+            agent = Reinforce(seed=seed)
+            agent.search(env, 6)
+            return [p.data.tobytes() for p in agent.policy.parameters()]
+
+        alone = [search(seed) for seed in (0, 1)]
+        side_by_side = [None, None]
+
+        def run(seed):
+            side_by_side[seed] = search(seed)
+
+        threads = [threading.Thread(target=run, args=(seed,))
+                   for seed in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert side_by_side == alone
+
+    def test_update_and_episode_allocate_under_half_of_w_h(self,
+                                                          cost_model):
+        """Warmed up on the benchmark's 16-layer IoT task, neither a
+        planned episode nor a tape-free update allocates anything of
+        ``W_h``'s size: the trace, the BPTT work arrays, the gradients
+        and the clipping squares all live in kept arrays."""
+        env = make_env(cost_model, 16, platform="iot")
+        agent = Reinforce(seed=1)
+        agent._build(env)
+        for _ in range(2):
+            agent.update(*agent.run_episode_planned(env)[:2])
+        limit = agent.policy.cell.weight_h.data.nbytes // 2
+        tracemalloc.start()
+        try:
+            trace, rewards, _ = agent.run_episode_planned(env)
+            episode_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            agent.update(trace, rewards)
+            update_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert episode_peak < limit
+        assert update_peak < limit
 
 
 @settings(max_examples=25, deadline=None)

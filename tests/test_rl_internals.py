@@ -74,6 +74,24 @@ class TestActorCriticInternals:
         assert agent._fisher is not None
         assert any(np.any(f > 0) for f in agent._fisher)
 
+    def test_acktr_natural_gradients_are_never_overwritten(self,
+                                                           loose_env):
+        """ACKTR rebinds each ``parameter.grad`` to its preconditioned
+        array.  A parameter keeps only the array its own backward made,
+        so the next update's backward copies into that one and leaves
+        the rebound arrays as ACKTR left them."""
+        agent = ACKTR(seed=0)
+        agent._build(loose_env)
+        agent.update(*agent._collect(loose_env))
+        natural = [p.grad for p in agent.optimizer.parameters
+                   if p.grad is not None]
+        assert natural
+        saved = [grad.tobytes() for grad in natural]
+        agent.update(*agent._collect(loose_env))
+        assert [grad.tobytes() for grad in natural] == saved
+        kept = {id(p._kept) for p in agent.optimizer.parameters}
+        assert not kept & {id(grad) for grad in natural}
+
     def test_acktr_rejects_bad_decay(self):
         with pytest.raises(ValueError):
             ACKTR(fisher_decay=1.5)
