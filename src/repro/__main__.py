@@ -429,11 +429,12 @@ def _add_task_arguments(parser: argparse.ArgumentParser) -> None:
                         help="restrict to the first N layers (0 = all)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--envs", type=int, default=None,
-                        help="lockstep episodes per wave for episodic-RL "
-                             "methods (default: $REPRO_ENVS or 1; 1 is "
-                             "bit-identical to scalar stepping, >1 is a "
-                             "faster, reproducible scenario -- see "
-                             "BENCH_rl.json)")
+                        help="lockstep episodes per wave for a2c, acktr "
+                             "and ppo2 (default 1, bit-identical to "
+                             "scalar stepping; >1 is a reproducible "
+                             "scenario with more epochs per second -- see "
+                             "BENCH_rl.json); other episodic and "
+                             "two-stage methods refuse >1")
 
 
 def build_parser() -> argparse.ArgumentParser:

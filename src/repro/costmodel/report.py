@@ -45,11 +45,6 @@ class CostReport:
     l2_area_um2: float
     noc_area_um2: float
 
-    @property
-    def edp(self) -> float:
-        """Energy-delay product (an alternative objective, Section III-D)."""
-        return self.energy_nj * self.latency_cycles
-
     def objective(self, name) -> float:
         """Evaluate an optimization objective: a registered name, a
         ``weighted:``/``multi:`` spec, or an
@@ -105,10 +100,6 @@ class BatchCostReport:
         return np.stack((self.latency_cycles, self.energy_nj,
                          self.area_um2, self.power_mw))
 
-    @property
-    def edp(self) -> np.ndarray:
-        return self.energy_nj * self.latency_cycles
-
     def objective(self, name) -> np.ndarray:
         """Objective values for the whole batch (name, spec, or
         :class:`repro.objectives.Objective` instance)."""
@@ -147,10 +138,6 @@ class BatchCostReport:
             noc_area_um2=float(self.noc_area_um2[i]),
         )
 
-    def reports(self) -> List[CostReport]:
-        """Materialize the whole batch (convenience for small batches)."""
-        return [self.report(i) for i in range(len(self))]
-
 
 @dataclass(frozen=True)
 class ModelCostReport:
@@ -162,10 +149,6 @@ class ModelCostReport:
     area_um2: float
     power_mw: float
     per_layer: List[CostReport] = field(default_factory=list)
-
-    @property
-    def edp(self) -> float:
-        return self.energy_nj * self.latency_cycles
 
     def objective(self, name) -> float:
         return _resolve_objective_value(self, name)

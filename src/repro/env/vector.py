@@ -1,8 +1,11 @@
 """Lockstep multi-episode environment: one batched cost call per wave.
 
-:class:`VectorHWAssignmentEnv` steps **E episodes in lockstep waves**:
-all live episodes sit at the same layer ``t``, so one wave evaluates
-their E candidate assignments for that layer in a single
+:class:`VectorHWAssignmentEnv` steps **E episodes in lockstep waves** for
+the agents with a lockstep-wave path (``SearchAlgorithm.lockstep``: A2C,
+ACKTR and PPO2, which take a wave as one update minibatch).  REINFORCE,
+which updates once per episode, and DDPG, TD3 and SAC refuse a vector
+env of any width.  All live episodes sit at the same layer ``t``, so one
+wave evaluates their E candidate assignments for that layer in a single
 :class:`~repro.costmodel.batched.BatchedCostModel` call (through
 ``CostModel.batched``).  After that call the wave applies the wrapped
 env's episode rules row by row -- ``_charge``, ``_reward`` and
@@ -24,7 +27,7 @@ Semantics
   earlier episode's step-``t`` performance in the same wave plus all
   previous waves.  For ``num_envs == 1`` this is exactly the scalar
   stream, making single-env vector stepping **bit-identical** to
-  ``HWAssignmentEnv.step`` (locked per episodic method by
+  ``HWAssignmentEnv.step`` (locked per wave agent by
   ``tests/test_rl_vector_parity.py``); for ``num_envs > 1`` it is a new,
   reproducible scenario (see the RNG contract in API.md).
 * Unlike planned episodes (``HWAssignmentEnv.begin_plan``), waves see the

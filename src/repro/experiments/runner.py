@@ -80,9 +80,11 @@ def compare_methods(
     method name is accepted, including ``local-ga`` and the two-stage
     ``confuciux`` pipeline.
 
-    ``envs`` rolls the episodic-RL methods as that many lockstep
-    episodes per wave (one batched cost call per layer step); ``envs >
-    1`` changes which episodes are sampled (reproducibly per seed).
+    ``envs`` rolls a2c, acktr and ppo2 as that many lockstep episodes
+    per wave (one batched cost call per layer step); ``envs > 1``
+    changes which episodes are sampled (reproducibly per seed), and
+    raises :class:`ValueError` for the other episodic and the two-stage
+    methods, which have no lockstep-wave path.
 
     ``cache`` plugs the grid into the content-addressed result store
     shared with the search service: pass a

@@ -8,7 +8,7 @@ categorical action distribution of the discrete agents.
 """
 
 from repro.nn.autograd import Tensor, no_grad
-from repro.nn.modules import LSTM, LSTMCell, Linear, MLP, Module, Parameter
+from repro.nn.modules import LSTMCell, Linear, MLP, Module, Parameter
 from repro.nn.optim import Adam, Optimizer, clip_grad_norm
 from repro.nn.distributions import Categorical
 from repro.nn import functional
@@ -21,7 +21,6 @@ __all__ = [
     "Linear",
     "MLP",
     "LSTMCell",
-    "LSTM",
     "Optimizer",
     "Adam",
     "clip_grad_norm",

@@ -216,23 +216,3 @@ class LSTMCell(Module):
         c_next = f_gate * c_prev + i_gate * g_gate
         h_next = o_gate * c_next.tanh()
         return h_next, c_next
-
-
-class LSTM(Module):
-    """Convenience wrapper running an LSTMCell over a sequence."""
-
-    def __init__(self, input_size: int, hidden_size: int,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        self.cell = LSTMCell(input_size, hidden_size, rng=rng)
-
-    def forward(self, inputs: Sequence[Tensor],
-                state: Optional[Tuple[Tensor, Tensor]] = None
-                ) -> Tuple[List[Tensor], Tuple[Tensor, Tensor]]:
-        if state is None:
-            state = self.cell.initial_state()
-        outputs: List[Tensor] = []
-        for x in inputs:
-            h, c = self.cell(x, state)
-            state = (h, c)
-            outputs.append(h)
-        return outputs, state

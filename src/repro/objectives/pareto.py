@@ -22,7 +22,7 @@ fronts reproducible for fixed seeds.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -239,14 +239,6 @@ class ParetoArchive:
         if self.max_size is not None and len(self._values) > self.max_size:
             self._prune()
         return True
-
-    def extend(self, values, payloads: Sequence) -> int:
-        """Offer many points; returns how many joined."""
-        added = 0
-        for row, payload in zip(np.asarray(values, dtype=np.float64),
-                                payloads):
-            added += bool(self.add(row, payload))
-        return added
 
     def _prune(self) -> None:
         stacked = np.stack(self._values)

@@ -35,6 +35,7 @@ class A2C(SearchAlgorithm):
     """Advantage actor-critic with an MLP policy and MLP value function."""
 
     name = "a2c"
+    lockstep = True
 
     def __init__(self, lr: float = 3e-3, discount: float = 0.9,
                  entropy_coef: float = 0.01, value_coef: float = 0.5,

@@ -66,12 +66,22 @@ class SearchAlgorithm:
     """Interface: mutate internal state while driving an environment."""
 
     name = "base"
+    #: Whether :meth:`search` also drives a lockstep
+    #: :class:`~repro.env.vector.VectorHWAssignmentEnv` (``envs > 1``).
+    lockstep = False
 
     def search(self, env: HWAssignmentEnv, epochs: int) -> SearchResult:
         """Run for ``epochs`` episodes and return the search outcome."""
         raise NotImplementedError
 
     # Helpers shared by the RL agents ----------------------------------
+    def _refuse_vector_env(self, env) -> None:
+        """Raise :class:`ValueError` on a vector env of any width unless
+        this agent has a lockstep-wave path."""
+        if getattr(env, "is_vector", False) and not self.lockstep:
+            raise ValueError(
+                f"{self.name} has no lockstep-wave path: run it at envs=1")
+
     @staticmethod
     def _start(name: str) -> Tuple[SearchResult, float]:
         return SearchResult(algorithm=name), time.perf_counter()
@@ -196,7 +206,8 @@ class Trajectory:
 
 def drive_wave_sets(venv, epochs: int, result: SearchResult,
                     run_wave_set) -> None:
-    """The shared vector-rollout driver every episodic agent uses.
+    """The vector-rollout driver of the agents with a lockstep-wave path
+    (A2C, ACKTR and PPO2).
 
     Splits an ``epochs`` episode budget into wave sets of at most
     ``venv.num_envs`` lockstep episodes (the last set shrinks so the

@@ -55,15 +55,6 @@ class DDPG(OffPolicyAgent):
                                               size=action.shape)
         return np.clip(action, -1.0, 1.0)
 
-    def _act_batch(self, observations: np.ndarray,
-                   explore: bool) -> np.ndarray:
-        with no_grad():
-            actions = self.actor(Tensor(observations)).numpy()
-        if explore:
-            actions = actions + self.rng.normal(0.0, self.noise_sigma,
-                                                size=actions.shape)
-        return np.clip(actions, -1.0, 1.0)
-
     def _update(self) -> None:
         obs, actions, rewards, next_obs, dones = self._sample_batch()
         with no_grad():

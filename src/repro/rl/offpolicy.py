@@ -14,14 +14,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.env.environment import HWAssignmentEnv
-from repro.nn.autograd import Tensor, no_grad
+from repro.nn.autograd import Tensor
 from repro.nn.modules import MLP, Module
-from repro.rl.common import (
-    ReplayBuffer,
-    SearchAlgorithm,
-    SearchResult,
-    drive_wave_sets,
-)
+from repro.rl.common import ReplayBuffer, SearchAlgorithm, SearchResult
 
 
 def continuous_to_levels(action: np.ndarray,
@@ -32,18 +27,6 @@ def continuous_to_levels(action: np.ndarray,
         fraction = (float(np.clip(coordinate, -1.0, 1.0)) + 1.0) / 2.0
         levels.append(int(round(fraction * (size - 1))))
     return levels
-
-
-def continuous_to_levels_batch(actions: np.ndarray,
-                               head_sizes: Tuple[int, ...]) -> np.ndarray:
-    """Vectorized :func:`continuous_to_levels` over an ``(E, d)`` batch.
-
-    ``np.rint`` matches Python's round-half-even, so every row is
-    bit-identical to the scalar mapping.
-    """
-    fractions = (np.clip(actions, -1.0, 1.0) + 1.0) / 2.0
-    sizes = np.asarray(head_sizes, dtype=np.float64) - 1.0
-    return np.rint(fractions * sizes).astype(np.int64)
 
 
 class QNetwork(Module):
@@ -89,100 +72,43 @@ class OffPolicyAgent(SearchAlgorithm):
     def _act(self, observation: np.ndarray, explore: bool) -> np.ndarray:
         raise NotImplementedError
 
-    def _act_batch(self, observations: np.ndarray,
-                   explore: bool) -> np.ndarray:
-        """Batched :meth:`_act` over an ``(E, obs_dim)`` wave (one policy
-        forward, one batched noise draw); bit-identical per row for a
-        one-row batch."""
-        raise NotImplementedError
-
     def _update(self) -> None:
         raise NotImplementedError
 
     def _memory_bytes(self) -> int:
         raise NotImplementedError
 
-    # Shared loops ------------------------------------------------------
-    def _wave_actions(self, observations: np.ndarray) -> np.ndarray:
-        """Actions for one lockstep wave, honoring the warmup schedule.
-
-        The warmup budget is spent in episode-index order within the
-        wave: the leading rows still inside it draw uniform box actions
-        (one batched draw), the rest act through the policy (one batched
-        forward + noise draw) -- for one live episode this is exactly the
-        scalar per-step rule.
-        """
-        live = len(observations)
-        warmup_rows = int(np.clip(self.warmup_steps - self._total_steps,
-                                  0, live))
-        actions = np.empty((live, self.action_dim))
-        if warmup_rows:
-            actions[:warmup_rows] = self.rng.uniform(
-                -1.0, 1.0, (warmup_rows, self.action_dim))
-        if warmup_rows < live:
-            actions[warmup_rows:] = self._act_batch(
-                observations[warmup_rows:], explore=True)
-        return actions
-
-    def _run_wave_set(self, venv, episodes: int) -> None:
-        """One lockstep wave set: per wave, one batched act, one batched
-        env step (a single cost-model call), one transition append per
-        live episode, and -- past warmup -- one replay update per
-        transition, mirroring the scalar loop's one-update-per-step
-        cadence."""
-        head_sizes = venv.space.head_sizes
-        observations = venv.reset(episodes)
-        while not venv.all_done:
-            actions = self._wave_actions(observations)
-            levels = continuous_to_levels_batch(actions, head_sizes)
-            next_observations, rewards, dones, _ = venv.step(levels)
-            live = len(levels)
-            for row in range(live):
-                self.buffer.add(observations[row], actions[row],
-                                rewards[row], next_observations[row],
-                                dones[row])
-            self._total_steps += live
-            if (self._total_steps >= self.warmup_steps
-                    and len(self.buffer) >= self.batch_size):
-                for _ in range(live * self.updates_per_step):
-                    self._update()
-            observations = next_observations[~dones]
-
+    # Shared loop -------------------------------------------------------
     def search(self, env: HWAssignmentEnv, epochs: int) -> SearchResult:
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
+        self._refuse_vector_env(env)
         result, started = self._start(self.name)
         if self.buffer is None:
             self.action_dim = len(env.space.head_sizes)
             self.buffer = ReplayBuffer(self.buffer_capacity,
                                        env.observation_dim, self.action_dim)
             self._build(env)
-        if getattr(env, "is_vector", False):
-            drive_wave_sets(
-                env, epochs, result,
-                lambda episodes: self._run_wave_set(env, episodes))
-        else:
-            head_sizes = env.space.head_sizes
-            for _ in range(epochs):
-                observation = env.reset()
-                done = False
-                while not done:
-                    if self._total_steps < self.warmup_steps:
-                        action = self.rng.uniform(-1.0, 1.0,
-                                                  self.action_dim)
-                    else:
-                        action = self._act(observation, explore=True)
-                    levels = continuous_to_levels(action, head_sizes)
-                    next_observation, reward, done, _ = env.step(levels)
-                    self.buffer.add(observation, action, reward,
-                                    next_observation, done)
-                    observation = next_observation
-                    self._total_steps += 1
-                    if (self._total_steps >= self.warmup_steps
-                            and len(self.buffer) >= self.batch_size):
-                        for _ in range(self.updates_per_step):
-                            self._update()
-                result.record(env.best.cost if env.best else None)
+        head_sizes = env.space.head_sizes
+        for _ in range(epochs):
+            observation = env.reset()
+            done = False
+            while not done:
+                if self._total_steps < self.warmup_steps:
+                    action = self.rng.uniform(-1.0, 1.0, self.action_dim)
+                else:
+                    action = self._act(observation, explore=True)
+                levels = continuous_to_levels(action, head_sizes)
+                next_observation, reward, done, _ = env.step(levels)
+                self.buffer.add(observation, action, reward,
+                                next_observation, done)
+                observation = next_observation
+                self._total_steps += 1
+                if (self._total_steps >= self.warmup_steps
+                        and len(self.buffer) >= self.batch_size):
+                    for _ in range(self.updates_per_step):
+                        self._update()
+            result.record(env.best.cost if env.best else None)
         self._finalize(result, env, started)
         result.memory_bytes = self._memory_bytes()
         # Replay buffer dominates the paper's memory-overhead row.

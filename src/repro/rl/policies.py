@@ -9,7 +9,7 @@ previous layers`` (Section IV-G); the MLP sees only the current observation
 The recurrent policy also runs tape-free: an array forward that records
 each step in a :class:`RecurrentTrace`, and a hand-derived backward
 (:meth:`RecurrentPolicy.bptt`) whose gradients equal the autograd tape's
-byte for byte.  REINFORCE uses that pair on single-env episodes.
+byte for byte.  REINFORCE uses that pair for its LSTM policy.
 """
 
 from __future__ import annotations
@@ -107,9 +107,9 @@ class RecurrentPolicy(Module):
     def is_recurrent(self) -> bool:
         return True
 
-    def initial_state(self, batch: int = 1) -> Tuple[Tensor, Tensor]:
-        """Zero state for ``batch`` lockstep episodes (1 = scalar)."""
-        return self.cell.initial_state(batch=batch)
+    def initial_state(self) -> Tuple[Tensor, Tensor]:
+        """The zero state of one episode."""
+        return self.cell.initial_state()
 
     def forward(self, obs, state, trace: Optional[RecurrentTrace] = None):
         """One step: the head distributions and the next ``(h, c)``.
@@ -299,7 +299,7 @@ class MLPPolicy(Module):
     def is_recurrent(self) -> bool:
         return False
 
-    def initial_state(self, batch: int = 1) -> None:
+    def initial_state(self) -> None:
         return None
 
     def forward(self, obs: Tensor, state=None

@@ -35,6 +35,7 @@ class PPO2(SearchAlgorithm):
     """Clipped-surrogate PPO with an MLP actor and critic."""
 
     name = "ppo2"
+    lockstep = True
 
     def __init__(self, lr: float = 3e-3, discount: float = 0.9,
                  clip_ratio: float = 0.2, update_epochs: int = 4,

@@ -14,8 +14,12 @@ only samples each step; the update scores the whole episode at once, with
 one ``Categorical`` per head over the trace's logits rows.  The agent
 recycles the trace from one episode to the next, and the update works in
 kept arrays (the trace's, Adam's scratch and the parameters' gradients),
-so neither allocates anything of ``W_h``'s size.  The MLP policy and
-lockstep waves keep the tape.
+so neither allocates anything of ``W_h``'s size.  The MLP policy keeps
+the tape.
+
+The agent updates once per episode, as the paper specifies, and has no
+lockstep-wave path: :meth:`Reinforce.search` refuses a
+:class:`~repro.env.vector.VectorHWAssignmentEnv` (``envs > 1``).
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from repro.nn.optim import Adam, clip_grad_norm
 from repro.rl.common import (
     SearchAlgorithm,
     SearchResult,
-    drive_wave_sets,
     normalize_rewards_for_training,
 )
 from repro.rl.policies import RecurrentPolicy, RecurrentTrace, build_policy
@@ -59,8 +62,8 @@ class Reinforce(SearchAlgorithm):
         hidden_size: LSTM width.
         seed: RNG seed for reproducible searches.
 
-    Single-env episodes run planned (:meth:`run_episode_planned`, one
-    batched scoring per episode) wherever ``env.plan_supported()``, and
+    Episodes run planned (:meth:`run_episode_planned`, one batched
+    scoring per episode) wherever ``env.plan_supported()``, and
     step by step (:meth:`run_episode`) otherwise; both are
     bit-identical in rewards, RNG stream and results.
     """
@@ -172,38 +175,6 @@ class Reinforce(SearchAlgorithm):
         rewards, episode = plan.commit()
         return rollout, rewards, episode
 
-    def run_wave(self, venv, episodes: int):
-        """Roll ``episodes`` lockstep episodes through a vector env.
-
-        One policy forward (and one batched action draw per head) serves
-        the whole wave, and the env scores the wave's layers in one
-        batched cost call.  The LSTM state is row-compacted as episodes
-        finish.  Returns one ``(log_probs, entropies, rewards)`` triple
-        per episode, where the tensors are single-row views into the
-        wave graph -- for one episode the values, rewards, and RNG
-        stream are bit-identical to :meth:`run_episode`.
-        """
-        observations = venv.reset(episodes)
-        state = self.policy.initial_state(batch=episodes)
-        per_episode = [([], [], []) for _ in range(episodes)]
-        while not venv.all_done:
-            live = venv.live_indices
-            dists, state = self.policy(Tensor(observations), state)
-            actions = np.stack([d.sample(self.rng) for d in dists], axis=1)
-            step_logp, step_entropy = head_sums(dists, actions)
-            observations, rewards, dones, _ = venv.step(actions)
-            reward_list = rewards.tolist()
-            for row, episode in enumerate(live.tolist()):
-                log_probs, entropies, episode_rewards = per_episode[episode]
-                log_probs.append(step_logp[[row]])
-                entropies.append(step_entropy[[row]])
-                episode_rewards.append(reward_list[row])
-            keep = ~dones
-            observations = observations[keep]
-            if state is not None and not keep.all():
-                state = (state[0][keep], state[1][keep])
-        return per_episode
-
     def _episode_loss(self, log_probs: List[Tensor],
                       entropies: List[Tensor],
                       rewards: List[float]) -> Tensor:
@@ -274,43 +245,21 @@ class Reinforce(SearchAlgorithm):
             return loss
         return self._apply_loss(self._episode_loss(*rollout, rewards))
 
-    def update_wave(self, per_episode) -> float:
-        """One policy-gradient step over a wave of episodes.
-
-        The wave's episodes form one minibatch -- the mean of the
-        per-episode losses, the standard vectorized-REINFORCE estimator
-        (the per-step tensors share one wave graph, which supports a
-        single backward).  For a one-episode wave this is exactly
-        :meth:`update`.
-        """
-        losses = [self._episode_loss(*logs) for logs in per_episode]
-        loss = losses[0]
-        for other in losses[1:]:
-            loss = loss + other
-        if len(losses) > 1:
-            loss = loss * (1.0 / len(losses))
-        return self._apply_loss(loss)
-
     # ------------------------------------------------------------------
     def search(self, env: HWAssignmentEnv, epochs: int) -> SearchResult:
         """Train for ``epochs`` episodes; track the best feasible design."""
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
+        self._refuse_vector_env(env)
         result, started = self._start(self.name)
         if self.policy is None:
             self._build(env)
-        if getattr(env, "is_vector", False):
-            drive_wave_sets(
-                env, epochs, result,
-                lambda episodes: self.update_wave(
-                    self.run_wave(env, episodes)))
-        else:
-            episode_fn = (self.run_episode_planned if env.plan_supported()
-                          else self.run_episode)
-            for _ in range(epochs):
-                rollout, rewards, _ = episode_fn(env)
-                self.update(rollout, rewards)
-                result.record(env.best.cost if env.best else None)
+        episode_fn = (self.run_episode_planned if env.plan_supported()
+                      else self.run_episode)
+        for _ in range(epochs):
+            rollout, rewards, _ = episode_fn(env)
+            self.update(rollout, rewards)
+            result.record(env.best.cost if env.best else None)
         self._finalize(result, env, started)
         result.memory_bytes = 8 * self.policy.num_parameters()
         return result

@@ -98,16 +98,6 @@ class SAC(OffPolicyAgent):
             mean, _ = self.actor(obs)
             return np.tanh(mean.numpy()[0])
 
-    def _act_batch(self, observations: np.ndarray,
-                   explore: bool) -> np.ndarray:
-        obs = Tensor(observations)
-        with no_grad():
-            if explore:
-                actions, _ = self.actor.sample(obs, self.rng)
-                return actions.numpy()
-            mean, _ = self.actor(obs)
-            return np.tanh(mean.numpy())
-
     def _update(self) -> None:
         obs, actions, rewards, next_obs, dones = self._sample_batch()
         with no_grad():

@@ -139,7 +139,8 @@ class SessionContext:
         self._constraint = constraint
         self.tracker = tracker if tracker is not None else _Tracker()
         #: Lockstep episode count for episodic methods (1 = scalar
-        #: stepping; >1 wraps the env in a VectorHWAssignmentEnv).
+        #: stepping; >1 wraps the env in a VectorHWAssignmentEnv, for
+        #: the agents with a lockstep-wave path only).
         self.envs = envs
         #: Method-specific rich result (e.g. the two-stage
         #: ConfuciuXResult), surfaced as ``SessionResult.detail``.
@@ -159,9 +160,10 @@ class SessionContext:
         ``budget//4``)."""
         return self.budget // 4 if self._finetune is None else self._finetune
 
-    def make_env(self):
-        """A fresh environment for an episodic agent: observed when
-        callbacks are attached, and with ``envs > 1`` wrapped in a
+    def make_env(self, name: str, agent):
+        """A fresh environment for ``agent``, the agent (or the stage-1
+        agent) of method ``name``: observed when callbacks are
+        attached, and with ``envs > 1`` wrapped in a
         :class:`~repro.env.vector.VectorHWAssignmentEnv`, so the agent
         rolls lockstep episode waves with one batched cost call per
         layer step.  ``envs == 1`` keeps the scalar stepping path (to
@@ -170,13 +172,18 @@ class SessionContext:
 
         Raises:
             ValueError: under ``deployment="ls"``: the env assigns each
-                layer its own design point, so it has no LS mode.
+                layer its own design point, so it has no LS mode.  And
+                at ``envs > 1`` unless the agent has a lockstep-wave
+                path (``agent.lockstep``: A2C, ACKTR and PPO2).
         """
         if self.task.deployment == "ls":
             raise ValueError(
                 'only genome-space methods support deployment="ls"; '
                 "episodic and two-stage methods assign a design point "
                 'per layer (deployment="lp")')
+        if self.envs > 1 and not getattr(agent, "lockstep", False):
+            raise ValueError(
+                f"{name} has no lockstep-wave path: run it at envs=1")
         env = self.task.make_env(self.cost_model, self.constraint)
         if self.tracker.active:
             env._tracker = self.tracker
@@ -217,7 +224,7 @@ def _stopped_result(name: str, tracker: _Tracker, evaluations: int,
 def run_episodic(info: MethodInfo, context: SessionContext) -> SearchResult:
     """Drive an episodic-RL method: ``method.search(env, episodes)``."""
     method = info.factory(seed=context.seed)
-    env = context.make_env()
+    env = context.make_env(info.name, method)
     started = time.perf_counter()
     try:
         return method.search(env, context.budget)
@@ -279,23 +286,25 @@ def run_two_stage(info: MethodInfo, context: SessionContext) -> SearchResult:
 
     Stage 1 is the registered agent (``info.factory`` builds it, as for
     an episodic method) searching :meth:`SessionContext.make_env`, so
-    observers see one ``on_step`` per episode and ``SearchSpec.envs``
-    applies as it does to the standalone episodic methods.  Stage 2 is
-    the local GA, which fine-tunes the stage-1 best design in the raw
-    space on the task's evaluator; it runs unobserved and is reflected
-    in the final result.  A stop requested during stage 1 skips stage
-    2, even when stage 1 had reached its last episode.  Both stages run under the task's constraint,
-    which under MIX is calibrated on ``SearchSpec.dataflow`` as for
-    every other method.  The :class:`ConfuciuXResult` becomes the
-    session's ``detail``.
+    observers see one ``on_step`` per episode.  Both built-in two-stage
+    methods run REINFORCE there, which updates once per episode
+    (Section III) and has no lockstep-wave path, so ``envs > 1`` raises
+    :class:`ValueError`.  Stage 2 is the local GA, which fine-tunes the
+    stage-1 best design in the raw space on the task's evaluator; it
+    runs unobserved and is reflected in the final result.  A stop
+    requested during stage 1 skips stage 2, even when stage 1 had
+    reached its last episode.  Both stages run under the task's
+    constraint, which under MIX is calibrated on
+    ``SearchSpec.dataflow`` as for every other method.  The
+    :class:`ConfuciuXResult` becomes the session's ``detail``.
     """
     agent = info.factory(seed=context.seed)
-    env = context.make_env()
+    env = context.make_env(info.name, agent)
     started = time.perf_counter()
     try:
         global_result = agent.search(env, context.budget)
-        # A stop requested in the global stage's last episode or wave
-        # is still pending here; it skips stage 2.
+        # A stop requested in the global stage's last episode is still
+        # pending here; it skips stage 2.
         context.tracker.check_stop()
     except StopSearch:
         return _stopped_result(info.name, context.tracker, env.evaluations,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import numbers
-import os
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
@@ -103,17 +102,20 @@ class SearchSpec:
             generation), not the design-point evaluations ``local-ga``'s
             ``budget`` counts; ``None`` means ``budget // 4``.  Ignored
             by single-stage methods.
-        envs: Lockstep episode count for episodic-RL methods: the agent
-            rolls ``envs`` episodes per wave through a
+        envs: Lockstep episode count for the episodic methods with a
+            lockstep-wave path (a2c, acktr and ppo2): the agent rolls
+            ``envs`` episodes per wave through a
             :class:`~repro.env.vector.VectorHWAssignmentEnv`, paying one
-            batched cost call per layer step (see BENCH_rl.json).
-            ``None`` defers to ``$REPRO_ENVS`` (default 1).  ``envs=1``
-            is bit-identical to scalar stepping; ``envs>1`` is a new
+            batched cost call per layer step (BENCH_rl.json measures
+            a2c's epoch throughput).  ``None`` means 1.  ``envs=1`` is
+            bit-identical to scalar stepping; ``envs>1`` is a new
             reproducible scenario whose RNG stream is wave-major (one
             batched draw per action head per wave -- see API.md), so
             ``envs`` is part of the scenario identity, like ``seed``.
-            Two-stage methods apply it to their global RL stage;
-            genome-space methods ignore it.
+            The other episodic methods (reinforce, reinforce-mlp, ddpg,
+            td3, sac) and the two-stage methods raise
+            :class:`ValueError` at ``envs>1``; genome-space methods
+            ignore it.
 
     Every field is validated at construction (a spec may arrive over the
     service wire): integer fields must be ``int`` (not ``bool``) within
@@ -201,19 +203,11 @@ class SearchSpec:
         return resolve_objective(self.objective)
 
     def resolved_envs(self) -> int:
-        """The effective lockstep episode count (spec, ``$REPRO_ENVS``,
-        1).  This is *scenario-defining* for episodic methods when > 1:
-        it changes which episodes are sampled (reproducibly, for a fixed
+        """The effective lockstep episode count (``None`` means 1).
+        This is *scenario-defining* for episodic methods when > 1: it
+        changes which episodes are sampled (reproducibly, for a fixed
         seed)."""
-        if self.envs is not None:
-            return self.envs
-        value = os.environ.get("REPRO_ENVS")
-        if value is None:
-            return 1
-        envs = int(value)
-        if envs < 1:
-            raise ValueError("REPRO_ENVS must be >= 1")
-        return envs
+        return 1 if self.envs is None else self.envs
 
     # ------------------------------------------------------------------
     @property

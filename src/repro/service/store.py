@@ -13,8 +13,8 @@ with
 * the objective normalized to its canonical JSON-safe form (so
   ``"latency"`` and the equivalent spec dict or
   :class:`~repro.objectives.Objective` instance dedup to one entry), and
-* ``envs`` resolved (``None`` / ``$REPRO_ENVS`` / explicit ``1`` all
-  mean the same scalar-stepping scenario).
+* ``envs`` resolved (``None`` and an explicit ``1`` mean the same
+  scalar-stepping scenario).
 
 The identity never held the 3.x execution knobs (``executor``,
 ``workers``, ``dispatch_min_batch``, ``task_timeout_s``), so removing

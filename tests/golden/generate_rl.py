@@ -46,8 +46,10 @@ SLICE_SESSIONS = (
     ("confuciux-mlp", 6, 2),
 )
 
-#: Lockstep waves: every SLICE_SESSIONS method on the 8-layer slice at
-#: ``envs=4`` and a budget of two full waves (finetunes as above).
+#: Lockstep waves: the methods with a lockstep-wave path on the 8-layer
+#: slice at ``envs=4`` and a budget of two full waves.  The others
+#: refuse ``envs > 1``.
+WAVE_METHODS = ("a2c", "acktr", "ppo2")
 ENVS = 4
 ENVS_BUDGET = 8
 
@@ -75,8 +77,8 @@ FULL_SESSIONS = (
 #: under a recording observer; groups ``stop5`` and ``stop37`` have the
 #: observer stop it after that many steps.  They drive every episode
 #: driver under observation: planned episodes (the IoT area budget and
-#: FPGA caps), scalar steps (a power budget) and lockstep waves
-#: (``envs=4``), standalone and as the two-stage global stage.
+#: FPGA caps) standalone and as the two-stage global stage, scalar steps
+#: (a power budget) and lockstep waves (``envs=4``).
 OBSERVED_SESSIONS = {
     "reinforce": ("reinforce", 40, None, {"envs": 1}),
     "reinforce-power": ("reinforce", 40, None,
@@ -84,11 +86,8 @@ OBSERVED_SESSIONS = {
                          "platform": "cloud"}),
     "reinforce-resource": ("reinforce", 40, None,
                            {"envs": 1, "constraint_kind": "resource"}),
-    "reinforce-envs4": ("reinforce", 40, None, {"envs": ENVS}),
     "a2c-envs4": ("a2c", 40, None, {"envs": ENVS}),
-    "ddpg-envs4": ("ddpg", 40, None, {"envs": ENVS}),
     "confuciux": ("confuciux", 40, 2, {"envs": 1}),
-    "confuciux-envs4": ("confuciux", 40, 2, {"envs": ENVS}),
 }
 
 #: Two-stage sessions on the 8-layer slice at ``envs=1``: name ->
@@ -240,10 +239,10 @@ def case_names() -> List[str]:
         names += [f"slice8/{method}/seed{seed}"
                   for method, _, _ in SLICE_SESSIONS]
         names += [f"envs{ENVS}/{method}/seed{seed}"
-                  for method, _, _ in SLICE_SESSIONS]
+                  for method in WAVE_METHODS]
         names += [f"envs{ENVS}-{suffix}/{method}/seed{seed}"
                   for suffix in ENVS_CONSTRAINTS
-                  for method, _, _ in SLICE_SESSIONS]
+                  for method in WAVE_METHODS]
         names += [f"full/{name}/seed{seed}"
                   for name, _, _, _, _ in FULL_SESSIONS]
         names += [f"agent/{name}/seed{seed}" for name in AGENTS]
@@ -265,14 +264,12 @@ def run_case(key: str) -> dict:
         return _session_case(name, seed, budget, finetune,
                              layer_slice=SLICE)
     if group.startswith(f"envs{ENVS}"):
-        _, _, finetune = next(case for case in SLICE_SESSIONS
-                              if case[0] == name)
         suffix = group[len(f"envs{ENVS}-"):]
         constraint = {}
         if suffix:
             kind, platform = ENVS_CONSTRAINTS[suffix]
             constraint = {"constraint_kind": kind, "platform": platform}
-        return _session_case(name, seed, ENVS_BUDGET, finetune,
+        return _session_case(name, seed, ENVS_BUDGET, None,
                              layer_slice=SLICE, envs=ENVS, **constraint)
     if group == "full":
         _, method, mix, budget, finetune = next(

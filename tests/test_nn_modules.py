@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    LSTM,
     Adam,
     Categorical,
     Linear,
@@ -117,13 +116,6 @@ class TestLSTM:
             return h.numpy()
 
         assert not np.allclose(rollout(zero), rollout(spike))
-
-    def test_sequence_wrapper(self):
-        lstm = LSTM(3, 5, rng=np.random.default_rng(0))
-        inputs = [Tensor(np.ones((1, 3))) for _ in range(4)]
-        outputs, (h, c) = lstm(inputs)
-        assert len(outputs) == 4
-        assert h.shape == (1, 5)
 
     def test_bptt_gradients_flow_to_first_step(self):
         cell = LSTMCell(2, 4, rng=np.random.default_rng(0))

@@ -1,16 +1,18 @@
 """Lockstep-wave rollouts: the envs=1 bit-parity matrix and the envs knob.
 
-The contract (API.md "Vectorized rollouts"):
+The contract (API.md "``envs`` -- lockstep episode waves"):
 
-* ``envs=1`` -- driving any episodic method through a one-env
+* ``envs=1`` -- driving a2c, acktr or ppo2 (the agents with a
+  lockstep-wave path) through a one-env
   :class:`~repro.env.vector.VectorHWAssignmentEnv` produces results
   bit-identical to scalar stepping (same costs, same histories, same
-  RNG stream, same counters), for **every** episodic registered method;
-  and a session run at ``envs=1`` equals the scalar-stepping session.
+  RNG stream, same counters); and a session run at ``envs=1`` equals the
+  scalar-stepping session for every episodic method.
 * ``envs>1`` -- a new scenario: reproducible for a fixed (seed, envs)
   pair, spending exactly the episode budget, reachable through
-  ``SearchSpec.envs`` / ``$REPRO_ENVS`` / ``--envs`` and observable
-  through the standard callback protocol.
+  ``SearchSpec.envs`` / ``--envs`` and observable through the standard
+  callback protocol.  The other episodic and the two-stage methods
+  refuse it (``tests/test_search_session.py``).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.search import (
 from repro.search.registry import KIND_EPISODIC
 
 EPISODIC_METHODS = method_names(kind=KIND_EPISODIC)
+WAVE_METHODS = ("a2c", "acktr", "ppo2")
 BUDGET = 6
 
 
@@ -63,11 +66,11 @@ def assert_results_equal(a, b):
 
 
 class TestEnvsOneBitParity:
-    @pytest.mark.parametrize("name", EPISODIC_METHODS)
+    @pytest.mark.parametrize("name", WAVE_METHODS)
     def test_vector_env_matches_scalar_stepping(self, name, task,
                                                 cost_model, constraint):
-        """The full matrix: every episodic registered method, one-env
-        waves vs the pre-PR scalar stepping loop, bit-identical."""
+        """The full matrix: every agent with a wave path, one-env waves
+        vs the scalar stepping loop, bit-identical."""
         from repro.search.registry import get_method
 
         info = get_method(name)
@@ -100,7 +103,7 @@ class TestEnvsOneBitParity:
         for kwargs in ({"mix": True}, {"constraint_kind": "power"}):
             task = TaskSpec(model="mobilenet_v2", layer_slice=4, **kwargs)
             constraint = task.constraint(cost_model)
-            for name in ("reinforce", "ppo2", "sac"):
+            for name in WAVE_METHODS:
                 info = get_method(name)
                 scalar = info.factory(seed=1).search(
                     task.make_env(cost_model, constraint), 4)
@@ -111,7 +114,7 @@ class TestEnvsOneBitParity:
 
 
 class TestEnvsGreaterThanOne:
-    @pytest.mark.parametrize("name", ["reinforce", "a2c", "ppo2", "td3"])
+    @pytest.mark.parametrize("name", WAVE_METHODS)
     def test_reproducible_per_seed_and_envs(self, name, task, cost_model,
                                             constraint):
         from repro.search.registry import get_method
@@ -139,15 +142,10 @@ class TestEnvsGreaterThanOne:
         assert result.episodes == 7
         assert len(result.history) == 7
 
-    def test_session_envs_resolution(self, monkeypatch):
+    def test_session_envs_resolution(self):
         spec = SearchSpec(model="mobilenet_v2", budget=8)
         assert spec.resolved_envs() == 1
-        monkeypatch.setenv("REPRO_ENVS", "4")
-        assert spec.resolved_envs() == 4
         assert spec.replace(envs=2).resolved_envs() == 2
-        monkeypatch.setenv("REPRO_ENVS", "0")
-        with pytest.raises(ValueError):
-            spec.resolved_envs()
         with pytest.raises(ValueError):
             SearchSpec(model="mobilenet_v2", envs=0)
 
@@ -208,10 +206,9 @@ class TestEnvsGreaterThanOne:
 
 
 class TestTwoStageEnvs:
-    """``envs`` now reaches the two-stage pipeline's global RL stage
-    (ROADMAP 5c): single-env waves stay bit-identical, multi-env waves
-    are a reproducible new scenario, and observers still see one
-    ``on_step`` per finished global episode."""
+    """A two-stage method at ``envs=1`` runs its global stage by scalar
+    stepping; ``envs>1`` is refused (its REINFORCE agent has no wave
+    path)."""
 
     def _spec(self, **overrides) -> SearchSpec:
         base = dict(model="mobilenet_v2", method="confuciux", budget=6,
@@ -224,40 +221,3 @@ class TestTwoStageEnvs:
         vector = SearchSession(self._spec(envs=1)).run()
         assert_results_equal(scalar.result, vector.result)
         assert vector.provenance["envs"] == 1
-
-    def test_wave_runs_are_reproducible_and_spend_the_budget(self):
-        spec = self._spec(budget=7, envs=3, finetune=0)
-        first = SearchSession(spec).run()
-        second = SearchSession(spec).run()
-        assert_results_equal(first.result, second.result)
-        assert first.result.episodes == 7
-        assert first.provenance["envs"] == 3
-
-    def test_finetune_stage_still_runs_after_vector_global_stage(self):
-        outcome = SearchSession(self._spec(budget=8, envs=4,
-                                           finetune=3)).run()
-        assert outcome.result.episodes >= 8
-        assert "global_cost" in outcome.result.extra
-        assert "finetune_cost" in outcome.result.extra
-
-    def test_observers_see_global_episodes_inside_waves(self):
-        from repro.search.callbacks import SearchObserver
-
-        class Recorder(SearchObserver):
-            def __init__(self):
-                super().__init__()
-                self.steps = 0
-
-            def on_step(self, step, cost, best_cost):
-                self.steps = step
-                return False
-
-        recorder = Recorder()
-        SearchSession(self._spec(budget=6, envs=3, finetune=0)).run(
-            callbacks=[recorder])
-        assert recorder.steps == 6
-
-    def test_early_stop_unwinds_the_vector_global_stage(self):
-        stopped = SearchSession(self._spec(budget=40, envs=4)).run(
-            callbacks=[EarlyStopping(patience=2)])
-        assert stopped.stopped_early

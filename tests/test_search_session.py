@@ -13,6 +13,7 @@ import pytest
 import repro
 from repro.core.serialization import search_result_to_dict
 from repro.costmodel import BATCH_STYLES
+from repro.env.vector import VectorHWAssignmentEnv
 from repro.experiments.tasks import TaskSpec
 from repro.ga.local_ga import raw_bounds
 from repro.search import (
@@ -23,6 +24,7 @@ from repro.search import (
     SearchSession,
     SearchSpec,
     SessionResult,
+    get_method,
     method_names,
     register_method,
     unregister_method,
@@ -222,19 +224,17 @@ class TestObservers:
         assert result.stopped_early
         assert len(result.history) == 5
 
-    @pytest.mark.parametrize("envs", [1, 4])
     def test_stop_in_the_last_global_episode_skips_finetune(self,
-                                                            cost_model,
-                                                            envs):
-        """A stop requested in stage 1's last episode (or wave) still
-        ends the two-stage run there: stage 2 never starts."""
+                                                            cost_model):
+        """A stop requested in stage 1's last episode still ends the
+        two-stage run there: stage 2 never starts."""
         class StopAtTwelve(SearchObserver):
             def on_step(self, step, cost, best_cost):
                 return step >= 12
 
         result = repro.explore(model="mobilenet_v2", method="confuciux",
                                layer_slice=8, budget=12, finetune=3,
-                               seed=0, envs=envs, callbacks=[StopAtTwelve()],
+                               seed=0, callbacks=[StopAtTwelve()],
                                cost_model=cost_model)
         assert result.stopped_early
         assert result.result.episodes == 12
@@ -380,6 +380,25 @@ class TestSessionResult:
         with pytest.raises(ValueError, match="genome-space methods"):
             repro.explore(method=method, deployment="ls",
                           cost_model=cost_model, **TINY)
+
+    @pytest.mark.parametrize("method", [
+        "reinforce", "reinforce-mlp", "confuciux", "confuciux-mlp", "ddpg",
+        "td3", "sac"])
+    def test_waves_need_a_lockstep_agent(self, cost_model, method):
+        # REINFORCE updates once per episode (the paper's Section III)
+        # and the off-policy agents once per step: none has a wave path,
+        # so a vector env of any width is refused before any episode.
+        with pytest.raises(ValueError,
+                           match=f"^{method} has no lockstep-wave path"):
+            repro.explore(method=method, envs=4, cost_model=cost_model,
+                          **TINY)
+        task = TaskSpec(model="ncf", platform="cloud")
+        env = task.make_env(cost_model, task.constraint(cost_model))
+        agent = get_method(method).factory(seed=0)
+        with pytest.raises(ValueError,
+                           match=f"^{agent.name} has no lockstep-wave path"):
+            agent.search(VectorHWAssignmentEnv(env, 1), 4)
+        assert env.episodes == 0 and env.evaluations == 0
 
 
 # ----------------------------------------------------------------------
@@ -576,13 +595,11 @@ class TestDocuments:
                            match="removed in 3.0.*fused32.*re-run"):
             SessionResult.from_dict(stale)
 
-    def test_documents_written_by_3_x_load_and_resume(self, tmp_path,
-                                                      monkeypatch):
+    def test_documents_written_by_3_x_load_and_resume(self, tmp_path):
         """Every 3.x spec carries the four execution knobs.  None of
         them ever changed a result, so a result carrying them loads
         under the pinned store key and a checkpoint carrying them
         resumes bit-identically, whatever values they hold."""
-        monkeypatch.delenv("REPRO_ENVS", raising=False)
         knobs = {"executor": "process", "workers": 2,
                  "dispatch_min_batch": 0, "task_timeout_s": 30.0}
         path = tmp_path / "best.json"

@@ -58,15 +58,8 @@ class TestResultKey:
         assert result_key(
             _spec(objective=spec_form["objective"])) == by_name
 
-    def test_envs_none_and_one_collide(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENVS", raising=False)
+    def test_envs_none_and_one_collide(self):
         assert result_key(_spec(envs=None)) == result_key(_spec(envs=1))
-
-    def test_envs_resolved_from_environment(self, monkeypatch):
-        base = result_key(_spec())
-        monkeypatch.setenv("REPRO_ENVS", "4")
-        assert result_key(_spec()) != base
-        assert result_key(_spec()) == result_key(_spec(envs=4))
 
     @pytest.mark.parametrize("spec,key", [
         (dict(model="mobilenet_v2"),

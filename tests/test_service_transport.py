@@ -117,6 +117,41 @@ class TestClient:
             ServiceClient(port=1, connect_timeout=0.2)
 
 
+class TestCLI:
+    """``repro submit``, ``jobs`` and ``cache`` through ``main`` against
+    a live in-process service."""
+
+    def test_submit_twice_then_jobs_and_cache_stats(self, service,
+                                                    tmp_path, capsys):
+        from repro.__main__ import main
+
+        def rows():
+            return [line.split() for line in
+                    capsys.readouterr().out.splitlines()]
+
+        port = ["--port", str(service)]
+        spec = ["--model", "mnasnet", "--method", "random", "--budget",
+                "40", "--seed", "0", "--layers", "3", *port]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["submit", *spec, "--save", str(first)]) == 0
+        assert ["cached", "False"] in rows()
+        assert main(["submit", *spec, "--save", str(second)]) == 0
+        assert ["cached", "True"] in rows()
+        assert first.read_bytes() == second.read_bytes()
+
+        assert main(["jobs", *port]) == 0
+        jobs = rows()
+        assert jobs[0][:4] == ["2", "jobs,", "1", "executed"]
+        assert [row[:4] for row in jobs[3:]] == [
+            ["j1", "DONE", "-", "random"], ["j2", "DONE", "hit", "random"]]
+
+        assert main(["cache", "--stats", *port]) == 0
+        stats = rows()
+        for row in (["entries", "1"], ["hits", "1"], ["misses", "1"],
+                    ["puts", "1"]):
+            assert row in stats
+
+
 class TestWireProtocol:
     def _raw(self, port, lines):
         with socket.create_connection(("127.0.0.1", port),
