@@ -17,7 +17,6 @@ The contract (API.md "``envs`` -- lockstep episode waves"):
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.costmodel import CostModel
