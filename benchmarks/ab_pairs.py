@@ -18,8 +18,9 @@ for neither side, and a median gap wider than A's IQR.  It also gives the
 metric's ``bound`` from that file and the no-regression verdict: ``worse``
 when B's median is worse than A's by more than ``bound`` times A's
 median; else ``unresolved`` when A's IQR exceeds that margin and not
-every B run beats every A run; else ``ok``.  A failed run stops the
-script with its stderr.
+every B run beats every A run; else ``ok``.  The script exits 1 when any
+metric reads ``worse`` and 0 otherwise.  A failed run stops the script
+with its stderr.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def main(argv=None) -> int:
               f"{row['b_iqr']:>10.3g}  {row['wins']:>6}/{row['losses']}/"
               f"{row['ties']:<10}{'yes' if row['gain'] else 'no':<6}"
               f"{row['bound']:<7g}{row['verdict']}")
-    return 0
+    return 1 if any(row["verdict"] == "worse" for row in rows) else 0
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ first 16 layers by default so the whole grid runs in minutes; set
 from __future__ import annotations
 
 from repro.core.reporting import format_table
-from repro.experiments import TaskSpec, default_epochs
-from repro.experiments.lp_study import TABLE3_METHODS, format_row, run_row
+from repro.experiments import TaskSpec, compare_methods, default_epochs
+from repro.experiments.lp_study import TABLE3_METHODS, format_row
 
 LAYER_SLICE = 16
 
@@ -46,8 +46,8 @@ def test_table03_lp_converged(benchmark, cost_model, save_report):
         for model, dataflow, platform in ROWS:
             task = TaskSpec(model=model, dataflow=dataflow,
                             platform=platform, layer_slice=LAYER_SLICE)
-            results = run_row(task, TABLE3_METHODS, epochs,
-                              cost_model=cost_model)
+            results = compare_methods(task, TABLE3_METHODS, epochs,
+                                      cost_model=cost_model)
             label = f"{model}-{dataflow} {platform}"
             table.append(format_row(label, results, TABLE3_METHODS))
             outcomes.append(results)

@@ -9,12 +9,11 @@ optimization, Con'X(global).
 from __future__ import annotations
 
 from repro.core.reporting import format_table
-from repro.experiments import TaskSpec, default_epochs
+from repro.experiments import TaskSpec, compare_methods, default_epochs
 from repro.experiments.lp_study import (
     classic_optimizer_methods,
     display_columns,
     format_row,
-    run_row,
 )
 
 LAYER_SLICE = 16
@@ -50,8 +49,8 @@ def test_table04_optimizers(benchmark, cost_model, save_report):
             task = TaskSpec(model="mobilenet_v2", dataflow="dla",
                             objective=objective, constraint_kind=kind,
                             platform=platform, layer_slice=LAYER_SLICE)
-            results = run_row(task, methods, epochs,
-                              cost_model=cost_model)
+            results = compare_methods(task, methods, epochs,
+                                      cost_model=cost_model)
             label = f"{objective} {kind}:{platform}"
             table.append(format_row(label, results, methods))
             outcomes.append(((objective, kind, platform), results))

@@ -9,12 +9,8 @@ wall time), and the memory overhead row.
 from __future__ import annotations
 
 from repro.core.reporting import format_table
-from repro.experiments import TaskSpec, default_epochs
-from repro.experiments.lp_study import (
-    display_columns,
-    rl_comparison_methods,
-    run_row,
-)
+from repro.experiments import TaskSpec, compare_methods, default_epochs
+from repro.experiments.lp_study import display_columns, rl_comparison_methods
 
 LAYER_SLICE = 12
 
@@ -50,8 +46,8 @@ def test_table05_rl_algorithms(benchmark, cost_model, save_report):
             task = TaskSpec(model=model, dataflow="dla",
                             objective=objective, constraint_kind=kind,
                             platform=platform, layer_slice=LAYER_SLICE)
-            results = run_row(task, methods, epochs,
-                              cost_model=cost_model)
+            results = compare_methods(task, methods, epochs,
+                                      cost_model=cost_model)
             row = [f"{model} {objective} {kind}:{platform}"]
             for name in methods:
                 result = results[name]

@@ -91,7 +91,7 @@ from repro.search import (
     method_names,
     register_method,
 )
-__version__ = "6.0.0"
+__version__ = "6.1.0"
 
 __all__ = [
     "Layer",

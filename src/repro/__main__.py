@@ -147,6 +147,18 @@ def _spec_from_args(args: argparse.Namespace, method: str) -> SearchSpec:
         raise SystemExit(f"repro: error: {error}") from None
 
 
+def _session_from_args(args: argparse.Namespace, method: str,
+                       cost_model=None) -> SearchSession:
+    spec = _spec_from_args(args, method)
+    try:
+        return SearchSession(spec, cost_model=cost_model)
+    except (KeyError, ValueError) as error:
+        # An unknown ``compare --methods`` name, or a spec the method
+        # cannot run (envs > 1 without a lockstep-wave path), is refused
+        # before any search starts.
+        raise SystemExit(f"repro: error: {error.args[0]}") from None
+
+
 def _print_pareto_front(result) -> None:
     """The non-dominated front of a multi-objective search."""
     front = result.pareto_front
@@ -190,8 +202,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     # --method was given (the --method default is None, so an explicit
     # "--method confuciux" is distinguishable and wins).
     method = args.method or ("pareto-ga" if args.pareto else "confuciux")
-    spec = _spec_from_args(args, method)
-    session = SearchSession(spec)
+    session = _session_from_args(args, method)
+    spec = session.spec
     callbacks = [ProgressReporter(every=args.progress)] \
         if args.progress else []
     result = session.run(callbacks=callbacks)
@@ -233,10 +245,11 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     cost_model = CostModel()
+    sessions = [_session_from_args(args, method, cost_model)
+                for method in methods]
     rows = []
-    for method in methods:
-        spec = _spec_from_args(args, method)
-        result = SearchSession(spec, cost_model=cost_model).run()
+    for method, session in zip(methods, sessions):
+        result = session.run()
         rows.append([
             method,
             result.result.format_cost(),
@@ -551,7 +564,16 @@ def main(argv=None) -> int:
         "jobs": cmd_jobs,
         "cache": cmd_cache,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except RuntimeError as error:
+        from repro.service import ServiceError
+
+        if not isinstance(error, ServiceError):
+            raise
+        # A server's "ok: false" answer (a refused spec, a failed job,
+        # an unknown job id) names its cause; no traceback.
+        raise SystemExit(f"repro: error: {error}") from None
 
 
 if __name__ == "__main__":

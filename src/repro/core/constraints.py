@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.costmodel.estimator import CostModel
-from repro.costmodel.report import CostReport
 from repro.env.spaces import ActionSpace
 from repro.models.layers import Layer
 
@@ -47,13 +46,6 @@ class PlatformConstraint:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
         if self.budget <= 0:
             raise ValueError("budget must be positive")
-
-    def consumption(self, report: CostReport) -> float:
-        """The budget this layer partition consumes."""
-        return report.constraint(self.kind)
-
-    def describe(self) -> str:
-        return f"{self.kind.capitalize()}: {self.platform}"
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from repro.costmodel.batched import (
     population_totals,
 )
 from repro.costmodel.estimator import CostModel
-from repro.costmodel.report import ModelCostReport, UtilizationReport
+from repro.costmodel.report import ModelCostReport
 from repro.env.spaces import ActionSpace
 from repro.models.layers import Layer
 from repro.objectives import CostTotals, resolve_objective
@@ -85,13 +85,6 @@ class EvalResult:
     feasible: bool
     used: float
     report: ModelCostReport
-
-    def utilization(self, constraint: Constraint) -> UtilizationReport:
-        budget = (constraint.budget
-                  if isinstance(constraint, PlatformConstraint)
-                  else float(constraint.max_pes))
-        return UtilizationReport(constraint=constraint.kind, budget=budget,
-                                 used=self.used)
 
 
 class DesignPointEvaluator:
@@ -472,11 +465,3 @@ class DesignPointEvaluator:
             return float(total_pes), feasible
         used = report.constraint(constraint.kind)
         return used, used <= constraint.budget
-
-    # ------------------------------------------------------------------
-    def uniform_genome(self, pe_idx: int, buf_idx: int) -> List[int]:
-        """A genome assigning the same levels to every layer (baselines)."""
-        step: List[int] = [pe_idx, buf_idx]
-        if self.space.is_mix:
-            step.append(0)
-        return step * len(self.layers)

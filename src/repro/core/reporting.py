@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.evaluator import DesignPointEvaluator, RawAssignment
+from repro.core.evaluator import RawAssignment
 from repro.costmodel.batched import ordered_sum
 from repro.costmodel.estimator import CostModel
 from repro.costmodel.report import ModelCostReport
@@ -40,12 +40,6 @@ def per_layer_assignment(
 ) -> Tuple[List[int], List[int]]:
     """Fig. 10's bottom bars: (PEs per layer, L1 bytes per layer)."""
     return ([a[0] for a in assignments], [a[1] for a in assignments])
-
-
-def per_layer_area_fractions(report: ModelCostReport) -> List[float]:
-    """Fig. 10's per-layer area split of the whole-chip budget."""
-    total = report.area_um2
-    return [r.area_um2 / total for r in report.per_layer]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence],

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.costmodel.batched import BatchedCostModel
 from repro.costmodel.constants import DEFAULT_HW, HardwareConfig
@@ -298,6 +298,3 @@ class CostModel:
     def cache_info(self):
         """Expose LRU statistics (useful in perf tests)."""
         return self._evaluate_cached.cache_info()
-
-    def clear_cache(self) -> None:
-        self._evaluate_cached.cache_clear()

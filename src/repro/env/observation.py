@@ -12,7 +12,7 @@ lands in [-1, 1], which the paper notes stabilizes training.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,8 +124,3 @@ class ObservationEncoder:
         acted = 2.0 * prev_actions[:, :2].astype(np.float64) / top - 1.0
         observations[:, 7:9] = np.clip(acted, -1.0, 1.0)
         return observations
-
-    def encode_all(self, layers: Sequence[Layer]) -> List[np.ndarray]:
-        """Shape-only encodings for every layer (used by the critic study,
-        which regresses rewards from states without an action history)."""
-        return [self.encode(layer, i, None) for i, layer in enumerate(layers)]

@@ -9,7 +9,7 @@ Table IX sweeps ``L`` in {10, 12, 14}, so levels are generated for any L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
@@ -168,13 +168,6 @@ class ActionSpace:
         if self.is_mix:
             return (top, top, 0)
         return (top, top)
-
-    def nearest_levels(self, pes: int, l1_bytes: int) -> Tuple[int, int]:
-        """Snap raw values back onto the ladder (used by continuous agents
-        and by stage-2 -> stage-1 round trips)."""
-        pe_idx = int(np.argmin([abs(p - pes) for p in self.pe_levels]))
-        buf_idx = int(np.argmin([abs(b - l1_bytes) for b in self.buf_levels]))
-        return pe_idx, buf_idx
 
     def design_space_size(self, num_layers: int) -> float:
         """|space| = (L^2 [* styles])^N -- the O(10^112) of Section IV-C4."""

@@ -1,17 +1,15 @@
-"""LP-deployment comparison rows (Tables III and IV).
+"""LP-deployment comparison rows (Tables III, IV and V).
 
-Thin wrappers over :func:`repro.experiments.runner.compare_methods` that
-produce the paper's row format: the converged objective value per method,
-"NAN" when a method never found a feasible point.
+The grids' columns and the paper's row format for the results of
+:func:`repro.experiments.runner.compare_methods`: the converged
+objective value per method, "NAN" when a method never found a feasible
+point.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.costmodel.estimator import CostModel
-from repro.experiments.runner import compare_methods
-from repro.experiments.tasks import TaskSpec
 from repro.rl.common import SearchResult
 from repro.search.registry import KIND_EPISODIC, KIND_GENOME, list_methods
 
@@ -66,19 +64,6 @@ def display_columns(methods: Sequence[str]) -> List[str]:
 
 #: The Table III column methods.
 TABLE3_METHODS = ("ga", "ppo2", "reinforce")
-#: Import-time snapshots of the registry-derived grids, for callers that
-#: want a stable tuple; the benches call classic_optimizer_methods() /
-#: rl_comparison_methods() at run time so late registrations appear.
-TABLE4_METHODS = classic_optimizer_methods()
-TABLE5_METHODS = rl_comparison_methods()
-
-
-def run_row(task: TaskSpec, methods: Iterable[str], epochs: int,
-            seed: int = 0, cost_model: Optional[CostModel] = None
-            ) -> Dict[str, SearchResult]:
-    """One table row: every method on one task cell."""
-    return compare_methods(task, methods, epochs, seed=seed,
-                           cost_model=cost_model)
 
 
 def format_row(label: str, results: Dict[str, SearchResult],

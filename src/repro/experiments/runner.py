@@ -12,7 +12,7 @@ evaluations are reused across methods without leaking search state.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.costmodel.estimator import CostModel
 from repro.experiments.tasks import TaskSpec
@@ -20,26 +20,7 @@ from repro.rl.common import SearchResult
 # NOTE: repro.search.session is imported lazily inside compare_methods;
 # importing it here would close a cycle (session -> experiments.tasks ->
 # experiments/__init__ -> runner) while session is still initializing.
-from repro.search.registry import KIND_EPISODIC, get_method, method_names
-
-
-def _episodic_names() -> frozenset:
-    return frozenset(method_names(kind=KIND_EPISODIC))
-
-
-#: Methods that drive the env (episodic RL) vs. the genome evaluator.
-#: Kept for backward compatibility; derived from registry metadata.
-RL_METHODS = _episodic_names()
-
-
-def method_factories(names: Iterable[str]) -> Dict[str, Callable]:
-    """Resolve method names to seeded factories, failing fast on typos.
-
-    Every factory follows the registry seed contract: it accepts
-    ``seed`` (``None`` for fresh entropy) and builds its RNG as
-    ``np.random.default_rng(seed)``.
-    """
-    return {name: get_method(name).factory for name in names}
+from repro.search.registry import get_method
 
 
 def _grid_spec(task: TaskSpec, method: str, epochs: int, seed: int,

@@ -9,14 +9,10 @@ exactly the same problem.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
-from repro.core.constraints import (
-    PlatformConstraint,
-    ResourceConstraint,
-    platform_constraint,
-)
+from repro.core.constraints import ResourceConstraint, platform_constraint
 from repro.core.evaluator import Constraint, DesignPointEvaluator
 from repro.costmodel.estimator import CostModel
 from repro.env.environment import HWAssignmentEnv
@@ -115,15 +111,3 @@ class TaskSpec:
             self.layers(), self.objective, constraint, cost_model,
             self.space(), dataflow=None if self.mix else self.dataflow,
             deployment=self.deployment)
-
-    def label(self) -> str:
-        from repro.objectives import objective_label
-
-        model = self.model if isinstance(self.model, str) else "custom"
-        return (f"{model}-{'MIX' if self.mix else self.dataflow} "
-                f"{objective_label(self.objective)} "
-                f"{self.constraint_kind}:{self.platform}")
-
-    def scaled(self, layer_slice: Optional[int]) -> "TaskSpec":
-        """A copy restricted to the first ``layer_slice`` layers."""
-        return replace(self, layer_slice=layer_slice)

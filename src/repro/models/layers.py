@@ -11,7 +11,7 @@ CNN and GEMM models, exactly as the paper does (footnote 3).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 class LayerType(enum.IntEnum):
@@ -25,10 +25,6 @@ class LayerType(enum.IntEnum):
     DWCONV = 1
     PWCONV = 2
     GEMM = 3
-
-    @property
-    def is_convolutional(self) -> bool:
-        return self in (LayerType.CONV, LayerType.DWCONV, LayerType.PWCONV)
 
 
 @dataclass(frozen=True)
@@ -114,15 +110,6 @@ class Layer:
     @property
     def output_elements(self) -> int:
         return self.K * self.out_y * self.out_x
-
-    def scaled(self, factor: float) -> "Layer":
-        """Return a copy with channel dims scaled (used by tests/examples)."""
-        return replace(
-            self,
-            K=max(1, int(self.K * factor)),
-            C=max(1, int(self.C * factor)) if self.layer_type is not LayerType.DWCONV
-            else max(1, int(self.K * factor)),
-        )
 
 
 def gemm_layer(name: str, m: int, n: int, k: int) -> Layer:

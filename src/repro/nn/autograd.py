@@ -14,7 +14,7 @@ blocks.  It is intentionally small and dependency-free.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -118,9 +118,6 @@ class Tensor:
             raise ValueError("item() requires a single-element tensor")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -181,20 +178,6 @@ class Tensor:
 
         return self._make(self.data / other.data, (self, other), backward)
 
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return self._wrap(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(
-                    grad * exponent * self.data ** (exponent - 1))
-
-        return self._make(self.data ** exponent, (self,), backward)
-
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other = self._wrap(other)
 
@@ -224,15 +207,6 @@ class Tensor:
                 self._accumulate(grad / self.data)
 
         return self._make(np.log(self.data), (self,), backward)
-
-    def sqrt(self) -> "Tensor":
-        value = np.sqrt(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * 0.5 / value)
-
-        return self._make(value, (self,), backward)
 
     def tanh(self) -> "Tensor":
         value = np.tanh(self.data)
@@ -303,24 +277,6 @@ class Tensor:
                  else self.data.shape[axis])
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def max(self, axis: int, keepdims: bool = False) -> "Tensor":
-        value = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            g = np.asarray(grad)
-            v = value
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-                v = np.expand_dims(v, axis)
-            mask = self.data == v
-            # Split gradient among ties, matching subgradient convention.
-            counts = mask.sum(axis=axis, keepdims=True)
-            self._accumulate(g * mask / counts)
-
-        return self._make(value, (self,), backward)
-
     # ------------------------------------------------------------------
     # Shape manipulation
     # ------------------------------------------------------------------
@@ -332,17 +288,6 @@ class Tensor:
                 self._accumulate(np.asarray(grad).reshape(original))
 
         return self._make(self.data.reshape(*shape), (self,), backward)
-
-    def transpose(self) -> "Tensor":
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(np.asarray(grad).swapaxes(-1, -2))
-
-        return self._make(self.data.swapaxes(-1, -2), (self,), backward)
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
 
     def __getitem__(self, index) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
@@ -367,18 +312,6 @@ class Tensor:
                     slicer[axis] = slice(offset, offset + size)
                     tensor._accumulate(grad[tuple(slicer)])
                 offset += size
-
-        return Tensor._make(value, tensors, backward)
-
-    @staticmethod
-    def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [Tensor._wrap(t) for t in tensors]
-        value = np.stack([t.data for t in tensors], axis=axis)
-
-        def backward(grad: np.ndarray) -> None:
-            for i, tensor in enumerate(tensors):
-                if tensor.requires_grad:
-                    tensor._accumulate(np.take(grad, i, axis=axis))
 
         return Tensor._make(value, tensors, backward)
 

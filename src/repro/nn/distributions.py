@@ -63,9 +63,6 @@ class Categorical:
         draws = rng.random(size=(probs.shape[0], 1))
         return (draws < cumulative).argmax(axis=-1)
 
-    def mode(self) -> np.ndarray:
-        return self.probs.argmax(axis=-1)
-
     def log_prob(self, actions: Sequence[int]):
         """Log-probability of ``actions`` (with gradients to ``Tensor``
         logits)."""

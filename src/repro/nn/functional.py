@@ -2,23 +2,19 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
 from repro.nn.autograd import Tensor
 
 
 def softmax(logits: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    shifted = logits - logits.max(axis=axis, keepdims=True).detach()
+    shifted = logits - Tensor(logits.data.max(axis=axis, keepdims=True))
     exp = shifted.exp()
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
-    shifted = logits - logits.max(axis=axis, keepdims=True).detach()
+    shifted = logits - Tensor(logits.data.max(axis=axis, keepdims=True))
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
@@ -37,14 +33,3 @@ def huber_loss(prediction: Tensor, target: Tensor,
     linear = abs_diff - quadratic
     return (quadratic * quadratic * 0.5 + linear * delta).mean()
 
-
-def one_hot(indices: Sequence[int], num_classes: int) -> np.ndarray:
-    """Plain-numpy one-hot encoding helper (no gradient)."""
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.ndim != 1:
-        raise ValueError("indices must be 1-D")
-    if np.any(indices < 0) or np.any(indices >= num_classes):
-        raise ValueError("index out of range for one_hot")
-    encoded = np.zeros((indices.size, num_classes), dtype=np.float64)
-    encoded[np.arange(indices.size), indices] = 1.0
-    return encoded

@@ -9,7 +9,7 @@ LSTMs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,7 +146,6 @@ class Linear(Module):
 _ACTIVATIONS = {
     "tanh": lambda t: t.tanh(),
     "relu": lambda t: t.relu(),
-    "sigmoid": lambda t: t.sigmoid(),
     "identity": lambda t: t,
 }
 
@@ -200,8 +199,8 @@ class LSTMCell(Module):
         bias[hidden_size:2 * hidden_size] = 1.0
         self.bias = Parameter(bias)
 
-    def initial_state(self, batch: int = 1) -> Tuple[Tensor, Tensor]:
-        zeros = np.zeros((batch, self.hidden_size))
+    def initial_state(self) -> Tuple[Tensor, Tensor]:
+        zeros = np.zeros((1, self.hidden_size))
         return Tensor(zeros), Tensor(zeros)
 
     def forward(self, x: Tensor,

@@ -103,10 +103,6 @@ class RecurrentPolicy(Module):
         self.heads = [Linear(hidden_size, size, rng=rng, gain=0.1)
                       for size in head_sizes]
 
-    @property
-    def is_recurrent(self) -> bool:
-        return True
-
     def initial_state(self) -> Tuple[Tensor, Tensor]:
         """The zero state of one episode."""
         return self.cell.initial_state()
@@ -294,10 +290,6 @@ class MLPPolicy(Module):
                         output_activation="tanh", rng=rng)
         self.heads = [Linear(hidden_sizes[-1], size, rng=rng, gain=0.1)
                       for size in head_sizes]
-
-    @property
-    def is_recurrent(self) -> bool:
-        return False
 
     def initial_state(self) -> None:
         return None

@@ -112,6 +112,35 @@ class _Tracker:
             raise StopSearch
 
 
+def check_runnable(info: MethodInfo, deployment: str, envs: int,
+                   agent=None) -> None:
+    """Refuse a method that cannot run at ``deployment`` and ``envs``.
+
+    Episodic and two-stage methods assign each layer its own design
+    point, so they have no ``deployment="ls"``, and at ``envs > 1`` only
+    an agent with a lockstep-wave path (``agent.lockstep``: A2C, ACKTR
+    and PPO2) runs.  Without ``agent`` one is built from
+    ``info.factory``, and only at ``envs > 1``.  Genome-space methods
+    run either way.
+
+    Raises:
+        ValueError: naming the method.
+    """
+    if info.kind == KIND_GENOME:
+        return
+    if deployment == "ls":
+        raise ValueError(
+            f'{info.name}: only genome-space methods support '
+            'deployment="ls"; episodic and two-stage methods assign a '
+            'design point per layer (deployment="lp")')
+    if envs > 1:
+        if agent is None:
+            agent = info.factory(seed=0)
+        if not getattr(agent, "lockstep", False):
+            raise ValueError(
+                f"{info.name} has no lockstep-wave path: run it at envs=1")
+
+
 class SessionContext:
     """Everything a method runner needs to drive one search.
 
@@ -160,9 +189,9 @@ class SessionContext:
         ``budget//4``)."""
         return self.budget // 4 if self._finetune is None else self._finetune
 
-    def make_env(self, name: str, agent):
+    def make_env(self, info: MethodInfo, agent):
         """A fresh environment for ``agent``, the agent (or the stage-1
-        agent) of method ``name``: observed when callbacks are
+        agent) of method ``info``: observed when callbacks are
         attached, and with ``envs > 1`` wrapped in a
         :class:`~repro.env.vector.VectorHWAssignmentEnv`, so the agent
         rolls lockstep episode waves with one batched cost call per
@@ -171,19 +200,11 @@ class SessionContext:
         tests/test_rl_vector_parity.py).
 
         Raises:
-            ValueError: under ``deployment="ls"``: the env assigns each
-                layer its own design point, so it has no LS mode.  And
-                at ``envs > 1`` unless the agent has a lockstep-wave
-                path (``agent.lockstep``: A2C, ACKTR and PPO2).
+            ValueError: when :func:`check_runnable` refuses the method
+                (``deployment="ls"``, or ``envs > 1`` without a
+                lockstep-wave path).
         """
-        if self.task.deployment == "ls":
-            raise ValueError(
-                'only genome-space methods support deployment="ls"; '
-                "episodic and two-stage methods assign a design point "
-                'per layer (deployment="lp")')
-        if self.envs > 1 and not getattr(agent, "lockstep", False):
-            raise ValueError(
-                f"{name} has no lockstep-wave path: run it at envs=1")
+        check_runnable(info, self.task.deployment, self.envs, agent)
         env = self.task.make_env(self.cost_model, self.constraint)
         if self.tracker.active:
             env._tracker = self.tracker
@@ -224,7 +245,7 @@ def _stopped_result(name: str, tracker: _Tracker, evaluations: int,
 def run_episodic(info: MethodInfo, context: SessionContext) -> SearchResult:
     """Drive an episodic-RL method: ``method.search(env, episodes)``."""
     method = info.factory(seed=context.seed)
-    env = context.make_env(info.name, method)
+    env = context.make_env(info, method)
     started = time.perf_counter()
     try:
         return method.search(env, context.budget)
@@ -299,7 +320,7 @@ def run_two_stage(info: MethodInfo, context: SessionContext) -> SearchResult:
     :class:`ConfuciuXResult` becomes the session's ``detail``.
     """
     agent = info.factory(seed=context.seed)
-    env = context.make_env(info.name, agent)
+    env = context.make_env(info, agent)
     started = time.perf_counter()
     try:
         global_result = agent.search(env, context.budget)
@@ -501,13 +522,15 @@ class SearchSession:
             cache across many sessions (the comparison-grid pattern).
 
     The session validates the method name eagerly, so typos fail at
-    construction, not after minutes of search.
+    construction, not after minutes of search, and so does a spec the
+    method cannot run (:func:`check_runnable`).
     """
 
     def __init__(self, spec: SearchSpec,
                  cost_model: Optional[CostModel] = None) -> None:
         self.spec = spec
         self.info = get_method(spec.method)
+        check_runnable(self.info, spec.deployment, spec.resolved_envs())
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.result: Optional[SessionResult] = None
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from repro.experiments.tasks import TaskSpec
@@ -197,11 +197,6 @@ class SearchSpec:
         object.__setattr__(self, attribute, int(value))
 
     # ------------------------------------------------------------------
-    def resolved_objective(self) -> Objective:
-        """The spec's objective as a resolved
-        :class:`~repro.objectives.Objective` instance."""
-        return resolve_objective(self.objective)
-
     def resolved_envs(self) -> int:
         """The effective lockstep episode count (``None`` means 1).
         This is *scenario-defining* for episodic methods when > 1: it
@@ -225,10 +220,6 @@ class SearchSpec:
             num_levels=self.num_levels, max_pes=self.max_pes,
             deployment=self.deployment, max_total_pes=self.max_total_pes,
             max_total_l1=self.max_total_l1, layer_slice=self.layer_slice)
-
-    def replace(self, **changes) -> "SearchSpec":
-        """A copy with ``changes`` applied (validation re-runs)."""
-        return replace(self, **changes)
 
     def __hash__(self) -> int:
         """Hash by canonical JSON: composite (dict) objective specs

@@ -41,7 +41,7 @@ from typing import Dict, List, Optional
 
 from repro.search.callbacks import SearchObserver
 from repro.search.registry import get_method
-from repro.search.session import SearchSession, SessionResult
+from repro.search.session import SearchSession, SessionResult, check_runnable
 from repro.search.spec import SearchSpec
 from repro.service.store import ResultStore, result_key
 
@@ -258,10 +258,13 @@ class SearchServer:
         a fresh run whose result overwrites the cache entry.
 
         An unknown ``spec.method`` raises ``KeyError`` here, before any
-        job exists.  The registry is read at submit time, not when the
-        spec is built, so methods registered later are accepted.
+        job exists, and a spec its method cannot run raises
+        ``ValueError`` (:func:`~repro.search.session.check_runnable`).
+        The registry is read at submit time, not when the spec is built,
+        so methods registered later are accepted.
         """
-        get_method(spec.method)
+        check_runnable(get_method(spec.method), spec.deployment,
+                       spec.resolved_envs())
         key = result_key(spec)
         with self._lock:
             if self._closed:

@@ -1,12 +1,15 @@
 """The summary rules of ``benchmarks/ab_pairs.py`` on synthetic pairs:
 the gain rule (nine tenths of the pairs won, ties counting for neither
 side, a median gap wider than A's IQR) and the no-regression verdicts
-against a metric's ``bound``."""
+against a metric's ``bound``, and the exit code a gate reads."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 _SPEC = importlib.util.spec_from_file_location(
     "ab_pairs",
@@ -93,3 +96,25 @@ def test_wide_spread_is_ok_when_every_b_run_beats_every_a_run():
     a = [6.0, 14.0] * 3
     row = _row(a, [5.0, 5.5] * 3)
     assert row["verdict"] == "ok"
+
+
+@pytest.mark.parametrize("b_value, code", [(10.0, 0), (13.0, 1)])
+def test_exit_code_is_1_only_when_a_metric_reads_worse(
+        tmp_path, monkeypatch, capsys, b_value, code):
+    """A script or CI step can gate on the exit code: 13 s against 10 s
+    is worse than the 20% bound, an equal run is ok."""
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": [LOWER]}))
+    b_side = tmp_path / "b"
+    b_side.mkdir()
+
+    def run(checkout, workload, seed, seconds):
+        value = b_value if checkout == b_side.resolve() else 10.0
+        return {"passes": 1, "metrics": {"search_s": value}}
+
+    monkeypatch.setattr(ab_pairs, "run", run)
+    assert ab_pairs.main(["--a", str(tmp_path), "--b", str(b_side),
+                          "--workload", "w", "--seed", "1",
+                          "--pairs", "3"]) == code
+    verdict = capsys.readouterr().out.splitlines()[-1].split()[-1]
+    assert verdict == ("worse" if code else "ok")

@@ -15,8 +15,7 @@ from repro.experiments.ls_study import (
     plateau_fraction,
     uniform_cost,
 )
-from repro.experiments.lp_study import format_row, run_row, winners
-from repro.experiments.runner import method_factories
+from repro.experiments.lp_study import format_row, winners
 
 
 class TestTaskSpec:
@@ -34,7 +33,6 @@ class TestTaskSpec:
     def test_accepts_explicit_layers(self, tiny_model, cost_model):
         task = TaskSpec(model=tiny_model)
         assert task.layers() == list(tiny_model)
-        assert "custom" in task.label()
 
     def test_mix_task(self, cost_model):
         task = TaskSpec(model="ncf", mix=True)
@@ -48,12 +46,6 @@ class TestTaskSpec:
         assert constraint.kind == "resource"
         assert constraint.max_pes == 100
 
-    def test_label_and_scaled(self):
-        task = TaskSpec(model="resnet50", dataflow="eye",
-                        objective="energy", platform="cloud")
-        assert task.label() == "resnet50-eye energy area:cloud"
-        assert task.scaled(4).layer_slice == 4
-
     def test_default_epochs_env_var(self, monkeypatch):
         monkeypatch.delenv("REPRO_EPOCHS", raising=False)
         assert default_epochs(123) == 123
@@ -65,14 +57,6 @@ class TestTaskSpec:
 
 
 class TestRunner:
-    def test_method_factories_resolve(self):
-        factories = method_factories(["ga", "reinforce", "reinforce-mlp"])
-        assert set(factories) == {"ga", "reinforce", "reinforce-mlp"}
-
-    def test_method_factories_reject_unknown(self):
-        with pytest.raises(KeyError, match="unknown method"):
-            method_factories(["alphago"])
-
     def test_compare_methods_mixed_families(self, cost_model):
         task = TaskSpec(model="mobilenet_v2", layer_slice=6,
                         platform="cloud")
@@ -125,16 +109,16 @@ class TestRunner:
 
     def test_run_row_and_formatting(self, cost_model):
         task = TaskSpec(model="ncf", platform="cloud")
-        results = run_row(task, ["random", "ga"], epochs=25,
-                          cost_model=cost_model)
+        results = compare_methods(task, ["random", "ga"], epochs=25,
+                                  cost_model=cost_model)
         row = format_row("ncf", results, ["random", "ga"])
         assert row[0] == "ncf"
         assert len(row) == 3
 
     def test_winners(self, cost_model):
         task = TaskSpec(model="ncf", platform="cloud")
-        results = run_row(task, ["random", "ga"], epochs=25,
-                          cost_model=cost_model)
+        results = compare_methods(task, ["random", "ga"], epochs=25,
+                                  cost_model=cost_model)
         best = winners(results)
         assert best
         assert all(name in results for name in best)

@@ -85,21 +85,6 @@ class TestDerivedQuantities:
         assert layer.input_elements == 4 * 36
         assert layer.output_elements == 8 * 16
 
-    def test_scaled_shrinks_channels(self):
-        layer = Layer("l", LayerType.CONV, K=8, C=4, Y=6, X=6, R=3, S=3)
-        half = layer.scaled(0.5)
-        assert half.K == 4 and half.C == 2
-
-    def test_scaled_dwconv_keeps_k_equals_c(self):
-        layer = Layer("l", LayerType.DWCONV, K=8, C=8, Y=6, X=6, R=3, S=3)
-        half = layer.scaled(0.5)
-        assert half.K == half.C == 4
-
-    def test_scaled_never_below_one(self):
-        layer = Layer("l", LayerType.CONV, K=2, C=2, Y=6, X=6, R=3, S=3)
-        tiny = layer.scaled(0.01)
-        assert tiny.K == 1 and tiny.C == 1
-
 
 class TestGemmLayer:
     def test_mapping_follows_footnote3(self):
@@ -118,12 +103,6 @@ class TestGemmLayer:
 
 
 class TestLayerType:
-    def test_convolutional_predicate(self):
-        assert LayerType.CONV.is_convolutional
-        assert LayerType.DWCONV.is_convolutional
-        assert LayerType.PWCONV.is_convolutional
-        assert not LayerType.GEMM.is_convolutional
-
     def test_integer_values_are_stable(self):
         # These feed the observation encoding; changing them is breaking.
         assert list(LayerType) == [LayerType.CONV, LayerType.DWCONV,

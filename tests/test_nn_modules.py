@@ -16,7 +16,6 @@ from repro.nn.functional import (
     huber_loss,
     log_softmax,
     mse_loss,
-    one_hot,
     softmax,
 )
 from repro.nn.modules import Module, Parameter
@@ -90,10 +89,11 @@ class TestMLP:
 class TestLSTM:
     def test_cell_shapes(self):
         cell = LSTMCell(4, 8, rng=np.random.default_rng(0))
-        h, c = cell.initial_state(batch=2)
-        h2, c2 = cell(Tensor(np.ones((2, 4))), (h, c))
-        assert h2.shape == (2, 8)
-        assert c2.shape == (2, 8)
+        h, c = cell.initial_state()
+        assert h.shape == c.shape == (1, 8)
+        h2, c2 = cell(Tensor(np.ones((1, 4))), (h, c))
+        assert h2.shape == (1, 8)
+        assert c2.shape == (1, 8)
 
     def test_forget_bias_initialized_to_one(self):
         cell = LSTMCell(4, 8)
@@ -314,14 +314,6 @@ class TestFunctional:
                            delta=1.0).item()
         assert huber == pytest.approx(0.5 + (3.0 - 1.0))
 
-    def test_one_hot(self):
-        encoded = one_hot([0, 2], num_classes=3)
-        np.testing.assert_allclose(encoded, [[1, 0, 0], [0, 0, 1]])
-
-    def test_one_hot_range_check(self):
-        with pytest.raises(ValueError):
-            one_hot([3], num_classes=3)
-
 
 class TestCategorical:
     def test_requires_2d_logits(self):
@@ -348,7 +340,3 @@ class TestCategorical:
         peaked = Categorical(Tensor([[10.0, 0.0, 0.0, 0.0]]))
         assert uniform.entropy().item() > peaked.entropy().item()
         assert uniform.entropy().item() == pytest.approx(np.log(4))
-
-    def test_mode(self):
-        dist = Categorical(Tensor([[0.0, 3.0, 1.0]]))
-        assert dist.mode()[0] == 1

@@ -90,12 +90,6 @@ class TestCostModelProperties:
 
 
 class TestActionSpaceProperties:
-    @settings(max_examples=50, deadline=None)
-    @given(pe_idx=st.integers(0, 11), buf_idx=st.integers(0, 11))
-    def test_decode_nearest_roundtrip(self, pe_idx, buf_idx):
-        pes, l1 = _SPACE.decode((pe_idx, buf_idx))
-        assert _SPACE.nearest_levels(pes, l1) == (pe_idx, buf_idx)
-
     @settings(max_examples=30, deadline=None)
     @given(levels=st.integers(2, 20))
     def test_ladders_always_valid(self, levels):

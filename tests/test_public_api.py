@@ -44,7 +44,7 @@ class TestImportSurface:
                 f"{name}.{symbol} in __all__ but unresolvable"
 
     def test_version(self):
-        assert repro.__version__ == "6.0.0"
+        assert repro.__version__ == "6.1.0"
 
     def test_lazy_exports(self):
         assert repro.ResultStore.__name__ == "ResultStore"

@@ -6,7 +6,6 @@ from repro.core.reporting import (
     area_breakdown_fractions,
     ascii_bars,
     format_table,
-    per_layer_area_fractions,
     per_layer_assignment,
     solution_report,
 )
@@ -31,11 +30,6 @@ class TestBreakdowns:
         # should together dominate the NoC.
         fractions = area_breakdown_fractions(report)
         assert fractions["pe"] + fractions["l1"] > fractions["noc"]
-
-    def test_per_layer_fractions_sum_to_one(self, report):
-        fractions = per_layer_area_fractions(report)
-        assert len(fractions) == 4
-        assert sum(fractions) == pytest.approx(1.0)
 
     def test_per_layer_assignment_extraction(self):
         pes, bufs = per_layer_assignment([(8, 29), (16, 39)])

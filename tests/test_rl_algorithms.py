@@ -32,7 +32,6 @@ class TestPolicies:
                               policy.initial_state())
         assert len(dists) == 2
         assert dists[0].probs.shape == (1, 12)
-        assert policy.is_recurrent
 
     def test_mlp_policy_shapes(self):
         policy = MLPPolicy(10, (12, 12, 3), rng=np.random.default_rng(0))
@@ -40,11 +39,10 @@ class TestPolicies:
         dists, state = policy(Tensor(np.zeros((1, 10))), None)
         assert len(dists) == 3
         assert state is None
-        assert not policy.is_recurrent
 
     def test_build_policy_factory(self):
-        assert build_policy("rnn", 10, (12, 12)).is_recurrent
-        assert not build_policy("mlp", 10, (12, 12)).is_recurrent
+        assert isinstance(build_policy("rnn", 10, (12, 12)), RecurrentPolicy)
+        assert isinstance(build_policy("mlp", 10, (12, 12)), MLPPolicy)
         with pytest.raises(ValueError):
             build_policy("transformer", 10, (12, 12))
 

@@ -17,6 +17,8 @@ The contract (API.md "``envs`` -- lockstep episode waves"):
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.costmodel import CostModel
@@ -89,7 +91,7 @@ class TestEnvsOneBitParity:
         spec = SearchSpec(model="mobilenet_v2", method=name, budget=BUDGET,
                           seed=0, layer_slice=5)
         scalar = SearchSession(spec).run()
-        vector = SearchSession(spec.replace(envs=1)).run()
+        vector = SearchSession(dataclasses.replace(spec, envs=1)).run()
         assert_results_equal(scalar.result, vector.result)
         assert vector.provenance["envs"] == 1
         assert not vector.stopped_early
@@ -144,7 +146,7 @@ class TestEnvsGreaterThanOne:
     def test_session_envs_resolution(self):
         spec = SearchSpec(model="mobilenet_v2", budget=8)
         assert spec.resolved_envs() == 1
-        assert spec.replace(envs=2).resolved_envs() == 2
+        assert dataclasses.replace(spec, envs=2).resolved_envs() == 2
         with pytest.raises(ValueError):
             SearchSpec(model="mobilenet_v2", envs=0)
 
@@ -200,7 +202,7 @@ class TestEnvsGreaterThanOne:
         spec = SearchSpec(model="mobilenet_v2", method="random", budget=40,
                           seed=0, layer_slice=4)
         scalar = SearchSession(spec).run()
-        vector = SearchSession(spec.replace(envs=8)).run()
+        vector = SearchSession(dataclasses.replace(spec, envs=8)).run()
         assert_results_equal(scalar.result, vector.result)
 
 

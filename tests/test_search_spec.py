@@ -84,9 +84,9 @@ class TestValidation:
 
     def test_replace_revalidates(self):
         spec = SearchSpec(model="ncf", budget=10)
-        assert spec.replace(budget=20).budget == 20
+        assert dataclasses.replace(spec, budget=20).budget == 20
         with pytest.raises(ValueError):
-            spec.replace(platform="mars")
+            dataclasses.replace(spec, platform="mars")
 
 
 class TestDerived:

@@ -114,6 +114,24 @@ class TestLifecycle:
             with pytest.raises(KeyError):
                 server.job("j999")
 
+    @pytest.mark.parametrize("changes, message", [
+        (dict(method="reinforce", envs=4),
+         "^reinforce has no lockstep-wave path"),
+        (dict(method="confuciux", deployment="ls"),
+         "^confuciux: only genome-space methods"),
+    ])
+    def test_unrunnable_spec_is_refused_before_a_job_exists(
+            self, tmp_path, changes, message):
+        """REINFORCE has no lockstep-wave path and an episodic method no
+        LS mode, so such a spec is refused at submit, naming the method,
+        instead of queueing a job that ends FAILED."""
+        with _server(tmp_path) as server:
+            with pytest.raises(ValueError, match=message):
+                server.submit(SearchSpec(model="ncf", **changes))
+            stats = server.stats()
+            assert stats["jobs"] == 0
+            assert stats["executions"] == 0
+
     def test_closed_server_rejects_submissions(self, tmp_path):
         server = _server(tmp_path)
         server.close()

@@ -9,8 +9,12 @@ boundary) that the client never generates itself.
 from __future__ import annotations
 
 import json
+import os
 import socket
+import subprocess
+import sys
 import traceback
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -151,6 +155,45 @@ class TestCLI:
                     ["puts", "1"]):
             assert row in stats
 
+    def test_serve_runs_a_job_then_shuts_down(self):
+        """``repro serve`` in its own process: it prints its port first,
+        runs a submitted spec, and exits 0 on the ``shutdown`` op."""
+        import repro
+
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--no-cache"],
+            stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            first = process.stdout.readline()
+            assert first.startswith("repro service on 127.0.0.1:")
+            port = int(first.split()[3].rsplit(":", 1)[1])
+            with ServiceClient(port=port) as client:
+                result = client.submit(_spec())
+                assert result.spec == _spec() and result.feasible
+                client.shutdown()
+            assert process.wait(timeout=60) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+
+    def test_refused_submit_exits_cleanly(self, service, capsys):
+        """The server's refusal reaches the shell as the CLI's error
+        line, not as a ``ServiceError`` traceback."""
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as stop:
+            main(["submit", "--model", "ncf", "--epochs", "4", "--envs",
+                  "4", "--port", str(service)])
+        message = str(stop.value)
+        assert message.startswith("repro: error:")
+        assert "confuciux has no lockstep-wave path" in message
+        assert capsys.readouterr().out == ""
+
 
 class TestWireProtocol:
     def _raw(self, port, lines):
@@ -196,6 +239,19 @@ class TestWireProtocol:
             '{"op": "stats"}'])
         assert response["ok"] is False
         assert "'nope'" in response["error"]
+        assert stats["stats"]["jobs"] == 0
+        assert stats["stats"]["executions"] == 0
+
+    def test_unrunnable_spec_is_refused_before_a_job_exists(self, service):
+        """A spec its method cannot run (REINFORCE at ``envs=4``) gets
+        one error line naming the method; no job is queued."""
+        spec = SearchSpec(model="ncf", method="reinforce", envs=4)
+        response, stats = self._raw(service, [
+            json.dumps({"op": "submit", "spec": spec.to_dict(),
+                        "wait": False}),
+            '{"op": "stats"}'])
+        assert response["ok"] is False
+        assert "reinforce has no lockstep-wave path" in response["error"]
         assert stats["stats"]["jobs"] == 0
         assert stats["stats"]["executions"] == 0
 

@@ -151,11 +151,6 @@ class TestActionSpace:
         assert space_dla.max_action() == (11, 11)
         assert space_mix.max_action() == (11, 11, 0)
 
-    def test_nearest_levels(self, space_dla):
-        assert space_dla.nearest_levels(13, 40) == (4, 2)
-        assert space_dla.nearest_levels(1000, 1000) == (11, 11)
-        assert space_dla.nearest_levels(1, 1) == (0, 0)
-
     def test_design_space_size_magnitude(self, space_dla):
         # Section I: O(10^72) for 128 PEs/bufs over 52 layers; the paper's
         # Section IV-C4 quotes 12^104 = O(10^112) for the level space.
@@ -208,11 +203,6 @@ class TestObservationEncoder:
     def test_rejects_empty_model(self, space_dla):
         with pytest.raises(ValueError):
             ObservationEncoder.for_model([], space_dla)
-
-    def test_encode_all(self, mobilenet_slice, space_dla):
-        encoder = ObservationEncoder.for_model(mobilenet_slice, space_dla)
-        encodings = encoder.encode_all(mobilenet_slice)
-        assert len(encodings) == len(mobilenet_slice)
 
     def test_distinguishes_layer_types(self, space_dla):
         layers = get_model("mobilenet_v2")[:5]
