@@ -154,29 +154,20 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["destroy"])
 
-    @pytest.mark.parametrize("command", [
-        ["search"], ["compare", "--methods", "a2c,confuciux"]])
-    def test_envs_without_a_wave_path_exits_cleanly(self, command,
-                                                     capsys):
-        """confuciux (the default method) has no lockstep-wave path:
-        the CLI refuses ``--envs 4`` with its usual error line before
-        any search runs, a2c's included."""
+    @pytest.mark.parametrize("argv, message", [
+        (["search", "--envs", "4"], "confuciux has no lockstep-wave path"),
+        (["compare", "--methods", "a2c,confuciux", "--envs", "4"],
+         "confuciux has no lockstep-wave path"),
+        (["compare", "--methods", "ga,alphago"], "unknown method 'alphago'"),
+    ])
+    def test_refused_spec_exits_cleanly(self, argv, message, capsys):
+        """confuciux (the default method) has no lockstep-wave path and
+        alphago is no method: the CLI prints its usual error line before
+        any search runs, a2c's and ga's included."""
         from repro.__main__ import main
 
         with pytest.raises(SystemExit) as stop:
-            main([*command, "--model", "ncf", "--platform", "cloud",
-                  "--epochs", "4", "--envs", "4"])
-        message = str(stop.value)
-        assert message.startswith("repro: error:")
-        assert "confuciux has no lockstep-wave path" in message
-        assert capsys.readouterr().out == ""
-
-    def test_unknown_compare_method_exits_cleanly(self, capsys):
-        from repro.__main__ import main
-
-        with pytest.raises(SystemExit) as stop:
-            main(["compare", "--model", "ncf", "--methods", "ga,alphago",
+            main([*argv, "--model", "ncf", "--platform", "cloud",
                   "--epochs", "4"])
-        assert str(stop.value).startswith(
-            "repro: error: unknown method 'alphago'")
+        assert str(stop.value).startswith(f"repro: error: {message}")
         assert capsys.readouterr().out == ""
