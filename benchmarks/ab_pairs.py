@@ -9,9 +9,12 @@ Pair ``i`` runs ``e2ebench/run.py --workload W --seed SEED+i --seconds S
 side by side: both pin themselves to the same CPU), with A first on even
 pairs and B first on odd ones.  ``S`` is ``run_seconds`` from A's
 ``BENCHMARK.json``, so both sides run as long as the benchmark does.
-Each pair prints as one JSON line (every run's metrics and pass count)
-when it finishes; the summary gives, for every end-to-end metric, each
-side's median and interquartile range, B's wins, losses and ties (by the
+Each pair prints as one JSON line (every run's metrics, pass count,
+``git_commit``, ``cpu_count`` and numpy version) when it finishes.  The
+summary's header names each side's checkout with the ``git_commit``,
+``cpu_count`` and numpy version of its first run.  The summary then
+gives, for every end-to-end metric, each side's median and
+interquartile range, B's wins, losses and ties (by the
 metric's ``better`` direction in A's ``BENCHMARK.json``), and whether B
 clears the gain rule: at least nine tenths of the pairs won, ties counting
 for neither side, and a median gap wider than A's IQR.  It also gives the
@@ -32,9 +35,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+#: Run-record fields that say what ran and where.
+PROVENANCE = ("git_commit", "cpu_count", "numpy")
+
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run: its metrics and pass count."""
+    """One untraced benchmark run: its metrics, pass count and
+    :data:`PROVENANCE`."""
     command = [sys.executable, "e2ebench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds),
                "--trace", "0"]
@@ -50,6 +57,7 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"{checkout}: seed {seed} failed: "
                          f"{record['problems']}")
     return {"passes": record["passes"],
+            **{key: record[key] for key in PROVENANCE},
             "metrics": {name: entry["value"]
                         for name, entry in result["metrics"].items()}}
 
@@ -124,8 +132,10 @@ def main(argv=None) -> int:
 
     rows = summarize(pairs, benchmark["end_to_end"])
     print(f"\n{args.workload}: {len(pairs)} pairs, seeds {args.seed}.."
-          f"{args.seed + len(pairs) - 1}, {seconds:g} s runs, A={sides['a']}"
-          f", B={sides['b']}")
+          f"{args.seed + len(pairs) - 1}, {seconds:g} s runs")
+    for side in ("a", "b"):
+        print(f"{side.upper()}={sides[side]}: " + ", ".join(
+            f"{key} {pairs[0][side][key]}" for key in PROVENANCE))
     print("passes per run: A " + " ".join(
         str(pair["a"]["passes"]) for pair in pairs) + " | B " + " ".join(
         str(pair["b"]["passes"]) for pair in pairs))

@@ -445,8 +445,8 @@ def _add_task_arguments(parser: argparse.ArgumentParser) -> None:
                         help="lockstep episodes per wave for a2c, acktr "
                              "and ppo2 (default 1, bit-identical to "
                              "scalar stepping; >1 is a reproducible "
-                             "scenario with more epochs per second -- see "
-                             "BENCH_rl.json); other episodic and "
+                             "scenario -- see PERFORMANCE.md, "
+                             "Time-to-quality); other episodic and "
                              "two-stage methods refuse >1")
 
 

@@ -23,7 +23,6 @@ The three styles mirror the paper:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 

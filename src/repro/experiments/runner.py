@@ -63,9 +63,10 @@ def compare_methods(
 
     ``envs`` rolls a2c, acktr and ppo2 as that many lockstep episodes
     per wave (one batched cost call per layer step); ``envs > 1``
-    changes which episodes are sampled (reproducibly per seed), and
-    raises :class:`ValueError` for the other episodic and the two-stage
-    methods, which have no lockstep-wave path.
+    changes which episodes are sampled (reproducibly per seed).  Each
+    method is checked before any cell runs or is stored: an episodic or
+    two-stage method without a lockstep-wave path at ``envs > 1``, or
+    at ``deployment="ls"``, raises :class:`ValueError`.
 
     ``cache`` plugs the grid into the content-addressed result store
     shared with the search service: pass a
@@ -80,8 +81,13 @@ def compare_methods(
     from repro.search.session import (
         SessionContext,
         SessionResult,
+        check_runnable,
         run_method,
     )
+
+    grid = [(name, get_method(name)) for name in methods]
+    for _, info in grid:
+        check_runnable(info, task.deployment, envs)
 
     store = None
     if cache is not None and cache is not False:
@@ -97,8 +103,7 @@ def compare_methods(
     cost_model = cost_model or CostModel()
     constraint = task.constraint(cost_model)
     results: Dict[str, SearchResult] = {}
-    for name in methods:
-        info = get_method(name)
+    for name, info in grid:
         spec = (None if store is None
                 else _grid_spec(task, name, epochs, seed, envs))
         if spec is not None:

@@ -17,7 +17,7 @@ the parity suite in ``tests/test_objectives.py`` locks this down.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Union
+from typing import Dict, List, NamedTuple, Sequence, Union
 
 import numpy as np
 

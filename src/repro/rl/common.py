@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.env.environment import EpisodeResult, HWAssignmentEnv
+from repro.env.environment import HWAssignmentEnv
 
 
 @dataclass

@@ -6,8 +6,6 @@ critic, and Polyak-averaged target networks.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.env.environment import HWAssignmentEnv

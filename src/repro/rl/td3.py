@@ -6,8 +6,6 @@ target-policy smoothing noise, and delayed actor updates.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.env.environment import HWAssignmentEnv

@@ -106,8 +106,8 @@ class SearchSpec:
             lockstep-wave path (a2c, acktr and ppo2): the agent rolls
             ``envs`` episodes per wave through a
             :class:`~repro.env.vector.VectorHWAssignmentEnv`, paying one
-            batched cost call per layer step (BENCH_rl.json measures
-            a2c's epoch throughput).  ``None`` means 1.  ``envs=1`` is
+            batched cost call per layer step (PERFORMANCE.md's
+            "Time-to-quality" table).  ``None`` means 1.  ``envs=1`` is
             bit-identical to scalar stepping; ``envs>1`` is a new
             reproducible scenario whose RNG stream is wave-major (one
             batched draw per action head per wave -- see API.md), so

@@ -1,7 +1,8 @@
 """The summary rules of ``benchmarks/ab_pairs.py`` on synthetic pairs:
 the gain rule (nine tenths of the pairs won, ties counting for neither
 side, a median gap wider than A's IQR) and the no-regression verdicts
-against a metric's ``bound``, and the exit code a gate reads."""
+against a metric's ``bound``, the exit code a gate reads, and the
+header that names what each side ran on."""
 
 from __future__ import annotations
 
@@ -98,23 +99,42 @@ def test_wide_spread_is_ok_when_every_b_run_beats_every_a_run():
     assert row["verdict"] == "ok"
 
 
-@pytest.mark.parametrize("b_value, code", [(10.0, 0), (13.0, 1)])
-def test_exit_code_is_1_only_when_a_metric_reads_worse(
-        tmp_path, monkeypatch, capsys, b_value, code):
-    """A script or CI step can gate on the exit code: 13 s against 10 s
-    is worse than the 20% bound, an equal run is ok."""
+def _checkouts(tmp_path, monkeypatch, b_value=10.0):
+    """A's ``BENCHMARK.json`` in ``tmp_path``, B's checkout in
+    ``tmp_path / "b"``, and a fake ``run`` that reads ``search_s`` 10 on
+    A and ``b_value`` on B, with a run record of each side's own."""
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
         {"run_seconds": 1, "end_to_end": [LOWER]}))
     b_side = tmp_path / "b"
     b_side.mkdir()
 
     def run(checkout, workload, seed, seconds):
-        value = b_value if checkout == b_side.resolve() else 10.0
-        return {"passes": 1, "metrics": {"search_s": value}}
+        on_b = checkout == b_side.resolve()
+        return {"passes": 1, "git_commit": "b" * 40 if on_b else "a" * 40,
+                "cpu_count": 4 if on_b else 2, "numpy": "2.4.6",
+                "metrics": {"search_s": b_value if on_b else 10.0}}
 
     monkeypatch.setattr(ab_pairs, "run", run)
-    assert ab_pairs.main(["--a", str(tmp_path), "--b", str(b_side),
-                          "--workload", "w", "--seed", "1",
-                          "--pairs", "3"]) == code
+    return ["--a", str(tmp_path), "--b", str(b_side), "--workload", "w",
+            "--seed", "1", "--pairs", "3"]
+
+
+@pytest.mark.parametrize("b_value, code", [(10.0, 0), (13.0, 1)])
+def test_exit_code_is_1_only_when_a_metric_reads_worse(
+        tmp_path, monkeypatch, capsys, b_value, code):
+    """A script or CI step can gate on the exit code: 13 s against 10 s
+    is worse than the 20% bound, an equal run is ok."""
+    assert ab_pairs.main(_checkouts(tmp_path, monkeypatch, b_value)) == code
     verdict = capsys.readouterr().out.splitlines()[-1].split()[-1]
     assert verdict == ("worse" if code else "ok")
+
+
+def test_header_names_each_side_commit_cpu_count_and_numpy(
+        tmp_path, monkeypatch, capsys):
+    """An uploaded table says what ran where, from the run records."""
+    assert ab_pairs.main(_checkouts(tmp_path, monkeypatch)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert (f"A={tmp_path.resolve()}: git_commit {'a' * 40}, cpu_count 2, "
+            "numpy 2.4.6") in lines
+    assert (f"B={(tmp_path / 'b').resolve()}: git_commit {'b' * 40}, "
+            "cpu_count 4, numpy 2.4.6") in lines

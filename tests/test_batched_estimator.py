@@ -450,6 +450,8 @@ def _constraints(layers, cost_model):
         platform_constraint(layers, "dla", "power", "cloud", cost_model,
                             space),
         ResourceConstraint(max_pes=250, max_l1_bytes=30_000),
+        platform_constraint(layers, "dla", "area", "cloud", cost_model,
+                            space),
     ]
 
 

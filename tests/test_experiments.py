@@ -97,6 +97,27 @@ class TestRunner:
                                  force=True)
         assert forced["random"].best_cost == first["random"].best_cost
 
+    def test_unrunnable_grid_is_refused_before_its_first_cell(
+            self, cost_model, tmp_path, monkeypatch):
+        """reinforce has no lockstep-wave path, so a grid at ``envs=4``
+        is refused before a2c, the cell ahead of it, runs or is
+        stored."""
+        import repro.search.session as session
+        from repro.service import ResultStore
+
+        ran = []
+        run_method = session.run_method
+        monkeypatch.setattr(session, "run_method", lambda info, context: (
+            ran.append(info.name) or run_method(info, context)))
+        store = ResultStore(root=tmp_path / "cache")
+        task = TaskSpec(model="mobilenet_v2", layer_slice=8,
+                        platform="cloud")
+        with pytest.raises(ValueError, match="reinforce"):
+            compare_methods(task, ["a2c", "reinforce"], epochs=40, envs=4,
+                            cost_model=cost_model, cache=store)
+        assert ran == []
+        assert store.stats()["entries"] == 0 and store.puts == 0
+
     def test_compare_methods_layer_list_tasks_skip_the_cache(
             self, tiny_model, cost_model, tmp_path):
         from repro.service import ResultStore

@@ -67,21 +67,30 @@ def assert_results_equal(a, b):
 
 
 class TestEnvsOneBitParity:
-    @pytest.mark.parametrize("name", WAVE_METHODS)
-    def test_vector_env_matches_scalar_stepping(self, name, task,
-                                                cost_model, constraint):
+    @pytest.mark.parametrize("name, layers, platform, budget", [
+        *(pytest.param(name, 5, "iot", BUDGET, id=name)
+          for name in WAVE_METHODS),
+        # A longer run: 48 updates on 20-layer episodes, cloud tier.
+        pytest.param("a2c", 20, "cloud", 48, id="a2c-cloud-20x48"),
+    ])
+    def test_vector_env_matches_scalar_stepping(self, name, layers,
+                                                platform, budget,
+                                                cost_model):
         """The full matrix: every agent with a wave path, one-env waves
         vs the scalar stepping loop, bit-identical."""
         from repro.search.registry import get_method
 
+        task = TaskSpec(model="mobilenet_v2", layer_slice=layers,
+                        platform=platform)
+        constraint = task.constraint(cost_model)
         info = get_method(name)
         scalar_method = info.factory(seed=0)
         scalar_result = scalar_method.search(
-            task.make_env(cost_model, constraint), BUDGET)
+            task.make_env(cost_model, constraint), budget)
         vector_method = info.factory(seed=0)
         vector_result = vector_method.search(
             VectorHWAssignmentEnv(task.make_env(cost_model, constraint), 1),
-            BUDGET)
+            budget)
         assert_results_equal(scalar_result, vector_result)
 
     @pytest.mark.parametrize("name", EPISODIC_METHODS)
