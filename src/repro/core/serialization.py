@@ -11,7 +11,35 @@ carries the stage figures in ``extra``).
 
 from __future__ import annotations
 
+import json
+import os
+import uuid
+
 from repro.rl.common import SearchResult
+
+
+def write_json_atomic(path, document) -> None:
+    """Write ``document`` as JSON to ``path``; a reader sees the old file
+    or the whole new one, never a torn write.
+
+    The document goes to a temp file named uniquely in ``path``'s
+    directory, is ``fsync``'d, and ``os.replace`` moves it into place.
+    A fixed temp name would let two writers that share no lock (two
+    result stores on one root) replace each other's temp file.  The temp
+    file is created with mode 0o666 less the umask, as ``open`` does.
+    """
+    path = os.fspath(path)
+    tmp_path = f"{path}.{uuid.uuid4().hex}.tmp"
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as handle:
+            json.dump(document, handle, indent=2)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        os.unlink(tmp_path)
+        raise
 
 
 def _encode_history(history):

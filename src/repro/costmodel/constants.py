@@ -1,10 +1,12 @@
 """Hardware technology constants for the analytical cost model.
 
-The defaults are calibrated so that the small design points of the paper's
-Fig. 1 land in the right order of magnitude (a (PE=8, Buf=19B) NVDLA-style
-accelerator around 2e4 um^2 and single-digit mW) without claiming bit-exact
-agreement with MAESTRO's 28nm tables.  Every experiment in this repository
-uses relative comparisons, which are insensitive to the absolute scale.
+The defaults are set by order of magnitude, not fitted to MAESTRO's 28nm
+tables.  With them, the paper's Fig. 1 design point, a (PE=8, Buf=19B)
+NVDLA-style accelerator, measures 3.15e4 um^2 on every layer and 77-420 mW
+on MobileNet-V2's first 8 layers (39-87 mW on ResNet-50's); DESIGN.md's
+calibration entry (substitution 1) records these figures.  Every experiment
+in this repository uses relative comparisons, which are insensitive to the
+absolute scale.
 
 All energies are tracked internally in picojoules and reported in nanojoules;
 the clock is 1 GHz so one cycle is one nanosecond, which makes average power

@@ -35,33 +35,6 @@ def rl_comparison_methods() -> tuple:
     return tuple(names) + ("reinforce",)
 
 
-#: Paper column names for the comparison grids; methods registered after
-#: the paper fall back to their registry name.
-PAPER_COLUMN_NAMES = {
-    "grid": "Grid",
-    "random": "Random",
-    "sa": "SA",
-    "ga": "GA",
-    "bayesian": "Bayes.Opt.",
-    "a2c": "A2C",
-    "acktr": "ACKTR",
-    "ppo2": "PPO2",
-    "ddpg": "DDPG",
-    "td3": "TD3",
-    "sac": "SAC",
-    "reinforce": "Con'X (global)",
-}
-
-
-def display_columns(methods: Sequence[str]) -> List[str]:
-    """Header cells for ``methods``, failing fast on unknown names."""
-    from repro.search.registry import get_method
-
-    for name in methods:
-        get_method(name)
-    return [PAPER_COLUMN_NAMES.get(name, name) for name in methods]
-
-
 #: The Table III column methods.
 TABLE3_METHODS = ("ga", "ppo2", "reinforce")
 

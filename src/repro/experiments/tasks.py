@@ -8,7 +8,6 @@ exactly the same problem.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
@@ -19,21 +18,6 @@ from repro.env.environment import HWAssignmentEnv
 from repro.env.spaces import ActionSpace
 from repro.models.layers import Layer
 from repro.models.zoo import get_model
-
-
-def default_epochs(fallback: int = 200) -> int:
-    """Search budget per method: ``REPRO_EPOCHS`` env var or ``fallback``.
-
-    The paper uses Eps = 5000; benches default to a scaled-down budget so
-    the whole suite completes in minutes (see DESIGN.md substitutions).
-    """
-    value = os.environ.get("REPRO_EPOCHS")
-    if value is None:
-        return fallback
-    epochs = int(value)
-    if epochs < 1:
-        raise ValueError("REPRO_EPOCHS must be >= 1")
-    return epochs
 
 
 @dataclass
@@ -55,7 +39,7 @@ class TaskSpec:
         max_total_pes / max_total_l1: FPGA caps when
             ``constraint_kind == "resource"`` (Table VIII).
         layer_slice: Optionally restrict to the first N layers (used to
-            scale down bench runtimes; None = full model).
+            scale down run times; None = full model).
     """
 
     model: Union[str, Sequence[Layer]]

@@ -23,6 +23,8 @@ from __future__ import annotations
 import sys
 from typing import Optional, Tuple
 
+from repro.core.serialization import write_json_atomic
+
 
 class StopSearch(Exception):
     """Raised internally to unwind a method when an observer stops it."""
@@ -152,7 +154,7 @@ class CheckpointHook(SearchObserver):
     """Persist the best-so-far solution to JSON on every improvement.
 
     Writes ``{step, best_cost, best_assignments, spec}`` to ``path``
-    with a write-to-temp + ``fsync`` + ``os.replace`` protocol, so a
+    with :func:`~repro.core.serialization.write_json_atomic`, so a
     reader (or a resume after a crash) only ever sees a complete
     checkpoint -- never a torn half-write, even if the process dies
     mid-dump.  The spec is captured from the session at ``on_start``,
@@ -194,19 +196,7 @@ class CheckpointHook(SearchObserver):
                 if best_assignments is not None else None),
             "spec": self._spec_dict,
         }
-        self._write_atomic(document)
-
-    def _write_atomic(self, document: dict) -> None:
-        import json
-        import os
-
-        path = os.fspath(self.path)
-        tmp_path = f"{path}.tmp"
-        with open(tmp_path, "w") as handle:
-            json.dump(document, handle, indent=2)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
+        write_json_atomic(self.path, document)
 
     # ------------------------------------------------------------------
     @staticmethod

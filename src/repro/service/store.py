@@ -23,8 +23,9 @@ them from :class:`~repro.search.spec.SearchSpec` moved no key.
 The cache contract (after the kg-microbe exemplar): re-running is safe --
 existing results are served from the store; a ``force`` flag bypasses the
 lookup to re-run (the fresh result then overwrites the entry).  Writes
-are atomic (write-to-temp + ``fsync`` + ``os.replace``, the
-``CheckpointHook`` idiom), so a reader never sees a torn entry; a
+are atomic (:func:`~repro.core.serialization.write_json_atomic`: a
+uniquely named temp file, ``fsync``, ``os.replace``), so a reader never
+sees a torn entry, and two stores on one root never share a temp file; a
 corrupted or truncated entry is treated as a miss and dropped.  A small
 in-process LRU sits in front of the disk so hot keys skip the filesystem
 entirely.
@@ -40,6 +41,7 @@ import time
 from collections import OrderedDict
 from typing import Optional, Union
 
+from repro.core.serialization import write_json_atomic
 from repro.objectives import objective_spec
 from repro.search.session import SessionResult
 from repro.search.spec import SearchSpec
@@ -184,7 +186,7 @@ class ResultStore:
         path = self.path_for(key)
         with self._lock:
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            self._write_atomic(path, envelope)
+            write_json_atomic(path, envelope)
             self._remember(key, envelope)
             self.puts += 1
         return key
@@ -282,15 +284,6 @@ class ResultStore:
         except OSError:  # pragma: no cover - already gone
             pass
         self.corrupt_dropped += 1
-
-    @staticmethod
-    def _write_atomic(path: str, envelope: dict) -> None:
-        tmp_path = f"{path}.tmp"
-        with open(tmp_path, "w") as handle:
-            json.dump(envelope, handle, indent=2)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
 
 
 def _repro_version() -> str:

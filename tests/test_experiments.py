@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.env.spaces import ActionSpace
-from repro.experiments import TaskSpec, compare_methods, default_epochs
+from repro.experiments import TaskSpec, compare_methods
 from repro.experiments.ls_study import (
     best_action_pair,
     heuristic_a,
@@ -45,15 +45,6 @@ class TestTaskSpec:
         constraint = task.constraint(cost_model)
         assert constraint.kind == "resource"
         assert constraint.max_pes == 100
-
-    def test_default_epochs_env_var(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EPOCHS", raising=False)
-        assert default_epochs(123) == 123
-        monkeypatch.setenv("REPRO_EPOCHS", "7")
-        assert default_epochs(123) == 7
-        monkeypatch.setenv("REPRO_EPOCHS", "0")
-        with pytest.raises(ValueError):
-            default_epochs()
 
 
 class TestRunner:

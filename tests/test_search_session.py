@@ -460,8 +460,7 @@ class TestCheckpoints:
         path = tmp_path / "best.json"
         spec = _ga_spec()
         SearchSession(spec).run(callbacks=[CheckpointHook(path)])
-        assert path.exists()
-        assert not (tmp_path / "best.json.tmp").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["best.json"]
         document = json.loads(path.read_text())
         assert {"step", "best_cost", "best_assignments",
                 "spec"} <= set(document)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -211,6 +212,44 @@ class TestCorruptionAndForce:
         assert not store.evict(_spec(seed=0))
         assert store.clear() == 2
         assert store.stats()["entries"] == 0
+
+    def test_two_stores_put_one_key(self, tmp_path, monkeypatch,
+                                    canned_result):
+        """Two stores on one root share no lock.  The first writer is held
+        before its ``os.replace`` while the second stores the same key;
+        both puts must succeed and leave one whole entry."""
+        reached, released = threading.Event(), threading.Event()
+        replace = os.replace
+
+        def held_replace(source, target):
+            if threading.current_thread().name == "first":
+                reached.set()
+                assert released.wait(10)
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", held_replace)
+        first, second = (ResultStore(root=tmp_path / "cache")
+                         for _ in range(2))
+        errors = []
+
+        def put_first():
+            try:
+                first.put(_spec(), canned_result)
+            except Exception as error:  # reported by the assert below
+                errors.append(error)
+
+        thread = threading.Thread(target=put_first, name="first")
+        thread.start()
+        assert reached.wait(10)
+        second.put(_spec(), canned_result)
+        released.set()
+        thread.join(10)
+        assert not thread.is_alive()
+        assert errors == []
+        path = first.path_for(_spec())
+        assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
+        fresh = ResultStore(root=tmp_path / "cache")
+        assert fresh.get(_spec()).to_dict() == canned_result.to_dict()
 
     def test_cache_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
