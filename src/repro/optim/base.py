@@ -180,7 +180,8 @@ class GenomeOptimizer:
     def evaluate_batch(
         self, genomes: Sequence[Sequence[int]]
     ) -> List[EvalResult]:
-        """Evaluate a candidate set as one batched estimator call.
+        """Evaluate a candidate set -- a list of genomes or a ``(count,
+        genes)`` array -- as one batched estimator call.
 
         The set is truncated to the remaining budget (mirroring the scalar
         loop, which stopped evaluating mid-set when the budget ran out);
@@ -203,7 +204,7 @@ class GenomeOptimizer:
         """
         if self.exhausted:
             raise RuntimeError("evaluation budget exhausted")
-        genomes = list(genomes)[: self._budget - self._spent]
+        genomes = genomes[: self._budget - self._spent]
         if len(genomes) > 1:
             outcomes = self._evaluator.evaluate_population(genomes)
         else:
@@ -215,18 +216,18 @@ class GenomeOptimizer:
             if outcome.feasible and (result.best_cost is None
                                      or outcome.cost < result.best_cost):
                 result.best_cost = outcome.cost
-                result.best_genome = list(genome)
+                result.best_genome = [int(gene) for gene in genome]
                 result.best_assignments = tuple(
                     self._evaluator.decode_genome(genome))
             result.record(result.best_cost)
         return outcomes
 
-    def _gene_bounds(self) -> DrawSizes:
+    def _gene_bounds(self) -> np.ndarray:
         """Per-gene level counts: ``[L, L]`` per layer, ``[L, L, D]``
         under MIX (``D`` dataflows), built once per evaluator."""
         evaluator = self._evaluator
         if self._bounds is None or self._bounds[0] is not evaluator:
-            self._bounds = (evaluator, DrawSizes(
+            self._bounds = (evaluator, np.array(
                 evaluator.space.head_sizes * len(evaluator.layers)))
         return self._bounds[1]
 
@@ -243,23 +244,40 @@ class GenomeOptimizer:
         """A uniformly random genome."""
         return self.random_genomes(1)[0]
 
-    # Shared breeding operators (the GA-family methods) ----------------
-    def uniform_crossover(self, a: Sequence[int],
-                          b: Sequence[int]) -> List[int]:
-        """Uniform blending: each gene comes from either parent with
-        probability 1/2 (one ``random()`` per gene, drawn as a vector)."""
-        take = (self.rng.random(len(a)) < 0.5).tolist()
-        return [y if t else x for x, y, t in zip(a, b, take)]
+    # Shared breeding operators (the GA-family methods), each one draw
+    # per generation -------------------------------------------------
+    def tournament(self, keys: np.ndarray, count: int,
+                   size: int) -> np.ndarray:
+        """Row indices of ``count`` tournament winners.  Each tournament
+        draws ``size`` contenders with replacement (one ``integers`` call
+        for all of them) and keeps the first contender with the smallest
+        key, so ties go to the one drawn first."""
+        contenders = self.rng.integers(0, len(keys), size=(count, size))
+        return contenders[np.arange(count), keys[contenders].argmin(axis=1)]
 
-    def resample_mutation(self, genome: Sequence[int],
-                          rate: float) -> List[int]:
-        """Per-gene uniform resampling at ``rate``, respecting the gene
-        layout: the two level genes draw from ``num_levels``, the MIX
-        style gene from the dataflow list."""
-        mutated = list(genome)
-        for i, level in masked_draws(self.rng, rate,
-                                     self._gene_bounds()).items():
-            mutated[i] = level
+    def uniform_crossover(self, parents: np.ndarray, mates: np.ndarray,
+                          rate: float) -> np.ndarray:
+        """A generation's crossover over ``(count, genes)`` arrays: row
+        ``i`` crosses with ``mates[i]`` with probability ``rate``, and a
+        crossed row takes each gene from either with probability 1/2.
+        One ``random`` call draws the flags, one the crossed rows' blend
+        masks; the other rows are copies of their parent."""
+        crossed = (self.rng.random(len(parents)) < rate).nonzero()[0]
+        take = self.rng.random((len(crossed), parents.shape[1])) < 0.5
+        children = parents.copy()
+        children[crossed] = np.where(take, mates[crossed], parents[crossed])
+        return children
+
+    def resample_mutation(self, genomes: np.ndarray,
+                          rate: float) -> np.ndarray:
+        """Per-gene uniform resampling at ``rate`` over a ``(count,
+        genes)`` array, respecting the gene layout: the two level genes
+        draw from ``num_levels``, the MIX style gene from the dataflow
+        list.  One ``random`` call draws the mask, one ``integers`` call
+        the hit genes' new values."""
+        rows, genes = (self.rng.random(genomes.shape) < rate).nonzero()
+        mutated = genomes.copy()
+        mutated[rows, genes] = self.rng.integers(self._gene_bounds()[genes])
         return mutated
 
     def extra_so_far(self) -> Dict[str, object]:

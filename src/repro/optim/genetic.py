@@ -11,13 +11,16 @@ generations, so the baseline GA returns NAN under tight constraints.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
+
+import numpy as np
 
 from repro.optim.base import GenomeOptimizer
 
 
 class GeneticAlgorithm(GenomeOptimizer):
-    """Generational GA with tournament selection and uniform crossover."""
+    """Generational GA with tournament selection and uniform crossover,
+    breeding each generation as one ``(population, genes)`` array."""
 
     name = "ga"
 
@@ -31,6 +34,8 @@ class GeneticAlgorithm(GenomeOptimizer):
             raise ValueError("mutation_rate must be in [0, 1]")
         if not 0.0 <= crossover_rate <= 1.0:
             raise ValueError("crossover_rate must be in [0, 1]")
+        if elite >= population_size:
+            raise ValueError("elite must be < population_size")
         self.population_size = population_size
         self.mutation_rate = mutation_rate
         self.crossover_rate = crossover_rate
@@ -38,47 +43,27 @@ class GeneticAlgorithm(GenomeOptimizer):
         self.elite = max(0, elite)
 
     # ------------------------------------------------------------------
-    def _score(self, population: List[List[int]]
-               ) -> Optional[List[Tuple[float, List[int]]]]:
-        """Fitness of a whole generation via one batched evaluation;
-        ``None`` when the budget ran out mid-generation (the scalar loop
-        likewise abandoned partially-scored generations)."""
+    def _score(self, population: np.ndarray) -> Optional[np.ndarray]:
+        """Each genome's cost (``inf`` when infeasible) via one batched
+        evaluation; ``None`` when the budget ran out mid-generation (the
+        scalar loop likewise abandoned partially-scored generations)."""
         outcomes = self.evaluate_batch(population)
         if len(outcomes) < len(population):
             return None
-        return [(outcome.cost if outcome.feasible else float("inf"), genome)
-                for genome, outcome in zip(population, outcomes)]
-
-    def _tournament(self, scored: List[Tuple[float, List[int]]]
-                    ) -> List[int]:
-        contenders = self.rng.integers(0, len(scored),
-                                       size=self.tournament_size)
-        best = min(contenders, key=lambda i: scored[i][0])
-        return scored[best][1]
-
-    def _crossover(self, a: List[int], b: List[int]) -> List[int]:
-        return self.uniform_crossover(a, b)
-
-    def _mutate(self, genome: List[int]) -> List[int]:
-        return self.resample_mutation(genome, self.mutation_rate)
+        return np.array([outcome.cost if outcome.feasible else np.inf
+                         for outcome in outcomes])
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
-        population = self.random_genomes(self.population_size)
-        scored = self._score(population)
-        if scored is None:
-            return
-        while not self.exhausted:
-            scored.sort(key=lambda item: item[0])
-            next_generation = [genome for _, genome in scored[:self.elite]]
-            while len(next_generation) < self.population_size:
-                parent = self._tournament(scored)
-                if self.rng.random() < self.crossover_rate:
-                    other = self._tournament(scored)
-                    child = self._crossover(parent, other)
-                else:
-                    child = list(parent)
-                next_generation.append(self._mutate(child))
-            scored = self._score(next_generation)
-            if scored is None:
-                return
+        population = np.array(self.random_genomes(self.population_size))
+        costs = self._score(population)
+        children = self.population_size - self.elite
+        while costs is not None and not self.exhausted:
+            winners = self.tournament(costs, 2 * children,
+                                      self.tournament_size)
+            offspring = self.resample_mutation(self.uniform_crossover(
+                population[winners[:children]], population[winners[children:]],
+                self.crossover_rate), self.mutation_rate)
+            elite = population[np.argsort(costs, kind="stable")[:self.elite]]
+            population = np.concatenate([elite, offspring])
+            costs = self._score(population)

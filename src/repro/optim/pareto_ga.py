@@ -21,7 +21,7 @@ surfaces as ``SessionResult.pareto_front``.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -122,7 +122,7 @@ class ParetoGA(GenomeOptimizer):
             budget = float(constraint.max_pes)
         return float(budget)
 
-    def _score(self, population: List[List[int]]):
+    def _score(self, population: np.ndarray):
         """The generation's (n, k) value matrix, or ``None`` when the
         budget ran out mid-generation (the truncated set is abandoned
         for *breeding*, matching the baseline optimizers -- but every
@@ -133,7 +133,7 @@ class ParetoGA(GenomeOptimizer):
         values = self._component_rows(outcomes)
         for genome, outcome, row in zip(population, outcomes, values):
             if outcome.feasible:
-                self._archive.add(row, list(genome))
+                self._archive.add(row, genome.tolist())
         if len(outcomes) < len(population):
             return None
         return values
@@ -148,14 +148,6 @@ class ParetoGA(GenomeOptimizer):
         crowding = crowding_distance(values, ranks)
         return np.lexsort((-crowding, ranks))
 
-    def _select(self, position: np.ndarray) -> int:
-        """Tournament on (rank asc, crowding desc, index asc): of the
-        drawn contenders, the one ``position`` (each row's place in the
-        selection order) puts first."""
-        contenders = self.rng.integers(0, len(position),
-                                       size=self.tournament_size)
-        return min(contenders, key=position.__getitem__)
-
     # ------------------------------------------------------------------
     def _run(self) -> None:
         self._multi = self._objectives()
@@ -165,32 +157,29 @@ class ParetoGA(GenomeOptimizer):
         # budgets still complete a (smaller) generation and report a
         # front instead of abandoning a truncated one.
         population_size = max(2, min(self.population_size, self._budget))
-        population = self.random_genomes(population_size)
+        population = np.array(self.random_genomes(population_size))
         values = self._score(population)
         if values is None:
             self._result.extra.update(self.extra_so_far())
             return
         while not self.exhausted:
-            # The inverse permutation: each row's place in the order.
+            # Tournaments on (rank asc, crowding desc, index asc): a
+            # row's key is its place in the selection order.
             position = np.argsort(self._selection_order(values))
-            offspring: List[List[int]] = []
-            while len(offspring) < population_size:
-                parent = population[self._select(position)]
-                if self.rng.random() < self.crossover_rate:
-                    other = population[self._select(position)]
-                    child = self.uniform_crossover(parent, other)
-                else:
-                    child = list(parent)
-                offspring.append(self.resample_mutation(
-                    child, self.mutation_rate))
+            winners = self.tournament(position, 2 * population_size,
+                                      self.tournament_size)
+            offspring = self.resample_mutation(self.uniform_crossover(
+                population[winners[:population_size]],
+                population[winners[population_size:]],
+                self.crossover_rate), self.mutation_rate)
             offspring_values = self._score(offspring)
             if offspring_values is None:
                 break
             # (mu + lambda) environmental selection over the union.
-            union = population + offspring
+            union = np.concatenate([population, offspring])
             union_values = np.concatenate([values, offspring_values])
             keep = self._selection_order(union_values)[: population_size]
-            population = [union[i] for i in keep]
+            population = union[keep]
             values = union_values[keep]
         self._result.extra.update(self.extra_so_far())
 

@@ -16,6 +16,7 @@ from repro.experiments.ls_study import (
     uniform_cost,
 )
 from repro.experiments.lp_study import format_row, winners
+from repro.optim.base import GenomeOptimizer
 
 
 class TestTaskSpec:
@@ -134,6 +135,27 @@ class TestRunner:
         best = winners(results)
         assert best
         assert all(name in results for name in best)
+
+    def test_grid_calls_every_benchmark_operator_span(self, cost_model,
+                                                      monkeypatch):
+        """The traced ``baselines-mbv2-cloud`` benchmark binds its
+        ``optim.crossover``, ``optim.mutation`` and ``optim.random_genome``
+        spans to these ``GenomeOptimizer`` methods (``e2ebench/metrics.py``)
+        and fails when one records no call; a refactor that stops calling
+        one fails here first."""
+        calls = dict.fromkeys(("uniform_crossover", "resample_mutation",
+                               "random_genome"), 0)
+        for name in calls:
+            def spy(self, *args, _name=name,
+                    _method=getattr(GenomeOptimizer, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+            monkeypatch.setattr(GenomeOptimizer, name, spy)
+        task = TaskSpec(model="mobilenet_v2", layer_slice=4,
+                        platform="cloud")
+        compare_methods(task, ["sa", "ga", "pareto-ga"], epochs=300,
+                        cost_model=cost_model)
+        assert min(calls.values()) >= 1, calls
 
 
 class TestLSStudy:

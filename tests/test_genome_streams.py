@@ -1,14 +1,15 @@
 """The genome operators' random-stream contract.
 
-``random_genomes``, ``uniform_crossover``, ``masked_draws`` (behind
-``resample_mutation``), ``LocalGA._mutate`` and
+``random_genomes``, ``masked_draws`` (behind ``LocalGA._mutate``) and
 ``LocalGA._global_crossover`` draw whole genomes per Generator call, yet
 must return what the gene-by-gene loops they replaced return *and* leave
 the generator in the same state, so every seeded search -- and every
 golden pin -- stays bit-identical.  Each test runs an operator and its
 scalar reference loop on two generators with one history and compares the
 outputs and ``bit_generator.state``.  The GA tournaments' ``integers``
-draws are held to the ``choice`` calls they replaced the same way.
+draws are held to the ``choice`` calls they replaced the same way.  The
+GA and Pareto-GA breed a generation per draw instead, with no per-gene
+reference (``tests/test_optim_internals.py`` checks those operators).
 """
 
 from types import SimpleNamespace
@@ -93,17 +94,6 @@ def reference_crossover(rng, a, b):
     return child
 
 
-def reference_resample(rng, space, genome, rate):
-    per_step = space.actions_per_step
-    mutated = list(genome)
-    for i in range(len(mutated)):
-        if rng.random() < rate:
-            size = (space.num_levels if i % per_step < 2
-                    else len(space.dataflows))
-            mutated[i] = int(rng.integers(size))
-    return mutated
-
-
 def reference_local_mutate(ga, rng, genome):
     step = ga.mutation_step
     child = [list(gene) for gene in genome]
@@ -142,17 +132,6 @@ def test_random_genome_is_one_vector_draw(seed, mix, carried):
     reference, vector = _twin_generators(seed, carried)
     assert _optimizer(vector, space, 8).random_genome() \
         == reference_random_genome(reference, space, 8)
-    assert _state(vector) == _state(reference)
-
-
-@settings(max_examples=100, deadline=None)
-@given(seed=SEEDS, genes=st.integers(1, 200), carried=CARRIED)
-def test_uniform_crossover_matches_gene_by_gene_draws(seed, genes, carried):
-    parents = np.random.default_rng([seed, 1]).integers(
-        12, size=(2, genes)).tolist()
-    reference, vector = _twin_generators(seed, carried)
-    child = _optimizer(vector, None, 0).uniform_crossover(*parents)
-    assert child == reference_crossover(reference, *parents)
     assert _state(vector) == _state(reference)
 
 
@@ -239,23 +218,6 @@ def test_other_bit_generators_fall_back(seed, rate, carried, bit_generator):
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=SEEDS, layers=st.integers(1, 30),
-       levels=st.sampled_from([10, 12, 14]), mix=st.booleans(), rate=RATES,
-       carried=CARRIED)
-def test_resample_mutation_matches_gene_by_gene_draws(seed, layers, levels,
-                                                      mix, rate, carried):
-    space = ActionSpace.build(num_levels=levels, mix=mix)
-    genome = np.random.default_rng([seed, 2]).integers(
-        space.head_sizes, size=(layers, len(space.head_sizes))).ravel()
-    genome = genome.tolist()
-    reference, replay = _twin_generators(seed, carried)
-    mutated = _optimizer(replay, space, layers).resample_mutation(genome,
-                                                                  rate)
-    assert mutated == reference_resample(reference, space, genome, rate)
-    assert _state(replay) == _state(reference)
-
-
-@settings(max_examples=100, deadline=None)
 @given(seed=SEEDS, layers=st.integers(1, 30), step=st.integers(1, 6),
        rate=RATES, mix=st.booleans(), carried=CARRIED)
 @example(seed=5, layers=52, step=4, rate=0.05, mix=False, carried=1)
@@ -301,9 +263,9 @@ def test_global_crossover_matches_row_by_row_draws(seed, layers, mix,
        size=st.sampled_from([2, 3, 4]), carried=CARRIED)
 def test_tournament_draws_match_choice_with_replacement(seed, population,
                                                         size, carried):
-    """``GeneticAlgorithm._tournament`` and ``ParetoGA._select`` draw
-    their contenders with ``integers(0, n, size=k)``: the values and the
-    stream of ``choice(n, size=k, replace=True)``, at half the cost."""
+    """``GenomeOptimizer.tournament`` draws its contenders with
+    ``integers(0, n, size=...)``: the values and the stream of
+    ``choice(n, size=..., replace=True)``, at half the cost."""
     reference, draw = _twin_generators(seed, carried)
     for _ in range(50):
         expected = reference.choice(population, size=size, replace=True)

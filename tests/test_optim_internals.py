@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.constraints import PlatformConstraint
 from repro.core.evaluator import DesignPointEvaluator
@@ -120,26 +122,113 @@ class TestSimulatedAnnealingInternals:
 
 
 class TestGeneticInternals:
-    def test_crossover_genes_come_from_parents(self, evaluator):
-        ga = GeneticAlgorithm(seed=0)
+    """The generation-wide operators on ``(count, genes)`` arrays, and the
+    GA that breeds with them."""
+
+    @staticmethod
+    def _ga(evaluator, **options):
+        ga = GeneticAlgorithm(seed=0, **options)
         ga._evaluator = evaluator
-        a = [1, 1] * 4
-        b = [9, 9] * 4
-        child = ga._crossover(a, b)
-        assert all(gene in (1, 9) for gene in child)
+        return ga
+
+    def test_crossover_genes_come_from_parents(self, evaluator):
+        ga = self._ga(evaluator)
+        parents, mates = np.full((50, 8), 1), np.full((50, 8), 9)
+        children = ga.uniform_crossover(parents, mates, 1.0)
+        assert np.isin(children, (1, 9)).all()
+        assert (ga.uniform_crossover(parents, mates, 0.0) == parents).all()
 
     def test_mutation_rate_zero_is_identity(self, evaluator):
-        ga = GeneticAlgorithm(mutation_rate=0.0, seed=0)
-        ga._evaluator = evaluator
-        genome = [3, 4] * 4
-        assert ga._mutate(genome) == genome
+        ga = self._ga(evaluator, mutation_rate=0.0)
+        genomes = np.tile([3, 4], (20, 4))
+        assert (ga.resample_mutation(genomes, 0.0) == genomes).all()
 
     def test_mutation_stays_in_level_range(self, evaluator):
-        ga = GeneticAlgorithm(mutation_rate=1.0, seed=0)
-        ga._evaluator = evaluator
-        for _ in range(20):
-            child = ga._mutate([0, 11] * 4)
-            assert all(0 <= g <= 11 for g in child)
+        ga = self._ga(evaluator, mutation_rate=1.0)
+        children = ga.resample_mutation(np.tile([0, 11], (20, 4)), 1.0)
+        assert ((0 <= children) & (children <= 11)).all()
+
+    @pytest.mark.parametrize("rate", [0.05, 0.1, 0.5])
+    def test_mutated_share_is_within_a_binomial_bound_of_the_rate(
+            self, evaluator, rate):
+        """Genes start at -1, outside every bound, so each resampled gene
+        shows, even one that redraws its old level."""
+        genomes = np.full((10_000, 8), -1)
+        mutated = self._ga(evaluator).resample_mutation(genomes, rate)
+        share = (mutated >= 0).mean()
+        assert abs(share - rate) < 4 * math.sqrt(rate * (1 - rate)
+                                                 / genomes.size)
+
+    def test_resampled_genes_stay_within_their_bounds_under_mix(
+            self, cost_model, tiny_model, space_mix):
+        constraint = PlatformConstraint(kind="area", budget=1e15)
+        ga = self._ga(DesignPointEvaluator(tiny_model, "latency",
+                                           constraint, cost_model,
+                                           space_mix))
+        mutated = ga.resample_mutation(np.full((2_000, 12), -1), 1.0)
+        bounds = space_mix.head_sizes * len(tiny_model)
+        assert bounds[2] == len(space_mix.dataflows)
+        for gene, bound in enumerate(bounds):
+            assert set(mutated[:, gene].tolist()) == set(range(bound))
+
+    def test_crossover_takes_each_parent_about_half_the_time(self,
+                                                              evaluator):
+        ga = self._ga(evaluator)
+        parents, mates = np.zeros((10_000, 8)), np.ones((10_000, 8))
+        share = ga.uniform_crossover(parents, mates, 1.0).mean()
+        assert abs(share - 0.5) < 4 * math.sqrt(0.25 / parents.size)
+        # At rate 0.3, a crossed row keeps all 8 parent genes with
+        # probability 2**-8.
+        crossed = ga.uniform_crossover(parents, mates, 0.3).any(axis=1)
+        expected = 0.3 * (1 - 2.0 ** -8)
+        assert abs(crossed.mean() - expected) < 4 * math.sqrt(
+            expected * (1 - expected) / len(parents))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           keys=st.lists(st.sampled_from([0.0, 1.0, 2.0, math.inf]),
+                         min_size=1, max_size=12),
+           size=st.sampled_from([2, 3, 4]))
+    @example(seed=0, keys=[math.inf] * 5, size=3)
+    @example(seed=1, keys=[math.inf, 2.0, math.inf, 2.0], size=4)
+    def test_tournament_returns_the_first_minimum_among_its_contenders(
+            self, seed, keys, size):
+        """The winner is ``min`` over the contenders in draw order: ties,
+        ``inf`` ones included, go to the contender drawn first."""
+        keys = np.array(keys)
+        optimizer = GenomeOptimizer(seed=seed)
+        reference = np.random.default_rng(seed)
+        winners = optimizer.tournament(keys, 40, size)
+        for contenders, winner in zip(
+                reference.integers(0, len(keys), size=(40, size)), winners):
+            assert winner == min(contenders, key=keys.__getitem__)
+        assert optimizer.rng.bit_generator.state \
+            == reference.bit_generator.state
+
+    def test_elite_genomes_carry_over_unchanged(self, evaluator):
+        ga = self._ga(evaluator, population_size=10, elite=3,
+                      mutation_rate=1.0)
+        generations = []
+        score = ga._score
+
+        def recorded(population):
+            costs = score(population)
+            generations.append((population.copy(), costs))
+            return costs
+
+        ga._score = recorded
+        ga.search(evaluator, 60)
+        assert len(generations) == 6
+        for (population, costs), (following, _) in zip(generations,
+                                                       generations[1:]):
+            best = population[np.argsort(costs, kind="stable")[:3]]
+            assert (following[:3] == best).all()
+
+    @pytest.mark.parametrize("elite", [10, 11])
+    def test_refuses_an_elite_that_leaves_no_child(self, elite):
+        with pytest.raises(ValueError, match="elite"):
+            GeneticAlgorithm(population_size=10, elite=elite)
+        assert GeneticAlgorithm(population_size=10, elite=9).elite == 9
 
 
 class TestBayesianInternals:

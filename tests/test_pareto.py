@@ -242,29 +242,6 @@ def test_selection_order_is_the_sorted_rank_crowding_order(case):
     assert ParetoGA._selection_order(values).tolist() == expected
 
 
-@settings(max_examples=80, deadline=None)
-@given(case=ranked_matrices(), seed=st.integers(0, 2**32 - 1),
-       size=st.sampled_from([2, 3, 4]))
-def test_tournament_returns_the_min_keyed_contender(case, seed, size):
-    """Same draws, same winner as ``min`` over the (rank, -crowding,
-    index) key, including a contender drawn twice."""
-    from repro.optim.pareto_ga import ParetoGA
-
-    values, _ = case
-    if len(values) == 0:
-        return
-    ranks = non_dominated_sort(values)
-    crowding = crowding_distance(values, ranks)
-    position = np.argsort(ParetoGA._selection_order(values))
-    ga = ParetoGA(seed=seed, tournament_size=size)
-    reference = np.random.default_rng(seed)
-    for _ in range(8):
-        contenders = reference.integers(0, len(values), size=size)
-        assert ga._select(position) == min(
-            contenders, key=_selection_key(ranks, crowding))
-    assert ga.rng.bit_generator.state == reference.bit_generator.state
-
-
 class TestParetoArchive:
     def test_keeps_only_non_dominated_and_dedupes(self):
         archive = ParetoArchive()
