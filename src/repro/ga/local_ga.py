@@ -14,20 +14,20 @@ stage learnt:
 The first population is seeded with the stage-1 solution.  Each genome is
 one ``(layers, 2)`` int64 array of (PE, buffer) rows -- ``(layers, 3)``
 when the seed carries styles, the third column holding each style's
-``STYLE_INDEX`` code -- from the seed to the returned design, so a
-generation is scored as one stacked array and memoized by its bytes.
+``STYLE_INDEX`` code -- and a generation is one ``(P, layers, 2|3)``
+stack, bred with one Generator call per kind of draw, scored as one
+batched population and memoized by each genome's bytes.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.core.evaluator import DesignPointEvaluator, EvalResult, \
     RawAssignment, raw_assignments, raw_genome
-from repro.optim.base import DrawSizes, masked_draws
 from repro.rl.common import SearchResult
 
 #: ``(layers, 2|3)`` int64 rows of (pes, l1_bytes[, style code]).
@@ -52,6 +52,8 @@ class LocalGA:
         mutation_step: Maximum per-gene move (paper: 4).
         max_pes: Raw PE upper bound.
         max_l1_bytes: Raw buffer upper bound.
+        elite: Best genomes carried into the next generation unchanged
+            (at least 1, fewer than ``population_size``).
         crossover_mode: "local" (the paper's within-genome layer swap) or
             "global" (conventional two-parent gene blending) -- the latter
             exists only for the ablation that reproduces the paper's
@@ -80,6 +82,8 @@ class LocalGA:
             raise ValueError("mutation_rate must be in [0, 1]")
         if not 0.0 <= crossover_rate <= 1.0:
             raise ValueError("crossover_rate must be in [0, 1]")
+        if elite >= population_size:
+            raise ValueError("elite must be < population_size")
         if crossover_mode not in ("local", "global"):
             raise ValueError(
                 f"unknown crossover_mode {crossover_mode!r}")
@@ -94,72 +98,78 @@ class LocalGA:
         self.rng = np.random.default_rng(seed)
         self._memo: Dict[bytes, float] = {}
         self._hits = 0
-        #: ((layers, step), the mutation's draw sizes), built on first use.
-        self._moves: Tuple[Tuple[int, int], DrawSizes] = ((0, 0),
-                                                           DrawSizes(()))
 
     # ------------------------------------------------------------------
-    def _mutate(self, genome: Genome) -> Genome:
-        """Move each PE and buffer value (in that order, layer by layer)
-        by a uniform step in ``[-step, step]`` with probability
-        ``mutation_rate``, clamped to ``[1, max]``.  A move is drawn as
-        ``integers(2 * step + 1) - step``: the same stream as
-        ``integers(-step, step + 1)``."""
+    def _mutate(self, genomes: np.ndarray) -> np.ndarray:
+        """A mutated copy of a ``(count, layers, 2|3)`` stack: each PE and
+        buffer value moves by a uniform step in ``[-step, step]`` with
+        probability ``mutation_rate``, clipped to ``[1, max]``; a style
+        column is never touched.  One ``random`` call draws the mask, one
+        ``integers`` call the hit values' moves."""
         step = self.mutation_step
-        child = genome.copy()
-        shape, sizes = self._moves
-        if shape != (len(child), step):
-            sizes = DrawSizes([2 * step + 1] * (2 * len(child)))
-            self._moves = ((len(child), step), sizes)
-        moves = masked_draws(self.rng, self.mutation_rate, sizes)
-        for index, draw in moves.items():
-            layer, slot = divmod(index, 2)
-            bound = self.max_l1_bytes if slot else self.max_pes
-            child[layer, slot] = min(
-                max(int(child[layer, slot]) + draw - step, 1), bound)
-        return child
+        rows, layers, slots = (self.rng.random(genomes.shape[:2] + (2,))
+                               < self.mutation_rate).nonzero()
+        moves = self.rng.integers(-step, step + 1, size=len(rows))
+        mutated = genomes.copy()
+        mutated[rows, layers, slots] = np.clip(
+            genomes[rows, layers, slots] + moves, 1,
+            np.array([self.max_pes, self.max_l1_bytes])[slots])
+        return mutated
 
-    def _local_crossover(self, genome: Genome) -> Genome:
-        """Swap the full assignments of two layers within one genome."""
-        if len(genome) < 2:
-            return genome
-        i, j = self.rng.choice(len(genome), size=2, replace=False)
-        child = genome.copy()
-        child[[i, j]] = genome[[j, i]]
-        return child
+    def _breed(self, survivors: np.ndarray, count: int) -> np.ndarray:
+        """``count`` children of a ``(S, layers, 2|3)`` survivor stack.
 
-    def _global_crossover(self, a: Genome, b: Genome) -> Genome:
-        """Conventional uniform blending of two parents (ablation only):
-        each layer's row comes from ``b`` on a ``random() < 0.5`` draw.
-        One draw of ``len(a)`` doubles is the stream of as many
-        ``random()`` calls."""
-        return np.where(self.rng.random(len(a))[:, None] < 0.5, b, a)
+        Each child copies a uniformly picked survivor and is crossed with
+        probability ``crossover_rate``, then the whole stack is mutated
+        (:meth:`_mutate`).  A local crossover swaps two distinct layers'
+        rows within the child: ``i = integers(L)`` and ``j = integers(L -
+        1)``, bumped past ``i``; a one-layer genome never swaps.  A global
+        crossover takes each row from a mate, another uniformly picked
+        survivor, with probability 1/2.  Each kind of draw is one
+        Generator call for the whole generation."""
+        rng = self.rng
+        children = survivors[rng.integers(len(survivors), size=count)]
+        crossed = (rng.random(count) < self.crossover_rate).nonzero()[0]
+        layers = survivors.shape[1]
+        if self.crossover_mode == "global":
+            mates = survivors[rng.integers(len(survivors),
+                                           size=len(crossed))]
+            take = rng.random((len(crossed), layers)) < 0.5
+            children[crossed] = np.where(take[..., None], mates,
+                                         children[crossed])
+        elif layers > 1:
+            first = rng.integers(layers, size=len(crossed))
+            second = rng.integers(layers - 1, size=len(crossed))
+            second += second >= first
+            children[crossed, first], children[crossed, second] = \
+                children[crossed, second], children[crossed, first]
+        return self._mutate(children)
 
     @staticmethod
     def _cost_of(outcome: EvalResult) -> float:
         """The GA's fitness rule: objective cost, infinite if infeasible."""
         return outcome.cost if outcome.feasible else float("inf")
 
-    def _fitness_many(self, evaluator: DesignPointEvaluator,
-                      genomes: Sequence[Genome]) -> List[float]:
-        """Fitness of many genomes: one batched estimator call, with
-        duplicate genomes (within the batch or across the whole search)
+    def _fitness(self, evaluator: DesignPointEvaluator,
+                 genomes: np.ndarray) -> np.ndarray:
+        """Fitness of a genome stack: one batched estimator call, with
+        duplicate genomes (within the stack or across the whole search)
         served from the memo instead of re-hitting the estimator."""
         # Every genome of a search shares the seed's shape and dtype, so
         # equal genomes have equal bytes.
         keys = [genome.tobytes() for genome in genomes]
-        pending: Dict[bytes, Genome] = {}
-        for key, genome in zip(keys, genomes):
+        pending: Dict[bytes, int] = {}
+        for row, key in enumerate(keys):
             if key in self._memo or key in pending:
                 self._hits += 1
             else:
-                pending[key] = genome
+                pending[key] = row
         if pending:
             outcomes = evaluator.evaluate_population_raw(
-                np.stack(list(pending.values())))
+                genomes[list(pending.values())])
             for key, outcome in zip(pending, outcomes):
                 self._memo[key] = self._cost_of(outcome)
-        return [self._memo[key] for key in keys]
+        return np.array([self._memo[key] for key in keys])
 
     # ------------------------------------------------------------------
     def search(self, evaluator: DesignPointEvaluator,
@@ -174,54 +184,37 @@ class LocalGA:
             raise ValueError("generations must be >= 1")
         result = SearchResult(algorithm=self.name)
         started = time.perf_counter()
+        evaluations_before = evaluator.evaluations
         self._memo = {}
         self._hits = 0
 
-        seed_genome = raw_genome(initial)
-        genomes: List[Genome] = [seed_genome]
-        for _ in range(self.population_size - 1):
-            genomes.append(self._mutate(seed_genome))
-        population: List[Tuple[float, Genome]] = list(
-            zip(self._fitness_many(evaluator, genomes), genomes))
-
+        seed = raw_genome(initial)[None]
+        population = np.concatenate([seed, self._mutate(
+            np.repeat(seed, self.population_size - 1, axis=0))])
+        costs = self._fitness(evaluator, population)
+        keep = max(self.elite, self.population_size // 2)
         for _ in range(generations):
-            population.sort(key=lambda item: item[0])
-            survivors = population[: max(self.elite,
-                                         self.population_size // 2)]
-            next_population = list(population[: self.elite])
-            # Breed the full offspring set first (fitness consumes no
-            # randomness), then score it as one batched evaluation.
-            offspring: List[Genome] = []
-            while len(next_population) + len(offspring) \
-                    < self.population_size:
-                _, parent = survivors[
-                    int(self.rng.integers(len(survivors)))]
-                child = parent
-                if self.rng.random() < self.crossover_rate:
-                    if self.crossover_mode == "local":
-                        child = self._local_crossover(child)
-                    else:
-                        _, other = survivors[
-                            int(self.rng.integers(len(survivors)))]
-                        child = self._global_crossover(child, other)
-                offspring.append(self._mutate(child))
-            next_population.extend(
-                zip(self._fitness_many(evaluator, offspring), offspring))
-            population = next_population
-            best_cost = min(cost for cost, _ in population)
-            result.record(None if best_cost == float("inf") else best_cost)
+            # Stable: equal costs keep their rows' order, elite first.
+            order = np.argsort(costs, kind="stable")
+            elite = order[:self.elite]
+            children = self._breed(population[order[:keep]],
+                                   self.population_size - self.elite)
+            population = np.concatenate([population[elite], children])
+            costs = np.concatenate([costs[elite],
+                                    self._fitness(evaluator, children)])
+            result.record(float(costs.min()))
 
-        population.sort(key=lambda item: item[0])
-        best_cost, best_genome = population[0]
-        if best_cost != float("inf"):
-            result.best_cost = best_cost
-            result.best_assignments = raw_assignments(best_genome)
+        best = int(costs.argmin())
+        if costs[best] != np.inf:
+            result.best_cost = float(costs[best])
+            result.best_assignments = raw_assignments(population[best])
         result.wall_time_s = time.perf_counter() - started
         # ``evaluations`` keeps its historical meaning -- fitness samples
-        # the search consumed -- so sample-efficiency comparisons against
+        # this search consumed -- so sample-efficiency comparisons against
         # the non-memoizing methods stay apples-to-apples; ``cache_hits``
         # says how many of those never reached the estimator.
-        result.evaluations = evaluator.evaluations + self._hits
+        result.evaluations = (evaluator.evaluations - evaluations_before
+                              + self._hits)
         result.cache_hits = self._hits
         result.episodes = generations
         return result

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -10,111 +9,6 @@ import numpy as np
 
 from repro.core.evaluator import DesignPointEvaluator, EvalResult
 from repro.rl.common import SearchResult
-
-_LOW_HALF = 0xFFFFFFFF
-
-
-class DrawSizes(tuple):
-    """Per-index draw sizes for :func:`masked_draws`, checked once.
-
-    ``replayable`` is whether the replay can take them: at least one
-    size, each in ``[2, 2**32]``.  A search builds its sizes once and
-    passes them to every mutation, so the check does not rerun per call.
-    """
-
-    def __new__(cls, sizes: Sequence[int]) -> "DrawSizes":
-        self = super().__new__(cls, sizes)
-        self.replayable = bool(self) and min(self) >= 2 \
-            and max(self) <= 1 << 32
-        return self
-
-
-def scalar_masked_draws(rng: np.random.Generator, rate: float,
-                        sizes: Sequence[int]) -> Dict[int, int]:
-    """``{i: rng.integers(sizes[i])}`` for each index whose
-    ``rng.random() < rate`` test hits, drawn one Generator call at a time.
-
-    The reference :func:`masked_draws` reproduces, and its fallback."""
-    draws: Dict[int, int] = {}
-    for i, size in enumerate(sizes):
-        if rng.random() < rate:
-            draws[i] = int(rng.integers(size))
-    return draws
-
-
-def masked_draws(rng: np.random.Generator, rate: float,
-                 sizes: Sequence[int]) -> Dict[int, int]:
-    """Per-index resampling draws: exactly :func:`scalar_masked_draws`'s
-    result *and* final generator state, without two Generator calls per
-    index.
-
-    The loop interleaves two kinds of draw, so no single numpy call
-    matches it.  ``random()`` turns one 64-bit PCG64 word ``w`` into
-    ``(w >> 11) * 2**-53``; ``integers(size)`` takes a 32-bit half word
-    ``x`` -- the half the generator carries (``has_uint32``/``uinteger``)
-    if there is one, else the low half of a fresh word, carrying the high
-    half -- and returns ``(x * size) >> 32`` (Lemire), rejecting ``x`` when
-    ``(x * size) & 0xFFFFFFFF < 2**32 % size``.  This replays that walk
-    over a block of raw words, then restores the state and advances it
-    past the words the walk used (``advance`` clears the carry, so the
-    carried half is set again).
-
-    For ``0 < rate < 1`` a word is a hit when ``w < 2048 * ceil(rate *
-    2**53)``: ``(w >> 11) * 2**-53 < rate`` holds exactly when the
-    integer ``w >> 11`` is below ``rate * 2**53``, a product that scaling
-    by a power of two leaves exact.  Other rates compare the doubles.
-
-    ``sizes`` may be a :class:`DrawSizes` built once per search; any other
-    sequence is checked on every call.  A rejection, a size outside
-    ``[2, 2**32]`` or a bit generator other than PCG64 restores the state
-    and runs the scalar loop instead.
-    """
-    if not isinstance(sizes, DrawSizes):
-        sizes = DrawSizes(sizes)
-    bit_generator = rng.bit_generator
-    if not sizes.replayable or type(bit_generator) is not np.random.PCG64:
-        return scalar_masked_draws(rng, rate, sizes)
-    count = len(sizes)
-    saved = bit_generator.state
-    # Each index reads one double; at most every other hit reads a fresh
-    # word for its half, so 2 * count words always suffice.
-    words = bit_generator.random_raw(2 * count)
-    if 0.0 < rate < 1.0:
-        hit = words < np.uint64(2048 * math.ceil(rate * 2.0 ** 53))
-    else:
-        hit = (words >> 11) * 2.0 ** -53 < rate
-    hits = hit.nonzero()[0].tolist()
-    carry, half = saved["has_uint32"], saved["uinteger"]
-    draws: Dict[int, int] = {}
-    used = 0   # words read so far
-    extra = 0  # of those, words read by bounded draws, not doubles
-    for position in hits:
-        if position < used:
-            continue  # a word a bounded draw consumed, not a double
-        index = position - extra
-        if index >= count:
-            break
-        used = position + 1
-        if carry:
-            value, carry = half, 0
-        else:
-            word = int(words[used])
-            used += 1
-            extra += 1
-            value, half, carry = word & _LOW_HALF, word >> 32, 1
-        size = int(sizes[index])
-        scaled = value * size
-        if scaled & _LOW_HALF < (1 << 32) % size:
-            bit_generator.state = saved
-            return scalar_masked_draws(rng, rate, sizes)
-        draws[index] = scaled >> 32
-    bit_generator.state = saved
-    bit_generator.advance(count + extra)
-    if carry or half:
-        state = bit_generator.state
-        state["has_uint32"], state["uinteger"] = carry, half
-        bit_generator.state = state
-    return draws
 
 
 class GenomeOptimizer:

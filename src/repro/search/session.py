@@ -290,9 +290,8 @@ def run_local_ga(info: MethodInfo, context: SessionContext) -> SearchResult:
     method = info.factory(seed=context.seed, **raw_bounds(evaluator.space))
     genome = [0] * evaluator.genome_length
     initial = evaluator.decode_genome(genome)
-    offspring = max(1, method.population_size - method.elite)
-    generations = max(
-        1, (context.budget - method.population_size) // offspring)
+    generations = max(1, (context.budget - method.population_size)
+                      // (method.population_size - method.elite))
     started = time.perf_counter()
     try:
         return method.search(evaluator, initial, generations)

@@ -67,18 +67,22 @@ class TestCrossoverModes:
             LocalGA(crossover_mode="diagonal")
 
     def test_global_crossover_blends_parents(self):
-        ga = LocalGA(crossover_mode="global", seed=0)
-        a = np.array([[1, 10]] * 4, dtype=np.int64)
-        b = np.array([[9, 90]] * 4, dtype=np.int64)
-        children = [ga._global_crossover(a, b) for _ in range(20)]
-        # Every gene comes from one of the parents...
-        for child in children:
-            assert child.shape == a.shape
-            for gene in child.tolist():
-                assert gene in ([1, 10], [9, 90])
-        # ...and blending actually mixes them.
-        assert any(len({tuple(g) for g in child.tolist()}) == 2
-                   for child in children)
+        ga = LocalGA(crossover_mode="global", crossover_rate=1.0,
+                     mutation_rate=0.0, seed=0)
+        # Survivor k's layer i is (10k + i, 100k + i): every row names
+        # the survivor and the layer it came from.
+        layers = np.arange(4)[:, None] + np.array([1, 1])
+        survivors = np.stack([layers + [10 * k, 100 * k] for k in range(3)])
+        children = ga._breed(survivors, 300)
+        assert children.shape == (300, 4, 2)
+        sources = (children[..., 0] - layers[:, 0]) // 10
+        # Every row is its own layer of some survivor...
+        assert (children == survivors[sources, np.arange(4)]).all()
+        # ...of at most two, the parent and its mate...
+        assert max(len(set(row)) for row in sources.tolist()) == 2
+        # ...and blending mixes them: a mate other than the parent (2/3)
+        # gives a mixed child unless all four coins agree (7/8).
+        assert (sources.min(axis=1) != sources.max(axis=1)).mean() > 0.4
 
     def test_global_mode_runs_search(self, cost_model, mobilenet_slice,
                                      space_dla):

@@ -16,6 +16,7 @@ from repro.experiments.ls_study import (
     uniform_cost,
 )
 from repro.experiments.lp_study import format_row, winners
+from repro.ga import LocalGA
 from repro.optim.base import GenomeOptimizer
 
 
@@ -139,22 +140,25 @@ class TestRunner:
     def test_grid_calls_every_benchmark_operator_span(self, cost_model,
                                                       monkeypatch):
         """The traced ``baselines-mbv2-cloud`` benchmark binds its
-        ``optim.crossover``, ``optim.mutation`` and ``optim.random_genome``
-        spans to these ``GenomeOptimizer`` methods (``e2ebench/metrics.py``)
-        and fails when one records no call; a refactor that stops calling
-        one fails here first."""
-        calls = dict.fromkeys(("uniform_crossover", "resample_mutation",
-                               "random_genome"), 0)
-        for name in calls:
-            def spy(self, *args, _name=name,
-                    _method=getattr(GenomeOptimizer, name)):
+        ``optim.crossover``, ``optim.mutation``, ``optim.random_genome``
+        and ``ga.local_search`` spans to these methods
+        (``e2ebench/metrics.py``) and fails when one records no call; a
+        refactor that stops calling one fails here first."""
+        calls = {}
+        for owner, name in ((GenomeOptimizer, "uniform_crossover"),
+                            (GenomeOptimizer, "resample_mutation"),
+                            (GenomeOptimizer, "random_genome"),
+                            (LocalGA, "search")):
+            calls[name] = 0
+
+            def spy(self, *args, _name=name, _method=getattr(owner, name)):
                 calls[_name] += 1
                 return _method(self, *args)
-            monkeypatch.setattr(GenomeOptimizer, name, spy)
+            monkeypatch.setattr(owner, name, spy)
         task = TaskSpec(model="mobilenet_v2", layer_slice=4,
                         platform="cloud")
-        compare_methods(task, ["sa", "ga", "pareto-ga"], epochs=300,
-                        cost_model=cost_model)
+        compare_methods(task, ["sa", "ga", "local-ga", "pareto-ga"],
+                        epochs=300, cost_model=cost_model)
         assert min(calls.values()) >= 1, calls
 
 

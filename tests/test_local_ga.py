@@ -1,5 +1,7 @@
 """Tests for the stage-2 local fine-tuning GA (Section III-G)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -37,54 +39,122 @@ class TestConstruction:
         with pytest.raises(ValueError):
             LocalGA(crossover_rate=-1.0)
 
+    @pytest.mark.parametrize("elite", [4, 5])
+    def test_refuses_an_elite_that_leaves_no_child(self, elite):
+        with pytest.raises(ValueError, match="elite"):
+            LocalGA(population_size=4, elite=elite)
+
 
 def _genome(rows):
     """A stage-2 genome: (pes, l1_bytes) rows as one int64 array."""
     return np.array(rows, dtype=np.int64)
 
 
+def _stack(rows, count):
+    """``count`` copies of one genome as a ``(count, layers, 2|3)``
+    stack."""
+    return np.repeat(_genome(rows)[None], count, axis=0)
+
+
+def _crosser(**options):
+    """A GA that crosses every child and mutates none."""
+    return LocalGA(crossover_rate=1.0, mutation_rate=0.0, seed=0, **options)
+
+
 class TestOperators:
     def test_mutation_stays_local(self):
         ga = LocalGA(mutation_rate=1.0, mutation_step=4, seed=0)
-        genome = _genome([[64, 100], [32, 50]])
-        for _ in range(50):
-            child = ga._mutate(genome)
-            assert child.shape == genome.shape
-            assert np.abs(child - genome).max() <= 4
+        genomes = _stack([[64, 100], [32, 50]], 500)
+        children = ga._mutate(genomes)
+        assert children.shape == genomes.shape
+        moves = children - genomes
+        assert np.abs(moves).max() <= 4
+        # Every move in [-4, 4] occurs, so the range is not narrower.
+        assert set(moves.ravel().tolist()) == set(range(-4, 5))
 
     def test_mutation_respects_bounds(self):
         ga = LocalGA(mutation_rate=1.0, mutation_step=4, max_pes=128,
                      max_l1_bytes=200, seed=0)
-        genome = _genome([[1, 1], [128, 200]])
-        for _ in range(50):
-            child = ga._mutate(genome)
-            assert ((1 <= child[:, 0]) & (child[:, 0] <= 128)).all()
-            assert ((1 <= child[:, 1]) & (child[:, 1] <= 200)).all()
+        children = ga._mutate(_stack([[1, 1], [128, 200]], 500))
+        assert children[..., 0].min() == 1
+        assert children[..., 0].max() == 128
+        assert children[..., 1].min() == 1
+        assert children[..., 1].max() == 200
+
+    def test_mutation_rate_zero_is_identity(self):
+        ga = LocalGA(mutation_rate=0.0, seed=0)
+        genomes = _stack([[64, 100], [32, 50]], 100)
+        assert (ga._mutate(genomes) == genomes).all()
+
+    @pytest.mark.parametrize("rate", [0.05, 0.2, 0.5])
+    def test_mutated_share_is_within_a_binomial_bound_of_the_rate(self,
+                                                                   rate):
+        """A hit gene moves by one of ``2 * step + 1`` equally likely
+        steps, zero included, so it changes with ``rate * 2s / (2s +
+        1)``."""
+        step = 4
+        ga = LocalGA(mutation_rate=rate, mutation_step=step, seed=0)
+        genomes = _stack([[64, 100]] * 4, 2_500)
+        changed = (ga._mutate(genomes) != genomes).mean()
+        share = rate * 2 * step / (2 * step + 1)
+        assert abs(changed - share) < 4 * math.sqrt(share * (1 - share)
+                                                    / genomes.size)
+
+    def test_style_column_is_never_touched(self):
+        ga = LocalGA(mutation_rate=1.0, seed=0)
+        genomes = _stack([[64, 100, 0], [32, 50, 2]], 200)
+        children = ga._mutate(genomes)
+        assert (children[..., 2] == genomes[..., 2]).all()
+        assert (children[..., :2] != genomes[..., :2]).any()
 
     def test_local_crossover_swaps_layer_pairs(self):
-        ga = LocalGA(seed=0)
-        genome = _genome([[1, 10], [2, 20], [3, 30]])
-        child = ga._local_crossover(genome)
-        # Multiset of assignments preserved: only positions change.
-        assert sorted(map(tuple, child.tolist())) \
-            == sorted(map(tuple, genome.tolist()))
-        assert (child != genome).any()
-        # Exactly two rows moved, and they swapped places.
-        moved = np.flatnonzero((child != genome).any(axis=1))
-        assert len(moved) == 2
-        assert (child[moved] == genome[moved[::-1]]).all()
+        genome = _genome([[1, 10], [2, 20], [3, 30], [4, 40]])
+        children = _crosser()._breed(genome[None], 600)
+        pairs = set()
+        for child in children:
+            # Exactly two distinct rows moved, and they swapped places.
+            moved = np.flatnonzero((child != genome).any(axis=1))
+            assert len(moved) == 2
+            assert (child[moved] == genome[moved[::-1]]).all()
+            pairs.add(tuple(moved.tolist()))
+        # Every pair of layers can swap.
+        assert len(pairs) == 6
 
     def test_crossover_on_single_layer_is_noop(self):
-        ga = LocalGA(seed=0)
         genome = _genome([[1, 10]])
-        assert (ga._local_crossover(genome) == genome).all()
+        assert (_crosser()._breed(genome[None], 50) == genome).all()
+
+    def test_children_copy_uniformly_picked_survivors(self):
+        ga = LocalGA(crossover_rate=0.0, mutation_rate=0.0, seed=0)
+        survivors = np.arange(4)[:, None, None] + _stack([[1, 10]] * 3, 4)
+        children = ga._breed(survivors, 4_000)
+        picks = children[:, 0, 0] - 1
+        assert (children == survivors[picks]).all()
+        assert (np.abs(np.bincount(picks, minlength=4) - 1_000)
+                < 4 * math.sqrt(4_000 * 0.25 * 0.75)).all()
 
     def test_mutation_does_not_alias_parent(self):
         ga = LocalGA(mutation_rate=1.0, seed=0)
-        genome = _genome([[64, 100]])
-        child = ga._mutate(genome)
-        child[0, 0] = 999
-        assert genome[0, 0] == 64
+        genomes = _stack([[64, 100]], 1)
+        children = ga._mutate(genomes)
+        children[0, 0, 0] = 999
+        assert genomes[0, 0, 0] == 64
+
+
+class _CountingGenerator:
+    """A Generator proxy that counts the calls made through it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
 
 
 class TestSearch:
@@ -128,3 +198,30 @@ class TestSearch:
         pes_values = {a[0] for a in result.best_assignments}
         off_ladder = pes_values - set(space.pe_levels)
         assert off_ladder, "fine-tuning never left the coarse grid"
+
+    @pytest.mark.parametrize("mode", ["local", "global"])
+    def test_generator_calls_per_generation_do_not_grow_with_the_population(
+            self, evaluator, feasible_seed, mode):
+        """A generation is bred with one Generator call per kind of draw,
+        so its call count is the same at every population size."""
+        def calls(population, generations):
+            ga = LocalGA(population_size=population, crossover_mode=mode,
+                         seed=0)
+            ga.rng = _CountingGenerator(ga.rng)
+            ga.search(evaluator, feasible_seed, generations)
+            return ga.rng.calls
+
+        per_generation = [calls(population, 3) - calls(population, 1)
+                          for population in (8, 80)]
+        assert per_generation[0] == per_generation[1] == 2 * 6
+
+    def test_reports_only_its_own_evaluations(self, evaluator,
+                                              feasible_seed):
+        """A second search on the same evaluator reports what it
+        consumed, not the evaluator's lifetime count."""
+        first, second = (LocalGA(seed=0).search(evaluator, feasible_seed,
+                                                generations=5)
+                         for _ in range(2))
+        assert first.evaluations == second.evaluations == 20 + 5 * 18
+        assert first.cache_hits == second.cache_hits
+        assert first.best_cost == second.best_cost
