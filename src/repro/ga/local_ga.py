@@ -30,9 +30,6 @@ from repro.core.evaluator import DesignPointEvaluator, EvalResult, \
     RawAssignment, raw_assignments, raw_genome
 from repro.rl.common import SearchResult
 
-#: ``(layers, 2|3)`` int64 rows of (pes, l1_bytes[, style code]).
-Genome = np.ndarray
-
 
 def raw_bounds(space) -> Dict[str, int]:
     """The raw range stage 2 searches for an action ``space``, as
