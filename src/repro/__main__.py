@@ -374,8 +374,8 @@ def _print_cache_stats(stats: dict) -> None:
     print(format_table(
         ["metric", "value"],
         [[key, stats[key]] for key in
-         ("root", "entries", "bytes", "hits", "memory_hits", "misses",
-          "puts", "evictions", "bypasses", "corrupt_dropped")
+         ("root", "entries", "bytes", "hits", "misses", "puts",
+          "evictions", "bypasses", "corrupt_dropped")
          if key in stats],
         title="Result cache"))
 

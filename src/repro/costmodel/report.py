@@ -18,6 +18,18 @@ def _resolve_objective_value(report, objective):
     return resolve_objective(objective).evaluate(report)
 
 
+def _constraint_value(report, name: str):
+    """Shared ``constraint`` of the report classes: the platform
+    constraint quantity ``name`` (``"area"`` or ``"power"``)."""
+    table = {"area": report.area_um2, "power": report.power_mw}
+    try:
+        return table[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown constraint {name!r}; available: {', '.join(table)}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class CostReport:
     """Per-layer estimate for one design point.
@@ -53,13 +65,7 @@ class CostReport:
 
     def constraint(self, name: str) -> float:
         """Look up a platform-constraint quantity by name."""
-        table = {"area": self.area_um2, "power": self.power_mw}
-        try:
-            return table[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown constraint {name!r}; available: {', '.join(table)}"
-            ) from None
+        return _constraint_value(self, name)
 
 
 @dataclass(frozen=True)
@@ -107,13 +113,7 @@ class BatchCostReport:
 
     def constraint(self, name: str) -> np.ndarray:
         """Constraint-quantity values for the whole batch."""
-        table = {"area": self.area_um2, "power": self.power_mw}
-        try:
-            return table[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown constraint {name!r}; available: {', '.join(table)}"
-            ) from None
+        return _constraint_value(self, name)
 
     def report(self, i: int) -> CostReport:
         """Materialize one batch element as a scalar :class:`CostReport`."""
@@ -154,13 +154,7 @@ class ModelCostReport:
         return _resolve_objective_value(self, name)
 
     def constraint(self, name: str) -> float:
-        table = {"area": self.area_um2, "power": self.power_mw}
-        try:
-            return table[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown constraint {name!r}; available: {', '.join(table)}"
-            ) from None
+        return _constraint_value(self, name)
 
     def area_breakdown(self) -> Dict[str, float]:
         """Aggregate PE / L1 / L2 / NoC area split (Fig. 10 pie chart)."""

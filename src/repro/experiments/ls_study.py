@@ -21,7 +21,7 @@ import numpy as np
 from repro.costmodel.batched import (
     STYLE_INDEX,
     LayerTable,
-    ordered_row_sum,
+    population_totals,
 )
 from repro.costmodel.estimator import CostModel
 from repro.env.spaces import ActionSpace
@@ -120,19 +120,12 @@ def uniform_sweep(layers: Sequence[Layer], dataflow: str, objective: str,
     pes = np.repeat(pairs_pes, num_layers)
     l1_bytes = np.repeat(pairs_l1, num_layers)
     layer_idx = np.tile(np.arange(num_layers, dtype=np.int64), num_pairs)
-    batch = cost_model.batched.evaluate(table, layer_idx, style, pes,
-                                        l1_bytes)
-    latency_total = ordered_row_sum(
-        batch.latency_cycles.reshape(num_pairs, num_layers))
-    energy_total = ordered_row_sum(
-        batch.energy_nj.reshape(num_pairs, num_layers))
-    # LS aggregates: one accelerator runs every layer, so area is that of
-    # the single design point and power is the worst (peak) layer.
-    area_total = batch.area_um2.reshape(num_pairs, num_layers).max(axis=1)
-    power_total = batch.power_mw.reshape(num_pairs, num_layers).max(axis=1)
-    cost = np.asarray(resolve_objective(objective).evaluate(CostTotals(
-        latency_total, energy_total, area_total, power_total)),
-        dtype=np.float64)
+    figures = cost_model.batched.evaluate(table, layer_idx, style, pes,
+                                          l1_bytes).figures()
+    totals = population_totals(figures.reshape(4, num_pairs, num_layers),
+                               "ls")
+    cost = np.asarray(resolve_objective(objective).evaluate(
+        CostTotals(*totals)), dtype=np.float64)
     return cost.reshape(space.num_levels, space.num_levels)
 
 

@@ -16,6 +16,7 @@ benches.
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 import numpy as np
@@ -74,9 +75,10 @@ class BayesianOptimization(GenomeOptimizer):
     def _fit_subset(self):
         order = np.argsort(self._targets)
         keep = list(order[: self.max_fit_points // 2])
+        best = set(keep)
         recent = range(max(0, len(self._targets) - self.max_fit_points // 2),
                        len(self._targets))
-        keep.extend(i for i in recent if i not in set(keep))
+        keep.extend(i for i in recent if i not in best)
         features = np.asarray([self._features[i] for i in keep])
         targets = np.asarray([self._targets[i] for i in keep])
         return features, targets
@@ -84,27 +86,28 @@ class BayesianOptimization(GenomeOptimizer):
     def _expected_improvement(self, candidates: np.ndarray,
                               features: np.ndarray,
                               targets: np.ndarray) -> np.ndarray:
-        # Imported here: scipy.stats costs about a second and ~60 MB at
-        # import, which ``import repro`` should not pay for one method.
-        from scipy.linalg import cho_factor, cho_solve
-        from scipy.stats import norm
-
         mean_target = targets.mean()
         std_target = targets.std() + 1e-12
         normalized = (targets - mean_target) / std_target
         gram = self._kernel(features, features)
         gram[np.diag_indices_from(gram)] += self.noise
-        factor = cho_factor(gram, lower=True)
-        alpha = cho_solve(factor, normalized)
         cross = self._kernel(candidates, features)
+        # One solve against the kernel matrix gives the posterior mean's
+        # weights (first column) and every candidate's variance term.
+        solved = np.linalg.solve(gram,
+                                 np.column_stack((normalized, cross.T)))
+        alpha, v = solved[:, 0], solved[:, 1:]
         mu = cross @ alpha
-        v = cho_solve(factor, cross.T)
         var = np.maximum(1.0 - np.sum(cross.T * v, axis=0), 1e-12)
         sigma = np.sqrt(var)
         best = normalized.min()
         improvement = best - mu
         z = improvement / sigma
-        return improvement * norm.cdf(z) + sigma * norm.pdf(z)
+        # The standard normal CDF and PDF of z.
+        cdf = 0.5 * np.array([math.erfc(-value / math.sqrt(2))
+                              for value in z])
+        pdf = np.exp(-z * z / 2) / math.sqrt(2 * math.pi)
+        return improvement * cdf + sigma * pdf
 
     # ------------------------------------------------------------------
     def _run(self) -> None:

@@ -1,7 +1,9 @@
 """TD3 comparison agent (Fujimoto et al. 2018).
 
 DDPG plus the three TD3 fixes: clipped double-Q (twin critics, min target),
-target-policy smoothing noise, and delayed actor updates.
+target-policy smoothing noise, and delayed actor updates.  It acts as DDPG
+does: the actor's output plus Gaussian exploration noise, clipped to the
+box.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from repro.nn.autograd import Tensor, no_grad
 from repro.nn.functional import huber_loss
 from repro.nn.modules import MLP
 from repro.nn.optim import Adam
-from repro.rl.offpolicy import OffPolicyAgent, QNetwork
+from repro.rl.ddpg import DDPG
+from repro.rl.offpolicy import QNetwork
 
 
-class TD3(OffPolicyAgent):
+class TD3(DDPG):
     """Twin-delayed DDPG over the level box."""
 
     name = "td3"
@@ -24,10 +27,13 @@ class TD3(OffPolicyAgent):
     def __init__(self, noise_sigma: float = 0.2, target_noise: float = 0.2,
                  noise_clip: float = 0.5, policy_delay: int = 2,
                  **kwargs) -> None:
-        super().__init__(**kwargs)
+        super().__init__(noise_sigma=noise_sigma, **kwargs)
+        if target_noise < 0:
+            raise ValueError("target_noise must be non-negative")
+        if noise_clip < 0:
+            raise ValueError("noise_clip must be non-negative")
         if policy_delay < 1:
             raise ValueError("policy_delay must be >= 1")
-        self.noise_sigma = noise_sigma
         self.target_noise = target_noise
         self.noise_clip = noise_clip
         self.policy_delay = policy_delay
@@ -58,15 +64,6 @@ class TD3(OffPolicyAgent):
         self.critic_optimizer = Adam(
             self.critic1.parameters() + self.critic2.parameters(),
             lr=self.lr)
-
-    def _act(self, observation: np.ndarray, explore: bool) -> np.ndarray:
-        with no_grad():
-            action = self.actor(
-                Tensor(observation.reshape(1, -1))).numpy()[0]
-        if explore:
-            action = action + self.rng.normal(0.0, self.noise_sigma,
-                                              size=action.shape)
-        return np.clip(action, -1.0, 1.0)
 
     def _update(self) -> None:
         obs, actions, rewards, next_obs, dones = self._sample_batch()

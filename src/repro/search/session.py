@@ -39,6 +39,7 @@ from repro.core.confuciux import ConfuciuXResult
 from repro.core.serialization import (
     search_result_from_dict,
     search_result_to_dict,
+    write_json_atomic,
 )
 from repro.costmodel.estimator import CostModel
 from repro.experiments.tasks import TaskSpec
@@ -501,9 +502,9 @@ class SessionResult:
         return cls.from_dict(json.loads(document))
 
     def save(self, path) -> None:
-        """Write this result (spec included) to ``path`` as JSON."""
-        with open(path, "w") as handle:
-            handle.write(self.to_json())
+        """Write this result (spec included) to ``path`` as JSON,
+        atomically: a reader sees the old file or the whole new one."""
+        write_json_atomic(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "SessionResult":

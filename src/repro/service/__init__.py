@@ -5,8 +5,8 @@ a long-lived front end here, in four layers:
 
 * :mod:`repro.service.store` -- a content-addressed on-disk
   :class:`ResultStore`: results are keyed by the SHA-256 of the spec's
-  canonical identity, written atomically, fronted by an in-process
-  LRU.  ``$REPRO_CACHE_DIR`` picks the root.
+  canonical identity, written atomically and read from disk on every
+  lookup.  ``$REPRO_CACHE_DIR`` picks the root.
 * :mod:`repro.service.server` -- :class:`SearchServer`, the async job
   scheduler: cache-first submission, single-flight dedup of identical
   in-flight specs, ``max_concurrent`` sessions on scheduler threads,

@@ -26,9 +26,10 @@ lookup to re-run (the fresh result then overwrites the entry).  Writes
 are atomic (:func:`~repro.core.serialization.write_json_atomic`: a
 uniquely named temp file, ``fsync``, ``os.replace``), so a reader never
 sees a torn entry, and two stores on one root never share a temp file; a
-corrupted or truncated entry is treated as a miss and dropped.  A small
-in-process LRU sits in front of the disk so hot keys skip the filesystem
-entirely.
+corrupted or truncated entry is treated as a miss and dropped.  Every
+lookup reads the disk, so an entry that another store on the same root
+(a ``repro cache --clear`` next to a running server) evicts or replaces
+is never served from a stale copy.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import json
 import os
 import threading
 import time
-from collections import OrderedDict
 from typing import Optional, Union
 
 from repro.core.serialization import write_json_atomic
@@ -94,8 +94,6 @@ class ResultStore:
     Args:
         root: Store directory (created on first write); ``None`` resolves
             ``$REPRO_CACHE_DIR`` / the user cache dir.
-        max_memory_entries: Size of the in-process LRU in front of the
-            disk (0 disables it).
 
     Thread-safe: all public methods may be called from concurrent
     scheduler threads.  Entries live at ``<root>/<key[:2]>/<key>.json``
@@ -105,18 +103,13 @@ class ResultStore:
     makes a cache hit bit-identical to the run that produced it.
     """
 
-    def __init__(self, root: Optional[Union[str, os.PathLike]] = None,
-                 max_memory_entries: int = 64) -> None:
-        if max_memory_entries < 0:
-            raise ValueError("max_memory_entries must be >= 0")
+    def __init__(self,
+                 root: Optional[Union[str, os.PathLike]] = None) -> None:
         self.root = os.fspath(root) if root is not None \
             else default_cache_dir()
-        self.max_memory_entries = max_memory_entries
         self._lock = threading.Lock()
-        self._memory: "OrderedDict[str, dict]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.memory_hits = 0
         self.puts = 0
         self.evictions = 0
         self.bypasses = 0
@@ -148,12 +141,6 @@ class ResultStore:
             if force:
                 self.bypasses += 1
                 return None
-            envelope = self._memory.get(key)
-            if envelope is not None:
-                self._memory.move_to_end(key)
-                self.hits += 1
-                self.memory_hits += 1
-                return SessionResult.from_dict(envelope["result"])
             envelope = self._read_envelope(key)
             if envelope is None:
                 self.misses += 1
@@ -164,7 +151,6 @@ class ResultStore:
                 self._drop_corrupt(key)
                 self.misses += 1
                 return None
-            self._remember(key, envelope)
             self.hits += 1
             return result
 
@@ -187,27 +173,23 @@ class ResultStore:
         with self._lock:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             write_json_atomic(path, envelope)
-            self._remember(key, envelope)
             self.puts += 1
         return key
 
     def evict(self, spec_or_key: Union[SearchSpec, str]) -> bool:
-        """Drop one entry (memory and disk); True if anything existed."""
-        key = self.key_of(spec_or_key)
+        """Drop one entry; True if it existed."""
+        path = self.path_for(spec_or_key)
         with self._lock:
-            existed = self._memory.pop(key, None) is not None
-            path = self.path_for(key)
-            if os.path.exists(path):
+            try:
                 os.remove(path)
-                existed = True
-            if existed:
-                self.evictions += 1
-            return existed
+            except FileNotFoundError:
+                return False
+            self.evictions += 1
+            return True
 
     def clear(self) -> int:
         """Drop every entry; returns how many disk entries were removed."""
         with self._lock:
-            self._memory.clear()
             removed = 0
             for path in self._entry_paths():
                 os.remove(path)
@@ -223,9 +205,7 @@ class ResultStore:
                 "root": self.root,
                 "entries": len(paths),
                 "bytes": sum(os.path.getsize(path) for path in paths),
-                "memory_entries": len(self._memory),
                 "hits": self.hits,
-                "memory_hits": self.memory_hits,
                 "misses": self.misses,
                 "puts": self.puts,
                 "evictions": self.evictions,
@@ -246,14 +226,6 @@ class ResultStore:
                 if name.endswith(".json"):
                     paths.append(os.path.join(shard_dir, name))
         return paths
-
-    def _remember(self, key: str, envelope: dict) -> None:
-        if self.max_memory_entries == 0:
-            return
-        self._memory[key] = envelope
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.max_memory_entries:
-            self._memory.popitem(last=False)
 
     def _read_envelope(self, key: str) -> Optional[dict]:
         """Load and validate one disk entry; corrupt entries (torn
@@ -277,7 +249,6 @@ class ResultStore:
         return envelope
 
     def _drop_corrupt(self, key: str) -> None:
-        self._memory.pop(key, None)
         path = self.path_for(key)
         try:
             os.remove(path)

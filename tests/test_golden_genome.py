@@ -10,10 +10,15 @@ Regenerate with ``PYTHONPATH=src python tests/golden/generate_genome.py``
 from __future__ import annotations
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.search import method_names
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -36,3 +41,28 @@ def test_every_genome_method_is_pinned():
 @pytest.mark.parametrize("key", golden_genome.case_names())
 def test_golden(key):
     assert golden_genome.run_case(key) == PINS[key]
+
+
+#: Runs one pinned case with scipy unimportable (``None`` in
+#: ``sys.modules`` makes every ``import scipy...`` raise ImportError) and
+#: prints its pins as JSON.
+WITHOUT_SCIPY = """
+import importlib.util, json, sys
+sys.modules["scipy"] = None
+import repro
+spec = importlib.util.spec_from_file_location("golden_genome", sys.argv[1])
+golden_genome = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(golden_genome)
+print(json.dumps(golden_genome.run_case(sys.argv[2])))
+"""
+
+
+def test_bayesian_runs_without_scipy():
+    """The GP solve and expected improvement need numpy alone."""
+    key = "slice8/bayesian/seed0"
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    completed = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, _SPEC.origin, key],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert completed.returncode == 0, completed.stderr
+    assert json.loads(completed.stdout.splitlines()[-1]) == PINS[key]

@@ -131,6 +131,13 @@ class TestOffPolicyInternals:
         with pytest.raises(ValueError):
             DDPG(noise_sigma=-1.0)
 
+    @pytest.mark.parametrize("option", ["noise_sigma", "target_noise",
+                                        "noise_clip"])
+    def test_td3_rejects_negative_noise(self, option):
+        with pytest.raises(ValueError, match=option):
+            TD3(**{option: -0.1})
+        TD3(**{option: 0.0})
+
     def test_sac_rejects_negative_alpha(self):
         with pytest.raises(ValueError):
             SAC(alpha=-0.1)

@@ -130,27 +130,14 @@ class TestRoundTrip:
         assert first_doc["result"] == second_doc["result"]
         assert first_doc["identity"] == second_doc["identity"]
 
-    def test_disk_then_memory_hit_counters(self, tmp_path, canned_result):
+    def test_disk_hit_counters(self, tmp_path, canned_result):
         store = ResultStore(root=tmp_path / "cache")
         store.put(_spec(), canned_result)
         fresh = ResultStore(root=tmp_path / "cache")
-        assert fresh.get(_spec()) is not None   # disk
-        assert fresh.get(_spec()) is not None   # memory
-        assert fresh.hits == 2 and fresh.memory_hits == 1
-
-    def test_memory_front_can_be_disabled(self, tmp_path, canned_result):
-        store = ResultStore(root=tmp_path / "cache", max_memory_entries=0)
-        store.put(_spec(), canned_result)
-        assert store.get(_spec()) is not None
-        assert store.memory_hits == 0
-
-    def test_lru_evicts_oldest_memory_entry(self, tmp_path, canned_result):
-        store = ResultStore(root=tmp_path / "cache", max_memory_entries=2)
-        for seed in range(3):
-            store.put(_spec(seed=seed), canned_result)
-        assert store.stats()["memory_entries"] == 2
-        assert store.get(_spec(seed=0)) is not None  # still on disk
-        assert store.memory_hits == 0
+        assert fresh.get(_spec()) is not None
+        assert fresh.get(_spec()) is not None
+        assert fresh.get(_spec(seed=1)) is None
+        assert (fresh.hits, fresh.misses, fresh.puts) == (2, 1, 0)
 
 
 # ----------------------------------------------------------------------
@@ -250,6 +237,27 @@ class TestCorruptionAndForce:
         assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
         fresh = ResultStore(root=tmp_path / "cache")
         assert fresh.get(_spec()).to_dict() == canned_result.to_dict()
+
+    def test_two_stores_one_root_see_each_others_changes(
+            self, tmp_path, canned_result):
+        """A store serves only what is on disk: what another store on the
+        same root evicts, clears or overwrites (``repro cache --clear``
+        next to a running server) is never served from a stale copy."""
+        server, cli = (ResultStore(root=tmp_path / "cache")
+                       for _ in range(2))
+        server.put(_spec(), canned_result)
+        assert server.get(_spec()) is not None
+        assert cli.evict(_spec())
+        assert server.get(_spec()) is None
+        server.put(_spec(), canned_result)
+        assert server.get(_spec()) is not None
+        assert cli.clear() == 1
+        assert server.get(_spec()) is None
+        server.put(_spec(), canned_result)
+        replacement = SessionResult.from_dict(canned_result.to_dict())
+        replacement.provenance["forced"] = True
+        cli.put(_spec(), replacement)
+        assert server.get(_spec()).provenance["forced"] is True
 
     def test_cache_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
