@@ -138,6 +138,22 @@ AGENTS = {
     "sac": ("SAC", {"warmup_steps": 16, "batch_size": 8}, {}, 5),
 }
 
+#: The on-policy agents' task variants: name suffix -> task options.
+#: Power budgets are charged step by step; FPGA caps (the default 4096
+#: PEs, 8192 L1 bytes) end most episodes part-way.
+AGENT_VARIANTS = {
+    "": {},
+    "-power": {"constraint_kind": "power", "platform": "cloud"},
+    "-resource": {"constraint_kind": "resource"},
+    "-mix": {"mix": True},
+}
+AGENTS.update({
+    f"{name}{suffix}": (cls_name, {}, options, 6)
+    for name, cls_name in (("a2c", "A2C"), ("acktr", "ACKTR"),
+                           ("ppo2", "PPO2"))
+    for suffix, options in AGENT_VARIANTS.items()
+})
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
