@@ -27,14 +27,12 @@ __all__ = [
     "EvalResult",
     "ConfuciuXResult",
     "dataflow_assignment_table",
-    "solution_report",
 ]
 
 _LAZY = {
     "ConfuciuXResult": ("repro.core.confuciux", "ConfuciuXResult"),
     "dataflow_assignment_table": ("repro.core.joint",
                                   "dataflow_assignment_table"),
-    "solution_report": ("repro.core.reporting", "solution_report"),
 }
 
 

@@ -1,29 +1,16 @@
 """Solution analysis and report rendering (Fig. 10, utilization reports).
 
-Turns a converged design point into the figures the paper draws: the area
-breakdown across PE / L1 / L2 / NoC, the per-layer PE and buffer bars, and
-a plain-text table renderer shared by the benches.
+Turns a converged design point's cost report into the figures the paper
+draws: the area breakdown across PE / L1 / L2 / NoC and per-layer bars,
+and a plain-text table renderer shared by the benches.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.core.evaluator import RawAssignment
 from repro.costmodel.batched import ordered_sum
-from repro.costmodel.estimator import CostModel
 from repro.costmodel.report import ModelCostReport
-from repro.models.layers import Layer
-
-
-def solution_report(
-    layers: Sequence[Layer],
-    assignments: Sequence[RawAssignment],
-    cost_model: CostModel,
-    dataflow: Optional[str] = None,
-) -> ModelCostReport:
-    """Re-evaluate a solution to obtain its full per-layer reports."""
-    return cost_model.evaluate_model(layers, assignments, dataflow=dataflow)
 
 
 def area_breakdown_fractions(report: ModelCostReport) -> Dict[str, float]:
@@ -33,13 +20,6 @@ def area_breakdown_fractions(report: ModelCostReport) -> Dict[str, float]:
     if total <= 0:
         raise ValueError("report has no area")
     return {key: value / total for key, value in breakdown.items()}
-
-
-def per_layer_assignment(
-    assignments: Sequence[RawAssignment],
-) -> Tuple[List[int], List[int]]:
-    """Fig. 10's bottom bars: (PEs per layer, L1 bytes per layer)."""
-    return ([a[0] for a in assignments], [a[1] for a in assignments])
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence],

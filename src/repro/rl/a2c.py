@@ -1,4 +1,5 @@
-"""A2C (advantage actor-critic), one of the Table-V comparison agents.
+"""A2C (advantage actor-critic), one of the Table-V comparison agents, and
+the synchronous actor-critic skeleton that ACKTR and PPO2 subclass.
 
 Synchronous actor-critic with an MLP policy (the comparison agents use the
 frameworks' default feed-forward architecture).  A value network regresses
@@ -6,11 +7,21 @@ the discounted return; advantages are returns minus values.  The paper's
 Section IV-C3 argues -- and Fig. 6 demonstrates -- that the critic struggles
 on the discrete, irregular HW-performance landscape, which is why ConfuciuX
 itself is actor-only.
+
+The skeleton has one sampler, :meth:`A2C._act`, which records no graph: a
+scalar step calls it on a one-row batch and a lockstep wave on its live
+rows.  :meth:`A2C._collect` (scalar steps) and :meth:`A2C._collect_wave`
+(lockstep waves) return :class:`Trajectory` records, and :meth:`A2C.search`
+hands each batch of episodes to one :meth:`update`; a scalar episode is a
+one-episode batch.  ACKTR changes only the optimizer step
+(:meth:`A2C._precondition`); PPO2 keeps each step's behaviour
+log-probability (:meth:`A2C._extras`) and replaces :meth:`A2C.update`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -23,12 +34,31 @@ from repro.rl.common import (
     SearchAlgorithm,
     SearchResult,
     discounted_returns,
-    drive_wave_sets,
-    rollout_waves,
     standardize,
-    waves_to_trajectories,
 )
 from repro.rl.policies import MLPPolicy
+from repro.rl.reinforce import head_sums
+
+
+@dataclass
+class Trajectory:
+    """One episode in step order, as the sampler collected it.
+
+    ``extras`` holds each step's row of :meth:`A2C._extras` (PPO2's
+    behaviour log-probability; ``None`` for A2C and ACKTR).
+    """
+
+    observations: List[np.ndarray] = field(default_factory=list)
+    actions: List[List[int]] = field(default_factory=list)
+    rewards: List[float] = field(default_factory=list)
+    extras: list = field(default_factory=list)
+
+    def append(self, observation, action, reward, extra) -> None:
+        """Record one step."""
+        self.observations.append(observation)
+        self.actions.append(action)
+        self.rewards.append(reward)
+        self.extras.append(extra)
 
 
 class A2C(SearchAlgorithm):
@@ -41,6 +71,10 @@ class A2C(SearchAlgorithm):
                  entropy_coef: float = 0.01, value_coef: float = 0.5,
                  max_grad_norm: float = 5.0,
                  hidden_sizes=(64, 64), seed: Optional[int] = None) -> None:
+        if not 0.0 <= discount <= 1.0:
+            raise ValueError("discount must be in [0, 1]")
+        if max_grad_norm <= 0:
+            raise ValueError("max_grad_norm must be positive")
         self.lr = lr
         self.discount = discount
         self.entropy_coef = entropy_coef
@@ -60,91 +94,97 @@ class A2C(SearchAlgorithm):
         self.optimizer = Adam(
             self.policy.parameters() + self.critic.parameters(), lr=self.lr)
 
-    def _collect(self, env: HWAssignmentEnv):
-        """Sample one episode without gradients; return arrays."""
-        observation = env.reset()
-        observations: List[np.ndarray] = []
-        actions: List[List[int]] = []
-        rewards: List[float] = []
-        done = False
-        while not done:
-            obs_tensor = Tensor(observation.reshape(1, -1))
-            dists, _ = self.policy(obs_tensor, None)
-            action = [int(d.sample(self.rng)[0]) for d in dists]
-            observations.append(observation)
-            actions.append(action)
-            observation, reward, done, _ = env.step(action)
-            rewards.append(reward)
-        return np.array(observations), actions, rewards
+    def _act(self, observations: np.ndarray):
+        """Sample one action row per observation row, recording no graph
+        (the update runs its own forward).
 
-    def _act_wave(self, observations: np.ndarray):
-        """One batched policy forward for a whole lockstep wave (no
-        graph: the update recomputes its own forward)."""
+        One batched policy forward and one draw per head over all rows,
+        so a one-row batch consumes the RNG stream exactly like a wave
+        of one episode.  Returns the ``(rows, heads)`` actions and
+        :meth:`_extras`' per-row payload.
+        """
         with no_grad():
             dists, _ = self.policy(Tensor(observations), None)
-            actions = np.stack([d.sample(self.rng) for d in dists], axis=1)
-        return actions, None
+            actions = np.stack([dist.sample(self.rng) for dist in dists],
+                               axis=1)
+            return actions, self._extras(dists, actions)
 
-    def _collect_vector(self, venv, episodes: int):
-        """Sample ``episodes`` lockstep episodes; one cost-model batch
-        and one policy forward per wave.  For a single episode the
-        sampled actions, rewards, and RNG stream are bit-identical to
-        :meth:`_collect`."""
-        waves = rollout_waves(venv, episodes, self._act_wave)
-        return waves_to_trajectories(waves, episodes)
+    def _extras(self, dists, actions: np.ndarray) -> list:
+        """What the update needs from the sampler, one entry per row:
+        nothing for A2C and ACKTR."""
+        return [None] * len(actions)
 
-    def _precondition(self) -> None:
-        """Hook for ACKTR's trust-region scaling (no-op for plain A2C)."""
+    def _collect(self, env: HWAssignmentEnv) -> Trajectory:
+        """Sample one episode by scalar steps."""
+        trajectory = Trajectory()
+        observation = env.reset()
+        done = False
+        while not done:
+            actions, extras = self._act(observation.reshape(1, -1))
+            action = actions[0].tolist()
+            next_observation, reward, done, _ = env.step(action)
+            trajectory.append(observation, action, reward, extras[0])
+            observation = next_observation
+        return trajectory
 
-    def update(self, observations: np.ndarray, actions: List[List[int]],
-               rewards: List[float]) -> float:
-        """One actor-critic step over a single episode."""
-        returns = standardize(discounted_returns(rewards, self.discount))
-        return self._update_arrays(observations, actions, returns)
+    def _collect_wave(self, venv, episodes: int) -> List[Trajectory]:
+        """Sample ``episodes`` lockstep episodes through a vector env: one
+        policy forward and one batched cost call per wave.
 
-    def update_wave(self, trajectories) -> float:
-        """One actor-critic step over a wave of lockstep episodes.
-
-        The wave is the minibatch -- the synchronous-A2C convention:
-        per-episode discounted returns (standardized per episode, the
-        scalar rule) are concatenated and a single forward/backward
-        serves every episode.  For a one-episode wave this is exactly
-        :meth:`update`.
+        Randomness is consumed wave-major: one batched draw per action
+        head per wave, row ``r`` belonging to episode ``live[r]`` -- the
+        vector RNG contract (see API.md).  One episode gives exactly
+        :meth:`_collect`'s trajectory.
         """
-        observations = np.concatenate(
-            [np.array(trajectory.observations)
-             for trajectory in trajectories])
-        actions = [action for trajectory in trajectories
-                   for action in trajectory.actions]
+        trajectories = [Trajectory() for _ in range(episodes)]
+        observations = venv.reset(episodes)
+        while not venv.all_done:
+            live = venv.live_indices
+            actions, extras = self._act(observations)
+            next_observations, rewards, dones, _ = venv.step(actions)
+            for row, episode in enumerate(live.tolist()):
+                trajectories[episode].append(
+                    observations[row], actions[row].tolist(),
+                    float(rewards[row]), extras[row])
+            observations = next_observations[~dones]
+        return trajectories
+
+    def _batch(self, trajectories: Sequence[Trajectory]):
+        """The batch's observations and ``(steps, heads)`` actions in
+        episode-then-step order, and each episode's standardized
+        discounted returns, concatenated."""
+        observations = np.array([observation for trajectory in trajectories
+                                 for observation in trajectory.observations])
+        actions = np.array([action for trajectory in trajectories
+                            for action in trajectory.actions])
         returns = np.concatenate(
             [standardize(discounted_returns(trajectory.rewards,
                                             self.discount))
              for trajectory in trajectories])
-        return self._update_arrays(observations, actions, returns)
+        return observations, actions, returns
 
-    def _update_arrays(self, observations: np.ndarray,
-                       actions: List[List[int]],
-                       returns: np.ndarray) -> float:
+    def update(self, trajectories: Sequence[Trajectory]) -> float:
+        """One actor-critic step over a batch of episodes.
+
+        The batch is the minibatch -- the synchronous-A2C convention:
+        per-episode discounted returns (standardized per episode) are
+        concatenated and a single forward and backward serves every
+        episode.
+        """
+        observations, actions, returns = self._batch(trajectories)
         obs_tensor = Tensor(observations)
         dists, _ = self.policy(obs_tensor, None)
         values = self.critic(obs_tensor).reshape(len(returns))
-        returns_tensor = Tensor(returns)
         advantages = Tensor(returns - values.numpy())
-
-        log_probs = None
-        entropies = None
-        for head, dist in enumerate(dists):
-            head_actions = [a[head] for a in actions]
-            logp = dist.log_prob(head_actions)
-            ent = dist.entropy()
-            log_probs = logp if log_probs is None else log_probs + logp
-            entropies = ent if entropies is None else entropies + ent
-
+        log_probs, entropies = head_sums(dists, actions)
         policy_loss = -(log_probs * advantages).mean()
-        value_loss = mse_loss(values, returns_tensor)
+        value_loss = mse_loss(values, Tensor(returns))
         entropy_loss = -entropies.mean()
-        loss = (policy_loss + self.value_coef * value_loss
-                + self.entropy_coef * entropy_loss)
+        return self._step(policy_loss + self.value_coef * value_loss
+                          + self.entropy_coef * entropy_loss)
+
+    def _step(self, loss: Tensor) -> float:
+        """One clipped optimizer step on ``loss``; returns its value."""
         self.optimizer.zero_grad()
         loss.backward()
         clip_grad_norm(self.optimizer.parameters, self.max_grad_norm)
@@ -152,22 +192,32 @@ class A2C(SearchAlgorithm):
         self.optimizer.step()
         return loss.item()
 
+    def _precondition(self) -> None:
+        """Hook for ACKTR's trust-region scaling (a no-op otherwise)."""
+
     def search(self, env: HWAssignmentEnv, epochs: int) -> SearchResult:
+        """Run ``epochs`` episodes with one :meth:`update` per batch.
+
+        A scalar env's batch is one episode.  A vector env's is a wave
+        set of up to ``num_envs`` lockstep episodes; the last set shrinks
+        so the budget is spent exactly.  Either way the history gets one
+        best-so-far entry per episode.
+        """
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
+        self._refuse_vector_env(env)
         result, started = self._start(self.name)
         if self.policy is None:
             self._build(env)
-        if getattr(env, "is_vector", False):
-            drive_wave_sets(
-                env, epochs, result,
-                lambda episodes: self.update_wave(
-                    self._collect_vector(env, episodes)))
-        else:
-            for _ in range(epochs):
-                observations, actions, rewards = self._collect(env)
-                self.update(observations, actions, rewards)
+        vector = getattr(env, "is_vector", False)
+        remaining = epochs
+        while remaining:
+            episodes = min(env.num_envs, remaining) if vector else 1
+            self.update(self._collect_wave(env, episodes) if vector
+                        else [self._collect(env)])
+            for _ in range(episodes):
                 result.record(env.best.cost if env.best else None)
+            remaining -= episodes
         self._finalize(result, env, started)
         result.memory_bytes = 8 * (self.policy.num_parameters()
                                    + self.critic.num_parameters())

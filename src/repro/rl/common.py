@@ -168,101 +168,3 @@ def normalize_rewards_for_training(rewards: Sequence[float],
     """The paper's pipeline: discounted returns, then standardization."""
     return standardize(discounted_returns(rewards, discount))
 
-
-# ----------------------------------------------------------------------
-# Lockstep (vectorized) rollout collection
-# ----------------------------------------------------------------------
-@dataclass
-class WaveStep:
-    """One lockstep wave of a vector-env rollout.
-
-    All arrays are row-aligned with ``live`` -- the episode index each row
-    acted for.  ``extras`` is an agent-defined per-row payload (PPO's
-    behavior log-probabilities, for example) or ``None``.
-    """
-
-    live: np.ndarray
-    observations: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-    dones: np.ndarray
-    extras: object = None
-
-
-@dataclass
-class Trajectory:
-    """One episode's slice of a wave rollout, in scalar-step order.
-
-    ``rows`` holds ``(wave_index, row)`` pairs locating this episode in
-    each :class:`WaveStep`, so agents can gather per-step extras (or
-    autograd tensors) without copying them through the assembly.
-    """
-
-    observations: List[np.ndarray] = field(default_factory=list)
-    actions: List[List[int]] = field(default_factory=list)
-    rewards: List[float] = field(default_factory=list)
-    rows: List[Tuple[int, int]] = field(default_factory=list)
-
-
-def drive_wave_sets(venv, epochs: int, result: SearchResult,
-                    run_wave_set) -> None:
-    """The vector-rollout driver of the agents with a lockstep-wave path
-    (A2C, ACKTR and PPO2).
-
-    Splits an ``epochs`` episode budget into wave sets of at most
-    ``venv.num_envs`` lockstep episodes (the last set shrinks so the
-    budget is spent exactly), hands each set to
-    ``run_wave_set(episodes)`` -- the agent's collect-and-update step --
-    and records one best-so-far history entry per episode, keeping the
-    convergence-trace length equal to the scalar loop's.
-    """
-    remaining = epochs
-    while remaining:
-        episodes = min(venv.num_envs, remaining)
-        run_wave_set(episodes)
-        for _ in range(episodes):
-            result.record(venv.best.cost if venv.best else None)
-        remaining -= episodes
-
-
-def rollout_waves(venv, episodes: int, act) -> List[WaveStep]:
-    """Roll ``episodes`` lockstep episodes through a vector env.
-
-    ``act(observations) -> (actions, extras)`` maps the live episodes'
-    observation matrix to an ``(L, heads)`` action matrix (one batched
-    policy forward per wave) plus an optional row-aligned payload.
-    Randomness is consumed wave-major: one batched draw per action head
-    per wave, row ``e`` belonging to episode ``live[e]`` -- the vector
-    RNG contract (see API.md).
-    """
-    observations = venv.reset(episodes)
-    waves: List[WaveStep] = []
-    while not venv.all_done:
-        live = venv.live_indices
-        actions, extras = act(observations)
-        next_observations, rewards, dones, _ = venv.step(actions)
-        waves.append(WaveStep(live=live, observations=observations,
-                              actions=actions, rewards=rewards,
-                              dones=dones, extras=extras))
-        observations = next_observations[~dones]
-    return waves
-
-
-def waves_to_trajectories(waves: Sequence[WaveStep],
-                          episodes: int) -> List[Trajectory]:
-    """Transpose a wave-major rollout into per-episode trajectories.
-
-    Each trajectory's observations / actions / rewards are exactly what a
-    scalar rollout of that episode would have collected.
-    """
-    trajectories = [Trajectory() for _ in range(episodes)]
-    for wave_index, wave in enumerate(waves):
-        rewards = wave.rewards.tolist()
-        for row, episode in enumerate(wave.live.tolist()):
-            trajectory = trajectories[episode]
-            trajectory.observations.append(wave.observations[row])
-            trajectory.actions.append(
-                [int(a) for a in wave.actions[row]])
-            trajectory.rewards.append(rewards[row])
-            trajectory.rows.append((wave_index, row))
-    return trajectories

@@ -52,6 +52,14 @@ class OffPolicyAgent(SearchAlgorithm):
                  warmup_steps: int = 256, buffer_capacity: int = 50_000,
                  hidden_sizes=(64, 64), updates_per_step: int = 1,
                  seed: Optional[int] = None) -> None:
+        if not 0.0 <= discount <= 1.0:
+            raise ValueError("discount must be in [0, 1]")
+        if not 0.0 < tau <= 1.0:
+            raise ValueError("tau must be in (0, 1]")
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if updates_per_step < 1:
+            raise ValueError("updates_per_step must be >= 1")
         self.lr = lr
         self.discount = discount
         self.tau = tau

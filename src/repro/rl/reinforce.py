@@ -74,6 +74,10 @@ class Reinforce(SearchAlgorithm):
                  discount: float = 0.9, entropy_coef: float = 0.01,
                  hidden_size: int = 128, max_grad_norm: float = 5.0,
                  seed: Optional[int] = None) -> None:
+        if not 0.0 <= discount <= 1.0:
+            raise ValueError("discount must be in [0, 1]")
+        if max_grad_norm <= 0:
+            raise ValueError("max_grad_norm must be positive")
         self.policy_kind = policy
         self.lr = lr
         self.discount = discount

@@ -44,7 +44,7 @@ class TestImportSurface:
                 f"{name}.{symbol} in __all__ but unresolvable"
 
     def test_version(self):
-        assert repro.__version__ == "6.1.0"
+        assert repro.__version__ == "6.2.0"
 
     def test_lazy_exports(self):
         assert repro.ResultStore.__name__ == "ResultStore"
@@ -57,8 +57,9 @@ class TestImportSurface:
         import repro.core as core
 
         assert core.ConfuciuXResult.__name__ == "ConfuciuXResult"
-        assert core.solution_report is not None
-        for name in ("ConfuciuX", "JointSearch", "DoesNotExist"):
+        # solution_report was removed in 6.2.
+        for name in ("ConfuciuX", "JointSearch", "solution_report",
+                     "DoesNotExist"):
             with pytest.raises(AttributeError):
                 getattr(core, name)
 

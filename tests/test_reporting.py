@@ -6,16 +6,14 @@ from repro.core.reporting import (
     area_breakdown_fractions,
     ascii_bars,
     format_table,
-    per_layer_assignment,
-    solution_report,
 )
 
 
 @pytest.fixture
 def report(cost_model, tiny_model):
     assignments = [(8, 29), (16, 39), (32, 59), (64, 99)]
-    return solution_report(tiny_model, assignments, cost_model,
-                           dataflow="dla")
+    return cost_model.evaluate_model(tiny_model, assignments,
+                                     dataflow="dla")
 
 
 class TestBreakdowns:
@@ -30,11 +28,6 @@ class TestBreakdowns:
         # should together dominate the NoC.
         fractions = area_breakdown_fractions(report)
         assert fractions["pe"] + fractions["l1"] > fractions["noc"]
-
-    def test_per_layer_assignment_extraction(self):
-        pes, bufs = per_layer_assignment([(8, 29), (16, 39)])
-        assert pes == [8, 16]
-        assert bufs == [29, 39]
 
 
 class TestRendering:

@@ -6,8 +6,11 @@ import pytest
 
 from repro.core.constraints import PlatformConstraint, platform_constraint
 from repro.env import ActionSpace, HWAssignmentEnv
+from repro.env.vector import VectorHWAssignmentEnv
 from repro.nn import Tensor
+from repro.nn.autograd import no_grad
 from repro.rl import A2C, ACKTR, DDPG, PPO2, SAC, TD3, Reinforce
+from repro.rl.reinforce import head_sums
 from repro.rl.sac import GaussianActor
 
 
@@ -38,7 +41,6 @@ class TestReinforceUpdate:
         agent = Reinforce(seed=1, lr=0.05, entropy_coef=0.0)
         agent._build(loose_env)
         observation = loose_env.reset()
-        from repro.nn.autograd import no_grad
 
         def first_action_probs():
             with no_grad():
@@ -60,17 +62,15 @@ class TestActorCriticInternals:
     def test_a2c_critic_trains_toward_returns(self, loose_env):
         agent = A2C(seed=0)
         agent._build(loose_env)
-        observations, actions, rewards = agent._collect(loose_env)
-        first_loss = agent.update(observations, actions, rewards)
-        losses = [agent.update(*agent._collect(loose_env)[0:3])
+        first_loss = agent.update([agent._collect(loose_env)])
+        losses = [agent.update([agent._collect(loose_env)])
                   for _ in range(5)]
         assert all(np.isfinite(l) for l in [first_loss, *losses])
 
     def test_acktr_preconditioner_builds_fisher(self, loose_env):
         agent = ACKTR(seed=0)
         agent._build(loose_env)
-        observations, actions, rewards = agent._collect(loose_env)
-        agent.update(observations, actions, rewards)
+        agent.update([agent._collect(loose_env)])
         assert agent._fisher is not None
         assert any(np.any(f > 0) for f in agent._fisher)
 
@@ -82,12 +82,12 @@ class TestActorCriticInternals:
         the rebound arrays as ACKTR left them."""
         agent = ACKTR(seed=0)
         agent._build(loose_env)
-        agent.update(*agent._collect(loose_env))
+        agent.update([agent._collect(loose_env)])
         natural = [p.grad for p in agent.optimizer.parameters
                    if p.grad is not None]
         assert natural
         saved = [grad.tobytes() for grad in natural]
-        agent.update(*agent._collect(loose_env))
+        agent.update([agent._collect(loose_env)])
         assert [grad.tobytes() for grad in natural] == saved
         kept = {id(p._kept) for p in agent.optimizer.parameters}
         assert not kept & {id(grad) for grad in natural}
@@ -103,10 +103,52 @@ class TestActorCriticInternals:
     def test_ppo_surrogate_finite(self, loose_env):
         agent = PPO2(seed=0)
         agent._build(loose_env)
-        observations, actions, rewards, old_log_probs = \
-            agent._collect(loose_env)
-        loss = agent.update(observations, actions, rewards, old_log_probs)
+        loss = agent.update([agent._collect(loose_env)])
         assert np.isfinite(loss)
+
+    @pytest.mark.parametrize("cls", [A2C, ACKTR, PPO2])
+    def test_collect_records_no_graph(self, cls, loose_env, monkeypatch):
+        """Sampling builds no autograd node: the update runs its own
+        forward, so a graph recorded while sampling is thrown away."""
+        agent = cls(seed=0)
+        agent._build(loose_env)
+        make = Tensor._make
+        made, recorded = [], []
+
+        def spy(data, parents, backward):
+            out = make(data, parents, backward)
+            made.append(out)
+            if out._backward is not None:
+                recorded.append(out)
+            return out
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(spy))
+        trajectory = agent._collect(loose_env)
+        assert trajectory.actions and made
+        assert recorded == []
+
+    @pytest.mark.parametrize("cls", [A2C, ACKTR, PPO2])
+    def test_lockstep_flag_alone_refuses_waves(self, cls, loose_env):
+        """An on-policy agent's wave path is its ``lockstep`` flag: with
+        it off, ``search`` refuses a vector env of any width."""
+        agent = type("NoWaves", (cls,), {"lockstep": False})(seed=0)
+        with pytest.raises(ValueError, match="no lockstep-wave path"):
+            agent.search(VectorHWAssignmentEnv(loose_env, 1), 1)
+
+    def test_ppo_behaviour_log_probs_match_the_policy(self, loose_env):
+        """Each kept behaviour log-probability is the summed per-head
+        log-probability of the step's action under the policy before
+        the first update, so the first surrogate pass starts at ratio 1.
+        A batched re-forward need not round like the per-step one."""
+        agent = PPO2(seed=0)
+        agent._build(loose_env)
+        trajectory = agent._collect(loose_env)
+        with no_grad():
+            dists, _ = agent.policy(Tensor(np.array(trajectory.observations)),
+                                    None)
+            log_probs, _ = head_sums(dists, np.array(trajectory.actions))
+        np.testing.assert_allclose(np.array(trajectory.extras),
+                                   log_probs.numpy(), rtol=0, atol=1e-12)
 
 
 class TestOffPolicyInternals:
@@ -164,6 +206,34 @@ class TestOffPolicyInternals:
         result = agent.search(loose_env, 2)
         # Entirely inside warmup: no updates, still produces episodes.
         assert result.episodes == 2
+
+
+BAD_SETTINGS = [
+    *((cls, {"discount": discount}, "discount")
+      for cls in (Reinforce, A2C, ACKTR, PPO2, DDPG, TD3, SAC)
+      for discount in (1.5, -1.0)),
+    *((cls, {"max_grad_norm": norm}, "max_grad_norm")
+      for cls in (Reinforce, A2C, ACKTR, PPO2) for norm in (0.0, -1.0)),
+    (PPO2, {"minibatch_size": 0}, "minibatch_size"),
+    (PPO2, {"update_epochs": 0}, "update_epochs"),
+    (PPO2, {"update_epochs": -1}, "update_epochs"),
+    *((cls, {"tau": tau}, "tau")
+      for cls in (DDPG, TD3, SAC) for tau in (2.0, 0.0)),
+    (DDPG, {"updates_per_step": 0}, "updates_per_step"),
+    (DDPG, {"batch_size": 0}, "batch_size"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, options, setting", BAD_SETTINGS,
+    ids=[f"{cls.__name__}-{'-'.join(f'{k}={v}' for k, v in options.items())}"
+         for cls, options, _ in BAD_SETTINGS])
+def test_agents_refuse_invalid_settings_when_built(cls, options, setting):
+    """Each agent checks its settings in its constructor, before any
+    environment work, instead of failing (or silently never learning)
+    mid-search."""
+    with pytest.raises(ValueError, match=setting):
+        cls(**options)
 
 
 class TestSearchContracts:

@@ -155,24 +155,56 @@ class TestCLI:
                     ["puts", "1"]):
             assert row in stats
 
-    def test_serve_runs_a_job_then_shuts_down(self):
-        """``repro serve`` in its own process: it prints its port first,
-        runs a submitted spec, and exits 0 on the ``shutdown`` op."""
+    def test_serve_runs_a_job_then_shuts_down(self, tmp_path):
+        """``repro serve`` in its own process, caching on disk under
+        ``$REPRO_CACHE_DIR``: it prints its port first, then serves
+        ``repro submit``, ``jobs`` and ``cache --stats``, each in its own
+        process.  One spec submitted twice runs once: the second
+        submission is a hit from the one entry on disk, saved
+        byte-identically.  The server exits 0 on the ``shutdown`` op."""
         import repro
+        from repro.search.session import SessionResult
 
-        env = dict(os.environ,
+        cache = tmp_path / "cache"
+        env = dict(os.environ, REPRO_CACHE_DIR=str(cache),
                    PYTHONPATH=str(Path(repro.__file__).parents[1]))
+
+        def cli(*args):
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", *args], env=env,
+                capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            return [line.split() for line in done.stdout.splitlines()]
+
         process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--no-cache"],
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
             stdout=subprocess.PIPE, text=True, env=env)
         try:
             first = process.stdout.readline()
             assert first.startswith("repro service on 127.0.0.1:")
-            port = int(first.split()[3].rsplit(":", 1)[1])
-            with ServiceClient(port=port) as client:
-                result = client.submit(_spec())
-                assert result.spec == _spec() and result.feasible
+            port = first.split()[3].rsplit(":", 1)[1]
+            spec = ["--model", "mnasnet", "--method", "random", "--budget",
+                    "40", "--seed", "0", "--layers", "3", "--port", port]
+            saved = [tmp_path / "first.json", tmp_path / "second.json"]
+            assert ["cached", "False"] in cli("submit", *spec,
+                                              "--save", str(saved[0]))
+            assert ["cached", "True"] in cli("submit", *spec,
+                                             "--save", str(saved[1]))
+            assert saved[0].read_bytes() == saved[1].read_bytes()
+            result = SessionResult.load(saved[0])
+            assert result.spec == _spec() and result.feasible
+            assert len(list(cache.glob("*/*.json"))) == 1
+
+            jobs = cli("jobs", "--port", port)
+            assert jobs[0][:4] == ["2", "jobs,", "1", "executed"]
+            assert [row[:4] for row in jobs[3:]] == [
+                ["j1", "DONE", "-", "random"],
+                ["j2", "DONE", "hit", "random"]]
+            stats = cli("cache", "--stats", "--port", port)
+            for row in (["entries", "1"], ["hits", "1"], ["misses", "1"],
+                        ["puts", "1"]):
+                assert row in stats
+            with ServiceClient(port=int(port)) as client:
                 client.shutdown()
             assert process.wait(timeout=60) == 0
         finally:
