@@ -209,31 +209,30 @@ class TestOffPolicyInternals:
 
 
 BAD_SETTINGS = [
-    *((cls, {"discount": discount}, "discount")
+    *((cls, "discount", discount)
       for cls in (Reinforce, A2C, ACKTR, PPO2, DDPG, TD3, SAC)
       for discount in (1.5, -1.0)),
-    *((cls, {"max_grad_norm": norm}, "max_grad_norm")
+    *((cls, "max_grad_norm", norm)
       for cls in (Reinforce, A2C, ACKTR, PPO2) for norm in (0.0, -1.0)),
-    (PPO2, {"minibatch_size": 0}, "minibatch_size"),
-    (PPO2, {"update_epochs": 0}, "update_epochs"),
-    (PPO2, {"update_epochs": -1}, "update_epochs"),
-    *((cls, {"tau": tau}, "tau")
-      for cls in (DDPG, TD3, SAC) for tau in (2.0, 0.0)),
-    (DDPG, {"updates_per_step": 0}, "updates_per_step"),
-    (DDPG, {"batch_size": 0}, "batch_size"),
+    (PPO2, "minibatch_size", 0),
+    (PPO2, "update_epochs", 0),
+    (PPO2, "update_epochs", -1),
+    *((cls, "tau", tau) for cls in (DDPG, TD3, SAC) for tau in (2.0, 0.0)),
+    (DDPG, "updates_per_step", 0),
+    (DDPG, "batch_size", 0),
 ]
 
 
 @pytest.mark.parametrize(
-    "cls, options, setting", BAD_SETTINGS,
-    ids=[f"{cls.__name__}-{'-'.join(f'{k}={v}' for k, v in options.items())}"
-         for cls, options, _ in BAD_SETTINGS])
-def test_agents_refuse_invalid_settings_when_built(cls, options, setting):
+    "cls, setting, value", BAD_SETTINGS,
+    ids=[f"{cls.__name__}-{setting}={value}"
+         for cls, setting, value in BAD_SETTINGS])
+def test_agents_refuse_invalid_settings_when_built(cls, setting, value):
     """Each agent checks its settings in its constructor, before any
     environment work, instead of failing (or silently never learning)
     mid-search."""
     with pytest.raises(ValueError, match=setting):
-        cls(**options)
+        cls(**{setting: value})
 
 
 class TestSearchContracts:
