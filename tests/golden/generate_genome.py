@@ -13,7 +13,9 @@ best genome and assignments, the evaluation and cache-hit counts, and a
 SHA-256 of the best-so-far history.  ``local-ga`` also runs 54
 generations (1,000 evaluations) on those three groups and on the slice
 under ``ls`` and under a resource budget, and one case runs the
-ablation's ``LocalGA(crossover_mode="global")`` directly.  ``pareto-ga``
+ablation's ``LocalGA(crossover_mode="global")`` directly.  ``sa`` also
+runs on the slice under ``ls``, the default FPGA caps and a power budget
+(``SA_GROUPS``).  ``pareto-ga``
 also runs longer searches (``PARETO_GA_CASES``) that pin a SHA-256 of
 the whole reported front as well.  ``OBSERVED_CASES`` run under
 ``generate_rl.py``'s recording observer, to their budget and stopped
@@ -76,6 +78,17 @@ LOCAL_GA_GROUPS = {**GROUPS,
                                  "constraint_kind": "resource",
                                  "max_total_l1": 1024}}
 
+#: group -> spec options for the extra ``sa`` cases on the 8-layer
+#: slice: one shared design point (``ls``), the FPGA caps at their
+#: defaults (4,096 PEs, 8,192 L1 bytes), checked on the decoded
+#: assignments, where the first feasible design is the 111th evaluation
+#: at seed 0 and the 161st at seed 1, and a power budget on the cloud
+#: tier, where 3 and 104 of the 400 evaluations are infeasible.
+SA_GROUPS = {"ls8": LOCAL_GA_GROUPS["ls8"],
+             "fpga8": {"layer_slice": SLICE, "constraint_kind": "resource"},
+             "power8": {"layer_slice": SLICE, "constraint_kind": "power",
+                        "platform": "cloud"}}
+
 #: The long ``pareto-ga`` cases, ``group/name -> (budget, spec options)``:
 #: the baseline grid's own task (a scalar objective, so nearly every
 #: individual is a front of its own), two objectives on the full model,
@@ -118,6 +131,8 @@ def case_names() -> List[str]:
              for seed in SEEDS for group in GROUPS for method in BUDGETS]
     names += [f"{group}/{LOCAL_GA}/seed{seed}"
               for seed in SEEDS for group in LOCAL_GA_GROUPS]
+    names += [f"{group}/sa/seed{seed}"
+              for seed in SEEDS for group in SA_GROUPS]
     names += [f"slice8/{LOCAL_GA_GLOBAL}/seed{seed}" for seed in SEEDS]
     names += [f"{case}/seed{seed}"
               for seed in SEEDS for case in PARETO_GA_CASES]
@@ -175,9 +190,10 @@ def run_case(key: str) -> dict:
                               budget=LOCAL_GA_BUDGET, seed=seed,
                               **LOCAL_GA_GROUPS[group])
         else:
+            options = GROUPS[group] if group in GROUPS else SA_GROUPS[group]
             spec = SearchSpec(model=MODEL, method=method,
                               budget=BUDGETS[method], seed=seed,
-                              **GROUPS[group], **OPTIONS.get(method, {}))
+                              **options, **OPTIONS.get(method, {}))
         result = SearchSession(spec).run().result
     pinned = harness.summarize(result) if observed is None else observed
     pinned["best_genome"] = (None if result.best_genome is None
