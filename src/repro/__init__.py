@@ -91,7 +91,7 @@ from repro.search import (
     method_names,
     register_method,
 )
-__version__ = "6.2.0"
+__version__ = "6.3.0"
 
 __all__ = [
     "Layer",

@@ -25,7 +25,7 @@ from repro.costmodel.batched import (
     LayerTable,
     population_totals,
 )
-from repro.costmodel.estimator import CostModel
+from repro.costmodel.estimator import CostModel, model_report
 from repro.costmodel.report import ModelCostReport
 from repro.env.spaces import ActionSpace
 from repro.models.layers import Layer
@@ -138,8 +138,8 @@ class DesignPointEvaluator:
         #: gathering a repeat costs no more than finding it.
         self.cache_hits = 0
         #: An observed session's tracker (``None`` otherwise): every
-        #: scored design is recorded with it, in ``evaluate_raw`` and
-        #: ``_results``.
+        #: scored design is recorded with it, in ``_outcome`` (single
+        #: designs) and ``_results`` (populations).
         self._tracker = None
 
     # ------------------------------------------------------------------
@@ -166,7 +166,6 @@ class DesignPointEvaluator:
         self, assignments: Sequence[RawAssignment]
     ) -> EvalResult:
         """Evaluate raw (pes, l1_bytes[, style]) per-layer assignments."""
-        self.evaluations += 1
         if self.deployment == "ls":
             pes, l1_bytes = assignments[0][0], assignments[0][1]
             style = (assignments[0][2] if len(assignments[0]) == 3
@@ -176,6 +175,40 @@ class DesignPointEvaluator:
         else:
             report = self.cost_model.evaluate_model(
                 self.layers, assignments, dataflow=self.dataflow)
+        return self._outcome(report, assignments)
+
+    def evaluate_move(self, genome: Sequence[int], base: EvalResult,
+                      layer: int) -> EvalResult:
+        """Evaluate a level-indexed genome that differs from the one
+        ``base`` scored only in layer ``layer``, re-pricing that layer.
+
+        ``base``'s per-layer reports are copied, layer ``layer``'s is
+        looked up again (:meth:`CostModel.evaluate_layer`, the same LRU
+        as :meth:`evaluate_genome`) and the whole model is totalled by
+        :func:`~repro.costmodel.estimator.model_report`, so the result
+        equals ``evaluate_genome(genome)`` field for field and is counted
+        and observed like it.  The genome is decoded whole, which
+        validates every gene.  Under ``ls``, or from a ``base`` without
+        per-layer reports (a population's), it is
+        :meth:`evaluate_genome`.
+        """
+        reports = base.report.per_layer
+        if self.deployment == "ls" or not reports:
+            return self.evaluate_genome(genome)
+        assignments = self.decode_genome(genome)
+        moved = assignments[layer]
+        style = moved[2] if len(moved) == 3 else self.dataflow
+        reports = list(reports)
+        reports[layer] = self.cost_model.evaluate_layer(
+            self.layers[layer], style, moved[0], moved[1])
+        return self._outcome(model_report(reports), assignments)
+
+    def _outcome(self, report: ModelCostReport,
+                 assignments: Sequence[RawAssignment]) -> EvalResult:
+        """One scored design's result from its report: the budget check
+        and the objective, counted and recorded with an observed
+        session's tracker."""
+        self.evaluations += 1
         used, feasible = self._check(report, assignments)
         result = EvalResult(
             cost=self.objective.evaluate(report),

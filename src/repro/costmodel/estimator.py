@@ -126,6 +126,30 @@ def _evaluate_uncached(hw: HardwareConfig, layer: Layer, dataflow: Dataflow,
     )
 
 
+def model_report(reports: List[CostReport]) -> ModelCostReport:
+    """The LP whole-model report over one report per layer, in order.
+
+    Every total adds left to right, as the batched ``ordered_row_sum``
+    does.  Not ``sum()``: from Python 3.12 it compensates float
+    additions, which rounds differently.  ``CostModel.evaluate_model``
+    and ``DesignPointEvaluator.evaluate_move`` both total here, so a
+    re-priced move and a full evaluation cannot drift apart.
+    """
+    latency = energy = area = power = 0.0
+    for report in reports:
+        latency += report.latency_cycles
+        energy += report.energy_nj
+        area += report.area_um2
+        power += report.power_mw
+    return ModelCostReport(
+        latency_cycles=latency,
+        energy_nj=energy,
+        area_um2=area,
+        power_mw=power,
+        per_layer=reports,
+    )
+
+
 class CostModel:
     """Stateful facade: caches per-layer evaluations across a search.
 
@@ -223,7 +247,7 @@ class CostModel:
             )
         # The per-layer cache is called directly, with evaluate_layer's
         # checks inline, and the default style is resolved once: this loop
-        # is the scalar chain every single-genome score runs through.
+        # is the scalar chain that scores a whole single genome.
         default = None if dataflow is None else get_dataflow(dataflow)
         cached = self._evaluate_cached
         reports: List[CostReport] = []
@@ -244,22 +268,7 @@ class CostModel:
             if style is not default:
                 style = get_dataflow(style)
             reports.append(cached(layer, style, int(pes), int(l1_bytes)))
-        # Totals add left to right, as the batched ``ordered_row_sum``
-        # does.  Not ``sum()``: from Python 3.12 it compensates float
-        # additions, which rounds differently.
-        latency = energy = area = power = 0.0
-        for report in reports:
-            latency += report.latency_cycles
-            energy += report.energy_nj
-            area += report.area_um2
-            power += report.power_mw
-        return ModelCostReport(
-            latency_cycles=latency,
-            energy_nj=energy,
-            area_um2=area,
-            power_mw=power,
-            per_layer=reports,
-        )
+        return model_report(reports)
 
     def evaluate_model_ls(
         self,
@@ -282,7 +291,7 @@ class CostModel:
         style, pes, l1_bytes = get_dataflow(dataflow), int(pes), int(l1_bytes)
         cached = self._evaluate_cached
         reports = [cached(layer, style, pes, l1_bytes) for layer in layers]
-        # Left-to-right totals, as in ``evaluate_model``.
+        # Left-to-right totals, as in ``model_report``.
         latency = energy = 0.0
         for report in reports:
             latency += report.latency_cycles

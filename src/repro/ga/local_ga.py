@@ -79,8 +79,12 @@ class LocalGA:
             raise ValueError("mutation_rate must be in [0, 1]")
         if not 0.0 <= crossover_rate <= 1.0:
             raise ValueError("crossover_rate must be in [0, 1]")
-        if elite >= population_size:
-            raise ValueError("elite must be < population_size")
+        if not 1 <= elite < population_size:
+            raise ValueError("elite must be in [1, population_size)")
+        if max_pes < 1:
+            raise ValueError("max_pes must be >= 1")
+        if max_l1_bytes < 1:
+            raise ValueError("max_l1_bytes must be >= 1")
         if crossover_mode not in ("local", "global"):
             raise ValueError(
                 f"unknown crossover_mode {crossover_mode!r}")
@@ -91,7 +95,7 @@ class LocalGA:
         self.mutation_step = mutation_step
         self.max_pes = max_pes
         self.max_l1_bytes = max_l1_bytes
-        self.elite = max(1, elite)
+        self.elite = elite
         self.rng = np.random.default_rng(seed)
         self._memo: Dict[bytes, float] = {}
         self._hits = 0

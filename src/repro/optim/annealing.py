@@ -8,14 +8,18 @@ points carry infinite cost, so under tight constraints the walk can fail to
 ever enter the feasible region -- the NAN rows of Table IV.
 
 The walk is inherently sequential (each proposal depends on the previous
-accept/reject), so its per-step candidate set has size one; it still routes
-through the shared batched evaluation API of :class:`GenomeOptimizer`.
+accept/reject), so it scores one genome at a time.  A restart's random
+genome is scored whole (:meth:`GenomeOptimizer.evaluate`, the scalar
+chain).  A move changes one layer, and the annealing step is defined on
+the cost change a move makes, so each move re-prices only that layer
+from the current design's outcome (:meth:`GenomeOptimizer.evaluate_move`),
+with results equal to a whole evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import List, Tuple
 
 from repro.optim.base import GenomeOptimizer
 
@@ -29,18 +33,22 @@ class SimulatedAnnealing(GenomeOptimizer):
                  cooling: float = 0.999, restarts: int = 5,
                  seed=None) -> None:
         super().__init__(seed=seed)
-        if temperature <= 0:
+        if not temperature > 0:
             raise ValueError("temperature must be positive")
         if step < 1:
             raise ValueError("step must be >= 1")
         if not 0.0 < cooling <= 1.0:
             raise ValueError("cooling must be in (0, 1]")
+        if restarts < 1:
+            raise ValueError("restarts must be >= 1")
         self.temperature = temperature
         self.step = step
         self.cooling = cooling
-        self.restarts = max(1, restarts)
+        self.restarts = restarts
 
-    def _neighbour(self, genome: List[int]) -> List[int]:
+    def _neighbour(self, genome: List[int]) -> Tuple[List[int], int]:
+        """A copy of ``genome`` with one gene moved by +-``step`` (clipped
+        to its range), and the layer that gene belongs to."""
         space = self._evaluator.space
         per_step = space.actions_per_step
         candidate = list(genome)
@@ -49,21 +57,24 @@ class SimulatedAnnealing(GenomeOptimizer):
         size = space.num_levels if head < 2 else len(space.dataflows)
         delta = self.step if self.rng.random() < 0.5 else -self.step
         candidate[gene] = int(min(max(candidate[gene] + delta, 0), size - 1))
-        return candidate
+        return candidate, gene // per_step
 
     def _run(self) -> None:
         budget_per_restart = max(1, self._budget // self.restarts)
         while not self.exhausted:
             current = self.random_genome()
-            current_cost = self._cost(self.evaluate(current))
+            outcome = self.evaluate(current)
+            current_cost = self._cost(outcome)
             temperature = self.temperature
             for _ in range(budget_per_restart - 1):
                 if self.exhausted:
                     return
-                candidate = self._neighbour(current)
-                candidate_cost = self._cost(self.evaluate(candidate))
+                candidate, layer = self._neighbour(current)
+                moved = self.evaluate_move(candidate, outcome, layer)
+                candidate_cost = self._cost(moved)
                 if self._accept(current_cost, candidate_cost, temperature):
-                    current, current_cost = candidate, candidate_cost
+                    current, current_cost, outcome = (candidate,
+                                                      candidate_cost, moved)
                 temperature *= self.cooling
 
     @staticmethod

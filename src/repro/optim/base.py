@@ -85,13 +85,13 @@ class GenomeOptimizer:
 
         Single-genome sets take the scalar path
         (:meth:`DesignPointEvaluator.evaluate_genome` -> ``evaluate_raw``
-        -> ``CostModel.evaluate_model``).  The sequential walks (SA
-        proposals, Bayesian's EI loop) thereby keep an oracle
-        independent of the ladder table that populations are gathered
-        from: e2ebench's gate re-scores every best design through the
-        same scalar chain, and its traced runs require that chain to
-        fire on the baseline grid.  Both paths return identical
-        numbers.
+        -> ``CostModel.evaluate_model``): SA's restarts and Bayesian's EI
+        loop.  They thereby keep an oracle independent of the ladder
+        table that populations are gathered from: e2ebench's gate
+        re-scores every best design through the same scalar chain, and
+        its traced runs require that chain to fire on the baseline grid.
+        SA's one-layer moves take :meth:`evaluate_move`.  Every path
+        returns identical numbers.
 
         Raises:
             RuntimeError: if called after the budget is exhausted.
@@ -104,6 +104,27 @@ class GenomeOptimizer:
         else:
             outcomes = [self._evaluator.evaluate_genome(genome)
                         for genome in genomes]
+        return self._tally(genomes, outcomes)
+
+    def evaluate_move(self, genome: Sequence[int], base: EvalResult,
+                      layer: int) -> EvalResult:
+        """Evaluate a genome that differs from the one ``base`` scored
+        only in layer ``layer`` (see
+        :meth:`DesignPointEvaluator.evaluate_move`), charging the budget
+        and updating the best as :meth:`evaluate` does.
+
+        Raises:
+            RuntimeError: if called after the budget is exhausted.
+        """
+        if self.exhausted:
+            raise RuntimeError("evaluation budget exhausted")
+        outcome = self._evaluator.evaluate_move(genome, base, layer)
+        return self._tally([genome], [outcome])[0]
+
+    def _tally(self, genomes: Sequence[Sequence[int]],
+               outcomes: List[EvalResult]) -> List[EvalResult]:
+        """Charge one budget unit per scored genome, in order, updating
+        the best feasible design and the convergence history."""
         result = self._result
         for genome, outcome in zip(genomes, outcomes):
             self._spent += 1

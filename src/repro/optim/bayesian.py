@@ -36,6 +36,14 @@ class BayesianOptimization(GenomeOptimizer):
         super().__init__(seed=seed)
         if initial_samples < 2:
             raise ValueError("initial_samples must be >= 2")
+        if candidate_pool < 1:
+            raise ValueError("candidate_pool must be >= 1")
+        if not length_scale > 0:
+            raise ValueError("length_scale must be positive")
+        if not noise >= 0:
+            raise ValueError("noise must be >= 0")
+        if max_fit_points < 2:
+            raise ValueError("max_fit_points must be >= 2")
         self.initial_samples = initial_samples
         self.candidate_pool = candidate_pool
         self.length_scale = length_scale

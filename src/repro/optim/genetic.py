@@ -34,13 +34,15 @@ class GeneticAlgorithm(GenomeOptimizer):
             raise ValueError("mutation_rate must be in [0, 1]")
         if not 0.0 <= crossover_rate <= 1.0:
             raise ValueError("crossover_rate must be in [0, 1]")
-        if elite >= population_size:
-            raise ValueError("elite must be < population_size")
+        if tournament_size < 2:
+            raise ValueError("tournament_size must be >= 2")
+        if not 0 <= elite < population_size:
+            raise ValueError("elite must be in [0, population_size)")
         self.population_size = population_size
         self.mutation_rate = mutation_rate
         self.crossover_rate = crossover_rate
-        self.tournament_size = max(2, tournament_size)
-        self.elite = max(0, elite)
+        self.tournament_size = tournament_size
+        self.elite = elite
 
     # ------------------------------------------------------------------
     def _score(self, population: np.ndarray) -> Optional[np.ndarray]:

@@ -62,10 +62,14 @@ class ParetoGA(GenomeOptimizer):
             raise ValueError("mutation_rate must be in [0, 1]")
         if not 0.0 <= crossover_rate <= 1.0:
             raise ValueError("crossover_rate must be in [0, 1]")
+        if tournament_size < 2:
+            raise ValueError("tournament_size must be >= 2")
+        if archive_size < 1:
+            raise ValueError("archive_size must be >= 1")
         self.population_size = population_size
         self.mutation_rate = mutation_rate
         self.crossover_rate = crossover_rate
-        self.tournament_size = max(2, tournament_size)
+        self.tournament_size = tournament_size
         self.archive_size = archive_size
         self._archive: Optional[ParetoArchive] = None
         self._multi: Optional[MultiObjective] = None

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.evaluator import DesignPointEvaluator
+from repro.costmodel import CostModel
 from repro.env.spaces import ActionSpace
 from repro.experiments import TaskSpec, compare_methods
 from repro.experiments.ls_study import (
@@ -140,20 +142,26 @@ class TestRunner:
     def test_grid_calls_every_benchmark_operator_span(self, cost_model,
                                                       monkeypatch):
         """The traced ``baselines-mbv2-cloud`` benchmark binds its
-        ``optim.crossover``, ``optim.mutation``, ``optim.random_genome``
-        and ``ga.local_search`` spans to these methods
+        ``optim.crossover``, ``optim.mutation``, ``optim.random_genome``,
+        ``ga.local_search``, ``core.evaluate_raw`` and
+        ``costmodel.evaluate_model`` spans to these methods
         (``e2ebench/metrics.py``) and fails when one records no call; a
-        refactor that stops calling one fails here first."""
+        refactor that stops calling one fails here first.  On the grid
+        only SA's restarts score through the last two: its moves
+        re-price one layer (``DesignPointEvaluator.evaluate_move``)."""
         calls = {}
         for owner, name in ((GenomeOptimizer, "uniform_crossover"),
                             (GenomeOptimizer, "resample_mutation"),
                             (GenomeOptimizer, "random_genome"),
-                            (LocalGA, "search")):
+                            (LocalGA, "search"),
+                            (DesignPointEvaluator, "evaluate_raw"),
+                            (CostModel, "evaluate_model")):
             calls[name] = 0
 
-            def spy(self, *args, _name=name, _method=getattr(owner, name)):
+            def spy(self, *args, _name=name, _method=getattr(owner, name),
+                    **kwargs):
                 calls[_name] += 1
-                return _method(self, *args)
+                return _method(self, *args, **kwargs)
             monkeypatch.setattr(owner, name, spy)
         task = TaskSpec(model="mobilenet_v2", layer_slice=4,
                         platform="cloud")

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from repro.core.constraints import PlatformConstraint
 from repro.core.evaluator import DesignPointEvaluator
+from repro.costmodel import CostModel
 from repro.env.spaces import ActionSpace
+from repro.ga import LocalGA
 from repro.optim import (
     BayesianOptimization,
     GeneticAlgorithm,
     GridSearch,
+    ParetoGA,
     RandomSearch,
     SimulatedAnnealing,
 )
@@ -49,6 +52,31 @@ class TestBase:
     def test_base_run_is_abstract(self):
         with pytest.raises(NotImplementedError):
             GenomeOptimizer()._run()
+
+
+@pytest.mark.parametrize("method, option, value", [
+    (SimulatedAnnealing, "restarts", 0),
+    (SimulatedAnnealing, "restarts", -1),
+    (SimulatedAnnealing, "temperature", math.nan),
+    (GeneticAlgorithm, "tournament_size", 1),
+    (GeneticAlgorithm, "elite", -1),
+    (ParetoGA, "tournament_size", 1),
+    (ParetoGA, "archive_size", 0),
+    (LocalGA, "elite", 0),
+    (LocalGA, "max_pes", 0),
+    (LocalGA, "max_l1_bytes", 0),
+    (BayesianOptimization, "length_scale", 0.0),
+    (BayesianOptimization, "length_scale", -0.4),
+    (BayesianOptimization, "noise", -1e-4),
+    (BayesianOptimization, "candidate_pool", 0),
+    (BayesianOptimization, "max_fit_points", 1),
+])
+def test_an_invalid_setting_is_refused_when_built(method, option, value):
+    """Each of these was silently clamped, ran with a NaN or failed only
+    mid-search; every default is valid."""
+    with pytest.raises(ValueError, match=option):
+        method(**{option: value})
+    method()
 
 
 class TestGridAdvance:
@@ -89,15 +117,46 @@ class TestGridAdvance:
 
 
 class TestSimulatedAnnealingInternals:
-    def test_neighbour_moves_one_gene_by_step(self, evaluator):
-        sa = SimulatedAnnealing(step=1, seed=0)
-        sa._evaluator = evaluator
-        genome = [5, 5] * 4
-        for _ in range(20):
-            neighbour = sa._neighbour(genome)
-            diffs = [abs(a - b) for a, b in zip(genome, neighbour)]
-            assert sum(d != 0 for d in diffs) <= 1
-            assert max(diffs) <= 1
+    def test_neighbour_moves_one_gene_by_step(self, evaluator, cost_model,
+                                              tiny_model, space_mix):
+        """Every gene starts a step away from both ends of its range, so
+        each neighbour moves exactly one gene, of the layer returned."""
+        constraint = PlatformConstraint(kind="area", budget=1e15)
+        mix = DesignPointEvaluator(tiny_model, "latency", constraint,
+                                   cost_model, space_mix)
+        for task, genome in ((evaluator, [5, 5] * 4), (mix, [1, 1, 1] * 4)):
+            sa = SimulatedAnnealing(step=1, seed=0)
+            sa._evaluator = task
+            per_step = task.space.actions_per_step
+            moved_layers = set()
+            for _ in range(40):
+                neighbour, layer = sa._neighbour(genome)
+                moved = [gene for gene, (a, b)
+                         in enumerate(zip(genome, neighbour)) if a != b]
+                assert len(moved) == 1
+                assert abs(neighbour[moved[0]] - genome[moved[0]]) == 1
+                assert layer == moved[0] // per_step
+                moved_layers.add(layer)
+            assert moved_layers == set(range(len(tiny_model)))
+
+    def test_restarts_score_whole_genomes_and_moves_one_layer(
+            self, evaluator, monkeypatch):
+        """Budget 400 over 5 restarts: each restart's random genome goes
+        through ``evaluate_raw`` (and ``CostModel.evaluate_model``), its
+        79 moves through ``evaluate_move``."""
+        calls = {"evaluate_raw": 0, "evaluate_move": 0, "evaluate_model": 0}
+        for owner, name in ((DesignPointEvaluator, "evaluate_raw"),
+                            (DesignPointEvaluator, "evaluate_move"),
+                            (CostModel, "evaluate_model")):
+            def spy(self, *args, _name=name, _method=getattr(owner, name),
+                    **kwargs):
+                calls[_name] += 1
+                return _method(self, *args, **kwargs)
+            monkeypatch.setattr(owner, name, spy)
+        result = SimulatedAnnealing(restarts=5, seed=0).search(evaluator, 400)
+        assert result.evaluations == evaluator.evaluations == 400
+        assert calls == {"evaluate_raw": 5, "evaluate_move": 395,
+                         "evaluate_model": 5}
 
     def test_accept_always_improving(self):
         sa = SimulatedAnnealing(seed=0)
