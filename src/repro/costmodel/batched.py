@@ -75,11 +75,11 @@ def ordered_row_sum(values: np.ndarray) -> np.ndarray:
     """Row sums accumulated left-to-right, matching the scalar path.
 
     ``CostModel.evaluate_model`` totals its per-layer reports with a
-    left-to-right loop (``estimator.model_report``).  ``np.sum`` uses pairwise accumulation, which
-    rounds differently (so does Python's ``sum()`` from 3.12, which
-    compensates).  An accumulate adds each column to the running total
-    of the columns before it, in order, so its last column is
-    bit-identical to the scalar path.
+    left-to-right loop (``estimator.model_report``).  ``np.sum`` uses
+    pairwise accumulation, which rounds differently (so does Python's
+    ``sum()`` from 3.12, which compensates).  An accumulate adds each
+    column to the running total of the columns before it, in order, so
+    its last column is bit-identical to the scalar path.
     """
     return np.cumsum(values, axis=1, dtype=np.float64)[:, -1]
 

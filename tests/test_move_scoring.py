@@ -13,6 +13,8 @@ import pytest
 
 from repro.costmodel import CostModel
 from repro.experiments.tasks import TaskSpec
+from repro.optim import SimulatedAnnealing
+from repro.optim.base import GenomeOptimizer
 
 SLICE = 8
 
@@ -116,6 +118,23 @@ def test_a_walk_of_moves_from_moves_equals_whole_evaluations(name):
         base = _assert_move_matches(evaluator, task, constraint,
                                     list(genome), base,
                                     gene // space.actions_per_step)
+
+
+@pytest.mark.parametrize("name", TASKS)
+def test_sa_searches_as_if_every_move_were_scored_whole(name, monkeypatch):
+    """SA's walk, history and best design are those of scoring each move
+    through ``evaluate``, as SA did before it re-priced moves."""
+    def search():
+        evaluator = TASKS[name].make_evaluator(CostModel())
+        result = SimulatedAnnealing(seed=3).search(evaluator, 400)
+        return (result.history, result.best_cost, result.best_genome,
+                result.best_assignments, evaluator.evaluations)
+
+    re_priced = search()
+    monkeypatch.setattr(GenomeOptimizer, "evaluate_move",
+                        lambda self, genome, base, layer:
+                        self.evaluate(genome))
+    assert re_priced == search()
 
 
 def test_a_population_base_scores_the_whole_genome(monkeypatch):

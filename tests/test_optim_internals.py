@@ -143,10 +143,13 @@ class TestSimulatedAnnealingInternals:
             self, evaluator, monkeypatch):
         """Budget 400 over 5 restarts: each restart's random genome goes
         through ``evaluate_raw`` (and ``CostModel.evaluate_model``), its
-        79 moves through ``evaluate_move``."""
-        calls = {"evaluate_raw": 0, "evaluate_move": 0, "evaluate_model": 0}
+        79 moves through ``evaluate_move``, and nothing is gathered (a
+        gathered base has no per-layer reports to re-price from)."""
+        calls = {"evaluate_raw": 0, "evaluate_move": 0, "evaluate_model": 0,
+                 "evaluate_population": 0}
         for owner, name in ((DesignPointEvaluator, "evaluate_raw"),
                             (DesignPointEvaluator, "evaluate_move"),
+                            (DesignPointEvaluator, "evaluate_population"),
                             (CostModel, "evaluate_model")):
             def spy(self, *args, _name=name, _method=getattr(owner, name),
                     **kwargs):
@@ -156,7 +159,7 @@ class TestSimulatedAnnealingInternals:
         result = SimulatedAnnealing(restarts=5, seed=0).search(evaluator, 400)
         assert result.evaluations == evaluator.evaluations == 400
         assert calls == {"evaluate_raw": 5, "evaluate_move": 395,
-                         "evaluate_model": 5}
+                         "evaluate_model": 5, "evaluate_population": 0}
 
     def test_accept_always_improving(self):
         sa = SimulatedAnnealing(seed=0)
