@@ -63,18 +63,18 @@ class SimulatedAnnealing(GenomeOptimizer):
         budget_per_restart = max(1, self._budget // self.restarts)
         while not self.exhausted:
             current = self.random_genome()
-            outcome = self.evaluate(current)
-            current_cost = self._cost(outcome)
+            base = self.evaluate(current)
+            current_cost = self._cost(base)
             temperature = self.temperature
             for _ in range(budget_per_restart - 1):
                 if self.exhausted:
                     return
                 candidate, layer = self._neighbour(current)
-                moved = self.evaluate_move(candidate, outcome, layer)
+                moved = self.evaluate_move(candidate, base, layer)
                 candidate_cost = self._cost(moved)
                 if self._accept(current_cost, candidate_cost, temperature):
-                    current, current_cost, outcome = (candidate,
-                                                      candidate_cost, moved)
+                    current, current_cost, base = (candidate,
+                                                   candidate_cost, moved)
                 temperature *= self.cooling
 
     @staticmethod
